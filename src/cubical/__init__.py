@@ -42,7 +42,6 @@ from .coxeter import (
     distance,
     distances_differ_by_one,
     dump_matrix,
-    ends_estimate,
     ends_profile,
     halfspace,
     halfspace_system,

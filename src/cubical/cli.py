@@ -62,7 +62,9 @@ def _read_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputFormatError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}")
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or text
         raise InputFormatError(f"invalid JSON in {path}: {exc}")
 
 
@@ -195,16 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _complex_check(run):
     x = load_complex(_read_json(run.args.file))
-    local = is_locally_cat0(x)
     run.stats = x.counts()
-    run.certificate["locally_cat0"] = {"ok": local.ok, **local.certificate()}
-    if local.ok:
-        global_ = is_cat0(x, cap=run.args.cap)
-        run.certificate["cat0"] = {"ok": global_.ok, **global_.certificate()}
-        run.ok = global_.ok
-    else:
+    verdict = is_cat0(x, cap=run.args.cap)  # scans the links first
+    cert = verdict.certificate()
+    if verdict.reason == "link":
+        run.certificate["locally_cat0"] = {
+            "ok": False, "vertex": cert["vertex"],
+            "empty_simplex": cert["empty_simplex"]}
         run.certificate["cat0"] = {"ok": False, "reason": "link"}
-        run.ok = False
+    else:
+        run.certificate["locally_cat0"] = {"ok": True}
+        run.certificate["cat0"] = {"ok": verdict.ok, **cert}
+    run.ok = verdict.ok
     if run.args.dot:
         _write(run.args.dot, skeleton_dot(x, hyperplanes(x)))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +35,8 @@ from .errors import (
     SelfGluingError,
     UnknownVertexError,
 )
-from .util import skey, ssorted
+from .graphs import cliques, components
+from .util import check_ids, parse_int, parse_list, skey, ssorted
 
 DEFAULT_MEDIAN_CAP = 600
 
@@ -44,38 +45,24 @@ DEFAULT_MEDIAN_CAP = 600
 # cube symmetries
 
 
-@lru_cache(maxsize=None)
-def _symmetry_maps(dim: int) -> tuple[tuple[int, ...], ...]:
-    """Index maps realizing the full symmetry group of the dim-cube
-    (axis permutations composed with axis flips), acting on corner indices."""
-    maps = []
-    for perm in itertools.permutations(range(dim)):
-        for flips in range(1 << dim):
-            sigma = []
-            for j in range(1 << dim):
-                a = 0
-                for i in range(dim):
-                    bit = ((j >> i) & 1) ^ ((flips >> i) & 1)
-                    a |= bit << perm[i]
-                sigma.append(a)
-            maps.append(tuple(sigma))
-    return tuple(maps)
-
-
 def canonical_cube(corners: tuple) -> tuple:
-    """Lexicographically least image of a corner tuple under cube symmetry."""
-    n = len(corners)
-    dim = n.bit_length() - 1
-    if dim == 0:
-        return tuple(corners)
-    best = None
-    bestkey = None
-    for sigma in _symmetry_maps(dim):
-        img = tuple(corners[sigma[j]] for j in range(n))
-        key = tuple(skey(x) for x in img)
-        if bestkey is None or key < bestkey:
-            best, bestkey = img, key
-    return best
+    """Lexicographically least image (by ``skey``) of a tuple of distinct
+    corners under the 2^d * d! symmetries of the cube, in closed form.
+
+    A symmetry picks the corner that goes to position 0 and the order of
+    the axes. Position 0 must hold the least corner; position 2^i holds the
+    neighbour of that origin along new axis i, and every other position is
+    fixed once the axes below its top bit are. So the greedy choice is the
+    least one: the least corner becomes the origin, and its axes are
+    ordered by the neighbour across each one."""
+    keys = [skey(v) for v in corners]
+    origin = min(range(len(corners)), key=keys.__getitem__)
+    axes = sorted((1 << i for i in range(len(corners).bit_length() - 1)),
+                  key=lambda a: keys[origin ^ a])
+    index = [origin]
+    for a in axes:
+        index += [j ^ a for j in index]
+    return tuple(corners[j] for j in index)
 
 
 def cube_dim(corners: tuple) -> int:
@@ -284,6 +271,8 @@ def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
         k = int(dim_key)
         if k < 1:
             raise InputFormatError(f"cube dimension must be >= 1, got {k}")
+        if k > 62:  # 2^k corners could not be listed
+            raise InputFormatError(f"cube dimension {k} is too large")
         listed.setdefault(k, set())
         for corners in raw_cubes:
             corners = tuple(corners)
@@ -362,9 +351,17 @@ def load_complex(data: dict) -> CubeComplex:
     """Ingest the JSON form {"vertices": [...], "cubes": {"1": [[..]..], ...}}."""
     if not isinstance(data, dict) or "vertices" not in data:
         raise InputFormatError("complex JSON needs 'vertices' and 'cubes'")
-    cubes = {int(k): [tuple(c) for c in v]
-             for k, v in data.get("cubes", {}).items()}
-    return build_complex(data["vertices"], cubes)
+    vertices = parse_list(data["vertices"], "'vertices'")
+    raw = data.get("cubes", {})
+    if not isinstance(raw, dict):
+        raise InputFormatError(f"'cubes' must map dimensions to cube lists, got {raw!r}")
+    cubes = {}
+    for k, cs in raw.items():
+        cubes[parse_int(k, "cube dimension")] = [
+            tuple(parse_list(c, "a cube")) for c in parse_list(cs, f"cubes[{k!r}]")]
+    check_ids(vertices, "vertex ids")
+    check_ids((v for cs in cubes.values() for c in cs for v in c), "cube corners")
+    return build_complex(vertices, cubes)
 
 
 def dump_complex(x: CubeComplex) -> dict:
@@ -421,31 +418,13 @@ class FlagResult:
 
 def is_flag(link: SimplicialComplex) -> FlagResult:
     """Every clique of the 1-skeleton must span a listed simplex. On failure
-    the witness is a minimal empty simplex (all proper faces present)."""
-    adj = link.adjacency
-    order = ssorted(link.vertices)
-    rank = {v: i for i, v in enumerate(order)}
-    level = [frozenset({v, w}) for v in order for w in adj[v] if rank[w] > rank[v]]
-    size = 2
-    while level:
-        size += 1
-        nxt = []
-        failures = []
-        for clique in level:
-            top = max(rank[v] for v in clique)
-            cands = set(order[top + 1:])
-            for v in clique:
-                cands &= adj[v]
-            for u in ssorted(cands):
-                bigger = clique | {u}
-                nxt.append(bigger)
-                if bigger not in link.simplices:
-                    failures.append(bigger)
-        if failures:
-            witness = min((tuple(ssorted(f)) for f in failures),
-                          key=lambda t: [skey(v) for v in t])
-            return FlagResult(ok=False, witness=witness)
-        level = nxt
+    the witness is the least empty simplex by (size, sorted ids): a minimal
+    one, since all its proper faces are smaller cliques."""
+    failures = [c for c in cliques(link.adjacency, ssorted(link.vertices))
+                if len(c) >= 3 and frozenset(c) not in link.simplices]
+    if failures:
+        witness = min(failures, key=lambda t: (len(t), [skey(v) for v in t]))
+        return FlagResult(ok=False, witness=witness)
     return FlagResult(ok=True)
 
 
@@ -575,15 +554,16 @@ class Cat0Result:
 
 
 def is_cat0(x: CubeComplex, cap: int = DEFAULT_MEDIAN_CAP) -> Cat0Result:
-    """Decide CAT(0) exactly: connected + flag links + every 4-cycle bounds
-    a square + median 1-skeleton. Witnesses name the first failure."""
-    if not x.is_connected():
-        raise DisconnectedError("is_cat0 requires a connected complex")
+    """Decide CAT(0) exactly: flag links + connected + every 4-cycle bounds
+    a square + median 1-skeleton. Witnesses name the first failure; a
+    non-flag link is one even on a disconnected complex."""
     local = is_locally_cat0(x)
     if not local.ok:
         return Cat0Result(ok=False, reason="link",
                           witness={"vertex": local.vertex,
                                    "empty_simplex": local.witness})
+    if not x.is_connected():
+        raise DisconnectedError("is_cat0 requires a connected complex")
     hole = _unfilled_square(x)
     if hole is not None:
         return Cat0Result(ok=False, reason="square", witness=hole)
@@ -597,86 +577,44 @@ def is_cat0(x: CubeComplex, cap: int = DEFAULT_MEDIAN_CAP) -> Cat0Result:
 # hyperplanes
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, a):
-        self.parent.setdefault(a, a)
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def hyperplanes(x: CubeComplex) -> list[Hyperplane]:
     """Square-equivalence classes of edges (opposite edges of every 2-cube
-    identified), each with the set of cubes containing a class edge."""
-    uf = _UnionFind()
-    for e in x.edges:
-        uf.find(e)
-    for sq in x.squares:
-        c00, c10, c01, c11 = sq
-        uf.union(canonical_cube((c00, c10)), canonical_cube((c01, c11)))
-        uf.union(canonical_cube((c00, c01)), canonical_cube((c10, c11)))
-    classes: dict[tuple, set] = {}
-    for e in x.edges:
-        classes.setdefault(uf.find(e), set()).add(e)
-    edge_class_list = sorted(
-        (frozenset(v) for v in classes.values()),
-        key=lambda cls: min([skey(t) for t in e] for e in cls))
-    out = []
-    for i, cls in enumerate(edge_class_list):
-        crossed = set()
-        for c in x.cubes:
-            k = cube_dim(c)
-            found = False
-            for pos in range(1 << k):
-                for axis in range(k):
-                    other = pos ^ (1 << axis)
-                    if other < pos:
-                        continue
-                    if canonical_cube((c[pos], c[other])) in cls:
-                        crossed.add(c)
-                        found = True
-                        break
-                if found:
-                    break
-        out.append(Hyperplane(index=i, edges=cls, crossed_cubes=frozenset(crossed)))
-    return out
+    identified), each with the set of cubes containing a class edge.
+    Classes are indexed in the order of their least edge."""
+    opposite = {e: [] for e in x.edges}
+    for c00, c10, c01, c11 in x.squares:
+        for e, f in (((c00, c10), (c01, c11)), ((c00, c01), (c10, c11))):
+            e, f = canonical_cube(e), canonical_cube(f)
+            opposite[e].append(f)
+            opposite[f].append(e)
+    edge_order = sorted(x.edges, key=lambda e: [skey(v) for v in e])
+    classes = components(edge_order, opposite)
+    class_of = {}  # both orientations of every edge -> class index
+    for i, cls in enumerate(classes):
+        for a, b in cls:
+            class_of[a, b] = class_of[b, a] = i
+    # the edges of a cube along one axis are opposite in its square faces,
+    # which build_complex requires to be listed: one edge per axis suffices
+    crossed = [set() for _ in classes]
+    for c in x.cubes:
+        for axis in range(cube_dim(c)):
+            crossed[class_of[c[0], c[1 << axis]]].add(c)
+    return [Hyperplane(index=i, edges=frozenset(cls),
+                       crossed_cubes=frozenset(crossed[i]))
+            for i, cls in enumerate(classes)]
 
 
 def halfspaces_of(x: CubeComplex, h: Hyperplane) -> list[frozenset]:
     """Connected components of the 1-skeleton after deleting the class
     edges. CAT(0) complexes give exactly two; other counts are reported."""
     adj = {v: set(ns) for v, ns in x.adjacency.items()}
-    for e in h.edges:
-        a, b = e
+    for a, b in h.edges:
         adj[a].discard(b)
         adj[b].discard(a)
-    seen = set()
-    comps = []
-    for v in x.vertex_order:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    comps.sort(key=lambda c: (len(c), min(skey(v) for v in c)))
+    # components come ordered by least vertex, and the sort is stable: the
+    # result is ordered by (size, least vertex)
+    comps = [frozenset(c) for c in components(x.vertex_order, adj)]
+    comps.sort(key=len)
     return comps
 
 

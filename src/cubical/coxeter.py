@@ -33,6 +33,7 @@ from .errors import (
     NotSymmetricError,
     OrbitCapExceededError,
 )
+from .graphs import components
 from .pocsets import (
     DualComplex,
     HalfspaceSystem,
@@ -41,6 +42,7 @@ from .pocsets import (
     dual_complex,
     is_vertex,
 )
+from .util import parse_int, parse_list
 
 Word = tuple  # tuple of generator indices
 
@@ -80,11 +82,11 @@ def parse_system(matrix) -> CoxeterSystem:
         if len(row) != n:
             raise InputFormatError(f"row {i} has length {len(row)}, expected {n}")
         out = []
-        for x in row:
+        for j, x in enumerate(row):
             if x is None or x == 0 or x == math.inf:
                 out.append(math.inf)
             else:
-                out.append(int(x))
+                out.append(parse_int(x, f"m[{i}][{j}]"))
         norm.append(tuple(out))
     for i in range(n):
         if norm[i][i] != 1:
@@ -102,8 +104,10 @@ def parse_system(matrix) -> CoxeterSystem:
 def load_matrix(data: dict) -> CoxeterSystem:
     if not isinstance(data, dict) or "m" not in data:
         raise InputFormatError("matrix JSON needs 'rank' and 'm' (0 denotes infinity)")
+    for row in parse_list(data["m"], "'m'"):
+        parse_list(row, "a matrix row")
     sys_ = parse_system(data["m"])
-    if "rank" in data and int(data["rank"]) != sys_.rank:
+    if "rank" in data and parse_int(data["rank"], "rank") != sys_.rank:
         raise InputFormatError("declared rank does not match matrix size")
     return sys_
 
@@ -589,36 +593,13 @@ class EndsReport:
                 "verdict": self.verdict, "note": self.note}
 
 
-def ends_estimate(sys_: CoxeterSystem, r: int, radius: int,
-                  cap: int = DEFAULT_BALL_CAP) -> int:
+def _annulus_components(ball: CayleyBall, r: int) -> int:
     """Number of components of the annulus r < l(g) <= radius that contain
     an element of length exactly radius."""
-    if not 0 <= r < radius:
-        raise InputFormatError("need 0 <= r < radius")
-    ball = cayley_ball(sys_, radius, cap=cap)
-    return _annulus_components(ball, r)
-
-
-def _annulus_components(ball: CayleyBall, r: int) -> int:
-    annulus = [w for w in ball.elements if r < len(w) <= ball.radius]
-    index = {w: i for i, w in enumerate(annulus)}
-    parent = list(range(len(annulus)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v, _ in ball.edges:
-        if u in index and v in index:
-            ra, rb = find(index[u]), find(index[v])
-            if ra != rb:
-                parent[rb] = ra
-    touching = set()
-    for w in ball.sphere(ball.radius):
-        touching.add(find(index[w]))
-    return len(touching)
+    annulus = [w for w in ball.elements if r < len(w)]
+    sphere = frozenset(ball.sphere(ball.radius))
+    return sum(1 for comp in components(annulus, ball.adjacency)
+               if not sphere.isdisjoint(comp))
 
 
 def ends_profile(sys_: CoxeterSystem, radius: int,

@@ -1,4 +1,11 @@
-"""Plain-graph utilities: isomorphism search, girth, regularity.
+"""Plain-graph utilities: cliques, connected components, isomorphism
+search, girth, regularity.
+
+``cliques`` and ``components`` are the one clique enumerator and the one
+component finder of the package: the link condition, the cubes of a dual
+complex, maximal transversal families and the link of the BHV origin are
+clique enumerations; hyperplanes, halfspaces and annuli are components.
+Both are iterative, so deep or large inputs hit no recursion limit.
 
 The isomorphism search is deliberately independent of any complex
 construction so it can serve as an oracle for round-trip checks.
@@ -6,7 +13,46 @@ construction so it can serve as an oracle for round-trip checks.
 
 from __future__ import annotations
 
-from .util import skey
+from .util import ssorted
+
+
+def cliques(adj, order):
+    """Yield every clique of the graph induced on ``order``, the empty one
+    included, as a tuple listed in ``order``. Cliques come in
+    lexicographic pre-order of their positions: each clique before its
+    extensions, extensions by earlier vertices first. ``adj`` maps a
+    vertex to a container of its neighbours; neighbours outside ``order``
+    are ignored."""
+    stack = [((), list(order))]
+    while stack:
+        clique, cands = stack.pop()
+        yield clique
+        for i in range(len(cands) - 1, -1, -1):
+            v = cands[i]
+            nbrs = adj[v]
+            stack.append((clique + (v,), [w for w in cands[i + 1:] if w in nbrs]))
+
+
+def components(order, adj) -> list[list]:
+    """Connected components of the graph induced on ``order``, in the order
+    of their first vertex. Each component is listed in breadth-first order
+    from that vertex, following each vertex's neighbours in ``adj`` order;
+    neighbours outside ``order`` are ignored."""
+    members = set(order)
+    seen = set()
+    out = []
+    for root in order:
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for v in comp:  # comp grows while it is read: a breadth-first queue
+            for w in adj[v]:
+                if w in members and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        out.append(comp)
+    return out
 
 
 def degree_sequence(adj: dict) -> list[int]:
@@ -20,26 +66,14 @@ def graph_isomorphisms(adj1: dict, adj2: dict):
         return
     if degree_sequence(adj1) != degree_sequence(adj2):
         return
-    nodes1 = sorted(adj1, key=skey)
+    nodes1 = ssorted(adj1)
     if not nodes1:
         yield {}
         return
     # BFS order keeps each new vertex adjacent to an already-mapped one
-    order = []
-    seen = set()
-    for start in nodes1:
-        if start in seen:
-            continue
-        queue = [start]
-        seen.add(start)
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sorted(adj1[v], key=skey):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    nodes2 = sorted(adj2, key=skey)
+    sorted_adj1 = {v: ssorted(adj1[v]) for v in nodes1}
+    order = [v for comp in components(nodes1, sorted_adj1) for v in comp]
+    nodes2 = ssorted(adj2)
 
     def extend(i, mapping, used):
         if i == len(order):

@@ -4,8 +4,8 @@ A halfspace system is a finite poset with an order-reversing fixed-point-free
 involution, subject to the nesting condition: distinct hyperplanes admit at
 most one relation among h<=k, h<=k*, h*<=k, h*<=k*. Vertices of the dual
 complex are consistent orientations (one halfspace per hyperplane, never
-choice(h) <= choice(k)*); edges are single flips; n pairwise-transversal
-minimal halfspaces at a vertex span an n-cube.
+choice(h) <= choice(k)*); n pairwise-transversal minimal halfspaces at a
+vertex span an n-cube, and the edges are the 1-cubes: single flips.
 
 Everything is immutable; dual_complex is a pure function with deterministic
 output (hyperplanes processed in id order, vertices numbered in BFS order).
@@ -14,7 +14,6 @@ output (hyperplanes processed in id order, vertices numbered in BFS order).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,8 +34,9 @@ from .errors import (
     SelfPairedError,
     UnsatisfiableError,
 )
+from .graphs import cliques
 from .twosat import TwoSat
-from .util import skey, ssorted
+from .util import check_ids, parse_list, skey, ssorted
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,18 @@ class HalfspaceSystem:
             out[a] = i
             out[b] = i
         return out
+
+    @cached_property
+    def transversal_adjacency(self) -> dict:
+        """Hyperplane index -> indices of the hyperplanes transversal to it:
+        those with no order relation between any of their halfspaces."""
+        n = len(self.hyperplanes)
+        adj = {i: set(range(n)) - {i} for i in range(n)}
+        for a, b in self.leq:
+            i, j = self.hyperplane_of[a], self.hyperplane_of[b]
+            adj[i].discard(j)
+            adj[j].discard(i)
+        return {i: frozenset(js) for i, js in adj.items()}
 
     @cached_property
     def strictly_below(self) -> dict:
@@ -171,9 +183,12 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
 def load_system(data: dict) -> HalfspaceSystem:
     if not isinstance(data, dict) or "halfspaces" not in data:
         raise InputFormatError("pocset JSON needs 'halfspaces', 'star', 'leq'")
-    return build_system(data["halfspaces"],
-                        [tuple(p) for p in data.get("star", [])],
-                        [tuple(p) for p in data.get("leq", [])])
+    ids = parse_list(data["halfspaces"], "'halfspaces'")
+    star, leq = ([tuple(parse_list(p, f"a '{key}' pair", 2))
+                  for p in parse_list(data.get(key, []), f"'{key}'")]
+                 for key in ("star", "leq"))
+    check_ids(ids + [h for p in star + leq for h in p], "halfspace ids")
+    return build_system(ids, star, leq)
 
 
 def dump_system(s: HalfspaceSystem) -> dict:
@@ -261,8 +276,7 @@ def minimal_halfspaces(s: HalfspaceSystem, v: Orientation) -> tuple:
     res = is_vertex(s, v)
     if not res.ok:
         raise NotAVertexError("orientation is not a vertex", witness=res.witness)
-    chosen = set(v.choices)
-    return tuple(h for h in v.choices if not (s.strictly_below[h] & chosen))
+    return _minimal_unchecked(s, v)
 
 
 def _minimal_unchecked(s: HalfspaceSystem, v: Orientation) -> tuple:
@@ -308,85 +322,54 @@ class DualComplex:
 
 def dual_complex(s: HalfspaceSystem, seed: Orientation,
                  cap: int = 100_000) -> DualComplex:
-    """BFS over flips from the seed; cubes are assembled from families of
-    pairwise-transversal minimal halfspaces at every reached vertex."""
+    """BFS over flips from the seed; cubes, edges included, are assembled
+    from families of pairwise-transversal minimal halfspaces at every
+    reached vertex."""
     res = is_vertex(s, seed)
     if not res.ok:
         raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
     order: list[Orientation] = [seed]
     ids: dict[Orientation, int] = {seed: 0}
-    queue = deque([seed])
-    edges: set[tuple] = set()
-    while queue:
-        v = queue.popleft()
-        vid = ids[v]
-        for h in _minimal_unchecked(s, v):
-            i = s.hyperplane_of[h]
-            choices = list(v.choices)
-            choices[i] = s.star[h]
-            w = Orientation(choices=tuple(choices))
+    minimal_at: list[list[int]] = []  # per vertex id: sorted minimal hyperplanes
+    for v in order:  # order grows while it is read: a breadth-first queue
+        minimal = sorted(s.hyperplane_of[h] for h in _minimal_unchecked(s, v))
+        minimal_at.append(minimal)
+        for i in minimal:
+            w = _flip_at(s, v, (i,))
             if w not in ids:
                 if len(order) >= cap:
                     raise CapExceededError(
                         f"dual component exceeds cap {cap}", cap=cap)
                 ids[w] = len(order)
                 order.append(w)
-                queue.append(w)
-            a, b = vid, ids[w]
-            edges.add((min(a, b), max(a, b)))
 
-    cubes_by_dim: dict[int, set] = {1: set(tuple(e) for e in edges)}
+    cubes_by_dim: dict[int, set] = {}
     families: dict[tuple, tuple] = {}
-    for v, vid in ids.items():
-        minimal = _minimal_unchecked(s, v)
-        hyp_idxs = sorted(s.hyperplane_of[h] for h in minimal)
-        cross = {
-            (i, j)
-            for i, j in itertools.combinations(hyp_idxs, 2)
-            if transversal(s, v.choices[i], v.choices[j])
-        }
-        for fam in _cliques(hyp_idxs, cross, 2):
-            corners = []
-            for bits in range(1 << len(fam)):
-                choices = list(v.choices)
-                for pos, i in enumerate(fam):
-                    if (bits >> pos) & 1:
-                        choices[i] = s.star[choices[i]]
-                corners.append(ids[Orientation(choices=tuple(choices))])
-            canon = canonical_cube(tuple(corners))
+    for v, minimal in zip(order, minimal_at):
+        for fam in cliques(s.transversal_adjacency, minimal):
+            if not fam:
+                continue
+            corners = tuple(
+                ids[_flip_at(s, v, [i for pos, i in enumerate(fam)
+                                    if (bits >> pos) & 1])]
+                for bits in range(1 << len(fam)))
+            canon = canonical_cube(corners)
             cubes_by_dim.setdefault(len(fam), set()).add(canon)
-            families[canon] = tuple(fam)
-    for e in cubes_by_dim[1]:
-        families[e] = (_differing_hyperplane(s, order[e[0]], order[e[1]]),)
+            families[canon] = fam
 
     complex_ = build_complex(list(range(len(order))),
-                             {k: sorted(v) for k, v in cubes_by_dim.items() if v})
+                             {k: sorted(v) for k, v in cubes_by_dim.items()})
     return DualComplex(system=s, seed=seed, complex=complex_,
                        orientations=tuple(order), cube_families=families)
 
 
-def _differing_hyperplane(s, o1: Orientation, o2: Orientation) -> int:
-    diff = [i for i in range(len(o1.choices)) if o1.choices[i] != o2.choices[i]]
-    assert len(diff) == 1
-    return diff[0]
-
-
-def _cliques(nodes, edges: set, min_size: int):
-    """All cliques of size >= min_size, nodes in sorted order."""
-    nodes = list(nodes)
-    out = []
-
-    def extend(clique, start):
-        for idx in range(start, len(nodes)):
-            u = nodes[idx]
-            if all(((v, u) in edges or (u, v) in edges) for v in clique):
-                bigger = clique + [u]
-                if len(bigger) >= min_size:
-                    out.append(tuple(bigger))
-                extend(bigger, idx + 1)
-
-    extend([], 0)
-    return out
+def _flip_at(s: HalfspaceSystem, v: Orientation, idxs) -> Orientation:
+    """The orientation with the choices at the hyperplanes ``idxs``
+    replaced by their complements."""
+    choices = list(v.choices)
+    for i in idxs:
+        choices[i] = s.star[choices[i]]
+    return Orientation(choices=tuple(choices))
 
 
 def maximal_cubes(dual: DualComplex) -> list[tuple]:
@@ -407,24 +390,13 @@ def maximal_cubes(dual: DualComplex) -> list[tuple]:
     fams = [fam for _, fam in result]
     if len(set(fams)) != len(fams):
         raise CubicalError("two maximal cubes share a hyperplane family")
-    n = len(s.hyperplanes)
-    cross = {
-        (i, j)
-        for i, j in itertools.combinations(range(n), 2)
-        if transversal(s, s.hyperplanes[i][0], s.hyperplanes[j][0])
-    }
-    maximal_fams = set()
-    for fam in _cliques(list(range(n)), cross, 0):
-        if not any(_extends(fam, k, cross) for k in range(n)):
-            maximal_fams.add(tuple(fam))
-    if n and maximal_fams != set(fams):
+    cross = s.transversal_adjacency
+    everything = frozenset(cross)
+    # a family is maximal when no hyperplane is transversal to all of it
+    maximal_fams = {fam for fam in cliques(cross, sorted(cross))
+                    if not everything.intersection(*(cross[i] for i in fam))}
+    if everything and maximal_fams != set(fams):
         raise CubicalError(
             "maximal cubes do not match maximal transversal families",
             cubes=sorted(fams), families=sorted(maximal_fams))
     return result
-
-
-def _extends(fam, k, cross):
-    if k in fam:
-        return False
-    return all(((i, k) in cross or (k, i) in cross) for i in fam)

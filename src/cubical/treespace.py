@@ -31,6 +31,8 @@ from .errors import (
     NonPositiveLengthError,
     UnlabeledLeafError,
 )
+from .graphs import cliques
+from .util import check_ids, parse_float, parse_int, parse_list
 
 DEFAULT_TOPOLOGY_CAP = 200_000
 
@@ -87,7 +89,8 @@ def make_orthant(n: int, coords: dict) -> Orthant:
     items = tuple(sorted(((frozenset(c), float(l)) for c, l in coords.items()),
                          key=lambda cl: _ckey(cl[0])))
     for c, l in items:
-        if not (2 <= len(c) <= n - 1) or not c <= set(range(1, n + 1)):
+        if not (2 <= len(c) <= n - 1) or not all(
+                isinstance(x, int) and 1 <= x <= n for x in c):
             raise IncompatibleClustersError(f"bad cluster {sorted(c)}",
                                             cluster=sorted(c))
         if l <= 0:
@@ -118,23 +121,29 @@ def validate_tree(data: dict) -> PhyloTree:
     length]...], "leaf_labels": {node: label}} and canonicalize."""
     if not isinstance(data, dict) or "n" not in data or "root" not in data:
         raise InputFormatError("tree JSON needs n, root, nodes, edges, leaf_labels")
-    n = int(data["n"])
+    n = parse_int(data["n"], "n")
     if n < 2:
         raise InputFormatError("need at least 2 leaves")
-    nodes = list(data.get("nodes", []))
+    nodes = parse_list(data.get("nodes", []), "'nodes'")
+    root = data["root"]
+    check_ids(nodes + [root], "node ids")
     node_set = set(nodes)
     if len(node_set) != len(nodes):
         raise InputFormatError("duplicate node id")
-    root = data["root"]
     if root not in node_set:
         raise InputFormatError("root is not a listed node")
-    raw_labels = {k: int(v) for k, v in data.get("leaf_labels", {}).items()}
+    labels = data.get("leaf_labels", {})
+    if not isinstance(labels, dict):
+        raise InputFormatError(f"'leaf_labels' must map nodes to labels, got {labels!r}")
+    raw_labels = {k: parse_int(v, "a leaf label") for k, v in labels.items()}
 
     parent: dict = {}
     children: dict = {v: [] for v in nodes}
     length: dict = {}
-    for e in data.get("edges", []):
-        p, c, l = e[0], e[1], float(e[2])
+    for e in parse_list(data.get("edges", []), "'edges'"):
+        p, c, l = parse_list(e, "an edge [parent, child, length]", 3)
+        check_ids((p, c), "edge endpoints")
+        l = parse_float(l, "an edge length")
         if p not in node_set or c not in node_set:
             raise InputFormatError(f"edge ({p!r},{c!r}) uses unknown nodes")
         if c in parent:
@@ -168,7 +177,7 @@ def validate_tree(data: dict) -> PhyloTree:
     for v in raw_labels:
         if v not in node_set or children[v]:
             raise UnlabeledLeafError(f"label on non-leaf node {v!r}", node=v)
-    if sorted(raw_labels.values()) != list(range(1, n + 1)):
+    if len(raw_labels) != n or sorted(raw_labels.values()) != list(range(1, n + 1)):
         raise UnlabeledLeafError(
             f"leaf labels must be a bijection onto 1..{n}",
             labels=sorted(raw_labels.values()))
@@ -279,11 +288,16 @@ def dump_orthant(o: Orthant) -> dict:
 def load_orthant(data: dict) -> Orthant:
     if not isinstance(data, dict) or "clusters" not in data:
         raise InputFormatError("orthant JSON needs n, clusters, lengths")
-    clusters = [frozenset(c) for c in data["clusters"]]
-    lengths = [float(x) for x in data["lengths"]]
+    clusters = [parse_list(c, "a cluster")
+                for c in parse_list(data["clusters"], "'clusters'")]
+    if not all(isinstance(x, int) for c in clusters for x in c):
+        raise InputFormatError(f"clusters must list integer leaf labels, got {clusters!r}")
+    lengths = [parse_float(x, "a length")
+               for x in parse_list(data.get("lengths"), "'lengths'")]
     if len(clusters) != len(lengths):
         raise InputFormatError("clusters and lengths differ in length")
-    return make_orthant(int(data["n"]), dict(zip(clusters, lengths)))
+    return make_orthant(parse_int(data.get("n"), "n"),
+                        dict(zip(map(frozenset, clusters), lengths)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +360,10 @@ def link_of_origin(n: int) -> SimplicialComplex:
         raise InputFormatError("need n >= 3")
     clusters = all_clusters(n)
     cname = {c: _cluster_name(c) for c in clusters}
-    adj = {c: [] for c in clusters}
-    simplices = [frozenset({cname[c]}) for c in clusters]
-    for a, b in itertools.combinations(clusters, 2):
-        if compatible(a, b):
-            adj[a].append(b)
-            simplices.append(frozenset({cname[a], cname[b]}))
-    # fill every clique: pairwise compatibility makes the set an orthant face
-    for c_set in _compatible_sets(clusters, limit=None):
-        if len(c_set) >= 3:
-            simplices.append(frozenset(cname[c] for c in c_set))
+    # every clique is a simplex: pairwise compatibility makes the set an
+    # orthant face
+    simplices = [frozenset(cname[c] for c in c_set)
+                 for c_set in _compatible_sets(clusters, limit=None) if c_set]
     return build_simplicial([cname[c] for c in clusters], simplices)
 
 
@@ -364,23 +372,16 @@ def _cluster_name(c: frozenset) -> str:
 
 
 def _compatible_sets(clusters: list[frozenset], limit: int | None):
-    """Every pairwise-compatible subset (the empty one included)."""
-    out = [frozenset()]
-
-    def extend(current: list, start: int):
-        for idx in range(start, len(clusters)):
-            c = clusters[idx]
-            if all(compatible(c, d) for d in current):
-                current.append(c)
-                out.append(frozenset(current))
-                if limit is not None and len(out) > limit:
-                    raise CapExceededError(
-                        f"compatible-set enumeration exceeds cap {limit}",
-                        cap=limit)
-                extend(current, idx + 1)
-                current.pop()
-
-    extend([], 0)
+    """Every pairwise-compatible subset (the empty one included): the
+    cliques of the compatibility graph, in clique order."""
+    adj = {c: {d for d in clusters if d != c and compatible(c, d)}
+           for c in clusters}
+    out = []
+    for clique in cliques(adj, clusters):
+        out.append(frozenset(clique))
+        if limit is not None and len(out) > limit:
+            raise CapExceededError(
+                f"compatible-set enumeration exceeds cap {limit}", cap=limit)
     return out
 
 

@@ -20,10 +20,6 @@ class TwoSat:
         self.adj[neg(a)].append(b)
         self.adj[neg(b)].append(a)
 
-    def add_implication(self, a: int, b: int) -> None:
-        """Require a -> b (and the contrapositive)."""
-        self.add_clause(neg(a), b)
-
     def _tarjan(self) -> list[int]:
         n = 2 * self.n
         index = [-1] * n

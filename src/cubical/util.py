@@ -1,6 +1,9 @@
-"""Small shared helpers: total ordering over mixed vertex ids."""
+"""Small shared helpers: total ordering over mixed vertex ids, and the
+type checks of the JSON loaders."""
 
 from __future__ import annotations
+
+from .errors import InputFormatError
 
 
 def skey(x):
@@ -23,3 +26,36 @@ def skey(x):
 
 def ssorted(xs):
     return sorted(xs, key=skey)
+
+
+# ---------------------------------------------------------------------------
+# JSON loader checks: malformed input raises InputFormatError (exit 2)
+
+
+def check_ids(ids, what: str) -> None:
+    """Ids read from JSON must be numbers or strings."""
+    for v in ids:
+        if not isinstance(v, (int, float, str)):
+            raise InputFormatError(f"{what} must be numbers or strings, got {v!r}")
+
+
+def parse_int(x, what: str) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InputFormatError(f"{what} must be an integer, got {x!r}") from None
+
+
+def parse_float(x, what: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InputFormatError(f"{what} must be a number, got {x!r}") from None
+
+
+def parse_list(x, what: str, length: int | None = None) -> list:
+    """A JSON array, optionally of a fixed length."""
+    if not isinstance(x, list) or (length is not None and len(x) != length):
+        size = "" if length is None else f" of {length}"
+        raise InputFormatError(f"{what} must be a list{size}, got {x!r}")
+    return x

@@ -11,9 +11,41 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
 from cubical import build_complex
 from cubical.complexes import CubeComplex
+from cubical.util import skey
+
+
+# ---------------------------------------------------------------------------
+# cube symmetries (oracle for canonical_cube)
+
+
+@lru_cache(maxsize=None)
+def symmetry_maps(dim: int) -> tuple[tuple[int, ...], ...]:
+    """Index maps realizing the full symmetry group of the dim-cube
+    (axis permutations composed with axis flips), acting on corner indices."""
+    maps = []
+    for perm in itertools.permutations(range(dim)):
+        for flips in range(1 << dim):
+            sigma = []
+            for j in range(1 << dim):
+                a = 0
+                for i in range(dim):
+                    bit = ((j >> i) & 1) ^ ((flips >> i) & 1)
+                    a |= bit << perm[i]
+                sigma.append(a)
+            maps.append(tuple(sigma))
+    return tuple(maps)
+
+
+def lexmin_cube(corners: tuple) -> tuple:
+    """Lexicographically least image of a corner tuple under all 2^d * d!
+    cube symmetries, by exhaustive search."""
+    images = (tuple(corners[j] for j in sigma)
+              for sigma in symmetry_maps(len(corners).bit_length() - 1))
+    return min(images, key=lambda img: [skey(v) for v in img])
 
 
 # ---------------------------------------------------------------------------

@@ -254,3 +254,24 @@ def test_complex_links_single_vertex(capsys, torus_file):
                             "--vertex", "0,0")
     assert code == 0
     assert verdict["stats"]["vertices_checked"] == 1
+
+
+@pytest.mark.parametrize("fixture", ["square_file", "torus_file"])
+def test_complex_check_scans_links_once(capsys, monkeypatch, request, fixture):
+    import cubical.cli
+    import cubical.complexes
+
+    calls = []
+    original = cubical.complexes.is_locally_cat0
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    for module in (cubical.complexes, cubical.cli):
+        monkeypatch.setattr(module, "is_locally_cat0", counting)
+    code, verdict = run_cli(capsys, "complex", "check",
+                            request.getfixturevalue(fixture))
+    assert len(calls) == 1
+    assert verdict["certificate"]["locally_cat0"] == {"ok": True}
+    assert code == (0 if fixture == "square_file" else 1)

@@ -10,6 +10,7 @@ from helpers import (
     cube_boundary_3,
     grid_complex,
     hollow_square,
+    lexmin_cube,
     path_complex,
     star_complex,
     torus_3x3,
@@ -42,6 +43,27 @@ from cubical.errors import (
     SelfGluingError,
     UnknownVertexError,
 )
+
+
+# ---------------------------------------------------------------------------
+# canonical cubes
+
+
+@st.composite
+def cube_corner_tuples(draw):
+    """Distinct corner ids of a 1- to 5-cube: all int, all str, or mixed."""
+    dim = draw(st.integers(1, 5))
+    ints = st.integers(-50, 50)
+    strs = st.text("abcxyz", min_size=0, max_size=3)
+    ids = draw(st.sampled_from([ints, strs, ints | strs]))
+    return tuple(draw(st.lists(ids, min_size=1 << dim, max_size=1 << dim,
+                               unique=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cube_corner_tuples())
+def test_canonical_cube_matches_symmetry_search(corners):
+    assert canonical_cube(corners) == lexmin_cube(corners)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +196,28 @@ def test_flag_empty_triangle_witness():
     assert set(res.witness) == {"a", "b", "c"}
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_flag_witness_is_least_empty_simplex(n, data):
+    """The witness is the least non-simplex clique of size >= 3 by (size,
+    sorted ids), found here over all vertex subsets."""
+    verts = list(range(n))
+    pairs = list(itertools.combinations(verts, 2))
+    edges = [set(p) for p in pairs if data.draw(st.booleans())]
+    triples = [set(t) for t in itertools.combinations(verts, 3)
+               if data.draw(st.booleans())]
+    sc = build_simplicial(verts, edges + triples)
+    adj = sc.adjacency
+    empty = [t for size in range(3, n + 1)
+             for t in itertools.combinations(verts, size)
+             if all(b in adj[a] for a, b in itertools.combinations(t, 2))
+             and frozenset(t) not in sc.simplices]
+    res = is_flag(sc)
+    assert res.ok == (not empty)
+    if empty:
+        assert res.witness == min(empty, key=lambda t: (len(t), t))
+
+
 def test_flag_octahedron():
     # link of a vertex in the standard cubing of R^3: all triangles filled
     verts = ["x+", "x-", "y+", "y-", "z+", "z-"]
@@ -224,6 +268,27 @@ def test_multiple_medians_on_k23():
     x = build_complex(["u", "v", "x", "y", "z"], {1: edges})
     with pytest.raises(MultipleMediansError):
         median(x, "x", "y", "z")
+
+
+def test_cat0_link_failure_beats_disconnection(capsys, tmp_path):
+    """A non-flag link is a witnessed negative even when the complex is
+    disconnected."""
+    import json
+
+    from cubical.cli import main
+
+    x = cube_boundary_3()
+    y = build_complex(sorted(x.vertices) + [(9, 9, 9)],
+                      {k: sorted(cs) for k, cs in x.by_dim.items()})
+    res = is_cat0(y)
+    assert not res.ok and res.reason == "link"
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(dump_complex(y)))
+    assert main(["complex", "check", str(path)]) == 1
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["cat0"] == {"ok": False, "reason": "link"}
+    assert cert["locally_cat0"]["ok"] is False
+    assert len(cert["locally_cat0"]["empty_simplex"]) == 3
 
 
 def test_cat0_verdicts():

@@ -1,0 +1,214 @@
+"""Malformed JSON input exits 2 with an input_format certificate, never
+with a traceback."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cubical.cli import main
+from cubical.errors import CubicalError, InputFormatError
+from cubical.treespace import load_orthant
+
+
+def run_json(argv, *payloads):
+    """Run the CLI with each payload written to a file substituted for the
+    '{}' arguments in ``argv``; return the exit code and stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, payload in enumerate(payloads):
+            path = Path(tmp) / f"in{i}.json"
+            if isinstance(payload, bytes):
+                path.write_bytes(payload)
+            else:
+                path.write_text(payload if isinstance(payload, str)
+                                else json.dumps(payload))
+            paths.append(str(path))
+        it = iter(paths)
+        argv = [next(it) if a == "{}" else a for a in argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    return code, out.getvalue()
+
+
+COMPLEX = ["complex", "check", "{}"]
+TREE = ["tree", "validate", "{}"]
+MATRIX = ["coxeter", "ball", "--matrix", "{}", "--radius", "2"]
+POCSET = ["pocset", "dual", "{}"]
+GOOD_TREE = {"n": 2, "root": "r", "nodes": ["r", "a", "b"],
+             "edges": [["r", "a", 0], ["r", "b", 0]],
+             "leaf_labels": {"a": 1, "b": 2}}
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (COMPLEX, {"vertices": [[1], [2]], "cubes": {}}),
+    (COMPLEX, {"vertices": [1, 2], "cubes": {"x": [[1, 2]]}}),
+    (COMPLEX, {"vertices": [1, 2], "cubes": {"1": 5}}),
+    (COMPLEX, {"vertices": [1, 2], "cubes": [[1, 2]]}),
+    (COMPLEX, {"vertices": [1, 2], "cubes": {"1": [[1, [2]]]}}),
+    (COMPLEX, {"vertices": [1, 2], "cubes": {"99999999999": [[1, 2]]}}),
+    (COMPLEX, {"vertices": None}),
+    (TREE, {**GOOD_TREE, "edges": [["r", "a"], ["r", "b", 0]]}),
+    (TREE, {**GOOD_TREE, "n": "two"}),
+    (TREE, {**GOOD_TREE, "nodes": "rab"}),
+    (TREE, {**GOOD_TREE, "root": ["r"]}),
+    (TREE, {**GOOD_TREE, "leaf_labels": {"a": 1, "b": "x"}}),
+    (TREE, {**GOOD_TREE, "edges": [["r", "a", "long"], ["r", "b", 0]]}),
+    (MATRIX, {"rank": 2, "m": [[1, "x"], ["x", 1]]}),
+    (MATRIX, {"rank": "two", "m": [[1, 3], [3, 1]]}),
+    (MATRIX, {"m": 5}),
+    (MATRIX, {"m": [[1, 3], 3]}),
+    (POCSET, {"halfspaces": ["a", "b"], "star": [["a", "b", "c"]]}),
+    (POCSET, {"halfspaces": [["a"], "b"], "star": []}),
+    (POCSET, {"halfspaces": ["a", "b"], "star": [["a", ["b"]]]}),
+    (POCSET, {"halfspaces": ["a", "b"], "star": 3}),
+    (COMPLEX, "[" * 100_000),
+    (COMPLEX, b"\xff\xfe{"),
+])
+def test_malformed_input_exits_2(argv, payload):
+    code, out = run_json(argv, payload)
+    assert code == 2
+    assert json.loads(out)["certificate"]["error"] == "input_format"
+
+
+def test_huge_leaf_count_is_rejected_without_allocating():
+    code, out = run_json(TREE, {**GOOD_TREE, "n": 10 ** 12})
+    assert code == 2
+    assert json.loads(out)["certificate"]["error"] == "unlabeled_leaf"
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 4, "clusters": [[1, 2]]},
+    {"n": 4, "clusters": [["1", 2]], "lengths": [1.0]},
+    {"n": 4, "clusters": [[1, 2]], "lengths": ["x"]},
+    {"clusters": [[1, 2]], "lengths": [1.0]},
+    {"n": 4, "clusters": 5, "lengths": []},
+])
+def test_malformed_orthant_raises_input_format_error(data):
+    with pytest.raises(InputFormatError):
+        load_orthant(data)
+
+
+def test_orthant_with_huge_leaf_count_loads_without_allocating():
+    o = load_orthant({"n": 10 ** 12, "clusters": [[1, 2]], "lengths": [1.0]})
+    assert o.n == 10 ** 12 and o.topology == {frozenset({1, 2})}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: JSON values shaped roughly like each format
+
+
+scalars = (st.none() | st.booleans() | st.integers(-3, 8) | st.integers()
+           | st.floats(allow_nan=False) | st.text("abr12x", max_size=3))
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text("abr12x", max_size=2), inner, max_size=3),
+    max_leaves=12)
+
+
+def maybe(strategy):
+    """Mostly ``strategy``, sometimes any JSON value in its place."""
+    return st.integers(0, 7).flatmap(lambda i: values if i == 0 else strategy)
+
+
+ids = maybe(st.integers(0, 5) | st.text("abc", min_size=1, max_size=1))
+dims = st.sampled_from(["1", "1", "2", "3", "0", "-1", "x", "99999999999"]) | st.text(max_size=2)
+
+
+complexes = maybe(st.fixed_dictionaries({
+    "vertices": maybe(st.lists(ids, max_size=6)),
+    "cubes": maybe(st.dictionaries(dims, maybe(st.lists(
+        maybe(st.lists(ids, max_size=4)), max_size=5)), max_size=3)),
+}))
+pairs = maybe(st.lists(maybe(st.lists(ids, min_size=2, max_size=2)), max_size=4))
+pocsets = maybe(st.fixed_dictionaries({
+    "halfspaces": maybe(st.lists(ids, max_size=8)), "star": pairs, "leq": pairs}))
+matrix_entries = maybe(st.sampled_from([0, 1, 2, 3, 4, 5, None]))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    k = draw(st.integers(1, 3))
+    m = [[1] * k for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        m[i][j] = m[j][i] = draw(matrix_entries)
+    for i in range(k):
+        m[i][i] = draw(st.sampled_from([1, 1, 1, 2]))
+    return m
+
+
+matrices = maybe(st.fixed_dictionaries(
+    {"m": maybe(symmetric_matrices() | st.lists(
+        maybe(st.lists(matrix_entries, min_size=1, max_size=3)),
+        min_size=1, max_size=3))},
+    optional={"rank": maybe(st.integers(0, 3))}))
+trees = maybe(st.fixed_dictionaries({
+    "n": maybe(st.integers(0, 4)),
+    "root": maybe(st.sampled_from(["r", "a"])),
+    "nodes": maybe(st.lists(st.sampled_from(["r", "a", "b", "c", "u"]) | ids,
+                            max_size=6)),
+    "edges": maybe(st.lists(maybe(st.lists(
+        st.sampled_from(["r", "a", "b", "c", "u"]) | scalars, min_size=2, max_size=4)),
+        max_size=5)),
+    "leaf_labels": maybe(st.dictionaries(st.sampled_from(["a", "b", "c", "u"]),
+                                         maybe(st.integers(0, 4)), max_size=4)),
+}))
+orthants = maybe(st.fixed_dictionaries({
+    "n": maybe(st.integers(2, 5)),
+    "clusters": maybe(st.lists(maybe(st.lists(st.integers(0, 6), max_size=4)),
+                               max_size=3)),
+    "lengths": maybe(st.lists(maybe(st.floats(0, 3)), max_size=3)),
+}))
+
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def assert_clean_exit(argv, *payloads):
+    code, out = run_json(argv, *payloads)
+    assert code in (0, 1, 2)
+    assert json.loads(out)["ok"] is (code == 0)
+
+
+@FUZZ
+@given(complexes)
+def test_fuzz_complex_loader(data):
+    assert_clean_exit(COMPLEX, data)
+
+
+@FUZZ
+@given(pocsets)
+def test_fuzz_pocset_loader(data):
+    assert_clean_exit(POCSET, data)
+
+
+@FUZZ
+@given(matrices)
+def test_fuzz_matrix_loader(data):
+    assert_clean_exit(MATRIX, data)
+
+
+@FUZZ
+@given(trees, trees)
+def test_fuzz_tree_loader(t1, t2):
+    assert_clean_exit(TREE, t1)
+    assert_clean_exit(["tree", "dist", "{}", "{}"], t1, t2)
+
+
+@FUZZ
+@given(orthants)
+def test_fuzz_orthant_loader(data):
+    try:
+        load_orthant(data)
+    except CubicalError:
+        pass

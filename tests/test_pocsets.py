@@ -308,6 +308,17 @@ def test_cube_criterion_brute_force():
                     assert corners_exist == pairwise
 
 
+def test_transversal_adjacency_matches_transversal():
+    systems = [pairs_system(3), chain_system(4),
+               halfspace_system_of(grid_complex(2, 2)).system,
+               halfspace_system_of(path_complex(3)).system]
+    for s in systems:
+        adj = s.transversal_adjacency
+        for i, j in itertools.permutations(range(len(s.hyperplanes)), 2):
+            assert (j in adj[i]) == transversal(
+                s, s.hyperplanes[i][0], s.hyperplanes[j][1])
+
+
 def test_maximal_cubes_path_and_square():
     s = chain_system(3)
     cubes = maximal_cubes(dual_complex(s, seed_vertex(s)))
