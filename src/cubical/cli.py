@@ -87,12 +87,23 @@ class Run:
                    "stats": self.stats}
         if self.args.seed is not None:
             verdict["seed"] = self.args.seed
-        if self.args.pretty:
-            text = json.dumps(verdict, indent=2, sort_keys=True)
-        else:
-            text = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
-        print(text)
+        print(_dumps(verdict, self.args.pretty))
         return 0 if self.ok else 1
+
+
+def _dumps(verdict: dict, pretty: bool) -> str:
+    """The verdict as JSON text. Exact counts such as (2n-3)!! can have
+    more digits than the int-to-decimal limit Python sets against
+    untrusted input; these numbers are computed, not parsed, so the limit
+    is lifted while the verdict is encoded."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if pretty:
+            return json.dumps(verdict, indent=2, sort_keys=True)
+        return json.dumps(verdict, sort_keys=True, separators=(",", ":"))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _common_flags(p):
@@ -489,8 +500,8 @@ def _tree_complex(run):
         run.certificate["cat0"] = {"ok": verdict.ok, **verdict.certificate()}
         run.ok = verdict.ok
     else:
-        # exhaustive median verification is cubic in memory; fall back to
-        # the link condition and say so
+        # the exact median check scans all vertex triples (cubic in time)
+        # and is capped; fall back to the link condition and say so
         local = is_locally_cat0(x)
         run.certificate["cat0"] = {
             "checked": False,
@@ -543,9 +554,7 @@ def main(argv=None) -> int:
         handler(run)
     except CubicalError as exc:
         verdict = {"ok": False, "certificate": exc.certificate(), "stats": {}}
-        text = (json.dumps(verdict, indent=2, sort_keys=True) if args.pretty
-                else json.dumps(verdict, sort_keys=True, separators=(",", ":")))
-        print(text)
+        print(_dumps(verdict, args.pretty))
         return 2
     return run.emit()
 

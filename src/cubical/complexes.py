@@ -8,7 +8,13 @@ of the cube, so cube identity is a set-membership test.
 The CAT(0) oracle is fully combinatorial: a finite complex is CAT(0) iff
 it is connected, all vertex links are flag (the Gromov link condition),
 every 4-cycle of the 1-skeleton bounds a listed square, and the
-1-skeleton is a median graph. Failures come with explicit certificates.
+1-skeleton is a median graph (Chepoi 2000). Failures come with explicit
+certificates. The median test labels each vertex with one bit per
+hyperplane; a median graph is a partial cube, so the labels embed it
+isometrically in a cube, and then a triple has a median iff its bitwise
+majority is a vertex label. Labels that are not isometric prove the graph
+is not median, and only then are geodesic intervals scanned directly, to
+name the least bad triple.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs; concurrent reads are safe.
@@ -153,26 +159,28 @@ class CubeComplex:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs 1-skeleton distances; -1 for unreachable pairs."""
-        order = self.vertex_order
+        """All-pairs 1-skeleton distances, indexed like ``vertex_order``;
+        -1 for unreachable pairs."""
         idx = self.vertex_index
-        n = len(order)
-        dist = np.full((n, n), -1, dtype=np.int32)
-        for i, start in enumerate(order):
-            dist[i, i] = 0
-            frontier = [start]
+        nbrs = [[idx[w] for w in self.adjacency[v]] for v in self.vertex_order]
+        n = len(nbrs)
+        rows = []
+        for i in range(n):
+            row = [-1] * n
+            row[i] = 0
+            frontier = [i]
             d = 0
             while frontier:
                 d += 1
                 nxt = []
                 for v in frontier:
-                    for w in self.adjacency[v]:
-                        j = idx[w]
-                        if dist[i, j] < 0:
-                            dist[i, j] = d
+                    for w in nbrs[v]:
+                        if row[w] < 0:
+                            row[w] = d
                             nxt.append(w)
                 frontier = nxt
-        return dist
+            rows.append(row)
+        return np.array(rows, dtype=np.int32).reshape(n, n)
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -483,8 +491,20 @@ def median(x: CubeComplex, a, b, c):
 
 
 def _median_violation(x: CubeComplex, cap: int):
-    """Exhaustive unique-median check over all vertex triples, vectorized.
-    Returns None or a witness dict."""
+    """Exact unique-median check over all vertex triples of a connected
+    complex whose 4-cycles all bound listed squares. Returns None or a
+    witness dict: the first triple (a, b, c) in ``vertex_order`` with
+    a < b < c, in lexicographic order, whose pairwise geodesic intervals
+    do not meet in exactly one vertex, and the vertices they meet in.
+
+    A median graph is a partial cube (Djoković 1973) whose Djoković-Winkler
+    classes are its square classes, so the one-bit-per-hyperplane labels of
+    ``_hyperplane_labels`` embed it isometrically in a cube. In such an
+    embedding the medians of a triple are exactly the vertices labelled
+    with its bitwise majority: there is one if some vertex carries that
+    label and none otherwise. When the labels are not isometric the graph
+    is not median, and ``_dense_violation`` scans the intervals themselves
+    for the first bad triple, which must exist."""
     n = len(x.vertex_order)
     if n > cap:
         raise CapExceededError(
@@ -492,28 +512,77 @@ def _median_violation(x: CubeComplex, cap: int):
     if n < 3:
         return None
     dist = x.distance_matrix
-    # interval[x, y, m] == 1 iff m lies on a geodesic from x to y
-    interval = (dist[:, None, :] + dist[None, :, :] == dist[:, :, None])
-    interval = interval.astype(np.uint8)
+    labels = _hyperplane_labels(x, dist)
+    if labels is None:
+        found = _dense_violation(dist)
+    else:
+        found = _majority_miss(labels)
+    if found is None:
+        return None
+    triple, medians = found
+    return {"triple": tuple(x.vertex_order[i] for i in triple),
+            "medians": [x.vertex_order[m] for m in medians]}
+
+
+def _hyperplane_labels(x: CubeComplex, dist: np.ndarray):
+    """(n, k) bool labels, bit i of vertex w set iff w is nearer the first
+    end of one edge (u, v) of hyperplane i than the second; or None when
+    the Hamming distance of two labels is not always their distance in
+    the 1-skeleton."""
+    idx = x.vertex_index
+    ends = [min((idx[a], idx[b]) for a, b in h.edges) for h in hyperplanes(x)]
+    u, v = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    labels = dist[:, u] < dist[:, v]
+    for w in range(len(labels)):  # row by row: O(n k) memory
+        if not np.array_equal(np.count_nonzero(labels[w] != labels, axis=1),
+                              dist[w]):
+            return None
+    return labels
+
+
+def _majority_miss(labels: np.ndarray):
+    """First triple a < b < c of label rows, in lexicographic order, whose
+    bitwise majority is no row, as (triple, []); None if there is none.
+    Rows are packed to uint64 words and looked up in sorted order, one
+    slice of triples with a fixed first row at a time."""
+    n, k = labels.shape
+    words = -(-k // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, :-(-k // 8)] = np.packbits(labels, axis=1)
+    packed = packed.view(np.uint64)
+    # one row as one sortable item; a lone word sorts fastest as itself
+    key = np.dtype(np.uint64) if words == 1 else np.dtype((np.void, 8 * words))
+    known = np.sort(packed.view(key).ravel())
     for a in range(n - 2):
-        sub = interval[a + 1:, a + 1:, :]
-        row = interval[a, a + 1:, :]
-        counts = np.einsum("bm,bcm,cm->bc", row, sub, row, dtype=np.int64)
-        bad = np.argwhere(counts != 1)
-        bad = bad[bad[:, 0] < bad[:, 1]]
-        if bad.size:
-            b, c = (int(t) for t in bad[0])
-            triple = (x.vertex_order[a],
-                      x.vertex_order[a + 1 + b],
-                      x.vertex_order[a + 1 + c])
-            medians = [x.vertex_order[m] for m in range(n)
-                       if interval[x.vertex_index[triple[0]],
-                                   x.vertex_index[triple[1]], m]
-                       and interval[x.vertex_index[triple[1]],
-                                    x.vertex_index[triple[2]], m]
-                       and interval[x.vertex_index[triple[0]],
-                                    x.vertex_index[triple[2]], m]]
-            return {"triple": triple, "medians": medians}
+        rest = packed[a + 1:]
+        b, c = np.triu_indices(len(rest), 1)  # row-major pairs b < c
+        rb, rc = rest[b], rest[c]
+        majority = ((packed[a] & (rb | rc)) | (rb & rc)).view(key).ravel()
+        pos = np.minimum(np.searchsorted(known, majority), n - 1)
+        miss = np.flatnonzero(known[pos] != majority)
+        if miss.size:
+            i = miss[0]
+            return (a, a + 1 + int(b[i]), a + 1 + int(c[i])), []
+    return None
+
+
+def _dense_violation(dist: np.ndarray):
+    """First triple a < b < c, in lexicographic order, whose pairwise
+    geodesic intervals do not meet in exactly one vertex, as (triple,
+    medians); None if there is none. One pair (a, b) at a time, so memory
+    stays O(n^2)."""
+    n = len(dist)
+    for a in range(n - 2):
+        # from_a[z, m]: m lies on a geodesic from a to z
+        from_a = dist[a] + dist == dist[a][:, None]
+        for b in range(a + 1, n - 1):
+            from_b = dist[b] + dist[b + 1:] == dist[b, b + 1:, None]
+            common = from_a[b] & from_a[b + 1:] & from_b
+            bad = np.flatnonzero(np.count_nonzero(common, axis=1) != 1)
+            if bad.size:
+                c = int(bad[0])
+                medians = np.flatnonzero(common[c]).tolist()
+                return (a, b, b + 1 + c), medians
     return None
 
 

@@ -54,11 +54,16 @@ class PhyloTree:
         return {lab: node for node, lab in self.leaf_label.items()}
 
     def leaves_below(self, node) -> frozenset:
-        if node in self.leaf_label:
-            return frozenset({self.leaf_label[node]})
+        """Labels of the leaves below ``node``; iterative, so deep trees hit
+        no recursion limit."""
         out = set()
-        for c in self.children[node]:
-            out |= self.leaves_below(c)
+        stack = [node]
+        while stack:
+            v = stack.pop()
+            if v in self.leaf_label:
+                out.add(self.leaf_label[v])
+            else:
+                stack.extend(self.children[v])
         return frozenset(out)
 
 

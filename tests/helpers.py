@@ -13,8 +13,11 @@ import itertools
 import random
 from functools import lru_cache
 
+import numpy as np
+
 from cubical import build_complex
 from cubical.complexes import CubeComplex
+from cubical.errors import CapExceededError
 from cubical.util import skey
 
 
@@ -52,28 +55,33 @@ def lexmin_cube(corners: tuple) -> tuple:
 # complexes
 
 
+def tree_product(*trees) -> CubeComplex:
+    """Product of trees, each given as an edge list on 0..n-1. Vertices are
+    tuples; a cube picks an edge in some factors and a vertex in the rest,
+    with corners in binary-coordinate order over the picked edges."""
+    factor_cells = []
+    for edges in trees:
+        size = 1 + max((max(e) for e in edges), default=0)
+        factor_cells.append([(v,) for v in range(size)] + [tuple(e) for e in edges])
+    vertices, cubes = [], {}
+    for cell in itertools.product(*factor_cells):
+        axes = [i for i, c in enumerate(cell) if len(c) == 2]
+        corners = []
+        for bits in range(1 << len(axes)):
+            point = [c[0] for c in cell]
+            for j, i in enumerate(axes):
+                point[i] = cell[i][(bits >> j) & 1]
+            corners.append(tuple(point))
+        if axes:
+            cubes.setdefault(len(axes), []).append(tuple(corners))
+        else:
+            vertices.append(corners[0])
+    return build_complex(vertices, cubes)
+
+
 def grid_complex(*cells) -> CubeComplex:
     """Standard cubing of a box with the given cell counts per axis."""
-    dims = len(cells)
-    ranges = [range(c + 1) for c in cells]
-    vertices = [tuple(p) for p in itertools.product(*ranges)]
-    cubes: dict[int, list] = {}
-    for k in range(1, dims + 1):
-        for axes in itertools.combinations(range(dims), k):
-            spans = [range(cells[a]) for a in axes]
-            others = [range(cells[a] + 1) if a not in axes else None
-                      for a in range(dims)]
-            for base in itertools.product(
-                    *[others[a] if a not in axes else spans[axes.index(a)]
-                      for a in range(dims)]):
-                corners = []
-                for bits in range(1 << k):
-                    p = list(base)
-                    for i, a in enumerate(axes):
-                        p[a] += (bits >> i) & 1
-                    corners.append(tuple(p))
-                cubes.setdefault(k, []).append(tuple(corners))
-    return build_complex(vertices, cubes)
+    return tree_product(*[[(i, i + 1) for i in range(c)] for c in cells])
 
 
 def grid_from_cells(cells_2d) -> CubeComplex:
@@ -134,6 +142,93 @@ def random_tree_complex(n: int, seed: int) -> CubeComplex:
     rng = random.Random(seed)
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     return tree_complex(edges)
+
+
+def glue_hexagon(x: CubeComplex, at) -> CubeComplex:
+    """x with a 6-cycle of new vertices ("hex", 1..5) glued on at vertex
+    ``at``: flag links and no 4-cycle, but not median."""
+    ring = [at] + [("hex", i) for i in range(1, 6)]
+    edges = [(ring[i], ring[(i + 1) % 6]) for i in range(6)]
+    return _glue(x, ring[1:], {1: edges})
+
+
+def glue_cube_boundary(x: CubeComplex, at) -> CubeComplex:
+    """x with the boundary of a 3-cube glued on at vertex ``at``: the
+    corner links of the boundary are empty triangles."""
+    corner = [at] + [("cb", i) for i in range(1, 8)]
+    solid = grid_complex(1, 1, 1)
+    rename = {p: corner[p[0] + 2 * p[1] + 4 * p[2]] for p in solid.vertices}
+    cells = {k: [tuple(rename[p] for p in c) for c in solid.by_dim[k]]
+             for k in (1, 2)}
+    return _glue(x, corner[1:], cells)
+
+
+def _glue(x: CubeComplex, new_vertices, new_cubes) -> CubeComplex:
+    cubes = {k: list(cs) for k, cs in x.by_dim.items()}
+    for k, cs in new_cubes.items():
+        cubes.setdefault(k, []).extend(cs)
+    return build_complex(list(x.vertices) + list(new_vertices), cubes)
+
+
+def relabel(x: CubeComplex, rename) -> CubeComplex:
+    """Copy of x with vertex v renamed to rename[v]."""
+    return build_complex(
+        [rename[v] for v in x.vertices],
+        {k: [tuple(rename[v] for v in c) for c in cs]
+         for k, cs in x.by_dim.items()})
+
+
+def bfs_distances(x: CubeComplex) -> dict:
+    """(u, v) -> 1-skeleton distance for every connected pair, by a plain
+    breadth-first search per vertex."""
+    out = {}
+    for start in x.vertices:
+        seen = {start: 0}
+        queue = [start]
+        for v in queue:
+            for w in x.adjacency[v]:
+                if w not in seen:
+                    seen[w] = seen[v] + 1
+                    queue.append(w)
+        out.update(((start, v), d) for v, d in seen.items())
+    return out
+
+
+def dense_median_violation(x: CubeComplex, cap: int):
+    """Oracle for ``complexes._median_violation``: the exhaustive
+    unique-median check over all vertex triples, through a dense
+    interval[x, y, m] tensor (O(n^3) memory, one einsum per slice).
+    Returns None or a witness dict."""
+    n = len(x.vertex_order)
+    if n > cap:
+        raise CapExceededError(
+            f"median check over {n} vertices exceeds cap {cap}", cap=cap)
+    if n < 3:
+        return None
+    dist = x.distance_matrix
+    # interval[x, y, m] == 1 iff m lies on a geodesic from x to y
+    interval = (dist[:, None, :] + dist[None, :, :] == dist[:, :, None])
+    interval = interval.astype(np.uint8)
+    for a in range(n - 2):
+        sub = interval[a + 1:, a + 1:, :]
+        row = interval[a, a + 1:, :]
+        counts = np.einsum("bm,bcm,cm->bc", row, sub, row, dtype=np.int64)
+        bad = np.argwhere(counts != 1)
+        bad = bad[bad[:, 0] < bad[:, 1]]
+        if bad.size:
+            b, c = (int(t) for t in bad[0])
+            triple = (x.vertex_order[a],
+                      x.vertex_order[a + 1 + b],
+                      x.vertex_order[a + 1 + c])
+            medians = [x.vertex_order[m] for m in range(n)
+                       if interval[x.vertex_index[triple[0]],
+                                   x.vertex_index[triple[1]], m]
+                       and interval[x.vertex_index[triple[1]],
+                                    x.vertex_index[triple[2]], m]
+                       and interval[x.vertex_index[triple[0]],
+                                    x.vertex_index[triple[2]], m]]
+            return {"triple": triple, "medians": medians}
+    return None
 
 
 def cat0_corpus() -> list[tuple[str, CubeComplex]]:

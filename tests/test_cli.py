@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from decimal import Decimal
 
 import pytest
 from helpers import torus_3x3
@@ -190,6 +192,36 @@ def test_tree_commands(capsys, tmp_path):
     assert "graph link" in dot.read_text()
     code, verdict = run_cli(capsys, "tree", "complex", "-n", "3")
     assert code == 0 and verdict["certificate"]["cat0"]["ok"] is True
+
+
+def test_tree_count_prints_counts_past_the_digit_limit(capsys):
+    # (2n-3)!! for n = 2000 has 6333 digits, above Python's default limit
+    # of 4300 for int <-> decimal text
+    n = 2000
+    code = main(["tree", "count", "-n", str(n)])
+    out = capsys.readouterr().out
+    assert code == 0
+    verdict = json.loads(out, parse_int=Decimal)
+    assert int(verdict["stats"]["binary_topologies"]) == math.prod(range(1, 2 * n - 2, 2))
+    assert verdict["stats"]["n"] == n
+
+
+def test_tree_validate_deep_caterpillar(capsys, tmp_path):
+    # a caterpillar has one tree level per leaf: deeper than the recursion limit
+    n = 1200
+    spine = [f"s{i}" for i in range(n - 1)]
+    edges = [[spine[i], spine[i + 1], 1.0] for i in range(n - 2)]
+    edges += [[spine[i], f"l{i + 1}", 0] for i in range(n - 1)]
+    edges.append([spine[-1], f"l{n}", 0])
+    path = tmp_path / "caterpillar.json"
+    path.write_text(json.dumps({
+        "n": n, "root": spine[0], "edges": edges,
+        "nodes": spine + [f"l{i}" for i in range(1, n + 1)],
+        "leaf_labels": {f"l{i}": i for i in range(1, n + 1)}}))
+    code, verdict = run_cli(capsys, "tree", "validate", str(path))
+    assert code == 0 and verdict["stats"]["binary"] is True
+    clusters = verdict["stats"]["clusters"]
+    assert clusters == [list(range(i, n + 1)) for i in range(n - 1, 1, -1)]
 
 
 def test_tree_validate_and_dist(capsys, tmp_path):

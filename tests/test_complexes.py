@@ -3,22 +3,32 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from helpers import (
+    bfs_distances,
     cat0_corpus,
     cube_boundary_3,
+    dense_median_violation,
+    glue_cube_boundary,
+    glue_hexagon,
     grid_complex,
     hollow_square,
     lexmin_cube,
     path_complex,
+    relabel,
     star_complex,
     torus_3x3,
     tree_complex,
+    tree_product,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubical import complexes
 from cubical import (
     build_complex,
     halfspace_system_of,
@@ -32,7 +42,15 @@ from cubical import (
     median,
     vertex_link,
 )
-from cubical.complexes import build_simplicial, canonical_cube, dump_complex, load_complex
+from cubical.complexes import (
+    _hyperplane_labels,
+    _majority_miss,
+    _median_violation,
+    build_simplicial,
+    canonical_cube,
+    dump_complex,
+    load_complex,
+)
 from cubical.errors import (
     DoubleGluingError,
     DuplicateCubeError,
@@ -324,6 +342,113 @@ def test_random_trees_are_cat0_with_unique_medians(n, rng):
     verts = sorted(x.vertices)
     a, b, c = (rng.choice(verts) for _ in range(3))
     assert median(x, a, b, c) is not None
+
+
+# ---------------------------------------------------------------------------
+# the median stage against the dense interval oracle
+
+
+def _dense_is_cat0(x):
+    """is_cat0 with its median stage replaced by the dense oracle."""
+    with mock.patch.object(complexes, "_median_violation", dense_median_violation):
+        return is_cat0(x)
+
+
+def _path(size):
+    return [(i, i + 1) for i in range(size - 1)]
+
+
+@st.composite
+def median_test_complexes(draw):
+    """At most 200 vertices: a product of 1-3 random trees or paths (boxes),
+    as is or with a hexagon or a 3-cube boundary glued on, with int, str or
+    mixed vertex ids in a random order."""
+    rng = draw(st.randoms(use_true_random=False))
+    factors = draw(st.integers(1, 3))
+    top = {1: 190, 2: 13, 3: 5}[factors]
+    sizes = draw(st.lists(st.integers(2, top), min_size=factors, max_size=factors))
+    if draw(st.booleans()):
+        trees = [_path(s) for s in sizes]
+    else:
+        trees = [[(rng.randrange(i), i) for i in range(1, s)] for s in sizes]
+    x = tree_product(*trees)
+    glue = draw(st.sampled_from([None, glue_hexagon, glue_cube_boundary]))
+    if glue is not None:
+        x = glue(x, rng.choice(x.vertex_order))
+    name = draw(st.sampled_from([lambda i: i, lambda i: f"v{i}",
+                                 lambda i: i if i % 2 else f"v{i}"]))
+    places = rng.sample(range(len(x.vertices)), len(x.vertices))
+    return relabel(x, {v: name(i) for v, i in zip(x.vertex_order, places)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(median_test_complexes())
+def test_is_cat0_matches_dense_median_oracle(x):
+    assert is_cat0(x) == _dense_is_cat0(x)
+
+
+def test_median_stage_branches_match_dense_oracle():
+    # isometric labels and every majority present: a box
+    box = tree_product(_path(3), _path(4))
+    labels = _hyperplane_labels(box, box.distance_matrix)
+    assert labels is not None and _majority_miss(labels) is None
+    assert _median_violation(box, 600) is dense_median_violation(box, 600) is None
+    # labels not isometric: a hexagon's opposite edges share no square
+    hexed = glue_hexagon(box, (0, 0))
+    assert _hyperplane_labels(hexed, hexed.distance_matrix) is None
+    witness = dense_median_violation(hexed, 600)
+    assert witness is not None and _median_violation(hexed, 600) == witness
+    # isometric labels with a majority missing: the 3-cube without corner
+    # 7 (its link at corner 0 is an empty triangle, so is_cat0 never gets
+    # this far); the majority of 3, 5 and 6 is the missing corner
+    solid = grid_complex(1, 1, 1)
+    name = {p: p[0] + 2 * p[1] + 4 * p[2] for p in solid.vertices}
+    cut = build_complex(range(7), {
+        k: [tuple(name[p] for p in c) for c in solid.by_dim[k]
+            if (1, 1, 1) not in c] for k in (1, 2)})
+    assert _hyperplane_labels(cut, cut.distance_matrix) is not None
+    witness = dense_median_violation(cut, 600)
+    assert witness == {"triple": (3, 5, 6), "medians": []}
+    assert _median_violation(cut, 600) == witness
+
+
+def test_majority_miss_on_hexagon_labels_any_width():
+    # the hexagon embeds isometrically in the 3-cube, by its opposite-edge
+    # classes; its alternate corners 0, 2, 4 have no median
+    hexagon = build_complex(range(6), {1: [(i, (i + 1) % 6) for i in range(6)]})
+    assert dense_median_violation(hexagon, 600) == {"triple": (0, 2, 4), "medians": []}
+    labels = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0],
+                       [1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    for pad in (0, 61, 130):  # one, two and three packed words
+        wide = np.hstack([labels, np.ones((6, pad), dtype=bool)])
+        assert _majority_miss(wide) == ((0, 2, 4), [])
+
+
+def test_median_check_memory_is_quadratic():
+    x = grid_complex(17, 17)
+    n = len(x.vertices)
+    x.distance_matrix
+    tracemalloc.start()
+    try:
+        assert _median_violation(x, 600) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n * n  # the dense interval tensor alone took n^3 bytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 25), st.sampled_from([int, str]), st.data())
+def test_distance_matrix_matches_bfs(n, name, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    x = build_complex([name(i) for i in range(n)],
+                      {1: [(name(a), name(b)) for a, b in edges]})
+    expected = bfs_distances(x)
+    dist = x.distance_matrix
+    assert dist.shape == (n, n)
+    for (i, u), (j, v) in itertools.product(enumerate(x.vertex_order), repeat=2):
+        assert dist[i, j] == expected.get((u, v), -1)
 
 
 # ---------------------------------------------------------------------------
