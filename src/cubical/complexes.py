@@ -5,6 +5,11 @@ coordinate vectors: position b encodes corner b of [0,1]^k (bit i of the
 index is coordinate i). Cubes are canonicalized up to the symmetry group
 of the cube, so cube identity is a set-membership test.
 
+A valid complex lists every face of every cube, and any two cubes meet in
+at most one common face. Given the faces, the second condition holds iff
+no two cubes share a diagonal (a pair of opposite corners), which one pass
+over the diagonals decides.
+
 The CAT(0) oracle is fully combinatorial: a finite complex is CAT(0) iff
 it is connected, all vertex links are flag (the Gromov link condition),
 every 4-cycle of the 1-skeleton bounds a listed square, and the
@@ -92,24 +97,6 @@ def _face(corners, dim, axis, eps):
     return tuple(out)
 
 
-def _all_faces(corners: tuple) -> dict[frozenset, tuple]:
-    """Map corner-id set -> canonical cube, over every face of every
-    dimension (including the cube itself)."""
-    dim = cube_dim(corners)
-    out = {frozenset(corners): canonical_cube(corners)}
-    stack = [corners]
-    while stack:
-        c = stack.pop()
-        if cube_dim(c) == 0:
-            continue
-        for f in cube_faces(c):
-            key = frozenset(f)
-            if key not in out:
-                out[key] = canonical_cube(f)
-                stack.append(f)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -148,6 +135,16 @@ class CubeComplex:
             adj[a].add(b)
             adj[b].add(a)
         return {v: frozenset(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def incidence(self) -> dict:
+        """Vertex -> the (cube, position) pairs with that vertex at that
+        corner position."""
+        out = {v: [] for v in self.vertices}
+        for c in self.cubes:
+            for pos, v in enumerate(c):
+                out[v].append((c, pos))
+        return {v: tuple(ps) for v, ps in out.items()}
 
     @cached_property
     def vertex_order(self) -> tuple:
@@ -302,57 +299,49 @@ def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
                     "cube listed twice (up to symmetry)", cube=corners, dim=k)
             listed[k].add(canon)
 
-    all_cubes: set[tuple] = set()
-    for k in sorted(listed):
-        for c in listed[k]:
-            all_cubes.add(c)
-
-    # face closure
-    for c in all_cubes:
+    x = CubeComplex(vertices=vertex_set,
+                    cubes=frozenset(c for cs in listed.values() for c in cs))
+    # one fixed walk, by dimension and then by corner ids, so the cubes an
+    # error names do not depend on set iteration order
+    rank = x.vertex_index
+    walk = sorted(x.cubes, key=lambda c: (len(c), [rank[v] for v in c]))
+    for c in walk:
         k = cube_dim(c)
+        if k == 1:
+            continue  # endpoints already checked against the vertex set
         for f in cube_faces(c):
-            if k == 1:
-                continue  # endpoints already checked against the vertex set
-            if canonical_cube(f) not in listed.get(k - 1, set()):
+            if canonical_cube(f) not in listed.get(k - 1, ()):
                 raise MissingFaceError(
                     "face of a listed cube is not listed",
                     cube=c, face=f, dim=k - 1)
 
-    _check_double_gluing(all_cubes)
-    return CubeComplex(vertices=vertex_set, cubes=frozenset(all_cubes))
+    _check_double_gluing(walk)
+    return x
 
 
-def _check_double_gluing(all_cubes: set[tuple]) -> None:
+def _check_double_gluing(walk: list[tuple]) -> None:
     """Two distinct cubes may share at most the corner set of one common
-    face; anything else is a double gluing."""
-    by_vertex: dict = {}
-    for c in all_cubes:
-        for v in set(c):
-            by_vertex.setdefault(v, []).append(c)
-    face_maps: dict[tuple, dict] = {}
-
-    def faces_of(c):
-        if c not in face_maps:
-            face_maps[c] = _all_faces(c)
-        return face_maps[c]
-
-    checked = set()
-    for cubes_here in by_vertex.values():
-        for a, b in itertools.combinations(cubes_here, 2):
-            ka, kb = (cube_dim(a), [skey(v) for v in a]), (cube_dim(b), [skey(v) for v in b])
-            pair = (a, b) if ka <= kb else (b, a)
-            if pair in checked:
-                continue
-            checked.add(pair)
-            shared = frozenset(pair[0]) & frozenset(pair[1])
-            if len(shared) <= 1:
-                continue
-            fa = faces_of(pair[0]).get(shared)
-            fb = faces_of(pair[1]).get(shared)
-            if fa is None or fb is None or fa != fb:
+    face; anything else is a double gluing. Given that every face of every
+    cube is listed, this holds iff no two cubes share a diagonal, a pair of
+    opposite corners:
+    - if cubes a and b share the diagonal {u, w}, a common face holding u
+      and w would be all of a and all of b, so a = b;
+    - if no diagonal is shared, then for corners u, w of both a and b the
+      least face of a holding them is the listed cube with diagonal {u, w},
+      so it is also a face of b. The shared corners are closed under these
+      spans, hence convex in a, and convex corner sets of a cube are its
+      faces: they form the one face that a and b have in common.
+    So one pass over the diagonals, in ``walk`` order, decides; ``cube_a``
+    is the earlier owner of the first repeated diagonal."""
+    owner: dict = {}
+    for c in walk:
+        top = len(c) - 1
+        for p in range(len(c) // 2):
+            a = owner.setdefault(frozenset((c[p], c[p ^ top])), c)
+            if a is not c:
                 raise DoubleGluingError(
                     "cubes intersect in more than one common face",
-                    cube_a=pair[0], cube_b=pair[1], shared=ssorted(shared))
+                    cube_a=a, cube_b=c, shared=ssorted(set(a) & set(c)))
 
 
 def load_complex(data: dict) -> CubeComplex:
@@ -398,18 +387,13 @@ def vertex_link(x: CubeComplex, v) -> SimplicialComplex:
         raise UnknownVertexError(f"unknown vertex {v!r}", vertex=v)
     link_vertices: set[tuple] = set()
     simplices: list[frozenset] = []
-    for c in x.cubes:
-        k = cube_dim(c)
-        for pos, corner in enumerate(c):
-            if corner != v:
-                continue
-            dirs = []
-            for axis in range(k):
-                u = c[pos ^ (1 << axis)]
-                e = canonical_cube((v, u))
-                dirs.append(e)
-            link_vertices.update(dirs)
-            simplices.append(frozenset(dirs))
+    rank = x.vertex_index
+    for c, pos in x.incidence[v]:
+        nbrs = (c[pos ^ (1 << axis)] for axis in range(cube_dim(c)))
+        # the canonical edge: its least corner first
+        dirs = [(v, u) if rank[v] < rank[u] else (u, v) for u in nbrs]
+        link_vertices.update(dirs)
+        simplices.append(frozenset(dirs))
     return build_simplicial(link_vertices, simplices)
 
 
@@ -590,13 +574,14 @@ def _unfilled_square(x: CubeComplex):
     """A 4-cycle of the 1-skeleton with no listed square on it, if any.
     Cycle a-v-b-w: a,b opposite, v,w opposite."""
     adj = x.adjacency
-    order = x.vertex_order
-    rank = {v: i for i, v in enumerate(order)}
-    for a in order:
-        for b in order:
-            if rank[b] <= rank[a] or b in adj[a]:
-                continue
-            common = ssorted(adj[a] & adj[b])
+    rank = x.vertex_index
+    for a in x.vertex_order:
+        # the pairs (a, b) of the all-pairs scan that can close a 4-cycle:
+        # b after a at distance 2, in the same order
+        near = {b for v in adj[a] for b in adj[v]
+                if rank[b] > rank[a] and b not in adj[a]}
+        for b in sorted(near, key=rank.__getitem__):
+            common = sorted(adj[a] & adj[b], key=rank.__getitem__)
             for v, w in itertools.combinations(common, 2):
                 candidate = canonical_cube((a, v, w, b))
                 if candidate not in x.squares:

@@ -101,15 +101,29 @@ def make_orthant(n: int, coords: dict) -> Orthant:
         if l <= 0:
             raise NonPositiveLengthError(f"cluster {sorted(c)} has length {l}")
     clusters = [c for c, _ in items]
-    for a, b in itertools.combinations(clusters, 2):
-        if not compatible(a, b):
-            raise IncompatibleClustersError(
-                f"clusters {sorted(a)} and {sorted(b)} overlap improperly",
-                pair=(sorted(a), sorted(b)))
+    if not _laminar(clusters):  # name the first bad pair
+        for a, b in itertools.combinations(clusters, 2):
+            if not compatible(a, b):
+                raise IncompatibleClustersError(
+                    f"clusters {sorted(a)} and {sorted(b)} overlap improperly",
+                    pair=(sorted(a), sorted(b)))
     if len(items) > n - 2:
         raise IncompatibleClustersError(
             f"{len(items)} clusters exceed the maximum n-2 = {n - 2}")
     return Orthant(n=n, coords=items)
+
+
+def _laminar(clusters: list[frozenset]) -> bool:
+    """True iff every two of the distinct clusters, listed by increasing
+    size, are compatible. Going through them by decreasing size, a cluster
+    is compatible with every larger one iff all its leaves have the same
+    least cluster seen so far that holds them, or none: O(total size)."""
+    owner: dict = {}
+    for i, c in enumerate(reversed(clusters)):
+        if len({owner.get(x) for x in c}) > 1:
+            return False
+        owner.update(dict.fromkeys(c, i))
+    return True
 
 
 def compatible(a: frozenset, b: frozenset) -> bool:

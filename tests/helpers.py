@@ -16,9 +16,21 @@ from functools import lru_cache
 import numpy as np
 
 from cubical import build_complex
-from cubical.complexes import CubeComplex
-from cubical.errors import CapExceededError
-from cubical.util import skey
+from cubical.complexes import (
+    CubeComplex,
+    build_simplicial,
+    canonical_cube,
+    cube_dim,
+    cube_faces,
+)
+from cubical.errors import (
+    CapExceededError,
+    DoubleGluingError,
+    IncompatibleClustersError,
+    NonPositiveLengthError,
+)
+from cubical.treespace import Orthant, _ckey, compatible
+from cubical.util import skey, ssorted
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +112,21 @@ def grid_from_cells(cells_2d) -> CubeComplex:
     return build_complex(sorted(vertices), {1: sorted(edges), 2: squares})
 
 
-def torus_3x3() -> CubeComplex:
-    vertices = [(i, j) for i in range(3) for j in range(3)]
+def torus(m: int, n: int) -> CubeComplex:
+    """Product of the cycles C_m and C_n (m, n >= 3), cell by cell."""
+    vertices = [(i, j) for i in range(m) for j in range(n)]
     edges, squares = [], []
-    for i in range(3):
-        for j in range(3):
-            edges.append(((i, j), ((i + 1) % 3, j)))
-            edges.append(((i, j), (i, (j + 1) % 3)))
-            squares.append(((i, j), ((i + 1) % 3, j),
-                            (i, (j + 1) % 3), ((i + 1) % 3, (j + 1) % 3)))
+    for i in range(m):
+        for j in range(n):
+            edges.append(((i, j), ((i + 1) % m, j)))
+            edges.append(((i, j), (i, (j + 1) % n)))
+            squares.append(((i, j), ((i + 1) % m, j),
+                            (i, (j + 1) % n), ((i + 1) % m, (j + 1) % n)))
     return build_complex(vertices, {1: edges, 2: squares})
+
+
+def torus_3x3() -> CubeComplex:
+    return torus(3, 3)
 
 
 def cube_boundary_3() -> CubeComplex:
@@ -229,6 +246,118 @@ def dense_median_violation(x: CubeComplex, cap: int):
                                     x.vertex_index[triple[2]], m]]
             return {"triple": triple, "medians": medians}
     return None
+
+
+# ---------------------------------------------------------------------------
+# exhaustive scans (oracles for the indexed ones in complexes and treespace)
+
+
+def all_faces(corners: tuple) -> dict[frozenset, tuple]:
+    """Map corner-id set -> canonical cube, over every face of every
+    dimension (including the cube itself)."""
+    out = {frozenset(corners): canonical_cube(corners)}
+    stack = [corners]
+    while stack:
+        c = stack.pop()
+        if cube_dim(c) == 0:
+            continue
+        for f in cube_faces(c):
+            key = frozenset(f)
+            if key not in out:
+                out[key] = canonical_cube(f)
+                stack.append(f)
+    return out
+
+
+def pairwise_double_gluing(all_cubes) -> None:
+    """Oracle for ``complexes._check_double_gluing``: every two cubes with
+    a common vertex must share at most the corner set of one common face.
+    Raises DoubleGluingError for the first bad pair met."""
+    by_vertex: dict = {}
+    for c in all_cubes:
+        for v in set(c):
+            by_vertex.setdefault(v, []).append(c)
+    face_maps: dict[tuple, dict] = {}
+
+    def faces_of(c):
+        if c not in face_maps:
+            face_maps[c] = all_faces(c)
+        return face_maps[c]
+
+    checked = set()
+    for cubes_here in by_vertex.values():
+        for a, b in itertools.combinations(cubes_here, 2):
+            ka, kb = (cube_dim(a), [skey(v) for v in a]), (cube_dim(b), [skey(v) for v in b])
+            pair = (a, b) if ka <= kb else (b, a)
+            if pair in checked:
+                continue
+            checked.add(pair)
+            shared = frozenset(pair[0]) & frozenset(pair[1])
+            if len(shared) <= 1:
+                continue
+            fa = faces_of(pair[0]).get(shared)
+            fb = faces_of(pair[1]).get(shared)
+            if fa is None or fb is None or fa != fb:
+                raise DoubleGluingError(
+                    "cubes intersect in more than one common face",
+                    cube_a=pair[0], cube_b=pair[1], shared=ssorted(shared))
+
+
+def scan_vertex_link(x: CubeComplex, v):
+    """Oracle for ``complexes.vertex_link``: the link of v from a scan of
+    every cube of x."""
+    link_vertices: set[tuple] = set()
+    simplices: list[frozenset] = []
+    for c in x.cubes:
+        for pos, corner in enumerate(c):
+            if corner != v:
+                continue
+            dirs = [canonical_cube((v, c[pos ^ (1 << axis)]))
+                    for axis in range(cube_dim(c))]
+            link_vertices.update(dirs)
+            simplices.append(frozenset(dirs))
+    return build_simplicial(link_vertices, simplices)
+
+
+def all_pairs_unfilled_square(x: CubeComplex):
+    """Oracle for ``complexes._unfilled_square``: the first 4-cycle a-v-b-w
+    with no listed square, over all vertex pairs a < b in ``vertex_order``."""
+    adj = x.adjacency
+    order = x.vertex_order
+    rank = {v: i for i, v in enumerate(order)}
+    for a in order:
+        for b in order:
+            if rank[b] <= rank[a] or b in adj[a]:
+                continue
+            common = ssorted(adj[a] & adj[b])
+            for v, w in itertools.combinations(common, 2):
+                if canonical_cube((a, v, w, b)) not in x.squares:
+                    return {"cycle": (a, v, b, w)}
+    return None
+
+
+def pairwise_make_orthant(n: int, coords: dict) -> Orthant:
+    """Oracle for ``treespace.make_orthant``: compatibility checked on every
+    pair of clusters."""
+    items = tuple(sorted(((frozenset(c), float(l)) for c, l in coords.items()),
+                         key=lambda cl: _ckey(cl[0])))
+    for c, l in items:
+        if not (2 <= len(c) <= n - 1) or not all(
+                isinstance(x, int) and 1 <= x <= n for x in c):
+            raise IncompatibleClustersError(f"bad cluster {sorted(c)}",
+                                            cluster=sorted(c))
+        if l <= 0:
+            raise NonPositiveLengthError(f"cluster {sorted(c)} has length {l}")
+    clusters = [c for c, _ in items]
+    for a, b in itertools.combinations(clusters, 2):
+        if not compatible(a, b):
+            raise IncompatibleClustersError(
+                f"clusters {sorted(a)} and {sorted(b)} overlap improperly",
+                pair=(sorted(a), sorted(b)))
+    if len(items) > n - 2:
+        raise IncompatibleClustersError(
+            f"{len(items)} clusters exceed the maximum n-2 = {n - 2}")
+    return Orthant(n=n, coords=items)
 
 
 def cat0_corpus() -> list[tuple[str, CubeComplex]]:

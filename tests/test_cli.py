@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from helpers import torus_3x3
 
+import cubical
 from cubical.cli import main
 from cubical.complexes import dump_complex
 
@@ -192,6 +197,40 @@ def test_tree_commands(capsys, tmp_path):
     assert "graph link" in dot.read_text()
     code, verdict = run_cli(capsys, "tree", "complex", "-n", "3")
     assert code == 0 and verdict["certificate"]["cat0"]["ok"] is True
+
+
+def test_tree_complex_n6(capsys):
+    # 2752 cluster sets (Schroeder's fourth problem, OEIS A000311) and one
+    # 4-cube per binary topology, (2n-3)!! = 945
+    code, verdict = run_cli(capsys, "tree", "complex", "-n", "6")
+    assert code == 0 and verdict["ok"] is True
+    assert verdict["stats"]["vertices"] == 2752
+    assert verdict["stats"]["cubes"]["4"] == 945
+    assert verdict["certificate"]["locally_cat0"] == {"ok": True}
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("two_diagonals", {"error": "double_gluing", "cube_a": ["A", "C"],
+                       "cube_b": ["A", "B", "D", "C"]}),
+    ("two_missing_edges", {"error": "missing_face", "cube": ["A", "B", "D", "C"],
+                           "face": ["D", "C"]}),
+])
+def test_build_witness_ignores_hash_seed(name, witness):
+    # one defect on each of two squares: the one named depends on the ids
+    # alone, not on the iteration order of string hashes
+    path = Path(__file__).resolve().parent / "fixtures" / f"{name}.json"
+    src = str(Path(cubical.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in "0123":
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubical", "complex", "check", str(path)],
+            env=env, capture_output=True, check=False)
+        outputs.add((proc.returncode, proc.stdout))
+    assert len(outputs) == 1
+    code, out = outputs.pop()
+    assert code == 2 and witness.items() <= json.loads(out)["certificate"].items()
 
 
 def test_tree_count_prints_counts_past_the_digit_limit(capsys):

@@ -9,6 +9,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import (
+    all_faces,
+    all_pairs_unfilled_square,
     bfs_distances,
     cat0_corpus,
     cube_boundary_3,
@@ -18,9 +20,12 @@ from helpers import (
     grid_complex,
     hollow_square,
     lexmin_cube,
+    pairwise_double_gluing,
     path_complex,
     relabel,
+    scan_vertex_link,
     star_complex,
+    torus,
     torus_3x3,
     tree_complex,
     tree_product,
@@ -43,11 +48,14 @@ from cubical import (
     vertex_link,
 )
 from cubical.complexes import (
+    CubeComplex,
     _hyperplane_labels,
     _majority_miss,
     _median_violation,
+    _unfilled_square,
     build_simplicial,
     canonical_cube,
+    cube_dim,
     dump_complex,
     load_complex,
 )
@@ -61,6 +69,7 @@ from cubical.errors import (
     SelfGluingError,
     UnknownVertexError,
 )
+from cubical.util import ssorted
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +156,95 @@ def test_unknown_corner_rejected():
         build_complex(["a"], {1: [("a", "b")]})
 
 
+# added vertices per defect: none, an extra diagonal edge, a second square
+# on the corners of one, a square on two opposite corners of one, a 3-cube
+# on two edges as its opposite edges
+_DEFECTS = {None: 0, "diagonal": 0, "twin": 0, "opposite": 2, "cube": 4}
+
+
+@st.composite
+def glued_complexes(draw):
+    """(vertices, cubes) with every face of every cube listed, on at most 9
+    vertices: a random subcomplex of a product of trees, and in half of the
+    cases one injected defect that may glue two cubes wrongly. Ids are int,
+    str or mixed."""
+    rng = draw(st.randoms(use_true_random=False))
+    defect = draw(st.sampled_from([None] * 4 + list(_DEFECTS)[1:]))
+    room = 9 - _DEFECTS[defect]
+    shapes = [s for k in (1, 2, 3) for s in itertools.product(range(2, 10), repeat=k)
+              if np.prod(s) <= room and (k > 1 or defect in (None, "cube"))]
+    sizes = draw(st.sampled_from(shapes))
+    x = tree_product(*[[(rng.randrange(i), i) for i in range(1, s)] for s in sizes])
+    tops = [c for c in x.cubes if rng.random() < 0.5]
+    new_cubes = []
+    if defect in ("diagonal", "twin", "opposite"):
+        c = rng.choice(sorted(x.by_dim.get(2, ()) if defect != "diagonal"
+                              else [c for c in x.cubes if cube_dim(c) >= 2]))
+        tops.append(c)
+        if defect == "diagonal":
+            p, q = rng.choice([(p, q) for p, q in itertools.combinations(range(len(c)), 2)
+                               if bin(p ^ q).count("1") >= 2])
+            new_cubes.append((c[p], c[q]))
+        elif defect == "twin":
+            new_cubes.append((c[0], c[1], c[3], c[2]))
+        else:
+            new_cubes.append((c[0], ("new", 1), ("new", 2), c[3]))
+    elif defect == "cube":
+        pairs = [(e, f) for e, f in itertools.combinations(sorted(x.edges), 2)
+                 if not set(e) & set(f)]
+        if pairs:
+            e, f = rng.choice(pairs)
+            f = f if rng.random() < 0.5 else f[::-1]
+            tops += [e, f]
+            new_cubes.append((e[0], e[1]) + tuple(("new", i) for i in range(4)) + f)
+    cubes = {face for c in tops + new_cubes for face in all_faces(c).values()
+             if len(face) > 1}
+    vertices = set(x.vertices) | {v for c in cubes for v in c}
+    name = draw(st.sampled_from([lambda i: i, lambda i: f"v{i}",
+                                 lambda i: i if i % 2 else f"v{i}"]))
+    rename = {v: name(i) for i, v in enumerate(rng.sample(ssorted(vertices), len(vertices)))}
+    return ([rename[v] for v in vertices],
+            {canonical_cube(tuple(rename[v] for v in c)) for c in cubes})
+
+
+@settings(max_examples=300, deadline=None)
+@given(glued_complexes())
+def test_double_gluing_matches_pairwise_oracle(case):
+    vertices, cubes = case
+    by_dim: dict = {}
+    for c in cubes:
+        by_dim.setdefault(cube_dim(c), []).append(c)
+    try:
+        pairwise_double_gluing(cubes)
+    except DoubleGluingError:
+        with pytest.raises(DoubleGluingError) as info:
+            build_complex(vertices, by_dim)
+        a, b = info.value.details["cube_a"], info.value.details["cube_b"]
+        assert a != b and a in cubes and b in cubes
+        shared = frozenset(a) & frozenset(b)
+        assert info.value.details["shared"] == ssorted(shared)
+        face_a, face_b = all_faces(a).get(shared), all_faces(b).get(shared)
+        assert face_a is None or face_b is None or face_a != face_b
+    else:
+        assert build_complex(vertices, by_dim).cubes == cubes
+
+
+def test_double_gluing_witness_is_first_repeated_diagonal():
+    # an edge across a square face of a 3-cube shares its ends with the
+    # square and the cube; the edge comes first, then the square
+    solid = grid_complex(1, 1, 1)
+    corner = {p: p[0] + 2 * p[1] + 4 * p[2] for p in solid.vertices}
+    cubes = {k: [tuple(corner[p] for p in c) for c in cs]
+             for k, cs in solid.by_dim.items()}
+    cubes[1].append((0, 3))
+    with pytest.raises(DoubleGluingError) as info:
+        build_complex(range(8), cubes)
+    assert info.value.details == {"cube_a": (0, 3), "cube_b": (0, 1, 2, 3),
+                                  "shared": [0, 3]}
+
+
 def test_face_closure_holds_on_corpus():
-    from cubical.complexes import cube_dim, cube_faces
+    from cubical.complexes import cube_faces
 
     for name, x in cat0_corpus():
         for c in x.cubes:
@@ -359,13 +455,14 @@ def _path(size):
 
 
 @st.composite
-def median_test_complexes(draw):
+def median_test_complexes(draw, tops={1: 190, 2: 13, 3: 5}):
     """At most 200 vertices: a product of 1-3 random trees or paths (boxes),
     as is or with a hexagon or a 3-cube boundary glued on, with int, str or
-    mixed vertex ids in a random order."""
+    mixed vertex ids in a random order. A factor has at most ``tops[k]``
+    vertices in a product of k."""
     rng = draw(st.randoms(use_true_random=False))
     factors = draw(st.integers(1, 3))
-    top = {1: 190, 2: 13, 3: 5}[factors]
+    top = tops[factors]
     sizes = draw(st.lists(st.integers(2, top), min_size=factors, max_size=factors))
     if draw(st.booleans()):
         trees = [_path(s) for s in sizes]
@@ -385,6 +482,44 @@ def median_test_complexes(draw):
 @given(median_test_complexes())
 def test_is_cat0_matches_dense_median_oracle(x):
     assert is_cat0(x) == _dense_is_cat0(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(median_test_complexes(tops={1: 30, 2: 6, 3: 3}))
+def test_vertex_link_matches_full_scan(x):
+    for v in x.vertex_order:
+        assert vertex_link(x, v) == scan_vertex_link(x, v)
+
+
+def _shuffled_ids(x: CubeComplex, rng) -> dict:
+    """Vertex -> an int, str or mixed id, in a random order."""
+    name = rng.choice([lambda i: i, lambda i: f"v{i}", lambda i: i if i % 2 else f"v{i}"])
+    n = len(x.vertices)
+    return dict(zip(x.vertex_order, map(name, rng.sample(range(n), n))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 8), st.randoms(use_true_random=False))
+def test_unfilled_square_on_c4_torus_matches_all_pairs_scan(n, rng):
+    # the 4-cycles around the C4 factor bound no square (for n = 4, those
+    # around the other factor neither)
+    x = torus(4, n)
+    x = relabel(x, _shuffled_ids(x, rng))
+    hole = _unfilled_square(x)
+    assert hole is not None and hole == all_pairs_unfilled_square(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 8), st.randoms(use_true_random=False))
+def test_unfilled_square_with_squares_removed_matches_all_pairs_scan(m, n, rng):
+    x = tree_product(*[[(rng.randrange(i), i) for i in range(1, s)] for s in (m, n)])
+    gone = set(rng.sample(sorted(x.squares), min(len(x.squares), rng.randint(1, 3))))
+    rename = _shuffled_ids(x, rng)
+    y = build_complex([rename[v] for v in x.vertices],
+                      {k: [tuple(rename[v] for v in c) for c in cs if c not in gone]
+                       for k, cs in x.by_dim.items()})
+    hole = _unfilled_square(y)
+    assert hole is not None and hole == all_pairs_unfilled_square(y)
 
 
 def test_median_stage_branches_match_dense_oracle():

@@ -8,6 +8,7 @@ import math
 import random
 
 import pytest
+from helpers import pairwise_make_orthant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,6 +147,40 @@ def test_orthant_round_trip_all_binary_4():
 def test_from_orthant_rejects_incompatible():
     with pytest.raises(IncompatibleClustersError):
         make_orthant(4, {frozenset({1, 2}): 1.0, frozenset({2, 3}): 1.0})
+
+
+@st.composite
+def cluster_families(draw):
+    """(n, coords): the clusters of a random hierarchy on leaves 1..n, plus
+    0-2 random leaf sets that may overlap them improperly."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(3, 12))
+    nodes = [frozenset({i}) for i in range(1, n + 1)]
+    clusters = set()
+    for _ in range(draw(st.integers(0, n - 1))):
+        if len(nodes) < 2:
+            break
+        merged = rng.sample(nodes, rng.randint(2, len(nodes)))
+        nodes = [c for c in nodes if c not in merged] + [frozenset().union(*merged)]
+        clusters.add(nodes[-1])
+    for _ in range(draw(st.integers(0, 2))):
+        clusters.add(frozenset(rng.sample(range(1, n + 1), rng.randint(2, n - 1))))
+    clusters = [c for c in clusters if len(c) < n]
+    return n, {c: draw(st.sampled_from([1.0, 0.5, 2.25])) for c in clusters}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cluster_families())
+def test_make_orthant_matches_pairwise_scan(family):
+    n, coords = family
+    try:
+        expected = pairwise_make_orthant(n, coords)
+    except IncompatibleClustersError as exc:
+        with pytest.raises(IncompatibleClustersError) as info:
+            make_orthant(n, coords)
+        assert (info.value.message, info.value.details) == (exc.message, exc.details)
+    else:
+        assert make_orthant(n, coords) == expected
 
 
 def test_orthant_json_round_trip():
