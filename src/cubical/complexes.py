@@ -674,18 +674,17 @@ def halfspaces_of(x: CubeComplex, h: Hyperplane) -> list[frozenset]:
 
 def hyperplanes_cross(x: CubeComplex, h1: Hyperplane, h2: Hyperplane) -> bool:
     """True iff the two edge classes meet a common 2-cube in crossing
-    directions."""
-    edge_to = {}
-    for h in (h1, h2):
-        for e in h.edges:
-            edge_to.setdefault(e, set()).add(h.index)
-    for sq in x.squares:
-        c00, c10, c01, c11 = sq
-        d0 = edge_to.get(canonical_cube((c00, c10)), set())
-        d1 = edge_to.get(canonical_cube((c00, c01)), set())
-        if (h1.index in d0 and h2.index in d1) or (h2.index in d0 and h1.index in d1):
-            return True
-    return False
+    directions.
+
+    Two distinct classes do so iff some cube is crossed by both: each
+    crosses it along its own axes, and the square face on one axis of each
+    is listed. A class crosses itself iff one of its squares has both axes
+    in it; the first corner of a listed square is its least, so the square's
+    two edges at that corner are listed as they stand."""
+    if h1.index != h2.index:
+        return not h1.crossed_cubes.isdisjoint(h2.crossed_cubes)
+    return any(len(c) == 4 and (c[0], c[1]) in h1.edges and (c[0], c[2]) in h1.edges
+               for c in h1.crossed_cubes)
 
 
 @dataclass(frozen=True)

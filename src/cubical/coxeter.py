@@ -387,30 +387,33 @@ class TruncatedHalfspaces:
     untrusted_pairs: tuple
 
     def orientation_of(self, g: Word) -> Orientation:
-        """Principal orientation: per wall, the side containing g. Ball
-        elements use the precomputed sides; anything else falls back to
-        exact length comparisons."""
-        if g in self.ball.element_set:
-            choices = []
-            for a, b in self.system.hyperplanes:
-                choices.append(a if g in self.members[a] else b)
-            return Orientation(choices=tuple(choices))
-        by_wall = {self.hyperplane_of_wall(i): self.side_containing(i, g)
-                   for i in range(len(self.walls))}
-        return Orientation(choices=tuple(by_wall[i]
-                                         for i in range(len(by_wall))))
+        """Principal orientation: per wall, the side containing g, which
+        need not lie in the ball; "+" is the identity's side."""
+        crossed = _crossed_walls(self.ball.system, g)
+        sides = {self.hyperplane_of_wall(i): _side(i, w, crossed)
+                 for i, w in enumerate(self.walls)}
+        return Orientation(choices=tuple(sides[i] for i in range(len(sides))))
 
     def hyperplane_of_wall(self, wall_index: int) -> int:
         return self.system.hyperplane_of[_hid(wall_index, "+")]
 
     def side_containing(self, wall_index: int, g: Word):
-        """Halfspace id of the side of wall_index containing g, decided by
-        exact word lengths (g need not lie in the ball)."""
-        u, v = self.defining_edges[wall_index]
-        sys_ = self.ball.system
-        return (_hid(wall_index, "+")
-                if distance(sys_, g, u) < distance(sys_, g, v)
-                else _hid(wall_index, "-"))
+        """Halfspace id of the side of wall_index containing g, which need
+        not lie in the ball; "+" is the identity's side."""
+        return _side(wall_index, self.walls[wall_index],
+                     _crossed_walls(self.ball.system, g))
+
+
+def _crossed_walls(sys_: CoxeterSystem, g: Word) -> frozenset:
+    """Reflections of the walls a geodesic from the identity to g crosses:
+    once each, and exactly the walls that separate g from the identity."""
+    return frozenset(wall_crossings_on_path(sys_, (), reduce_word(sys_, g)))
+
+
+def _side(i: int, wall: Wall, crossed: frozenset) -> str:
+    """Wall i's halfspace id on the side of an element that a geodesic
+    from the identity reaches crossing the walls ``crossed``."""
+    return _hid(i, "-" if wall.reflection in crossed else "+")
 
 
 def _hid(i: int, sign: str) -> str:
@@ -420,6 +423,10 @@ def _hid(i: int, sign: str) -> str:
 def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     """Truncated roots of every wall whose defining edges lie within radius
     R - margin, ordered by inclusion of the truncated sets.
+
+    The "+" root of a wall holds u, the shorter end of its first edge
+    (u, v), and so the identity: an element lies in it iff a geodesic from
+    the identity to it does not cross the wall.
 
     Validation errors propagate and signal that the margin is too small.
     The trust report lists wall pairs whose nesting relation could still
@@ -434,21 +441,20 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     for w in walls(ball):
         if any(len(v) <= inner for _, v in w.edges):
             selected.append(w)
+    crossed = {g: _crossed_walls(sys_, g) for g in ball.elements}
     ids = []
     star_pairs = []
     members: dict = {}
-    defining = []
     universe = frozenset(ball.elements)
     for i, w in enumerate(selected):
-        u, v = w.edges[0]
         side_u = frozenset(g for g in ball.elements
-                           if distance(sys_, g, u) < distance(sys_, g, v))
+                           if w.reflection not in crossed[g])
         plus, minus = _hid(i, "+"), _hid(i, "-")
         members[plus] = side_u
         members[minus] = universe - side_u
         ids += [plus, minus]
         star_pairs.append((plus, minus))
-        defining.append((u, v))
+    defining = [w.edges[0] for w in selected]
     seen_sides: dict[frozenset, str] = {}
     for h in ids:
         other = seen_sides.setdefault(members[h], h)

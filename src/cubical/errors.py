@@ -85,10 +85,6 @@ class SelfPairedError(CubicalError):
     code = "self_paired"
 
 
-class NotOrderReversingError(CubicalError):
-    code = "not_order_reversing"
-
-
 class NestingViolationError(CubicalError):
     code = "nesting_violation"
 

@@ -101,29 +101,38 @@ def make_orthant(n: int, coords: dict) -> Orthant:
         if l <= 0:
             raise NonPositiveLengthError(f"cluster {sorted(c)} has length {l}")
     clusters = [c for c, _ in items]
-    if not _laminar(clusters):  # name the first bad pair
-        for a, b in itertools.combinations(clusters, 2):
-            if not compatible(a, b):
-                raise IncompatibleClustersError(
-                    f"clusters {sorted(a)} and {sorted(b)} overlap improperly",
-                    pair=(sorted(a), sorted(b)))
+    if _hierarchy(clusters) is None:
+        raise _incompatible(clusters)
     if len(items) > n - 2:
         raise IncompatibleClustersError(
             f"{len(items)} clusters exceed the maximum n-2 = {n - 2}")
     return Orthant(n=n, coords=items)
 
 
-def _laminar(clusters: list[frozenset]) -> bool:
-    """True iff every two of the distinct clusters, listed by increasing
-    size, are compatible. Going through them by decreasing size, a cluster
-    is compatible with every larger one iff all its leaves have the same
-    least cluster seen so far that holds them, or none: O(total size)."""
-    owner: dict = {}
-    for i, c in enumerate(reversed(clusters)):
-        if len({owner.get(x) for x in c}) > 1:
-            return False
-        owner.update(dict.fromkeys(c, i))
-    return True
+def _hierarchy(clusters: list[frozenset]) -> tuple[dict, dict] | None:
+    """Each cluster's parent (its least proper superset, None for the root)
+    and each leaf's host (its least cluster; absent for the root), or None
+    if two of the distinct clusters, listed by increasing size, are
+    incompatible. Going through them by decreasing size, a cluster is
+    compatible with every larger one iff all its leaves have the same least
+    cluster seen so far that holds them, or none: O(total size)."""
+    parent: dict = {}
+    host: dict = {}
+    for c in reversed(clusters):
+        owners = {host.get(x) for x in c}
+        if len(owners) > 1:
+            return None
+        parent[c] = owners.pop()
+        host.update(dict.fromkeys(c, c))
+    return parent, host
+
+
+def _incompatible(clusters: list[frozenset]) -> IncompatibleClustersError:
+    """The first incompatible pair, by a pairwise scan, as an error."""
+    a, b = next(p for p in itertools.combinations(clusters, 2) if not compatible(*p))
+    return IncompatibleClustersError(
+        f"clusters {sorted(a)} and {sorted(b)} overlap improperly",
+        pair=(sorted(a), sorted(b)))
 
 
 def compatible(a: frozenset, b: frozenset) -> bool:
@@ -257,30 +266,19 @@ def from_orthant(o: Orthant) -> PhyloTree:
     parent is its least proper superset, or the root."""
     n = o.n
     clusters = sorted(o.topology, key=_ckey)
-    for a, b in itertools.combinations(clusters, 2):
-        if not compatible(a, b):
-            raise IncompatibleClustersError(
-                f"clusters {sorted(a)} and {sorted(b)} overlap improperly")
-
-    def node_id(c: frozenset) -> str:
-        return "c" + ".".join(str(x) for x in sorted(c))
-
-    children: dict = {"root": []}
+    tree = _hierarchy(clusters)
+    if tree is None:
+        raise _incompatible(clusters)
+    parent, host = tree
+    node_id = {None: "root"}
+    node_id.update((c, "c" + ".".join(str(x) for x in sorted(c))) for c in clusters)
+    children: dict = {v: [] for v in node_id.values()}
     for c in clusters:
-        children[node_id(c)] = []
-    leaf_parent: dict = {}
+        children[node_id[parent[c]]].append(node_id[c])
     for lab in range(1, n + 1):
-        containing = [c for c in clusters if lab in c]
-        host = min(containing, key=_ckey) if containing else None
-        leaf_parent[lab] = node_id(host) if host is not None else "root"
-    for c in clusters:
-        supersets = [d for d in clusters if c < d]
-        parent = node_id(min(supersets, key=_ckey)) if supersets else "root"
-        children[parent].append(node_id(c))
-    for lab in range(1, n + 1):
-        children[leaf_parent[lab]].append(f"l{lab}")
+        children[node_id[host.get(lab)]].append(f"l{lab}")
         children[f"l{lab}"] = []
-    lengths = {node_id(c): o.lengths[c] for c in clusters}
+    lengths = {node_id[c]: o.lengths[c] for c in clusters}
     return PhyloTree(
         n=n, root="root",
         children={v: tuple(cs) for v, cs in children.items()},
@@ -462,7 +460,7 @@ def cone_distance(t1: PhyloTree, t2: PhyloTree) -> DistanceResult:
         raise LeafCountMismatchError(f"trees have {t1.n} and {t2.n} leaves")
     p, q = to_orthant(t1), to_orthant(t2)
     union = p.topology | q.topology
-    if all(compatible(a, b) for a, b in itertools.combinations(union, 2)):
+    if _hierarchy(sorted(union, key=_ckey)) is not None:
         value = math.sqrt(sum(
             (p.lengths.get(c, 0.0) - q.lengths.get(c, 0.0)) ** 2
             for c in union))

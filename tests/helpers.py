@@ -23,13 +23,21 @@ from cubical.complexes import (
     cube_dim,
     cube_faces,
 )
+from cubical.coxeter import TruncatedHalfspaces, _hid, distance, walls
 from cubical.errors import (
     CapExceededError,
+    ComparableComplementsError,
+    CyclicOrderError,
     DoubleGluingError,
     IncompatibleClustersError,
+    InputFormatError,
+    NestingViolationError,
     NonPositiveLengthError,
+    NotInvolutionError,
+    SelfPairedError,
 )
-from cubical.treespace import Orthant, _ckey, compatible
+from cubical.pocsets import HalfspaceSystem
+from cubical.treespace import Orthant, PhyloTree, _ckey, compatible
 from cubical.util import skey, ssorted
 
 
@@ -358,6 +366,195 @@ def pairwise_make_orthant(n: int, coords: dict) -> Orthant:
         raise IncompatibleClustersError(
             f"{len(items)} clusters exceed the maximum n-2 = {n - 2}")
     return Orthant(n=n, coords=items)
+
+
+def scan_hyperplanes_cross(x: CubeComplex, h1, h2) -> bool:
+    """Oracle for ``complexes.hyperplanes_cross``: some listed square has
+    one of its axes in each class (both in the class when h1 is h2)."""
+    edge_to = {}
+    for h in (h1, h2):
+        for e in h.edges:
+            edge_to.setdefault(e, set()).add(h.index)
+    for sq in x.squares:
+        c00, c10, c01, c11 = sq
+        d0 = edge_to.get(canonical_cube((c00, c10)), set())
+        d1 = edge_to.get(canonical_cube((c00, c01)), set())
+        if (h1.index in d0 and h2.index in d1) or (h2.index in d0 and h1.index in d1):
+            return True
+    return False
+
+
+def swapped_torus(m: int, k: int) -> CubeComplex:
+    """C_m x C_m modulo (x, y) -> (y + k, x), which turns horizontal edges
+    into vertical ones: every hyperplane crosses itself. (m, k) = (10, 5)
+    gives a valid complex with 25 vertices and 5 hyperplanes."""
+    def orbit_min(p):
+        orbit = [p]
+        while (q := ((orbit[-1][1] + k) % m, orbit[-1][0])) != p:
+            orbit.append(q)
+        return min(orbit)
+
+    edges, squares = set(), set()
+    for i in range(m):
+        for j in range(m):
+            a, b, c, d = (orbit_min(((i + di) % m, (j + dj) % m))
+                          for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)))
+            edges |= {canonical_cube((a, b)), canonical_cube((a, c))}
+            squares.add(canonical_cube((a, b, c, d)))
+    vertices = sorted({v for e in edges for v in e})
+    return build_complex(vertices, {1: sorted(edges), 2: sorted(squares)})
+
+
+def pairwise_from_orthant(o: Orthant) -> PhyloTree:
+    """Oracle for ``treespace.from_orthant``: compatibility checked on every
+    pair of clusters, and each cluster's parent and each leaf's host found
+    by a scan of all clusters."""
+    n = o.n
+    clusters = sorted(o.topology, key=_ckey)
+    for a, b in itertools.combinations(clusters, 2):
+        if not compatible(a, b):
+            raise IncompatibleClustersError(
+                f"clusters {sorted(a)} and {sorted(b)} overlap improperly")
+
+    def node_id(c: frozenset) -> str:
+        return "c" + ".".join(str(x) for x in sorted(c))
+
+    children: dict = {"root": []}
+    for c in clusters:
+        children[node_id(c)] = []
+    leaf_parent: dict = {}
+    for lab in range(1, n + 1):
+        containing = [c for c in clusters if lab in c]
+        host = min(containing, key=_ckey) if containing else None
+        leaf_parent[lab] = node_id(host) if host is not None else "root"
+    for c in clusters:
+        supersets = [d for d in clusters if c < d]
+        parent = node_id(min(supersets, key=_ckey)) if supersets else "root"
+        children[parent].append(node_id(c))
+    for lab in range(1, n + 1):
+        children[leaf_parent[lab]].append(f"l{lab}")
+        children[f"l{lab}"] = []
+    lengths = {node_id(c): o.lengths[c] for c in clusters}
+    return PhyloTree(
+        n=n, root="root",
+        children={v: tuple(cs) for v, cs in children.items()},
+        leaf_label={f"l{lab}": lab for lab in range(1, n + 1)},
+        lengths=lengths)
+
+
+# ---------------------------------------------------------------------------
+# halfspace systems (oracles for the one-pass closure in pocsets)
+
+
+def fixpoint_closure(star: dict, leq_pairs) -> set:
+    """Oracle for the closure in ``pocsets.build_system``: the generators
+    and their star images, closed under transitivity and re-closed under
+    star until nothing changes. Raises CyclicOrderError for some
+    mutually-below pair, and asserts that the result is order-reversing."""
+    strict: set[tuple] = set()
+    for a, b in leq_pairs:
+        if a != b:
+            strict.add((a, b))
+            strict.add((star[b], star[a]))
+    changed = True
+    while changed:
+        changed = False
+        succ: dict = {}
+        for a, b in strict:
+            succ.setdefault(a, set()).add(b)
+        new = set()
+        for a in succ:
+            for b in succ[a]:
+                for c in succ.get(b, ()):
+                    if a != c and (a, c) not in strict:
+                        new.add((a, c))
+        for a, b in list(new):
+            new.add((star[b], star[a]))
+        if new - strict:
+            strict |= new
+            changed = True
+    for a, b in strict:
+        if (b, a) in strict:
+            raise CyclicOrderError(f"{a!r} and {b!r} are mutually below each other",
+                                   pair=(a, b))
+        assert (star[b], star[a]) in strict, "closure is not order-reversing"
+    return strict
+
+
+def fixpoint_build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
+    """Oracle for ``pocsets.build_system``: the same checks in the same
+    order, on the closure of ``fixpoint_closure``."""
+    ids = list(halfspaces)
+    idset = set(ids)
+    if len(idset) != len(ids):
+        raise InputFormatError("duplicate halfspace id")
+    star = {}
+    for a, b in star_pairs:
+        if a not in idset or b not in idset:
+            raise InputFormatError(f"star pair ({a!r},{b!r}) uses unknown ids")
+        if a == b:
+            raise SelfPairedError(f"halfspace {a!r} paired with itself", halfspace=a)
+        for x, y in ((a, b), (b, a)):
+            if x in star and star[x] != y:
+                raise NotInvolutionError(f"{x!r} paired twice", halfspace=x)
+            star[x] = y
+    if any(h not in star for h in ids):
+        raise NotInvolutionError("unpaired halfspaces")
+    for a, b in leq_pairs:
+        if a not in idset or b not in idset:
+            raise InputFormatError(f"leq pair ({a!r},{b!r}) uses unknown ids")
+    strict = fixpoint_closure(star, leq_pairs)
+    pairs = sorted({tuple(ssorted((a, b))) for a, b in star.items()},
+                   key=lambda p: (skey(p[0]), skey(p[1])))
+    for (a, _), (c, _) in itertools.combinations(pairs, 2):
+        b, d = star[a], star[c]
+        if sum(r in strict for r in ((a, c), (a, d), (b, c), (b, d))) > 1:
+            raise NestingViolationError(
+                "more than one nesting relation between two hyperplanes")
+    for h in ids:
+        if (h, star[h]) in strict or (star[h], h) in strict:
+            raise ComparableComplementsError(
+                f"halfspace {h!r} comparable with its complement", halfspace=h)
+    return HalfspaceSystem(halfspaces=tuple(ssorted(ids)),
+                           star_pairs=tuple(pairs), leq=frozenset(strict))
+
+
+# ---------------------------------------------------------------------------
+# Coxeter wall sides (oracles for the inversion-set rule in coxeter)
+
+
+def distance_members(ball, margin: int) -> dict:
+    """Oracle for ``coxeter.halfspace_system(...).members``: per selected
+    wall, "+" holds the ball elements nearer to u than to v, for the wall's
+    first edge (u, v), by two word-metric distances each."""
+    sys_ = ball.system
+    selected = [w for w in walls(ball)
+                if any(len(v) <= ball.radius - margin for _, v in w.edges)]
+    universe = frozenset(ball.elements)
+    members = {}
+    for i, w in enumerate(selected):
+        u, v = w.edges[0]
+        side_u = frozenset(g for g in ball.elements
+                           if distance(sys_, g, u) < distance(sys_, g, v))
+        members[_hid(i, "+")] = side_u
+        members[_hid(i, "-")] = universe - side_u
+    return members
+
+
+def distance_side(th: TruncatedHalfspaces, wall_index: int, g) -> str:
+    """Oracle for ``TruncatedHalfspaces.side_containing``: the side of the
+    wall's first edge (u, v) whose end is nearer to g."""
+    u, v = th.defining_edges[wall_index]
+    sys_ = th.ball.system
+    return _hid(wall_index, "+" if distance(sys_, g, u) < distance(sys_, g, v) else "-")
+
+
+def distance_orientation(th: TruncatedHalfspaces, g) -> tuple:
+    """Oracle for ``TruncatedHalfspaces.orientation_of``: the choices, per
+    hyperplane, from ``distance_side``."""
+    by_hyperplane = {th.hyperplane_of_wall(i): distance_side(th, i, g)
+                     for i in range(len(th.walls))}
+    return tuple(by_hyperplane[i] for i in range(len(by_hyperplane)))
 
 
 def cat0_corpus() -> list[tuple[str, CubeComplex]]:

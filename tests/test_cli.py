@@ -209,14 +209,18 @@ def test_tree_complex_n6(capsys):
     assert verdict["certificate"]["locally_cat0"] == {"ok": True}
 
 
-@pytest.mark.parametrize("name, witness", [
-    ("two_diagonals", {"error": "double_gluing", "cube_a": ["A", "C"],
-                       "cube_b": ["A", "B", "D", "C"]}),
-    ("two_missing_edges", {"error": "missing_face", "cube": ["A", "B", "D", "C"],
-                           "face": ["D", "C"]}),
-])
-def test_build_witness_ignores_hash_seed(name, witness):
-    # one defect on each of two squares: the one named depends on the ids
+@pytest.mark.parametrize("command, name, witness", [
+    (("complex", "check"), "two_diagonals",
+     {"error": "double_gluing", "cube_a": ["A", "C"], "cube_b": ["A", "B", "D", "C"]}),
+    (("complex", "check"), "two_missing_edges",
+     {"error": "missing_face", "cube": ["A", "B", "D", "C"], "face": ["D", "C"]}),
+    # a+ < b+ < c+ < a+ and c+ < d+: the first mutually-below pair in input order
+    (("pocset", "validate"), "cyclic_order",
+     {"error": "cyclic_order", "pair": ["a+", "b+"]}),
+], ids=["two_diagonals-witness0", "two_missing_edges-witness1",  # stable test ids
+        "cyclic_order-witness2"])
+def test_build_witness_ignores_hash_seed(command, name, witness):
+    # several defects in one input: the one named depends on the ids
     # alone, not on the iteration order of string hashes
     path = Path(__file__).resolve().parent / "fixtures" / f"{name}.json"
     src = str(Path(cubical.__file__).resolve().parents[1])
@@ -225,7 +229,7 @@ def test_build_witness_ignores_hash_seed(name, witness):
         env = {**os.environ, "PYTHONHASHSEED": seed,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-m", "cubical", "complex", "check", str(path)],
+            [sys.executable, "-m", "cubical", *command, str(path)],
             env=env, capture_output=True, check=False)
         outputs.add((proc.returncode, proc.stdout))
     assert len(outputs) == 1
@@ -246,21 +250,39 @@ def test_tree_count_prints_counts_past_the_digit_limit(capsys):
 
 
 def test_tree_validate_deep_caterpillar(capsys, tmp_path):
-    # a caterpillar has one tree level per leaf: deeper than the recursion limit
     n = 1200
+    path = caterpillar_file(tmp_path, n)
+    code, verdict = run_cli(capsys, "tree", "validate", path)
+    assert code == 0 and verdict["stats"]["binary"] is True
+    clusters = verdict["stats"]["clusters"]
+    assert clusters == [list(range(i, n + 1)) for i in range(n - 1, 1, -1)]
+
+
+def caterpillar_file(tmp_path, n: int, length: float = 1.0) -> str:
+    """A caterpillar with n leaves and every interior edge of the given
+    length: one tree level per leaf, deeper than the recursion limit for
+    n = 1200."""
     spine = [f"s{i}" for i in range(n - 1)]
-    edges = [[spine[i], spine[i + 1], 1.0] for i in range(n - 2)]
+    edges = [[spine[i], spine[i + 1], length] for i in range(n - 2)]
     edges += [[spine[i], f"l{i + 1}", 0] for i in range(n - 1)]
     edges.append([spine[-1], f"l{n}", 0])
-    path = tmp_path / "caterpillar.json"
+    path = tmp_path / f"caterpillar{n}_{length}.json"
     path.write_text(json.dumps({
         "n": n, "root": spine[0], "edges": edges,
         "nodes": spine + [f"l{i}" for i in range(1, n + 1)],
         "leaf_labels": {f"l{i}": i for i in range(1, n + 1)}}))
-    code, verdict = run_cli(capsys, "tree", "validate", str(path))
-    assert code == 0 and verdict["stats"]["binary"] is True
-    clusters = verdict["stats"]["clusters"]
-    assert clusters == [list(range(i, n + 1)) for i in range(n - 1, 1, -1)]
+    return str(path)
+
+
+def test_tree_dist_deep_caterpillar(capsys, tmp_path):
+    # same topology, so the union of the n-2 clusters is laminar and the
+    # distance is Euclidean in one orthant: every cluster length differs by 1
+    n = 1200
+    f1, f2 = caterpillar_file(tmp_path, n), caterpillar_file(tmp_path, n, 2.0)
+    code, verdict = run_cli(capsys, "tree", "dist", f1, f2)
+    assert code == 0
+    assert verdict["stats"] == {"value": pytest.approx(math.sqrt(n - 2)),
+                                "exact": True, "path": "orthant"}
 
 
 def test_tree_validate_and_dist(capsys, tmp_path):

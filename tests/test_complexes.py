@@ -23,8 +23,10 @@ from helpers import (
     pairwise_double_gluing,
     path_complex,
     relabel,
+    scan_hyperplanes_cross,
     scan_vertex_link,
     star_complex,
+    swapped_torus,
     torus,
     torus_3x3,
     tree_complex,
@@ -637,6 +639,22 @@ def test_crossing_in_square_and_strip():
     vertical = [h for h in hps if len(h.edges) == 2]
     assert len(vertical) == 2
     assert not hyperplanes_cross(strip, vertical[0], vertical[1])
+
+
+def test_hyperplanes_cross_matches_square_scan():
+    # every ordered pair, a hyperplane with itself included
+    xs = [x for _, x in cat0_corpus()]
+    xs += [torus(4, 5), torus_3x3(), cube_boundary_3(), swapped_torus(10, 5)]
+    answers = []
+    for x in xs:
+        hps = hyperplanes(x)
+        for h1, h2 in itertools.product(hps, repeat=2):
+            answer = hyperplanes_cross(x, h1, h2)
+            assert answer == scan_hyperplanes_cross(x, h1, h2)
+            answers.append((answer, h1 is h2))
+    assert len(answers) > 1500
+    # crossings, non-crossings and self-crossings (the swapped torus) all occur
+    assert {(True, False), (False, False), (True, True), (False, True)} <= set(answers)
 
 
 def test_helly_on_cube():

@@ -8,7 +8,15 @@ import math
 import random
 
 import pytest
-from helpers import AffinePermOracle, DihedralOracle, PGL2ZOracle, oracle_shortlex_forms
+from helpers import (
+    AffinePermOracle,
+    DihedralOracle,
+    PGL2ZOracle,
+    distance_members,
+    distance_orientation,
+    distance_side,
+    oracle_shortlex_forms,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +56,7 @@ def dihedral(m):
 
 A2_TILDE = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
 PGL2Z = [[1, 3, 2], [3, 1, 0], [2, 0, 1]]
+TRIANGLE_237 = [[1, 2, 3], [2, 1, 7], [3, 7, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +372,26 @@ def test_affine_walls_in_transversal_triples():
                 if frozenset(p) not in crossing]
     assert len(parallel) == 3
     assert th.untrusted_pairs  # nested pairs near the horizon stay unproven
+
+
+@pytest.mark.parametrize("matrix, radius", [
+    ([[1, 5], [5, 1]], 4), (A2_TILDE, 4), (PGL2Z, 4), (TRIANGLE_237, 5)],
+    ids=["I2(5)", "affine A2", "PGL(2,Z)", "(2,3,7)"])
+@pytest.mark.parametrize("margin", [0, 1, 2])
+def test_wall_sides_match_distance_sides(matrix, radius, margin):
+    # "+" is the side of the shorter end u of the first edge (u, v): in the
+    # ball by the member sets, and on words of length R+1 to R+3 outside it
+    ball = cayley_ball(parse_system(matrix), radius)
+    th = halfspace_system(ball, margin)
+    assert th.walls and th.members == distance_members(ball, margin)
+    rng = random.Random(radius * 10 + margin)
+    rank = ball.system.rank
+    outside = [tuple(rng.randrange(rank) for _ in range(length))
+               for length in range(radius + 1, radius + 4) for _ in range(10)]
+    for g in list(ball.elements) + outside:
+        for i in range(len(th.walls)):
+            assert th.side_containing(i, g) == distance_side(th, i, g)
+        assert th.orientation_of(g).choices == distance_orientation(th, g)
 
 
 # ---------------------------------------------------------------------------

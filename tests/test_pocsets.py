@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from helpers import grid_complex, path_complex
+from helpers import fixpoint_build_system, grid_complex, path_complex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +27,7 @@ from cubical import (
 from cubical.complexes import cube_dim
 from cubical.errors import (
     ComparableComplementsError,
+    CubicalError,
     CyclicOrderError,
     NestingViolationError,
     NotInvolutionError,
@@ -118,6 +119,53 @@ def test_comparable_complements_rejected():
 def test_cyclic_order_rejected():
     with pytest.raises(CyclicOrderError):
         pairs_system(2, [("a0+", "a1+"), ("a1+", "a0+")])
+
+
+@st.composite
+def generator_sets(draw):
+    """(halfspaces, star pairs, leq generators) on 1-5 hyperplanes, with int
+    or str ids listed in a random order. The generators are arbitrary pairs,
+    so cycles, nesting violations and comparable complements all occur."""
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        star = [(2 * i, 2 * i + 1) for i in range(k)]
+    else:
+        star = [(f"h{i}+", f"h{i}-") for i in range(k)]
+    ids = draw(st.permutations([h for pair in star for h in pair]))
+    leq = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                        max_size=2 * k + 2))
+    return ids, star, leq
+
+
+def _mutually_below(ids, star_pairs, leq):
+    """Pairs (a, b), a != b, each below the other in the closure of the
+    generators and their star images, by a plain Floyd-Warshall pass."""
+    star = {}
+    for a, b in star_pairs:
+        star[a], star[b] = b, a
+    below = {(a, b) for a, b in leq} | {(star[b], star[a]) for a, b in leq}
+    for k in ids:
+        below |= {(a, b) for a, b2 in below if b2 == k for k2, b in below if k2 == k}
+    return {(a, b) for a, b in below if a != b and (b, a) in below}
+
+
+@settings(max_examples=400, deadline=None)
+@given(generator_sets())
+def test_build_system_matches_fixpoint_closure(system):
+    try:
+        expected = fixpoint_build_system(*system)
+    except CubicalError as exc:
+        with pytest.raises(CubicalError) as info:
+            build_system(*system)
+        assert type(info.value) is type(exc)
+        if isinstance(exc, CyclicOrderError):
+            # the first mutually-below pair in input order
+            ids = system[0]
+            mutual = _mutually_below(*system)
+            first = next((a, b) for a in ids for b in ids if (a, b) in mutual)
+            assert info.value.details["pair"] == first
+    else:
+        assert build_system(*system) == expected
 
 
 def test_dump_load_round_trip():

@@ -8,7 +8,7 @@ import math
 import random
 
 import pytest
-from helpers import pairwise_make_orthant
+from helpers import pairwise_from_orthant, pairwise_make_orthant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +35,14 @@ from cubical.errors import (
     UnlabeledLeafError,
 )
 from cubical.graphs import girth, graph_isomorphic, is_regular
-from cubical.treespace import compatible, dump_orthant, dump_tree, load_orthant
+from cubical.treespace import (
+    Orthant,
+    _ckey,
+    compatible,
+    dump_orthant,
+    dump_tree,
+    load_orthant,
+)
 
 PETERSEN = {
     0: {1, 4, 5}, 1: {0, 2, 6}, 2: {1, 3, 7}, 3: {2, 4, 8}, 4: {0, 3, 9},
@@ -181,6 +188,24 @@ def test_make_orthant_matches_pairwise_scan(family):
         assert (info.value.message, info.value.details) == (exc.message, exc.details)
     else:
         assert make_orthant(n, coords) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(cluster_families())
+def test_from_orthant_matches_pairwise_scan(family):
+    # built directly, so incompatible families reach from_orthant too
+    n, coords = family
+    o = Orthant(n=n, coords=tuple(sorted(coords.items(), key=lambda cl: _ckey(cl[0]))))
+    try:
+        expected = pairwise_from_orthant(o)
+    except IncompatibleClustersError as exc:
+        with pytest.raises(IncompatibleClustersError) as info:
+            from_orthant(o)
+        assert info.value.message == exc.message
+    else:
+        t = from_orthant(o)
+        assert (t.root, t.children, t.leaf_label, t.lengths) == (
+            expected.root, expected.children, expected.leaf_label, expected.lengths)
 
 
 def test_orthant_json_round_trip():
