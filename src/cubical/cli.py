@@ -9,6 +9,7 @@ caller layers on top.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -21,7 +22,6 @@ from .complexes import (
     hyperplanes_cross,
     is_cat0,
     is_flag,
-    is_locally_cat0,
     load_complex,
     vertex_link,
 )
@@ -118,7 +118,9 @@ def _common_flags(p):
                    help="write the primary JSON payload here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as is)."""
     top = argparse.ArgumentParser(
         prog="cubical",
         description="exact CAT(0) cube complex combinatorics")
@@ -491,24 +493,11 @@ def _tree_link(run):
 
 
 def _tree_complex(run):
-    from cubical.complexes import DEFAULT_MEDIAN_CAP
-
     x = treespace_complex(run.args.n, cap=run.args.cap)
     run.stats = {**x.counts(), "n": run.args.n}
-    if len(x.vertices) <= DEFAULT_MEDIAN_CAP:
-        verdict = is_cat0(x)
-        run.certificate["cat0"] = {"ok": verdict.ok, **verdict.certificate()}
-        run.ok = verdict.ok
-    else:
-        # the exact median check scans all vertex triples (cubic in time)
-        # and is capped; fall back to the link condition and say so
-        local = is_locally_cat0(x)
-        run.certificate["cat0"] = {
-            "checked": False,
-            "reason": f"median check over {len(x.vertices)} vertices "
-                      f"exceeds the exhaustive cap {DEFAULT_MEDIAN_CAP}"}
-        run.certificate["locally_cat0"] = {"ok": local.ok, **local.certificate()}
-        run.ok = local.ok
+    verdict = is_cat0(x)
+    run.certificate["cat0"] = {"ok": verdict.ok, **verdict.certificate()}
+    run.ok = verdict.ok
     if run.args.out:
         _write(run.args.out,
                json.dumps(dump_complex(x), indent=2, sort_keys=True))

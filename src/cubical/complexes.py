@@ -14,12 +14,12 @@ The CAT(0) oracle is fully combinatorial: a finite complex is CAT(0) iff
 it is connected, all vertex links are flag (the Gromov link condition),
 every 4-cycle of the 1-skeleton bounds a listed square, and the
 1-skeleton is a median graph (Chepoi 2000). Failures come with explicit
-certificates. The median test labels each vertex with one bit per
-hyperplane; a median graph is a partial cube, so the labels embed it
-isometrically in a cube, and then a triple has a median iff its bitwise
-majority is a vertex label. Labels that are not isometric prove the graph
-is not median, and only then are geodesic intervals scanned directly, to
-name the least bad triple.
+certificates. The median test is Roller duality: the square classes
+must cut the 1-skeleton like the halfspaces of a pocset whose consistent
+orientations are exactly the vertices, so that the 1-skeleton is the
+pocset's dual, a median graph (Roller 1998). It compares halfspaces as
+int bitsets, with no distance matrix and no cap; only a failure scans
+geodesic intervals, to name the least bad triple.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs; concurrent reads are safe.
@@ -30,8 +30,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .errors import (
     CapExceededError,
@@ -155,34 +153,13 @@ class CubeComplex:
         return {v: i for i, v in enumerate(self.vertex_order)}
 
     @cached_property
-    def distance_matrix(self) -> np.ndarray:
-        """All-pairs 1-skeleton distances, indexed like ``vertex_order``;
-        -1 for unreachable pairs."""
+    def neighbours(self) -> tuple:
+        """1-skeleton adjacency over positions in ``vertex_order``."""
         idx = self.vertex_index
-        nbrs = [[idx[w] for w in self.adjacency[v]] for v in self.vertex_order]
-        n = len(nbrs)
-        rows = []
-        for i in range(n):
-            row = [-1] * n
-            row[i] = 0
-            frontier = [i]
-            d = 0
-            while frontier:
-                d += 1
-                nxt = []
-                for v in frontier:
-                    for w in nbrs[v]:
-                        if row[w] < 0:
-                            row[w] = d
-                            nxt.append(w)
-                frontier = nxt
-            rows.append(row)
-        return np.array(rows, dtype=np.int32).reshape(n, n)
+        return tuple(tuple(idx[w] for w in self.adjacency[v]) for v in self.vertex_order)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return bool((self.distance_matrix[0] >= 0).all())
+        return len(components(self.vertex_order, self.adjacency)) <= 1
 
     def euler_characteristic(self) -> int:
         chi = len(self.vertices)
@@ -446,6 +423,20 @@ def is_locally_cat0(x: CubeComplex) -> LocalCat0Result:
 # medians and the global CAT(0) test
 
 
+def _bfs(nbrs, root: int) -> tuple[list[int], list[int]]:
+    """Distances from ``root`` over int adjacency lists (-1 where
+    unreachable), and the vertices reached, in breadth-first order."""
+    dist = [-1] * len(nbrs)
+    dist[root] = 0
+    order = [root]
+    for v in order:  # order grows while it is read: a breadth-first queue
+        for w in nbrs[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return dist, order
+
+
 def median(x: CubeComplex, a, b, c):
     """The unique vertex in all three pairwise geodesic intervals.
 
@@ -457,14 +448,14 @@ def median(x: CubeComplex, a, b, c):
             raise UnknownVertexError(f"unknown vertex {v!r}", vertex=v)
     if not x.is_connected():
         raise DisconnectedError("median requires a connected complex")
-    dist = x.distance_matrix
     ia, ib, ic = (x.vertex_index[v] for v in (a, b, c))
+    da, db, dc = (_bfs(x.neighbours, i)[0] for i in (ia, ib, ic))
     hits = [
         x.vertex_order[m]
         for m in range(len(x.vertex_order))
-        if dist[ia, m] + dist[m, ib] == dist[ia, ib]
-        and dist[ib, m] + dist[m, ic] == dist[ib, ic]
-        and dist[ia, m] + dist[m, ic] == dist[ia, ic]
+        if da[m] + db[m] == da[ib]
+        and db[m] + dc[m] == db[ic]
+        and da[m] + dc[m] == da[ic]
     ]
     if not hits:
         raise NoMedianError("triple has no median", triple=(a, b, c))
@@ -481,26 +472,15 @@ def _median_violation(x: CubeComplex, cap: int):
     a < b < c, in lexicographic order, whose pairwise geodesic intervals
     do not meet in exactly one vertex, and the vertices they meet in.
 
-    A median graph is a partial cube (Djoković 1973) whose Djoković-Winkler
-    classes are its square classes, so the one-bit-per-hyperplane labels of
-    ``_hyperplane_labels`` embed it isometrically in a cube. In such an
-    embedding the medians of a triple are exactly the vertices labelled
-    with its bitwise majority: there is one if some vertex carries that
-    label and none otherwise. When the labels are not isometric the graph
-    is not median, and ``_dense_violation`` scans the intervals themselves
-    for the first bad triple, which must exist."""
+    ``_is_roller_dual`` decides at any size. Only a failure runs
+    ``_first_bad_triple``, and above ``cap`` raises CapExceededError."""
+    if _is_roller_dual(x):
+        return None
     n = len(x.vertex_order)
     if n > cap:
         raise CapExceededError(
             f"median check over {n} vertices exceeds cap {cap}", cap=cap)
-    if n < 3:
-        return None
-    dist = x.distance_matrix
-    labels = _hyperplane_labels(x, dist)
-    if labels is None:
-        found = _dense_violation(dist)
-    else:
-        found = _majority_miss(labels)
+    found = _first_bad_triple(x.neighbours)
     if found is None:
         return None
     triple, medians = found
@@ -508,65 +488,89 @@ def _median_violation(x: CubeComplex, cap: int):
             "medians": [x.vertex_order[m] for m in medians]}
 
 
-def _hyperplane_labels(x: CubeComplex, dist: np.ndarray):
-    """(n, k) bool labels, bit i of vertex w set iff w is nearer the first
-    end of one edge (u, v) of hyperplane i than the second; or None when
-    the Hamming distance of two labels is not always their distance in
-    the 1-skeleton."""
+def _is_roller_dual(x: CubeComplex) -> bool:
+    """True iff the 1-skeleton of x, connected with every 4-cycle bounding
+    a listed square, is median: iff its square classes cut it like the
+    halfspaces of a pocset whose dual it is (Roller 1998, Chepoi 2000).
+    (a) Deleting any class leaves exactly two components, its halfspaces,
+        and every edge of the class joins them.
+    (b) The side labels, one bit per class, are pairwise distinct.
+    (c) At every vertex v, the classes of v's edges are exactly those
+        whose halfspace holding v is inclusion-minimal among v's.
+    Then each label is a consistent orientation of the halfspaces under
+    inclusion, and the consistent flips of one are those of its minimal
+    choices: by (b) and (c) these are the labels of the vertex's
+    neighbours, so the labels fill the connected dual, a median graph.
+    A median graph passes all three: its square classes are its convex
+    splits, and v borders exactly its minimal halfspaces. Halfspaces 2i
+    and 2i + 1 are the sides of class i holding the two ends of one of
+    its edges."""
+    n = len(x.vertex_order)
     idx = x.vertex_index
-    ends = [min((idx[a], idx[b]) for a, b in h.edges) for h in hyperplanes(x)]
-    u, v = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-    labels = dist[:, u] < dist[:, v]
-    for w in range(len(labels)):  # row by row: O(n k) memory
-        if not np.array_equal(np.count_nonzero(labels[w] != labels, axis=1),
-                              dist[w]):
-            return None
-    return labels
+    hps = hyperplanes(x)
+    nbrs = [[] for _ in range(n)]  # (neighbour, class) pairs
+    for h in hps:
+        for a, b in h.edges:
+            nbrs[idx[a]].append((idx[b], h.index))
+            nbrs[idx[b]].append((idx[a], h.index))
+    halfspaces = []  # vertex bitsets
+    chosen = [0] * n  # vertex -> bitset of the halfspaces holding it
+    for h in hps:
+        rest = [[w for w, c in ns if c != h.index] for ns in nbrs]
+        u, w = (idx[v] for v in next(iter(h.edges)))
+        (near, side), (_, other) = _bfs(rest, u), _bfs(rest, w)
+        if (near[w] >= 0 or len(side) + len(other) != n  # (a)
+                or any((near[idx[a]] < 0) == (near[idx[b]] < 0) for a, b in h.edges)):
+            return False
+        for part, bit in ((side, 1 << 2 * h.index), (other, 2 << 2 * h.index)):
+            halfspaces.append(sum(1 << v for v in part))
+            for v in part:
+                chosen[v] |= bit
+    if len(set(chosen)) != n:  # (b)
+        return False
+    below = [sum(1 << q for q, low in enumerate(halfspaces)
+                 if q != p and not low & ~high)
+             for p, high in enumerate(halfspaces)]
+    for v in range(n):  # (c)
+        borders = sum(1 << 2 * c for _, c in nbrs[v])
+        minimal = sum(1 << (p & ~1) for p in range(len(halfspaces))
+                      if chosen[v] >> p & 1 and not below[p] & chosen[v])
+        if borders != minimal:
+            return False
+    return True
 
 
-def _majority_miss(labels: np.ndarray):
-    """First triple a < b < c of label rows, in lexicographic order, whose
-    bitwise majority is no row, as (triple, []); None if there is none.
-    Rows are packed to uint64 words and looked up in sorted order, one
-    slice of triples with a fixed first row at a time."""
-    n, k = labels.shape
-    words = -(-k // 64)
-    packed = np.zeros((n, 8 * words), dtype=np.uint8)
-    packed[:, :-(-k // 8)] = np.packbits(labels, axis=1)
-    packed = packed.view(np.uint64)
-    # one row as one sortable item; a lone word sorts fastest as itself
-    key = np.dtype(np.uint64) if words == 1 else np.dtype((np.void, 8 * words))
-    known = np.sort(packed.view(key).ravel())
+def _first_bad_triple(nbrs):
+    """First triple a < b < c of vertex positions, in lexicographic order,
+    whose pairwise geodesic intervals do not meet in exactly one vertex, as
+    (triple, sorted common vertices); None if there is none. Intervals are
+    bitsets, I(a, z) = {z} | the union of I(a, w) over the neighbours w of
+    z one step nearer a, built in breadth-first order from a, one source
+    at a time as the scan first needs it."""
+    n = len(nbrs)
+    rows: list = [None] * n
+
+    def intervals(a):
+        if rows[a] is None:
+            dist, order = _bfs(nbrs, a)
+            row = [0] * n
+            for z in order:
+                row[z] = 1 << z
+                for w in nbrs[z]:
+                    if dist[w] == dist[z] - 1:
+                        row[z] |= row[w]
+            rows[a] = row
+        return rows[a]
+
     for a in range(n - 2):
-        rest = packed[a + 1:]
-        b, c = np.triu_indices(len(rest), 1)  # row-major pairs b < c
-        rb, rc = rest[b], rest[c]
-        majority = ((packed[a] & (rb | rc)) | (rb & rc)).view(key).ravel()
-        pos = np.minimum(np.searchsorted(known, majority), n - 1)
-        miss = np.flatnonzero(known[pos] != majority)
-        if miss.size:
-            i = miss[0]
-            return (a, a + 1 + int(b[i]), a + 1 + int(c[i])), []
-    return None
-
-
-def _dense_violation(dist: np.ndarray):
-    """First triple a < b < c, in lexicographic order, whose pairwise
-    geodesic intervals do not meet in exactly one vertex, as (triple,
-    medians); None if there is none. One pair (a, b) at a time, so memory
-    stays O(n^2)."""
-    n = len(dist)
-    for a in range(n - 2):
-        # from_a[z, m]: m lies on a geodesic from a to z
-        from_a = dist[a] + dist == dist[a][:, None]
+        from_a = intervals(a)
         for b in range(a + 1, n - 1):
-            from_b = dist[b] + dist[b + 1:] == dist[b, b + 1:, None]
-            common = from_a[b] & from_a[b + 1:] & from_b
-            bad = np.flatnonzero(np.count_nonzero(common, axis=1) != 1)
-            if bad.size:
-                c = int(bad[0])
-                medians = np.flatnonzero(common[c]).tolist()
-                return (a, b, b + 1 + c), medians
+            from_b = intervals(b)
+            ab = from_a[b]
+            for c in range(b + 1, n):
+                common = ab & from_a[c] & from_b[c]
+                if not common or common & (common - 1):
+                    return (a, b, c), [m for m in range(n) if common >> m & 1]
     return None
 
 
@@ -610,7 +614,9 @@ class Cat0Result:
 def is_cat0(x: CubeComplex, cap: int = DEFAULT_MEDIAN_CAP) -> Cat0Result:
     """Decide CAT(0) exactly: flag links + connected + every 4-cycle bounds
     a square + median 1-skeleton. Witnesses name the first failure; a
-    non-flag link is one even on a disconnected complex."""
+    non-flag link is one even on a disconnected complex. The verdict has
+    no size limit: ``cap`` bounds only the scan that names a median
+    failure's triple, which raises CapExceededError above it."""
     local = is_locally_cat0(x)
     if not local.ok:
         return Cat0Result(ok=False, reason="link",

@@ -523,12 +523,12 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
     nu = {}
     for g in ball.elements:
         o = th.orientation_of(g)
-        res = is_vertex(th.system, o)
-        if not res.ok:
-            raise CubicalError(f"principal orientation of {g!r} is not a vertex",
-                               element=g, witness=res.witness)
         vid = dual.vertex_of.get(o)
-        if vid is None:
+        if vid is None:  # every dual vertex is consistent: test only a miss
+            res = is_vertex(th.system, o)
+            if not res.ok:
+                raise CubicalError(f"principal orientation of {g!r} is not a vertex",
+                                   element=g, witness=res.witness)
             raise CubicalError(f"orientation of {g!r} falls outside the component",
                                element=g)
         nu[g] = vid

@@ -312,8 +312,11 @@ class DualComplex:
 def dual_complex(s: HalfspaceSystem, seed: Orientation,
                  cap: int = 100_000) -> DualComplex:
     """BFS over flips from the seed; cubes, edges included, are assembled
-    from families of pairwise-transversal minimal halfspaces at every
-    reached vertex."""
+    from families of pairwise-transversal minimal halfspaces. Every
+    hyperplane of a cube is minimal at each of its corners, and exactly one
+    corner chooses the first halfspace of each of them, so a cube is
+    assembled once: at that corner, from the minimal hyperplanes whose
+    first halfspace it chooses."""
     res = is_vertex(s, seed)
     if not res.ok:
         raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
@@ -335,7 +338,8 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     cubes_by_dim: dict[int, set] = {}
     families: dict[tuple, tuple] = {}
     for v, minimal in zip(order, minimal_at):
-        for fam in cliques(s.transversal_adjacency, minimal):
+        first = [i for i in minimal if v.choices[i] == s.hyperplanes[i][0]]
+        for fam in cliques(s.transversal_adjacency, first):
             if not fam:
                 continue
             corners = tuple(

@@ -22,21 +22,27 @@ from cubical.complexes import (
     canonical_cube,
     cube_dim,
     cube_faces,
+    hyperplanes,
 )
 from cubical.coxeter import TruncatedHalfspaces, _hid, distance, walls
 from cubical.errors import (
     CapExceededError,
     ComparableComplementsError,
     CyclicOrderError,
+    DisconnectedError,
     DoubleGluingError,
     IncompatibleClustersError,
     InputFormatError,
+    MultipleMediansError,
     NestingViolationError,
+    NoMedianError,
     NonPositiveLengthError,
     NotInvolutionError,
     SelfPairedError,
+    UnknownVertexError,
 )
-from cubical.pocsets import HalfspaceSystem
+from cubical.graphs import cliques
+from cubical.pocsets import DualComplex, HalfspaceSystem, _flip_at, _minimal_unchecked
 from cubical.treespace import Orthant, PhyloTree, _ckey, compatible
 from cubical.util import skey, ssorted
 
@@ -219,6 +225,15 @@ def bfs_distances(x: CubeComplex) -> dict:
     return out
 
 
+def distance_matrix(x: CubeComplex) -> np.ndarray:
+    """All-pairs 1-skeleton distances from ``bfs_distances``, indexed like
+    ``vertex_order``; -1 for unreachable pairs."""
+    dist = bfs_distances(x)
+    order = x.vertex_order
+    return np.array([[dist.get((u, v), -1) for v in order] for u in order],
+                    dtype=np.int32).reshape(len(order), len(order))
+
+
 def dense_median_violation(x: CubeComplex, cap: int):
     """Oracle for ``complexes._median_violation``: the exhaustive
     unique-median check over all vertex triples, through a dense
@@ -230,7 +245,7 @@ def dense_median_violation(x: CubeComplex, cap: int):
             f"median check over {n} vertices exceeds cap {cap}", cap=cap)
     if n < 3:
         return None
-    dist = x.distance_matrix
+    dist = distance_matrix(x)
     # interval[x, y, m] == 1 iff m lies on a geodesic from x to y
     interval = (dist[:, None, :] + dist[None, :, :] == dist[:, :, None])
     interval = interval.astype(np.uint8)
@@ -254,6 +269,106 @@ def dense_median_violation(x: CubeComplex, cap: int):
                                     x.vertex_index[triple[2]], m]]
             return {"triple": triple, "medians": medians}
     return None
+
+
+def label_median_violation(x: CubeComplex, cap: int):
+    """Oracle for ``complexes._median_violation``: the partial-cube label
+    check. Each vertex gets one bit per hyperplane; a median graph embeds
+    isometrically by these labels, and then a triple has a median iff its
+    bitwise majority is a label. Labels that are not isometric prove the
+    graph is not median, and the intervals are scanned one pair at a time
+    for the least bad triple. Returns None or a witness dict."""
+    n = len(x.vertex_order)
+    if n > cap:
+        raise CapExceededError(
+            f"median check over {n} vertices exceeds cap {cap}", cap=cap)
+    if n < 3:
+        return None
+    dist = distance_matrix(x)
+    labels = _hyperplane_labels(x, dist)
+    found = _pairwise_violation(dist) if labels is None else _majority_miss(labels)
+    if found is None:
+        return None
+    triple, medians = found
+    return {"triple": tuple(x.vertex_order[i] for i in triple),
+            "medians": [x.vertex_order[m] for m in medians]}
+
+
+def _hyperplane_labels(x: CubeComplex, dist: np.ndarray):
+    """(n, k) bool labels, bit i of vertex w set iff w is nearer the first
+    end of one edge (u, v) of hyperplane i than the second; or None when
+    the Hamming distance of two labels is not always their distance."""
+    idx = x.vertex_index
+    ends = [min((idx[a], idx[b]) for a, b in h.edges) for h in hyperplanes(x)]
+    u, v = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    labels = dist[:, u] < dist[:, v]
+    for w in range(len(labels)):
+        if not np.array_equal(np.count_nonzero(labels[w] != labels, axis=1),
+                              dist[w]):
+            return None
+    return labels
+
+
+def _majority_miss(labels: np.ndarray):
+    """First triple a < b < c of label rows whose bitwise majority is no
+    row, as (triple, []); None if there is none. Rows are packed to uint64
+    words and looked up in sorted order, one slice of triples at a time."""
+    n, k = labels.shape
+    words = -(-k // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, :-(-k // 8)] = np.packbits(labels, axis=1)
+    packed = packed.view(np.uint64)
+    key = np.dtype(np.uint64) if words == 1 else np.dtype((np.void, 8 * words))
+    known = np.sort(packed.view(key).ravel())
+    for a in range(n - 2):
+        rest = packed[a + 1:]
+        b, c = np.triu_indices(len(rest), 1)
+        rb, rc = rest[b], rest[c]
+        majority = ((packed[a] & (rb | rc)) | (rb & rc)).view(key).ravel()
+        pos = np.minimum(np.searchsorted(known, majority), n - 1)
+        miss = np.flatnonzero(known[pos] != majority)
+        if miss.size:
+            i = miss[0]
+            return (a, a + 1 + int(b[i]), a + 1 + int(c[i])), []
+    return None
+
+
+def _pairwise_violation(dist: np.ndarray):
+    """First triple a < b < c whose pairwise geodesic intervals do not meet
+    in exactly one vertex, as (triple, medians); None if there is none."""
+    n = len(dist)
+    for a in range(n - 2):
+        from_a = dist[a] + dist == dist[a][:, None]
+        for b in range(a + 1, n - 1):
+            from_b = dist[b] + dist[b + 1:] == dist[b, b + 1:, None]
+            common = from_a[b] & from_a[b + 1:] & from_b
+            bad = np.flatnonzero(np.count_nonzero(common, axis=1) != 1)
+            if bad.size:
+                c = int(bad[0])
+                return (a, b, b + 1 + c), np.flatnonzero(common[c]).tolist()
+    return None
+
+
+def matrix_median(x: CubeComplex, a, b, c):
+    """Oracle for ``complexes.median``: the vertices in all three pairwise
+    intervals, read off the distance matrix, or the error it raises."""
+    for v in (a, b, c):
+        if v not in x.vertices:
+            raise UnknownVertexError(f"unknown vertex {v!r}", vertex=v)
+    dist = distance_matrix(x)
+    if len(x.vertices) and (dist[0] < 0).any():
+        raise DisconnectedError("median requires a connected complex")
+    ia, ib, ic = (x.vertex_index[v] for v in (a, b, c))
+    hits = [x.vertex_order[m] for m in range(len(x.vertex_order))
+            if dist[ia, m] + dist[m, ib] == dist[ia, ib]
+            and dist[ib, m] + dist[m, ic] == dist[ib, ic]
+            and dist[ia, m] + dist[m, ic] == dist[ia, ic]]
+    if not hits:
+        raise NoMedianError("triple has no median", triple=(a, b, c))
+    if len(hits) > 1:
+        raise MultipleMediansError("triple has several medians",
+                                   triple=(a, b, c), medians=hits)
+    return hits[0]
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +632,41 @@ def fixpoint_build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
                 f"halfspace {h!r} comparable with its complement", halfspace=h)
     return HalfspaceSystem(halfspaces=tuple(ssorted(ids)),
                            star_pairs=tuple(pairs), leq=frozenset(strict))
+
+
+def all_corners_dual_complex(s: HalfspaceSystem, seed, cap: int = 100_000) -> DualComplex:
+    """Oracle for ``pocsets.dual_complex``: the same BFS over flips, but
+    every cube is assembled at each of its 2^k corners, from every family
+    of pairwise-transversal minimal hyperplanes there."""
+    order = [seed]
+    ids = {seed: 0}
+    minimal_at = []
+    for v in order:
+        minimal = sorted(s.hyperplane_of[h] for h in _minimal_unchecked(s, v))
+        minimal_at.append(minimal)
+        for i in minimal:
+            w = _flip_at(s, v, (i,))
+            if w not in ids:
+                if len(order) >= cap:
+                    raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
+                ids[w] = len(order)
+                order.append(w)
+    cubes_by_dim: dict[int, set] = {}
+    families: dict[tuple, tuple] = {}
+    for v, minimal in zip(order, minimal_at):
+        for fam in cliques(s.transversal_adjacency, minimal):
+            if not fam:
+                continue
+            corners = tuple(
+                ids[_flip_at(s, v, [i for pos, i in enumerate(fam) if (bits >> pos) & 1])]
+                for bits in range(1 << len(fam)))
+            canon = canonical_cube(corners)
+            cubes_by_dim.setdefault(len(fam), set()).add(canon)
+            families[canon] = fam
+    complex_ = build_complex(list(range(len(order))),
+                             {k: sorted(v) for k, v in cubes_by_dim.items()})
+    return DualComplex(system=s, seed=seed, complex=complex_,
+                       orientations=tuple(order), cube_families=families)
 
 
 # ---------------------------------------------------------------------------

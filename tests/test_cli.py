@@ -206,7 +206,8 @@ def test_tree_complex_n6(capsys):
     assert code == 0 and verdict["ok"] is True
     assert verdict["stats"]["vertices"] == 2752
     assert verdict["stats"]["cubes"]["4"] == 945
-    assert verdict["certificate"]["locally_cat0"] == {"ok": True}
+    # an exact verdict over all 2752 vertices, with no cap
+    assert verdict["certificate"] == {"cat0": {"ok": True}}
 
 
 @pytest.mark.parametrize("command, name, witness", [
@@ -332,14 +333,12 @@ def test_dot_outputs(capsys, tmp_path, square_file, a2t_file):
     assert "cayley" in dot.read_text()
 
 
-def test_tree_complex_median_cap_fallback(capsys, monkeypatch):
-    import cubical.complexes
+def test_parser_is_built_once(capsys, square_file):
+    from cubical.cli import build_parser
 
-    monkeypatch.setattr(cubical.complexes, "DEFAULT_MEDIAN_CAP", 5)
-    code, verdict = run_cli(capsys, "tree", "complex", "-n", "4")
-    assert code == 0
-    assert verdict["certificate"]["cat0"]["checked"] is False
-    assert verdict["certificate"]["locally_cat0"]["ok"] is True
+    assert build_parser() is build_parser()
+    first = run_cli(capsys, "complex", "check", square_file)
+    assert run_cli(capsys, "complex", "check", square_file) == first
 
 
 def test_complex_links_single_vertex(capsys, torus_file):
@@ -361,8 +360,9 @@ def test_complex_check_scans_links_once(capsys, monkeypatch, request, fixture):
         calls.append(x)
         return original(x)
 
-    for module in (cubical.complexes, cubical.cli):
-        monkeypatch.setattr(module, "is_locally_cat0", counting)
+    # the CLI reaches the link scan only through is_cat0
+    assert not hasattr(cubical.cli, "is_locally_cat0")
+    monkeypatch.setattr(cubical.complexes, "is_locally_cat0", counting)
     code, verdict = run_cli(capsys, "complex", "check",
                             request.getfixturevalue(fixture))
     assert len(calls) == 1

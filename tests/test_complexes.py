@@ -3,23 +3,31 @@
 from __future__ import annotations
 
 import itertools
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import (
+    _majority_miss,
     all_faces,
     all_pairs_unfilled_square,
     bfs_distances,
     cat0_corpus,
     cube_boundary_3,
     dense_median_violation,
+    distance_matrix,
     glue_cube_boundary,
     glue_hexagon,
     grid_complex,
     hollow_square,
+    label_median_violation,
     lexmin_cube,
+    matrix_median,
     pairwise_double_gluing,
     path_complex,
     relabel,
@@ -51,8 +59,9 @@ from cubical import (
 )
 from cubical.complexes import (
     CubeComplex,
-    _hyperplane_labels,
-    _majority_miss,
+    _bfs,
+    _first_bad_triple,
+    _is_roller_dual,
     _median_violation,
     _unfilled_square,
     build_simplicial,
@@ -62,6 +71,8 @@ from cubical.complexes import (
     load_complex,
 )
 from cubical.errors import (
+    CapExceededError,
+    CubicalError,
     DoubleGluingError,
     DuplicateCubeError,
     MissingFaceError,
@@ -174,7 +185,7 @@ def glued_complexes(draw):
     defect = draw(st.sampled_from([None] * 4 + list(_DEFECTS)[1:]))
     room = 9 - _DEFECTS[defect]
     shapes = [s for k in (1, 2, 3) for s in itertools.product(range(2, 10), repeat=k)
-              if np.prod(s) <= room and (k > 1 or defect in (None, "cube"))]
+              if math.prod(s) <= room and (k > 1 or defect in (None, "cube"))]
     sizes = draw(st.sampled_from(shapes))
     x = tree_product(*[[(rng.randrange(i), i) for i in range(1, s)] for s in sizes])
     tops = [c for c in x.cubes if rng.random() < 0.5]
@@ -443,12 +454,12 @@ def test_random_trees_are_cat0_with_unique_medians(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# the median stage against the dense interval oracle
+# the median stage against the label and dense interval oracles
 
 
-def _dense_is_cat0(x):
-    """is_cat0 with its median stage replaced by the dense oracle."""
-    with mock.patch.object(complexes, "_median_violation", dense_median_violation):
+def _oracle_is_cat0(x, oracle):
+    """is_cat0 with its median stage replaced by an oracle."""
+    with mock.patch.object(complexes, "_median_violation", oracle):
         return is_cat0(x)
 
 
@@ -483,7 +494,27 @@ def median_test_complexes(draw, tops={1: 190, 2: 13, 3: 5}):
 @settings(max_examples=40, deadline=None)
 @given(median_test_complexes())
 def test_is_cat0_matches_dense_median_oracle(x):
-    assert is_cat0(x) == _dense_is_cat0(x)
+    assert is_cat0(x) == _oracle_is_cat0(x, dense_median_violation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(median_test_complexes())
+def test_is_cat0_matches_label_median_oracle(x):
+    assert is_cat0(x) == _oracle_is_cat0(x, label_median_violation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(median_test_complexes(tops={1: 30, 2: 6, 3: 3}), st.randoms(use_true_random=False))
+def test_median_matches_matrix_oracle(x, rng):
+    def outcome(fn, triple):
+        try:
+            return fn(x, *triple)
+        except CubicalError as exc:
+            return type(exc), exc.certificate()
+
+    for _ in range(20):
+        triple = [rng.choice(x.vertex_order) for _ in range(3)]
+        assert outcome(median, triple) == outcome(matrix_median, triple)
 
 
 @settings(max_examples=40, deadline=None)
@@ -524,36 +555,46 @@ def test_unfilled_square_with_squares_removed_matches_all_pairs_scan(m, n, rng):
     assert hole is not None and hole == all_pairs_unfilled_square(y)
 
 
-def test_median_stage_branches_match_dense_oracle():
-    # isometric labels and every majority present: a box
-    box = tree_product(_path(3), _path(4))
-    labels = _hyperplane_labels(box, box.distance_matrix)
-    assert labels is not None and _majority_miss(labels) is None
-    assert _median_violation(box, 600) is dense_median_violation(box, 600) is None
-    # labels not isometric: a hexagon's opposite edges share no square
-    hexed = glue_hexagon(box, (0, 0))
-    assert _hyperplane_labels(hexed, hexed.distance_matrix) is None
-    witness = dense_median_violation(hexed, 600)
-    assert witness is not None and _median_violation(hexed, 600) == witness
-    # isometric labels with a majority missing: the 3-cube without corner
-    # 7 (its link at corner 0 is an empty triangle, so is_cat0 never gets
-    # this far); the majority of 3, 5 and 6 is the missing corner
+def _cut_cube() -> CubeComplex:
+    """The 3-cube without corner 7, corners numbered by their bits."""
     solid = grid_complex(1, 1, 1)
     name = {p: p[0] + 2 * p[1] + 4 * p[2] for p in solid.vertices}
-    cut = build_complex(range(7), {
+    return build_complex(range(7), {
         k: [tuple(name[p] for p in c) for c in solid.by_dim[k]
             if (1, 1, 1) not in c] for k in (1, 2)})
-    assert _hyperplane_labels(cut, cut.distance_matrix) is not None
-    witness = dense_median_violation(cut, 600)
-    assert witness == {"triple": (3, 5, 6), "medians": []}
+
+
+def test_median_stage_branches_match_dense_oracle():
+    # a box is its own halfspaces' dual
+    box = tree_product(_path(3), _path(4))
+    assert _is_roller_dual(box)
+    assert _median_violation(box, 600) is None
+    assert label_median_violation(box, 600) is dense_median_violation(box, 600) is None
+    # a glued hexagon: deleting one of its edges leaves one component (a)
+    hexed = glue_hexagon(box, (0, 0))
+    assert not _is_roller_dual(hexed)
+    witness = dense_median_violation(hexed, 600)
+    assert witness is not None
+    assert _median_violation(hexed, 600) == label_median_violation(hexed, 600) == witness
+    # the 3-cube without corner 7 (its link at corner 0 is an empty
+    # triangle, so is_cat0 never gets this far): its three classes cut it
+    # in two with distinct labels, but at corner 3 the class of the
+    # missing edge to 7 is minimal (c); the majority of 3, 5, 6 is 7
+    cut = _cut_cube()
+    assert not _is_roller_dual(cut)
+    witness = {"triple": (3, 5, 6), "medians": []}
+    assert dense_median_violation(cut, 600) == witness
+    assert label_median_violation(cut, 600) == witness
     assert _median_violation(cut, 600) == witness
 
 
 def test_majority_miss_on_hexagon_labels_any_width():
-    # the hexagon embeds isometrically in the 3-cube, by its opposite-edge
-    # classes; its alternate corners 0, 2, 4 have no median
+    # the label oracle's majority lookup: the hexagon embeds isometrically
+    # in the 3-cube, by its opposite-edge classes; its alternate corners
+    # 0, 2, 4 have no median
     hexagon = build_complex(range(6), {1: [(i, (i + 1) % 6) for i in range(6)]})
     assert dense_median_violation(hexagon, 600) == {"triple": (0, 2, 4), "medians": []}
+    assert _median_violation(hexagon, 600) == {"triple": (0, 2, 4), "medians": []}
     labels = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0],
                        [1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
     for pad in (0, 61, 130):  # one, two and three packed words
@@ -561,10 +602,36 @@ def test_majority_miss_on_hexagon_labels_any_width():
         assert _majority_miss(wide) == ((0, 2, 4), [])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 9), st.randoms(use_true_random=False), st.data())
+def test_first_bad_triple_matches_dense_oracle(n, rng, data):
+    # connected graphs, half of them bipartite (even and odd parity ids
+    # alternate), where the first bad triple may have several medians
+    step = 2 if data.draw(st.booleans()) else 1
+    edges = {(rng.randrange(i - 1, -1, -step), i) for i in range(1, n)}
+    pairs = [(a, b) for a, b in itertools.combinations(range(n), 2)
+             if step == 1 or (b - a) % 2]
+    edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    x = build_complex(range(n), {1: sorted(edges)})
+    found = _first_bad_triple(x.neighbours)
+    witness = None if found is None else {"triple": found[0], "medians": found[1]}
+    assert witness == dense_median_violation(x, n)
+
+
+def test_median_verdict_has_no_cap():
+    # the cap bounds only the witness scan of a failure
+    x = grid_complex(30, 30)
+    assert len(x.vertices) > 600 and is_cat0(x).ok
+    assert _median_violation(grid_complex(3, 3), 5) is None
+    hexed = glue_hexagon(grid_complex(3, 3), (0, 0))
+    assert _median_violation(hexed, 21) == dense_median_violation(hexed, 21)
+    with pytest.raises(CapExceededError):
+        _median_violation(hexed, 20)
+
+
 def test_median_check_memory_is_quadratic():
     x = grid_complex(17, 17)
     n = len(x.vertices)
-    x.distance_matrix
     tracemalloc.start()
     try:
         assert _median_violation(x, 600) is None
@@ -572,6 +639,15 @@ def test_median_check_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 64 * n * n  # the dense interval tensor alone took n^3 bytes
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(complexes.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cubical.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,10 +658,15 @@ def test_distance_matrix_matches_bfs(n, name, data):
     x = build_complex([name(i) for i in range(n)],
                       {1: [(name(a), name(b)) for a, b in edges]})
     expected = bfs_distances(x)
-    dist = x.distance_matrix
-    assert dist.shape == (n, n)
-    for (i, u), (j, v) in itertools.product(enumerate(x.vertex_order), repeat=2):
-        assert dist[i, j] == expected.get((u, v), -1)
+    matrix = distance_matrix(x)
+    assert matrix.shape == (n, n)
+    for i, u in enumerate(x.vertex_order):
+        dist, order = _bfs(x.neighbours, i)
+        assert dist == [expected.get((u, v), -1) for v in x.vertex_order]
+        assert dist == matrix[i].tolist()
+        assert sorted(order) == [j for j, d in enumerate(dist) if d >= 0]
+        assert [dist[j] for j in order] == sorted(dist[j] for j in order)
+    assert x.is_connected() == (len(expected) == n * n)
 
 
 # ---------------------------------------------------------------------------

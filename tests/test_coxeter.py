@@ -436,6 +436,53 @@ def test_cubulate_affine_is_locally_r3():
     assert len({cub.nu[g] for g in trusted}) == len(trusted)
 
 
+def test_cubulate_tests_consistency_only_on_a_miss(monkeypatch):
+    import dataclasses
+
+    import cubical.coxeter as cox
+    from cubical.errors import CubicalError
+    from cubical.pocsets import Orientation
+
+    ball = cayley_ball(parse_system(A2_TILDE), 4)
+    calls = []
+    original = cox.is_vertex
+
+    def counting(s, o):
+        calls.append(o)
+        return original(s, o)
+
+    monkeypatch.setattr(cox, "is_vertex", counting)
+    cub = cubulate(ball, 2)
+    assert len(calls) == 1  # the seed: every ball element hits the dual
+    # a consistent orientation missing from the dual falls outside it
+    last = ball.elements[-1]
+    lost = cub.dual.orientations[cub.nu[last]]
+    dual = cox.dual_complex
+
+    def without_lost(*args, **kwargs):
+        d = dual(*args, **kwargs)
+        return dataclasses.replace(
+            d, orientations=tuple(o for o in d.orientations if o != lost))
+
+    with monkeypatch.context() as m:
+        m.setattr(cox, "dual_complex", without_lost)
+        with pytest.raises(CubicalError, match="falls outside the component"):
+            cubulate(ball, 2)
+    # an inconsistent one is reported as such
+    system = cub.truncated.system
+    for i in range(len(lost.choices)):
+        choices = list(lost.choices)
+        choices[i] = system.star[choices[i]]
+        if not original(system, Orientation(tuple(choices))).ok:
+            break
+    bad = Orientation(tuple(choices))
+    side = cox.TruncatedHalfspaces.orientation_of
+    monkeypatch.setattr(cox.TruncatedHalfspaces, "orientation_of",
+                        lambda th, g: bad if g == last else side(th, g))
+    with pytest.raises(CubicalError, match="is not a vertex"):
+        cubulate(ball, 2)
+
+
 def test_cubulate_affine_equivariance_on_selected_walls():
     ball = cayley_ball(parse_system(A2_TILDE), 4)
     cub = cubulate(ball, 2)

@@ -5,7 +5,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from helpers import fixpoint_build_system, grid_complex, path_complex
+from helpers import (
+    all_corners_dual_complex,
+    bfs_distances,
+    fixpoint_build_system,
+    grid_complex,
+    path_complex,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -320,13 +326,43 @@ def test_d1_coherence():
     for s in [chain_system(5), pairs_system(3),
               halfspace_system_of(grid_complex(2, 2)).system]:
         d = dual_complex(s, seed_vertex(s))
-        x = d.complex
-        dist = x.distance_matrix
+        dist = bfs_distances(d.complex)
         for i, j in itertools.combinations(range(len(d.orientations)), 2):
             hamming = sum(
                 a != b for a, b in zip(d.orientations[i].choices,
                                        d.orientations[j].choices))
-            assert dist[x.vertex_index[i], x.vertex_index[j]] == hamming
+            assert dist[i, j] == hamming
+
+
+def _cubulated_systems():
+    from cubical.coxeter import cayley_ball, halfspace_system, parse_system
+
+    for matrix, radius in (([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 8),
+                           ([[1, 3, 2], [3, 1, 0], [2, 0, 1]], 9)):
+        yield halfspace_system(cayley_ball(parse_system(matrix), radius), 2).system
+
+
+def test_dual_assembles_each_cube_once(monkeypatch):
+    import cubical.pocsets
+
+    calls = []
+    original = cubical.pocsets.canonical_cube
+
+    def counting(corners):
+        calls.append(corners)
+        return original(corners)
+
+    systems = [pairs_system(4), chain_system(4),
+               halfspace_system_of(grid_complex(2, 3, 1)).system,
+               *_cubulated_systems()]
+    for s in systems:
+        seed = seed_vertex(s)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(cubical.pocsets, "canonical_cube", counting)
+            d = dual_complex(s, seed)
+        assert len(calls) == len(d.complex.cubes)
+        assert d == all_corners_dual_complex(s, seed)
 
 
 def test_cube_criterion_brute_force():
