@@ -385,35 +385,31 @@ class TruncatedHalfspaces:
     members: dict  # halfspace id -> frozenset of ball elements
     defining_edges: tuple  # per wall, the (u, v) edge with u on the "+" side
     untrusted_pairs: tuple
+    wall_ids: tuple  # per wall, its ("+", "-") halfspace ids
 
     def orientation_of(self, g: Word) -> Orientation:
         """Principal orientation: per wall, the side containing g, which
         need not lie in the ball; "+" is the identity's side."""
         crossed = _crossed_walls(self.ball.system, g)
-        sides = {self.hyperplane_of_wall(i): _side(i, w, crossed)
-                 for i, w in enumerate(self.walls)}
-        return Orientation(choices=tuple(sides[i] for i in range(len(sides))))
+        choices = [None] * len(self.walls)
+        for i, w in enumerate(self.walls):
+            choices[self.hyperplane_of_wall(i)] = self.wall_ids[i][w.reflection in crossed]
+        return Orientation(choices=tuple(choices))
 
     def hyperplane_of_wall(self, wall_index: int) -> int:
-        return self.system.hyperplane_of[_hid(wall_index, "+")]
+        return self.system.hyperplane_of[self.wall_ids[wall_index][0]]
 
     def side_containing(self, wall_index: int, g: Word):
         """Halfspace id of the side of wall_index containing g, which need
         not lie in the ball; "+" is the identity's side."""
-        return _side(wall_index, self.walls[wall_index],
-                     _crossed_walls(self.ball.system, g))
+        crossed = _crossed_walls(self.ball.system, g)
+        return self.wall_ids[wall_index][self.walls[wall_index].reflection in crossed]
 
 
 def _crossed_walls(sys_: CoxeterSystem, g: Word) -> frozenset:
     """Reflections of the walls a geodesic from the identity to g crosses:
     once each, and exactly the walls that separate g from the identity."""
     return frozenset(wall_crossings_on_path(sys_, (), reduce_word(sys_, g)))
-
-
-def _side(i: int, wall: Wall, crossed: frozenset) -> str:
-    """Wall i's halfspace id on the side of an element that a geodesic
-    from the identity reaches crossing the walls ``crossed``."""
-    return _hid(i, "-" if wall.reflection in crossed else "+")
 
 
 def _hid(i: int, sign: str) -> str:
@@ -432,6 +428,9 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     The trust report lists wall pairs whose nesting relation could still
     flip to transversal with a larger ball: some quarter is empty while
     both of its factors reach the boundary sphere.
+
+    Each truncated side is also held as an int bitset over the positions
+    of ``ball.elements``, for the inclusions and the quarter tests.
     """
     if margin < 0:
         raise InputFormatError("margin must be >= 0")
@@ -441,46 +440,50 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     for w in walls(ball):
         if any(len(v) <= inner for _, v in w.edges):
             selected.append(w)
-    crossed = {g: _crossed_walls(sys_, g) for g in ball.elements}
-    ids = []
-    star_pairs = []
-    members: dict = {}
+    wall_of = {w.reflection: i for i, w in enumerate(selected)}
+    across: list[list] = [[] for _ in selected]  # per wall, the elements off the identity's side
+    masks = [0] * len(selected)
+    for k, g in enumerate(ball.elements):
+        for r in _crossed_walls(sys_, g):
+            i = wall_of.get(r)
+            if i is not None:
+                across[i].append(g)
+                masks[i] |= 1 << k
+    full = (1 << len(ball.elements)) - 1
     universe = frozenset(ball.elements)
-    for i, w in enumerate(selected):
-        side_u = frozenset(g for g in ball.elements
-                           if w.reflection not in crossed[g])
-        plus, minus = _hid(i, "+"), _hid(i, "-")
-        members[plus] = side_u
-        members[minus] = universe - side_u
-        ids += [plus, minus]
-        star_pairs.append((plus, minus))
+    wall_ids = tuple((_hid(i, "+"), _hid(i, "-")) for i in range(len(selected)))
+    ids = [h for pair in wall_ids for h in pair]
+    side = []  # per id, in ids order: its ball elements as a bitset
+    members: dict = {}
+    for (plus, minus), elems, mask in zip(wall_ids, across, masks):
+        members[minus] = frozenset(elems)
+        members[plus] = universe - members[minus]
+        side += [full ^ mask, mask]
     defining = [w.edges[0] for w in selected]
-    seen_sides: dict[frozenset, str] = {}
-    for h in ids:
-        other = seen_sides.setdefault(members[h], h)
+    seen_sides: dict[int, str] = {}
+    for h, m in zip(ids, side):
+        other = seen_sides.setdefault(m, h)
         if other != h:
             raise NestingViolationError(
                 f"walls {other} and {h} have identical truncated sides; "
                 "increase the radius or margin", pair=(other, h))
-    leq = [(a, b) for a in ids for b in ids if a != b and members[a] < members[b]]
-    system = build_system(ids, star_pairs, leq)
+    leq = [(a, b) for a, ma in zip(ids, side) for b, mb in zip(ids, side)
+           if ma != mb and not ma & ~mb]
+    system = build_system(ids, wall_ids, leq)
 
     sphere = frozenset(ball.sphere(ball.radius))
+    touches = [not sphere.isdisjoint(members[h]) for h in ids]
     untrusted = []
     for i, j in itertools.combinations(range(len(selected)), 2):
-        empty_quarters = []
-        for si, sj in itertools.product("+-", repeat=2):
-            a, b = members[_hid(i, si)], members[_hid(j, sj)]
-            if a & b:
-                continue
-            if (a & sphere) and (b & sphere):
-                empty_quarters.append((_hid(i, si), _hid(j, sj)))
+        empty_quarters = tuple(
+            (ids[p], ids[q]) for p in (2 * i, 2 * i + 1) for q in (2 * j, 2 * j + 1)
+            if not side[p] & side[q] and touches[p] and touches[q])
         if empty_quarters:
-            untrusted.append((i, j, tuple(empty_quarters)))
+            untrusted.append((i, j, empty_quarters))
     return TruncatedHalfspaces(
         ball=ball, margin=margin, system=system, walls=tuple(selected),
         members=members, defining_edges=tuple(defining),
-        untrusted_pairs=tuple(untrusted))
+        untrusted_pairs=tuple(untrusted), wall_ids=wall_ids)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,18 @@ vertex span an n-cube, and the edges are the 1-cubes: single flips.
 The order is the transitive closure of the generators and their star
 images; being star-closed, it is order-reversed by the involution.
 
+Halfspaces are interned at build time: hyperplane i is the i-th star pair
+in id order, and its halfspaces sit at positions 2i and 2i + 1, so the
+complement of position p is p ^ 1. Sets of positions are int bitsets: the
+order is one ``above`` mask per position, and an orientation is the mask
+of its chosen positions. Ids are kept for I/O and witnesses only.
+
 Everything is immutable; dual_complex is a pure function with deterministic
 output (hyperplanes processed in id order, vertices numbered in BFS order).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,57 +46,80 @@ from .twosat import TwoSat
 from .util import check_ids, parse_list, skey, ssorted
 
 
+def _bits(m: int):
+    """The positions of the set bits of ``m``, in increasing order."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _evens(size: int) -> int:
+    """The even positions below ``size``: bit 2i of every hyperplane i."""
+    return ((1 << size) - 1) // 3
+
+
 @dataclass(frozen=True)
 class HalfspaceSystem:
-    """Validated halfspace system. ``leq`` is the strict part of the partial
-    order, transitively closed; ``star_pairs`` pairs each halfspace with its
-    complement; ``hyperplanes`` lists the unordered pairs in id order."""
+    """Validated halfspace system on interned positions.
+
+    ``star_pairs`` lists the hyperplanes in id order, each pair in id
+    order; hyperplane i holds the halfspaces at positions 2i and 2i + 1
+    (``labels`` maps a position back to its id). ``above[p]`` is the int
+    bitset of the positions strictly above p in the closed order. Derived:
+    ``below[p]`` is ``above[p ^ 1]`` with the two bits of every hyperplane
+    swapped, since q < p iff p* < q*; ``leq`` is the order as a frozenset
+    of id pairs (a, b) meaning a < b, for I/O."""
 
     halfspaces: tuple
     star_pairs: tuple
-    leq: frozenset  # strict pairs (a, b) meaning a < b
+    above: tuple  # position -> bitset of the positions strictly above it
+
+    @cached_property
+    def labels(self) -> tuple:
+        return tuple(h for pair in self.star_pairs for h in pair)
+
+    @cached_property
+    def position(self) -> dict:
+        return {h: p for p, h in enumerate(self.labels)}
+
+    @property
+    def hyperplanes(self) -> tuple:
+        return self.star_pairs
 
     @cached_property
     def star(self) -> dict:
-        out = {}
-        for a, b in self.star_pairs:
-            out[a] = b
-            out[b] = a
-        return out
-
-    @cached_property
-    def hyperplanes(self) -> tuple:
-        pairs = []
-        for a, b in self.star_pairs:
-            pairs.append(tuple(ssorted((a, b))))
-        return tuple(sorted(pairs, key=lambda p: (skey(p[0]), skey(p[1]))))
+        return {h: self.labels[p ^ 1] for p, h in enumerate(self.labels)}
 
     @cached_property
     def hyperplane_of(self) -> dict:
-        out = {}
-        for i, (a, b) in enumerate(self.hyperplanes):
-            out[a] = i
-            out[b] = i
-        return out
+        return {h: p >> 1 for p, h in enumerate(self.labels)}
+
+    @cached_property
+    def below(self) -> tuple:
+        even = _evens(len(self.above))
+        swapped = [((m & even) << 1) | ((m >> 1) & even) for m in self.above]
+        return tuple(swapped[p ^ 1] for p in range(len(swapped)))
+
+    @cached_property
+    def leq(self) -> frozenset:
+        labels = self.labels
+        return frozenset((labels[p], labels[q])
+                         for p, m in enumerate(self.above) for q in _bits(m))
 
     @cached_property
     def transversal_adjacency(self) -> dict:
         """Hyperplane index -> indices of the hyperplanes transversal to it:
-        those with no order relation between any of their halfspaces."""
-        n = len(self.hyperplanes)
-        adj = {i: set(range(n)) - {i} for i in range(n)}
-        for a, b in self.leq:
-            i, j = self.hyperplane_of[a], self.hyperplane_of[b]
-            adj[i].discard(j)
-            adj[j].discard(i)
-        return {i: frozenset(js) for i, js in adj.items()}
-
-    @cached_property
-    def strictly_below(self) -> dict:
-        below = {h: set() for h in self.halfspaces}
-        for a, b in self.leq:
-            below[b].add(a)
-        return {h: frozenset(v) for h, v in below.items()}
+        those with no order relation between any of their halfspaces. By
+        star symmetry every relation between hyperplanes i and j shows in
+        ``above[2i] | above[2i + 1]``."""
+        even = _evens(len(self.above))
+        out = {}
+        for i in range(len(self.star_pairs)):
+            rel = self.above[2 * i] | self.above[2 * i + 1]
+            free = ~(rel | rel >> 1) & even & ~(1 << 2 * i)
+            out[i] = frozenset(q >> 1 for q in _bits(free))
+        return out
 
     def le(self, a, b) -> bool:
         return a == b or (a, b) in self.leq
@@ -104,9 +132,9 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
     """Validate and close a raw system.
 
     The order is given by generators. With each generator a <= b comes its
-    star image b* <= a*, so the transitive closure is star-closed: one
-    reachability pass, no re-closing. The builder checks the involution,
-    antisymmetry, incomparability of complements, and the nesting condition.
+    star image b* <= a*, so the transitive closure is star-closed. The
+    builder checks the involution, antisymmetry, the nesting condition and
+    incomparability of complements, in that order.
     """
     ids = list(halfspaces)
     idset = set(ids)
@@ -126,47 +154,88 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
     if unpaired:
         raise NotInvolutionError("unpaired halfspaces", halfspaces=ssorted(unpaired))
 
-    succ: dict = {h: set() for h in ids}
+    pairs = sorted({tuple(ssorted((a, b))) for a, b in star.items()},
+                   key=lambda p: (skey(p[0]), skey(p[1])))
+    labels = [h for pair in pairs for h in pair]
+    pos = {h: p for p, h in enumerate(labels)}
+    succ = [0] * len(labels)
     for a, b in leq_pairs:
         if a not in idset or b not in idset:
             raise InputFormatError(f"leq pair ({a!r},{b!r}) uses unknown ids")
         if a != b:
-            succ[a].add(b)
-            succ[star[b]].add(star[a])
-    strict: set[tuple] = set()
-    for h in ids:  # one reachability pass per halfspace
-        stack = list(succ[h])
-        while stack:
-            k = stack.pop()
-            if (h, k) not in strict:
-                strict.add((h, k))
-                stack.extend(succ[k])
+            p, q = pos[a], pos[b]
+            succ[p] |= 1 << q
+            succ[q ^ 1] |= 1 << (p ^ 1)
+    above = _closure(succ)
+
     for a in ids:
-        if (a, a) in strict:  # a lies on a cycle: name the first pair in input order
-            b = next(b for b in ids if b != a and (a, b) in strict and (b, a) in strict)
+        p = pos[a]
+        if above[p] >> p & 1:  # a lies on a cycle: name the first pair in input order
+            b = next(b for b in ids if b != a and above[p] >> pos[b] & 1
+                     and above[pos[b]] >> p & 1)
             raise CyclicOrderError(f"{a!r} and {b!r} are mutually below each other",
                                    pair=(a, b))
 
-    pairs = sorted({tuple(ssorted((a, b))) for a, b in star.items()},
-                   key=lambda p: (skey(p[0]), skey(p[1])))
-    for (a, _), (c, _) in itertools.combinations(pairs, 2):
-        b, d = star[a], star[c]
-        rels = [r for r in ((a, c), (a, d), (b, c), (b, d)) if r in strict]
-        if len(rels) > 1:
+    even = _evens(len(labels))
+    for i, (a, b) in enumerate(pairs):
+        # hyperplanes j > i with two relations a|b < c|d: two in one row, or one in each
+        x, y = above[2 * i], above[2 * i + 1]
+        clash = ((x & x >> 1) | (y & y >> 1) | ((x | x >> 1) & (y | y >> 1))) & even
+        clash >>= 2 * i + 2
+        if clash:
+            j = i + 1 + ((clash & -clash).bit_length() - 1) // 2
+            rels = [(labels[p], labels[q]) for p in (2 * i, 2 * i + 1)
+                    for q in (2 * j, 2 * j + 1) if above[p] >> q & 1]
             raise NestingViolationError(
                 "more than one nesting relation between two hyperplanes",
-                pair=((a, b), (c, d)), relations=rels)
+                pair=((a, b), pairs[j]), relations=rels)
 
     for h in ids:
-        if (h, star[h]) in strict or (star[h], h) in strict:
+        p = pos[h]
+        if (above[p] >> (p ^ 1) | above[p ^ 1] >> p) & 1:
             raise ComparableComplementsError(
                 f"halfspace {h!r} comparable with its complement", halfspace=h)
 
-    return HalfspaceSystem(
-        halfspaces=tuple(ssorted(ids)),
-        star_pairs=tuple(pairs),
-        leq=frozenset(strict),
-    )
+    return HalfspaceSystem(halfspaces=tuple(ssorted(ids)), star_pairs=tuple(pairs),
+                           above=tuple(above))
+
+
+def _closure(succ: list) -> list:
+    """Strict transitive closure of the relation p -> q for q in succ[p],
+    on int bitsets. Each position takes its successors and everything above
+    them, in depth-first post-order, so one sweep closes an acyclic
+    relation; sweeps repeat until nothing changes, which closes cycles too."""
+    order = []
+    seen = 0
+    for root in range(len(succ)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        stack = [[root, succ[root]]]
+        while stack:
+            top = stack[-1]
+            rest = top[1] & ~seen
+            if rest:
+                low = rest & -rest
+                seen |= low
+                top[1] = rest ^ low
+                q = low.bit_length() - 1
+                stack.append([q, succ[q]])
+            else:
+                stack.pop()
+                order.append(top[0])
+    above = [0] * len(succ)
+    changed = True
+    while changed:
+        changed = False
+        for p in order:
+            reach = succ[p]
+            for q in _bits(succ[p]):
+                reach |= above[q]
+            if reach != above[p]:
+                above[p] = reach
+                changed = True
+    return above
 
 
 def load_system(data: dict) -> HalfspaceSystem:
@@ -192,12 +261,11 @@ def dump_system(s: HalfspaceSystem) -> dict:
 def transversal(s: HalfspaceSystem, h, k) -> bool:
     """True iff none of the four nesting relations holds between the
     hyperplanes of h and k."""
-    if s.hyperplane_of[h] == s.hyperplane_of[k]:
+    i, j = s.hyperplane_of[h], s.hyperplane_of[k]
+    if i == j:
         raise SameHyperplaneError("halfspaces lie in the same hyperplane pair",
                                   pair=(h, k))
-    hs, ks = s.star[h], s.star[k]
-    return not (s.lt(h, k) or s.lt(h, ks) or s.lt(hs, k) or s.lt(hs, ks)
-                or s.lt(k, h) or s.lt(ks, h) or s.lt(k, hs) or s.lt(ks, hs))
+    return j in s.transversal_adjacency[i]
 
 
 @dataclass(frozen=True)
@@ -216,48 +284,51 @@ class VertexResult:
     witness: tuple | None = None  # offending (halfspace, halfspace)
 
 
-def is_vertex(s: HalfspaceSystem, o: Orientation) -> VertexResult:
-    """Consistency of an orientation: no pair with choice(h) <= choice(k)*.
-    (The <=-form of the vertex condition, which the flip lemmas use.)"""
-    if len(o.choices) != len(s.hyperplanes):
+def _chosen(s: HalfspaceSystem, o: Orientation) -> int:
+    """The bitset of the positions an orientation chooses."""
+    if len(o.choices) != len(s.star_pairs):
         raise PartialOrientationError(
-            f"orientation fixes {len(o.choices)} of {len(s.hyperplanes)} hyperplanes")
-    chosen = o.choices
-    for i, a in enumerate(chosen):
-        if s.hyperplane_of.get(a) != i:
+            f"orientation fixes {len(o.choices)} of {len(s.star_pairs)} hyperplanes")
+    chosen = 0
+    for i, a in enumerate(o.choices):
+        p = s.position.get(a)
+        if p is None or p >> 1 != i:
             raise PartialOrientationError(
                 f"choice {a!r} does not belong to hyperplane {i}")
-    for i, j in itertools.combinations(range(len(chosen)), 2):
-        a, b = chosen[i], chosen[j]
-        if s.lt(a, s.star[b]):
-            return VertexResult(ok=False, witness=(a, b))
-        if s.lt(b, s.star[a]):
-            return VertexResult(ok=False, witness=(b, a))
+        chosen |= 1 << p
+    return chosen
+
+
+def is_vertex(s: HalfspaceSystem, o: Orientation) -> VertexResult:
+    """Consistency of an orientation: no pair with choice(h) <= choice(k)*.
+    (The <=-form of the vertex condition, which the flip lemmas use.)
+
+    The witness is the first pair (a, b) in index order: a is the first
+    choice with an unchosen halfspace b* above it, b the first such.
+    Since a < b* iff b < a*, no earlier choice has a bad partner."""
+    chosen = _chosen(s, o)
+    for p in _bits(chosen):
+        bad = s.above[p] & ~chosen
+        if bad:
+            q = (bad & -bad).bit_length() - 1
+            return VertexResult(ok=False, witness=(s.labels[p], s.labels[q ^ 1]))
     return VertexResult(ok=True)
 
 
 def seed_vertex(s: HalfspaceSystem) -> Orientation:
     """Some consistent orientation, from the 2-SAT instance: one halfspace
-    per pair, and choosing a forbids choosing b whenever a <= b*."""
-    n = len(s.hyperplanes)
-
-    def as_literal(h):
-        i = s.hyperplane_of[h]
-        return 2 * i if s.hyperplanes[i][0] == h else 2 * i + 1
-
-    sat = TwoSat(n)
-    for a, b in s.leq:
-        bs = s.star[b]
-        if s.hyperplane_of[a] == s.hyperplane_of[bs]:
-            continue
-        # a <= (bs)* = b, i.e. choosing a and bs together is inconsistent
-        sat.add_clause(as_literal(a) ^ 1, as_literal(bs) ^ 1)
+    per pair, and choosing a forbids choosing b whenever a <= b*. The
+    literal of position p is p, so "choose p" implies "choose q" for every
+    q above p; clauses are added in position order."""
+    sat = TwoSat(len(s.star_pairs))
+    for p, m in enumerate(s.above):
+        for q in _bits(m):
+            sat.add_clause(p ^ 1, q)
     assignment = sat.solve()
     if assignment is None:
         raise UnsatisfiableError("no consistent orientation exists")
-    choices = tuple(s.hyperplanes[i][0] if assignment[i] else s.hyperplanes[i][1]
-                    for i in range(n))
-    return Orientation(choices=choices)
+    return Orientation(choices=tuple(pair[0] if bit else pair[1]
+                                     for pair, bit in zip(s.star_pairs, assignment)))
 
 
 def minimal_halfspaces(s: HalfspaceSystem, v: Orientation) -> tuple:
@@ -265,12 +336,14 @@ def minimal_halfspaces(s: HalfspaceSystem, v: Orientation) -> tuple:
     res = is_vertex(s, v)
     if not res.ok:
         raise NotAVertexError("orientation is not a vertex", witness=res.witness)
-    return _minimal_unchecked(s, v)
+    return tuple(v.choices[i] for i in _minimal_unchecked(s, _chosen(s, v)))
 
 
-def _minimal_unchecked(s: HalfspaceSystem, v: Orientation) -> tuple:
-    chosen = set(v.choices)
-    return tuple(h for h in v.choices if not (s.strictly_below[h] & chosen))
+def _minimal_unchecked(s: HalfspaceSystem, chosen: int) -> list:
+    """Indices of the hyperplanes whose chosen position in the bitset
+    ``chosen`` has no chosen position below it, in increasing order."""
+    below = s.below
+    return [p >> 1 for p in _bits(chosen) if not below[p] & chosen]
 
 
 def flip(s: HalfspaceSystem, v: Orientation, i: int) -> Orientation:
@@ -316,18 +389,26 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     hyperplane of a cube is minimal at each of its corners, and exactly one
     corner chooses the first halfspace of each of them, so a cube is
     assembled once: at that corner, from the minimal hyperplanes whose
-    first halfspace it chooses."""
+    first halfspace it chooses.
+
+    Vertices are bitsets of chosen positions while the BFS runs: flipping
+    hyperplane i is ``v ^ (3 << 2i)``. Each ``Orientation`` is built once,
+    at the end. More than ``cap`` vertices, the seed included, raise
+    ``CapExceededError``."""
     res = is_vertex(s, seed)
     if not res.ok:
         raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
-    order: list[Orientation] = [seed]
-    ids: dict[Orientation, int] = {seed: 0}
-    minimal_at: list[list[int]] = []  # per vertex id: sorted minimal hyperplanes
+    if cap < 1:
+        raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
+    start = _chosen(s, seed)
+    order = [start]
+    ids = {start: 0}
+    minimal_at = []  # per vertex id: its minimal hyperplanes, increasing
     for v in order:  # order grows while it is read: a breadth-first queue
-        minimal = sorted(s.hyperplane_of[h] for h in _minimal_unchecked(s, v))
+        minimal = _minimal_unchecked(s, v)
         minimal_at.append(minimal)
         for i in minimal:
-            w = _flip_at(s, v, (i,))
+            w = v ^ (3 << 2 * i)
             if w not in ids:
                 if len(order) >= cap:
                     raise CapExceededError(
@@ -338,31 +419,24 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     cubes_by_dim: dict[int, set] = {}
     families: dict[tuple, tuple] = {}
     for v, minimal in zip(order, minimal_at):
-        first = [i for i in minimal if v.choices[i] == s.hyperplanes[i][0]]
+        first = [i for i in minimal if v >> 2 * i & 1]
         for fam in cliques(s.transversal_adjacency, first):
             if not fam:
                 continue
-            corners = tuple(
-                ids[_flip_at(s, v, [i for pos, i in enumerate(fam)
-                                    if (bits >> pos) & 1])]
-                for bits in range(1 << len(fam)))
-            canon = canonical_cube(corners)
+            corners = [v]  # corner k flips the hyperplanes fam[pos] for the bits pos of k
+            for i in fam:
+                corners += [c ^ (3 << 2 * i) for c in corners]
+            canon = canonical_cube(tuple(ids[c] for c in corners))
             cubes_by_dim.setdefault(len(fam), set()).add(canon)
             families[canon] = fam
 
     complex_ = build_complex(list(range(len(order))),
                              {k: sorted(v) for k, v in cubes_by_dim.items()})
+    labels = s.labels
+    orientations = tuple(Orientation(choices=tuple(labels[p] for p in _bits(v)))
+                         for v in order)
     return DualComplex(system=s, seed=seed, complex=complex_,
-                       orientations=tuple(order), cube_families=families)
-
-
-def _flip_at(s: HalfspaceSystem, v: Orientation, idxs) -> Orientation:
-    """The orientation with the choices at the hyperplanes ``idxs``
-    replaced by their complements."""
-    choices = list(v.choices)
-    for i in idxs:
-        choices[i] = s.star[choices[i]]
-    return Orientation(choices=tuple(choices))
+                       orientations=orientations, cube_families=families)
 
 
 def maximal_cubes(dual: DualComplex) -> list[tuple]:

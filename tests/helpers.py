@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,13 +38,17 @@ from cubical.errors import (
     NestingViolationError,
     NoMedianError,
     NonPositiveLengthError,
+    NotAVertexError,
     NotInvolutionError,
+    PartialOrientationError,
     SelfPairedError,
     UnknownVertexError,
+    UnsatisfiableError,
 )
 from cubical.graphs import cliques
-from cubical.pocsets import DualComplex, HalfspaceSystem, _flip_at, _minimal_unchecked
+from cubical.pocsets import DualComplex, HalfspaceSystem, Orientation, VertexResult
 from cubical.treespace import Orthant, PhyloTree, _ckey, compatible
+from cubical.twosat import TwoSat
 from cubical.util import skey, ssorted
 
 
@@ -558,7 +563,246 @@ def pairwise_from_orthant(o: Orthant) -> PhyloTree:
 
 
 # ---------------------------------------------------------------------------
-# halfspace systems (oracles for the one-pass closure in pocsets)
+# halfspace systems on id pairs (oracles for the bitset code in pocsets)
+
+
+@dataclass(frozen=True)
+class PairSystem:
+    """Oracle for ``pocsets.HalfspaceSystem``: the order as a frozenset of
+    strict id pairs (a, b), a < b, with every derived table read off the
+    pairs and the hyperplanes sorted again from the star map."""
+
+    halfspaces: tuple
+    star_pairs: tuple
+    leq: frozenset
+
+    @classmethod
+    def of(cls, s: HalfspaceSystem) -> PairSystem:
+        return cls(halfspaces=s.halfspaces, star_pairs=s.star_pairs, leq=s.leq)
+
+    @cached_property
+    def star(self) -> dict:
+        out = {}
+        for a, b in self.star_pairs:
+            out[a] = b
+            out[b] = a
+        return out
+
+    @cached_property
+    def hyperplanes(self) -> tuple:
+        pairs = [tuple(ssorted((a, b))) for a, b in self.star_pairs]
+        return tuple(sorted(pairs, key=lambda p: (skey(p[0]), skey(p[1]))))
+
+    @cached_property
+    def hyperplane_of(self) -> dict:
+        return {h: i for i, pair in enumerate(self.hyperplanes) for h in pair}
+
+    @cached_property
+    def transversal_adjacency(self) -> dict:
+        n = len(self.hyperplanes)
+        adj = {i: set(range(n)) - {i} for i in range(n)}
+        for a, b in self.leq:
+            i, j = self.hyperplane_of[a], self.hyperplane_of[b]
+            adj[i].discard(j)
+            adj[j].discard(i)
+        return {i: frozenset(js) for i, js in adj.items()}
+
+    @cached_property
+    def strictly_below(self) -> dict:
+        below = {h: set() for h in self.halfspaces}
+        for a, b in self.leq:
+            below[b].add(a)
+        return {h: frozenset(v) for h, v in below.items()}
+
+    def lt(self, a, b) -> bool:
+        return (a, b) in self.leq
+
+
+def system_of_pairs(halfspaces, star_pairs, strict) -> HalfspaceSystem:
+    """A ``HalfspaceSystem`` with the closed order ``strict`` (id pairs),
+    written into the ``above`` bitsets one pair at a time."""
+    labels = [h for pair in star_pairs for h in pair]
+    position = {h: p for p, h in enumerate(labels)}
+    above = [0] * len(labels)
+    for a, b in strict:
+        above[position[a]] |= 1 << position[b]
+    return HalfspaceSystem(halfspaces=tuple(halfspaces), star_pairs=tuple(star_pairs),
+                           above=tuple(above))
+
+
+def _check_star(ids, star_pairs) -> dict:
+    """The involution checks shared by both builder oracles."""
+    idset = set(ids)
+    if len(idset) != len(ids):
+        raise InputFormatError("duplicate halfspace id")
+    star = {}
+    for a, b in star_pairs:
+        if a not in idset or b not in idset:
+            raise InputFormatError(f"star pair ({a!r},{b!r}) uses unknown ids")
+        if a == b:
+            raise SelfPairedError(f"halfspace {a!r} paired with itself", halfspace=a)
+        for x, y in ((a, b), (b, a)):
+            if x in star and star[x] != y:
+                raise NotInvolutionError(f"{x!r} paired twice", halfspace=x)
+            star[x] = y
+    unpaired = [h for h in ids if h not in star]
+    if unpaired:
+        raise NotInvolutionError("unpaired halfspaces", halfspaces=ssorted(unpaired))
+    return star
+
+
+def pair_build_system(halfspaces, star_pairs, leq_pairs) -> PairSystem:
+    """Oracle for ``pocsets.build_system``: the closure as a set of id
+    pairs, one reachability pass per halfspace, and every check on the
+    pairs, in the same order and with the same witnesses."""
+    ids = list(halfspaces)
+    star = _check_star(ids, star_pairs)
+    succ: dict = {h: set() for h in ids}
+    for a, b in leq_pairs:
+        if a not in succ or b not in succ:
+            raise InputFormatError(f"leq pair ({a!r},{b!r}) uses unknown ids")
+        if a != b:
+            succ[a].add(b)
+            succ[star[b]].add(star[a])
+    strict: set[tuple] = set()
+    for h in ids:
+        stack = list(succ[h])
+        while stack:
+            k = stack.pop()
+            if (h, k) not in strict:
+                strict.add((h, k))
+                stack.extend(succ[k])
+    for a in ids:
+        if (a, a) in strict:
+            b = next(b for b in ids if b != a and (a, b) in strict and (b, a) in strict)
+            raise CyclicOrderError(f"{a!r} and {b!r} are mutually below each other",
+                                   pair=(a, b))
+    pairs = sorted({tuple(ssorted((a, b))) for a, b in star.items()},
+                   key=lambda p: (skey(p[0]), skey(p[1])))
+    for (a, _), (c, _) in itertools.combinations(pairs, 2):
+        b, d = star[a], star[c]
+        rels = [r for r in ((a, c), (a, d), (b, c), (b, d)) if r in strict]
+        if len(rels) > 1:
+            raise NestingViolationError(
+                "more than one nesting relation between two hyperplanes",
+                pair=((a, b), (c, d)), relations=rels)
+    for h in ids:
+        if (h, star[h]) in strict or (star[h], h) in strict:
+            raise ComparableComplementsError(
+                f"halfspace {h!r} comparable with its complement", halfspace=h)
+    return PairSystem(halfspaces=tuple(ssorted(ids)), star_pairs=tuple(pairs),
+                      leq=frozenset(strict))
+
+
+def pair_is_vertex(s: PairSystem, o: Orientation) -> VertexResult:
+    """Oracle for ``pocsets.is_vertex``: every pair of choices, in index
+    order, tested both ways."""
+    if len(o.choices) != len(s.hyperplanes):
+        raise PartialOrientationError(
+            f"orientation fixes {len(o.choices)} of {len(s.hyperplanes)} hyperplanes")
+    chosen = o.choices
+    for i, a in enumerate(chosen):
+        if s.hyperplane_of.get(a) != i:
+            raise PartialOrientationError(
+                f"choice {a!r} does not belong to hyperplane {i}")
+    for i, j in itertools.combinations(range(len(chosen)), 2):
+        a, b = chosen[i], chosen[j]
+        if s.lt(a, s.star[b]):
+            return VertexResult(ok=False, witness=(a, b))
+        if s.lt(b, s.star[a]):
+            return VertexResult(ok=False, witness=(b, a))
+    return VertexResult(ok=True)
+
+
+def pair_seed_vertex(s: PairSystem, clauses=None) -> Orientation:
+    """Oracle for ``pocsets.seed_vertex``: one 2-SAT clause per strict pair
+    (a, b), "not a or not b*", added in the order of ``clauses`` (default:
+    the iteration order of ``s.leq``)."""
+    n = len(s.hyperplanes)
+
+    def as_literal(h):
+        i = s.hyperplane_of[h]
+        return 2 * i if s.hyperplanes[i][0] == h else 2 * i + 1
+
+    sat = TwoSat(n)
+    for a, b in (s.leq if clauses is None else clauses):
+        bs = s.star[b]
+        if s.hyperplane_of[a] == s.hyperplane_of[bs]:
+            continue
+        sat.add_clause(as_literal(a) ^ 1, as_literal(bs) ^ 1)
+    assignment = sat.solve()
+    if assignment is None:
+        raise UnsatisfiableError("no consistent orientation exists")
+    return Orientation(choices=tuple(
+        s.hyperplanes[i][0] if assignment[i] else s.hyperplanes[i][1]
+        for i in range(n)))
+
+
+def pair_minimal(s: PairSystem, v: Orientation) -> tuple:
+    """Oracle for the minimal choices: no chosen halfspace strictly below."""
+    chosen = set(v.choices)
+    return tuple(h for h in v.choices if not (s.strictly_below[h] & chosen))
+
+
+def pair_flip_at(s: PairSystem, v: Orientation, idxs) -> Orientation:
+    choices = list(v.choices)
+    for i in idxs:
+        choices[i] = s.star[choices[i]]
+    return Orientation(choices=tuple(choices))
+
+
+def pair_dual_complex(s: PairSystem, seed: Orientation, cap: int = 100_000,
+                      all_corners: bool = False):
+    """Oracle for ``pocsets.dual_complex``: the BFS over flips on
+    ``Orientation`` tuples, and each cube assembled at the one corner that
+    chooses the first halfspace of each of its hyperplanes, or, with
+    ``all_corners``, at each of its 2^k corners. Returns the orientations
+    in BFS order, the complex and the cube families."""
+    res = pair_is_vertex(s, seed)
+    if not res.ok:
+        raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
+    if cap < 1:
+        raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
+    order = [seed]
+    ids = {seed: 0}
+    minimal_at = []
+    for v in order:
+        minimal = sorted(s.hyperplane_of[h] for h in pair_minimal(s, v))
+        minimal_at.append(minimal)
+        for i in minimal:
+            w = pair_flip_at(s, v, (i,))
+            if w not in ids:
+                if len(order) >= cap:
+                    raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
+                ids[w] = len(order)
+                order.append(w)
+    cubes_by_dim: dict[int, set] = {}
+    families: dict[tuple, tuple] = {}
+    for v, minimal in zip(order, minimal_at):
+        if not all_corners:
+            minimal = [i for i in minimal if v.choices[i] == s.hyperplanes[i][0]]
+        for fam in cliques(s.transversal_adjacency, minimal):
+            if not fam:
+                continue
+            corners = tuple(
+                ids[pair_flip_at(s, v, [i for pos, i in enumerate(fam) if (bits >> pos) & 1])]
+                for bits in range(1 << len(fam)))
+            canon = canonical_cube(corners)
+            cubes_by_dim.setdefault(len(fam), set()).add(canon)
+            families[canon] = fam
+    complex_ = build_complex(list(range(len(order))),
+                             {k: sorted(v) for k, v in cubes_by_dim.items()})
+    return tuple(order), complex_, families
+
+
+def all_corners_dual_complex(s: HalfspaceSystem, seed, cap: int = 100_000) -> DualComplex:
+    """Oracle for ``pocsets.dual_complex``: the pair-set BFS over flips,
+    with every cube assembled at each of its 2^k corners, from every family
+    of pairwise-transversal minimal hyperplanes there."""
+    order, complex_, families = pair_dual_complex(PairSystem.of(s), seed, cap,
+                                                  all_corners=True)
+    return DualComplex(system=s, seed=seed, complex=complex_,
+                       orientations=order, cube_families=families)
 
 
 def fixpoint_closure(star: dict, leq_pairs) -> set:
@@ -600,23 +844,9 @@ def fixpoint_build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
     """Oracle for ``pocsets.build_system``: the same checks in the same
     order, on the closure of ``fixpoint_closure``."""
     ids = list(halfspaces)
-    idset = set(ids)
-    if len(idset) != len(ids):
-        raise InputFormatError("duplicate halfspace id")
-    star = {}
-    for a, b in star_pairs:
-        if a not in idset or b not in idset:
-            raise InputFormatError(f"star pair ({a!r},{b!r}) uses unknown ids")
-        if a == b:
-            raise SelfPairedError(f"halfspace {a!r} paired with itself", halfspace=a)
-        for x, y in ((a, b), (b, a)):
-            if x in star and star[x] != y:
-                raise NotInvolutionError(f"{x!r} paired twice", halfspace=x)
-            star[x] = y
-    if any(h not in star for h in ids):
-        raise NotInvolutionError("unpaired halfspaces")
+    star = _check_star(ids, star_pairs)
     for a, b in leq_pairs:
-        if a not in idset or b not in idset:
+        if a not in star or b not in star:
             raise InputFormatError(f"leq pair ({a!r},{b!r}) uses unknown ids")
     strict = fixpoint_closure(star, leq_pairs)
     pairs = sorted({tuple(ssorted((a, b))) for a, b in star.items()},
@@ -630,43 +860,7 @@ def fixpoint_build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
         if (h, star[h]) in strict or (star[h], h) in strict:
             raise ComparableComplementsError(
                 f"halfspace {h!r} comparable with its complement", halfspace=h)
-    return HalfspaceSystem(halfspaces=tuple(ssorted(ids)),
-                           star_pairs=tuple(pairs), leq=frozenset(strict))
-
-
-def all_corners_dual_complex(s: HalfspaceSystem, seed, cap: int = 100_000) -> DualComplex:
-    """Oracle for ``pocsets.dual_complex``: the same BFS over flips, but
-    every cube is assembled at each of its 2^k corners, from every family
-    of pairwise-transversal minimal hyperplanes there."""
-    order = [seed]
-    ids = {seed: 0}
-    minimal_at = []
-    for v in order:
-        minimal = sorted(s.hyperplane_of[h] for h in _minimal_unchecked(s, v))
-        minimal_at.append(minimal)
-        for i in minimal:
-            w = _flip_at(s, v, (i,))
-            if w not in ids:
-                if len(order) >= cap:
-                    raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
-                ids[w] = len(order)
-                order.append(w)
-    cubes_by_dim: dict[int, set] = {}
-    families: dict[tuple, tuple] = {}
-    for v, minimal in zip(order, minimal_at):
-        for fam in cliques(s.transversal_adjacency, minimal):
-            if not fam:
-                continue
-            corners = tuple(
-                ids[_flip_at(s, v, [i for pos, i in enumerate(fam) if (bits >> pos) & 1])]
-                for bits in range(1 << len(fam)))
-            canon = canonical_cube(corners)
-            cubes_by_dim.setdefault(len(fam), set()).add(canon)
-            families[canon] = fam
-    complex_ = build_complex(list(range(len(order))),
-                             {k: sorted(v) for k, v in cubes_by_dim.items()})
-    return DualComplex(system=s, seed=seed, complex=complex_,
-                       orientations=tuple(order), cube_families=families)
+    return system_of_pairs(ssorted(ids), pairs, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +883,30 @@ def distance_members(ball, margin: int) -> dict:
         members[_hid(i, "+")] = side_u
         members[_hid(i, "-")] = universe - side_u
     return members
+
+
+def frozenset_trust_report(th: TruncatedHalfspaces) -> tuple:
+    """Oracle for ``TruncatedHalfspaces.untrusted_pairs``: per wall pair,
+    the four quarters of the member frozensets, each empty one kept when
+    both of its factors meet the boundary sphere."""
+    sphere = frozenset(th.ball.sphere(th.ball.radius))
+    out = []
+    for i, j in itertools.combinations(range(len(th.walls)), 2):
+        empty = [(_hid(i, si), _hid(j, sj))
+                 for si, sj in itertools.product("+-", repeat=2)
+                 if not th.members[_hid(i, si)] & th.members[_hid(j, sj)]
+                 and th.members[_hid(i, si)] & sphere and th.members[_hid(j, sj)] & sphere]
+        if empty:
+            out.append((i, j, tuple(empty)))
+    return tuple(out)
+
+
+def frozenset_leq(th: TruncatedHalfspaces) -> frozenset:
+    """Oracle for ``th.system.leq``: the proper inclusions of the member
+    frozensets, closed by the pair-set builder."""
+    ids = [_hid(i, sign) for i in range(len(th.walls)) for sign in "+-"]
+    leq = [(a, b) for a in ids for b in ids if a != b and th.members[a] < th.members[b]]
+    return pair_build_system(ids, list(zip(ids[::2], ids[1::2])), leq).leq
 
 
 def distance_side(th: TruncatedHalfspaces, wall_index: int, g) -> str:

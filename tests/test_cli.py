@@ -125,6 +125,19 @@ def test_pocset_validate_and_dual(capsys, tmp_path):
     assert verdict["stats"]["dimensions"] == [1]
 
 
+@pytest.mark.parametrize("cmd", ["dual", "cubes"])
+def test_pocset_dual_cap_counts_the_seed(capsys, cmd):
+    # pairs5 has a 32-vertex dual: a 5-cube; the seed alone exceeds cap 0
+    path = str(Path(__file__).resolve().parent / "fixtures" / "pairs5.json")
+    for cap, expected in ((0, 2), (31, 2), (32, 0)):
+        code, verdict = run_cli(capsys, "pocset", cmd, path, "--cap", str(cap))
+        assert code == expected
+        if expected == 2:
+            assert verdict["certificate"] == {
+                "cap": cap, "error": "cap_exceeded",
+                "message": f"dual component exceeds cap {cap}"}
+
+
 def test_pocset_nesting_violation_exit_2(capsys, tmp_path):
     data = {"halfspaces": ["a+", "a-", "b+", "b-"],
             "star": [["a+", "a-"], ["b+", "b-"]],

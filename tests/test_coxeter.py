@@ -15,6 +15,8 @@ from helpers import (
     distance_members,
     distance_orientation,
     distance_side,
+    frozenset_leq,
+    frozenset_trust_report,
     oracle_shortlex_forms,
 )
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from cubical import (
     words_equal,
 )
 from cubical.coxeter import (
+    _hid,
     act_on_halfspace,
     reflection_of_edge,
     wall_crossings_on_path,
@@ -392,6 +395,20 @@ def test_wall_sides_match_distance_sides(matrix, radius, margin):
         for i in range(len(th.walls)):
             assert th.side_containing(i, g) == distance_side(th, i, g)
         assert th.orientation_of(g).choices == distance_orientation(th, g)
+
+
+@pytest.mark.parametrize("matrix, radius", [
+    ([[1, 5], [5, 1]], 6), (A2_TILDE, 6), (PGL2Z, 10), (TRIANGLE_237, 6)],
+    ids=["I2(5)", "affine A2", "PGL(2,Z)", "(2,3,7)"])
+def test_trust_report_and_order_match_frozensets(matrix, radius):
+    # the bitset sides give the frozenset inclusions and empty quarters
+    ball = cayley_ball(parse_system(matrix), radius)
+    th = halfspace_system(ball, 2)
+    assert th.wall_ids == tuple((_hid(i, "+"), _hid(i, "-")) for i in range(len(th.walls)))
+    assert th.untrusted_pairs == frozenset_trust_report(th)
+    assert th.system.leq == frozenset_leq(th)
+    if matrix == PGL2Z:
+        assert len(th.walls) == 59 and th.untrusted_pairs
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,16 @@ import itertools
 
 import pytest
 from helpers import (
+    PairSystem,
     all_corners_dual_complex,
     bfs_distances,
     fixpoint_build_system,
     grid_complex,
+    pair_build_system,
+    pair_dual_complex,
+    pair_is_vertex,
+    pair_minimal,
+    pair_seed_vertex,
     path_complex,
 )
 from hypothesis import given, settings
@@ -42,7 +48,9 @@ from cubical.errors import (
     SelfPairedError,
 )
 from cubical.graphs import complex_isomorphic
+from cubical.pocsets import DualComplex
 from cubical.twosat import TwoSat
+from cubical.util import skey
 
 
 def pairs_system(n, leq=()):
@@ -127,19 +135,82 @@ def test_cyclic_order_rejected():
         pairs_system(2, [("a0+", "a1+"), ("a1+", "a0+")])
 
 
+def _labels(draw, count):
+    """``count`` distinct ids drawn from 0-99: all ints, all strs, or a mix."""
+    style = draw(st.sampled_from(["int", "str", "mixed"]))
+    nums = draw(st.lists(st.integers(0, 99), min_size=count, max_size=count,
+                         unique=True))
+    if style == "int":
+        return nums
+    if style == "str":
+        return [f"h{n}" for n in nums]
+    return [n if draw(st.booleans()) else f"h{n}" for n in nums]
+
+
+@st.composite
+def valid_generator_sets(draw, max_hyperplanes=6):
+    """(halfspaces, star pairs, leq generators) of a valid system: k
+    distinct bipartitions of a set of 2-7 points, each half nonempty, and
+    a random subset of the strict inclusions between halves. Any subset of
+    a valid order closes to a valid order. Every list comes shuffled."""
+    m = draw(st.integers(2, 7))
+    k = draw(st.integers(0, min(max_hyperplanes, 2 ** (m - 1) - 1)))
+    full = (1 << m) - 1
+    cuts = draw(st.lists(st.integers(1, full - 1), min_size=k, max_size=k,
+                         unique_by=lambda c: min(c, full ^ c)))
+    names = _labels(draw, 2 * k)
+    side = {}
+    star = []
+    for i, cut in enumerate(cuts):
+        a, b = names[2 * i], names[2 * i + 1]
+        side[a], side[b] = cut, full ^ cut
+        star.append((a, b) if draw(st.booleans()) else (b, a))
+    inclusions = [(a, b) for a in names for b in names
+                  if a != b and side[a] & ~side[b] == 0]
+    leq = draw(st.lists(st.sampled_from(inclusions), unique=True)) if inclusions else []
+    return (draw(st.permutations(names)), draw(st.permutations(star)),
+            draw(st.permutations(leq)))
+
+
 @st.composite
 def generator_sets(draw):
-    """(halfspaces, star pairs, leq generators) on 1-5 hyperplanes, with int
-    or str ids listed in a random order. The generators are arbitrary pairs,
-    so cycles, nesting violations and comparable complements all occur."""
-    k = draw(st.integers(1, 5))
-    if draw(st.booleans()):
-        star = [(2 * i, 2 * i + 1) for i in range(k)]
+    """(halfspaces, star pairs, leq generators) on 1-5 hyperplanes, with
+    int, str or mixed ids listed in a random order. Valid systems, valid
+    systems with extra pairs, arbitrary pairs (so cycles, nesting
+    violations and comparable complements all occur), and broken id lists
+    and star maps."""
+    kind = draw(st.sampled_from(["valid", "extra", "random", "broken"]))
+    if kind in ("valid", "extra"):
+        ids, star, leq = draw(valid_generator_sets(max_hyperplanes=5))
+        ids = list(ids) or [0, 1]
+        star = list(star) or [(0, 1)]
     else:
-        star = [(f"h{i}+", f"h{i}-") for i in range(k)]
-    ids = draw(st.permutations([h for pair in star for h in pair]))
-    leq = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
-                        max_size=2 * k + 2))
+        k = draw(st.integers(1, 5))
+        ids = _labels(draw, 2 * k)
+        star = [(ids[2 * i], ids[2 * i + 1]) for i in range(k)]
+        ids = draw(st.permutations(ids))
+        leq = []
+    if kind in ("extra", "random"):
+        leq = list(leq) + draw(st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+            min_size=1, max_size=2 * len(star) + 2))
+    if kind == "broken":
+        ids, star = list(ids), list(star)
+        how = draw(st.sampled_from(
+            ["duplicate", "self", "unpaired", "twice", "unknown star", "unknown leq"]))
+        if how == "duplicate":
+            ids.append(ids[0])
+        elif how == "self":
+            star.append((ids[0], ids[0]))
+        elif how == "unpaired":
+            ids.append("lonely")
+        elif how == "twice":
+            star.append((star[0][0], "lonely"))
+            ids.append("lonely")
+        elif how == "unknown star":
+            star.append((ids[0], "ghost"))
+        else:
+            leq = [(ids[0], "ghost")]
     return ids, star, leq
 
 
@@ -172,6 +243,96 @@ def test_build_system_matches_fixpoint_closure(system):
             assert info.value.details["pair"] == first
     else:
         assert build_system(*system) == expected
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the class, message and details it raises."""
+    try:
+        return fn(*args)
+    except CubicalError as exc:
+        return type(exc), str(exc), exc.details
+
+
+@settings(max_examples=400, deadline=None)
+@given(generator_sets())
+def test_build_system_matches_pair_oracle(system):
+    got, expected = _outcome(build_system, *system), _outcome(pair_build_system, *system)
+    if isinstance(expected, tuple):  # same error class, message and details
+        assert got == expected
+        return
+    assert (got.halfspaces, got.star_pairs, got.leq) == (
+        expected.halfspaces, expected.star_pairs, expected.leq)
+    assert got.hyperplanes == expected.hyperplanes
+    position = got.position
+    for p, h in enumerate(got.labels):
+        assert got.below[p] == sum(1 << position[a] for a in expected.strictly_below[h])
+        assert got.star[h] == expected.star[h]
+    assert got.transversal_adjacency == expected.transversal_adjacency
+
+
+def test_build_errors_match_pair_oracle():
+    # one input per kind of invalid system; the witnesses are pinned
+    cases = [
+        (["a", "b", "a"], [], []),
+        (["a", "b"], [("a", "c")], []),
+        (["a"], [("a", "a")], []),
+        (["a", "b", "c"], [("a", "b"), ("a", "c")], []),
+        (["a", "b", "c"], [("a", "b")], []),
+        (["a", "b"], [("a", "b")], [("a", "x")]),
+        (["a", "b", "c", "d"], [("a", "b"), ("c", "d")], [("a", "c"), ("c", "a")]),
+        ([2, 3, 0, 1], [(0, 1), (2, 3)], [(0, 2), (0, 3)]),
+        (["a", "b"], [("a", "b")], [("b", "a")]),
+    ]
+    kinds = []
+    for case in cases:
+        got = _outcome(build_system, *case)
+        assert got == _outcome(pair_build_system, *case)
+        kinds.append((got[0].__name__, got[2]))
+    assert kinds[-3:] == [
+        ("CyclicOrderError", {"pair": ("a", "c")}),
+        ("NestingViolationError", {"pair": ((0, 1), (2, 3)),
+                                   "relations": [(0, 2), (0, 3)]}),
+        ("ComparableComplementsError", {"halfspace": "a"}),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_generator_sets())
+def test_vertices_seed_and_dual_match_pair_oracle(system):
+    s, ps = build_system(*system), pair_build_system(*system)
+    orientations = [Orientation(c) for c in itertools.product(*s.hyperplanes)]
+    for o in orientations:  # every orientation of up to 6 hyperplanes
+        res = is_vertex(s, o)
+        assert res == pair_is_vertex(ps, o)
+        if res.ok:
+            assert minimal_halfspaces(s, o) == pair_minimal(ps, o)
+    if len(s.hyperplanes) >= 2:
+        swapped = Orientation(orientations[0].choices[::-1])
+        assert _outcome(is_vertex, s, swapped) == _outcome(pair_is_vertex, ps, swapped)
+    seed = seed_vertex(s)
+    assert seed == pair_seed_vertex(ps)
+    d = dual_complex(s, seed)
+    order, complex_, families = pair_dual_complex(ps, seed)
+    assert d.orientations == order
+    assert d.complex.cubes == complex_.cubes
+    assert d.cube_families == families
+    oracle = DualComplex(system=ps, seed=seed, complex=complex_, orientations=order,
+                         cube_families=families)
+    assert maximal_cubes(d) == maximal_cubes(oracle)
+    for cap in (0, len(order) - 1):
+        assert _outcome(dual_complex, s, seed, cap) == _outcome(pair_dual_complex, ps, seed, cap)
+    assert len(dual_complex(s, seed, len(order)).orientations) == len(order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_generator_sets(max_hyperplanes=12), st.randoms(use_true_random=False))
+def test_seed_vertex_ignores_clause_order(system, rng):
+    # the 2-SAT clauses of the closed order, added in any order, give the
+    # seed that position order gives
+    s = build_system(*system)
+    clauses = sorted(s.leq, key=lambda r: (skey(r[0]), skey(r[1])))
+    rng.shuffle(clauses)
+    assert pair_seed_vertex(PairSystem.of(s), clauses) == seed_vertex(s)
 
 
 def test_dump_load_round_trip():
