@@ -16,6 +16,7 @@ import sys
 
 from . import __version__
 from .complexes import (
+    FlagResult,
     dump_complex,
     halfspaces_of,
     hyperplanes,
@@ -228,7 +229,7 @@ def _complex_check(run):
 
 def _complex_links(run):
     x = load_complex(_read_json(run.args.file))
-    targets = list(x.vertex_order)
+    targets = list(x.labels)
     if run.args.vertex is not None:
         targets = [v for v in targets if str(v) == run.args.vertex]
         if not targets:
@@ -237,6 +238,8 @@ def _complex_links(run):
     for v in targets:
         link = vertex_link(x, v)
         res = is_flag(link)
+        if not res.ok:  # its link vertices are edges of x: name their ends
+            res = FlagResult(ok=False, witness=tuple(map(x.named, res.witness)))
         links[str(v)] = {**link.counts(), "flag": res.ok, **res.certificate()}
     run.stats = {"vertices_checked": len(targets), "links": links}
     run.ok = all(entry["flag"] for entry in links.values())
@@ -284,7 +287,7 @@ def _pocset_validate(run):
     s = load_system(_read_json(run.args.file))
     run.stats = {"halfspaces": len(s.halfspaces),
                  "hyperplanes": len(s.hyperplanes),
-                 "strict_relations": len(s.leq)}
+                 "strict_relations": sum(m.bit_count() for m in s.above)}
 
 
 def _pocset_dual(run):

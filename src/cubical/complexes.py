@@ -1,6 +1,14 @@
 """Finite cubical complexes with exact combinatorial CAT(0) certificates.
 
-A k-cube is stored as a tuple of 2^k corner ids indexed by binary
+Vertices are interned once, by ``build_complex``: the vertex ids, sorted
+by ``skey``, get the ranks 0..n-1, and everything after the build works
+on ranks. ``CubeComplex.labels`` maps a rank back to its id. Ids appear
+only at the edges: in the loaders and ``dump_complex``, in the vertices
+that public functions take (``vertex_link``, ``median``), and in
+witnesses and error details. Rank order is ``skey`` order, so every
+"least" choice names the same cell in either form.
+
+A k-cube is stored as a tuple of 2^k corner ranks indexed by binary
 coordinate vectors: position b encodes corner b of [0,1]^k (bit i of the
 index is coordinate i). Cubes are canonicalized up to the symmetry group
 of the cube, so cube identity is a set-membership test.
@@ -27,9 +35,11 @@ function of its inputs; concurrent reads are safe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     CapExceededError,
@@ -55,44 +65,54 @@ DEFAULT_MEDIAN_CAP = 600
 
 
 def canonical_cube(corners: tuple) -> tuple:
-    """Lexicographically least image (by ``skey``) of a tuple of distinct
-    corners under the 2^d * d! symmetries of the cube, in closed form.
+    """Lexicographically least image of a tuple of distinct corner ranks
+    under the 2^d * d! symmetries of the cube, in closed form.
 
     A symmetry picks the corner that goes to position 0 and the order of
     the axes. Position 0 must hold the least corner; position 2^i holds the
     neighbour of that origin along new axis i, and every other position is
     fixed once the axes below its top bit are. So the greedy choice is the
     least one: the least corner becomes the origin, and its axes are
-    ordered by the neighbour across each one."""
-    keys = [skey(v) for v in corners]
-    origin = min(range(len(corners)), key=keys.__getitem__)
-    axes = sorted((1 << i for i in range(len(corners).bit_length() - 1)),
-                  key=lambda a: keys[origin ^ a])
+    ordered by the neighbour across each one.
+
+    Hence the faces of a canonical cube through its origin (eps = 0 in
+    ``cube_faces``) are canonical as they stand: each holds the least
+    corner at position 0 and keeps the cube's order of the neighbours."""
+    origin = corners.index(min(corners))
     index = [origin]
-    for a in axes:
+    # the corners are distinct, so the pairs are ordered by the neighbour
+    for _, a in sorted([(corners[origin ^ (1 << i)], 1 << i)
+                        for i in range(len(corners).bit_length() - 1)]):
         index += [j ^ a for j in index]
-    return tuple(corners[j] for j in index)
+    return tuple([corners[j] for j in index])
 
 
 def cube_dim(corners: tuple) -> int:
     return len(corners).bit_length() - 1
 
 
-def cube_faces(corners: tuple):
-    """Yield the 2*dim codimension-1 faces, in induced corner order."""
-    dim = cube_dim(corners)
+@functools.cache
+def _face_pickers(dim: int) -> tuple:
+    """(eps, pick) per codimension-1 face of a dim-cube, axis by axis and
+    eps = 0 first: pick(corners) is the face's corner tuple, in induced
+    order."""
+    out = []
     for axis in range(dim):
         for eps in (0, 1):
-            yield _face(corners, dim, axis, eps)
-
-
-def _face(corners, dim, axis, eps):
-    out = []
-    for j in range(1 << (dim - 1)):
-        low = j & ((1 << axis) - 1)
-        high = (j >> axis) << (axis + 1)
-        out.append(corners[low | (eps << axis) | high])
+            index = [j for j in range(1 << dim) if (j >> axis) & 1 == eps]
+            pick = itemgetter(*index) if len(index) > 1 else (lambda c, j=index[0]: (c[j],))
+            out.append((eps, pick))
     return tuple(out)
+
+
+def cube_faces(corners: tuple):
+    """Yield the 2*dim codimension-1 faces, in induced corner order."""
+    for _, pick in _face_pickers(cube_dim(corners)):
+        yield pick(corners)
+
+
+def _named(labels: tuple, cell) -> tuple:
+    return tuple(labels[r] for r in cell)
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +121,31 @@ def _face(corners, dim, axis, eps):
 
 @dataclass(frozen=True)
 class CubeComplex:
-    """Validated cubical complex. ``cubes`` holds canonical corner tuples of
-    every positive dimension; vertices live in ``vertices``."""
+    """Validated cubical complex on ranked vertices.
 
-    vertices: frozenset
+    ``labels[r]`` is the id of the vertex of rank r, in ``skey`` order;
+    the vertices are the ranks ``range(len(labels))``. ``cubes`` holds
+    the canonical rank tuples of every positive dimension. ``maximal``
+    holds those that are a face of no larger cube, as the face pass of
+    ``build_complex`` records them. Adjacency and incidence are indexed by
+    rank."""
+
+    labels: tuple
     cubes: frozenset
+    maximal: frozenset
+
+    @property
+    def vertices(self) -> range:
+        return range(len(self.labels))
+
+    @cached_property
+    def vertex_index(self) -> dict:
+        """Vertex id -> rank."""
+        return {v: r for r, v in enumerate(self.labels)}
+
+    def named(self, cell) -> tuple:
+        """The ids of the ranks in ``cell``, in order."""
+        return _named(self.labels, cell)
 
     @cached_property
     def by_dim(self) -> dict[int, frozenset]:
@@ -127,49 +167,36 @@ class CubeComplex:
         return self.by_dim.get(2, frozenset())
 
     @cached_property
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in self.vertices}
+    def adjacency(self) -> tuple:
+        """Rank -> the ranks of its 1-skeleton neighbours."""
+        adj = [set() for _ in self.labels]
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return {v: frozenset(ns) for v, ns in adj.items()}
+        return tuple(frozenset(ns) for ns in adj)
 
     @cached_property
-    def incidence(self) -> dict:
-        """Vertex -> the (cube, position) pairs with that vertex at that
+    def incidence(self) -> tuple:
+        """Rank -> the (cube, position) pairs with that vertex at that
         corner position."""
-        out = {v: [] for v in self.vertices}
+        out = [[] for _ in self.labels]
         for c in self.cubes:
-            for pos, v in enumerate(c):
-                out[v].append((c, pos))
-        return {v: tuple(ps) for v, ps in out.items()}
-
-    @cached_property
-    def vertex_order(self) -> tuple:
-        return tuple(ssorted(self.vertices))
-
-    @cached_property
-    def vertex_index(self) -> dict:
-        return {v: i for i, v in enumerate(self.vertex_order)}
-
-    @cached_property
-    def neighbours(self) -> tuple:
-        """1-skeleton adjacency over positions in ``vertex_order``."""
-        idx = self.vertex_index
-        return tuple(tuple(idx[w] for w in self.adjacency[v]) for v in self.vertex_order)
+            for pos, r in enumerate(c):
+                out[r].append((c, pos))
+        return tuple(tuple(ps) for ps in out)
 
     def is_connected(self) -> bool:
-        return len(components(self.vertex_order, self.adjacency)) <= 1
+        return len(components(self.vertices, self.adjacency)) <= 1
 
     def euler_characteristic(self) -> int:
-        chi = len(self.vertices)
+        chi = len(self.labels)
         for k, cs in self.by_dim.items():
             chi += (-1) ** k * len(cs)
         return chi
 
     def counts(self) -> dict:
         return {
-            "vertices": len(self.vertices),
+            "vertices": len(self.labels),
             "cubes": {str(k): len(self.by_dim[k]) for k in sorted(self.by_dim)},
             "euler_characteristic": self.euler_characteristic(),
         }
@@ -226,7 +253,8 @@ def build_simplicial(vertices, simplices) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Square-equivalence class of edges plus every cube it crosses."""
+    """Square-equivalence class of edges plus every cube it crosses, as
+    rank tuples."""
 
     index: int
     edges: frozenset
@@ -240,14 +268,20 @@ class Hyperplane:
 def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
     """Validate raw cube data and return a canonical CubeComplex.
 
-    Faces must be listed explicitly; nothing is inferred. Raises
-    SelfGluingError, DuplicateCubeError, MissingFaceError, DoubleGluingError,
-    or UnknownVertexError with the offending cells attached.
+    The ids are ranked once, in ``skey`` order, and every listed cube is
+    rewritten to ranks and canonicalized once. Faces must be listed
+    explicitly; nothing is inferred. One face pass, by dimension and then
+    by canonical cube, checks that the faces are listed and records the
+    cubes that are faces of larger ones; only the faces off the origin
+    need canonicalizing (see ``canonical_cube``). Raises SelfGluingError,
+    DuplicateCubeError, MissingFaceError, DoubleGluingError, or
+    UnknownVertexError with the offending cells attached, by their ids.
     """
     vertex_list = list(vertices)
-    vertex_set = frozenset(vertex_list)
-    if len(vertex_set) != len(vertex_list):
+    if len(set(vertex_list)) != len(vertex_list):
         raise DuplicateCubeError("duplicate vertex id", dim=0)
+    labels = tuple(ssorted(vertex_list))
+    rank = {v: r for r, v in enumerate(labels)}
     listed: dict[int, set] = {}
     for dim_key, raw_cubes in cubes_by_dim.items():
         k = int(dim_key)
@@ -255,48 +289,54 @@ def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
             raise InputFormatError(f"cube dimension must be >= 1, got {k}")
         if k > 62:  # 2^k corners could not be listed
             raise InputFormatError(f"cube dimension {k} is too large")
-        listed.setdefault(k, set())
+        seen = listed.setdefault(k, set())
         for corners in raw_cubes:
             corners = tuple(corners)
             if len(corners) != 1 << k:
                 raise InputFormatError(
                     f"{k}-cube needs {1 << k} corners, got {len(corners)}",
                     cube=corners)
-            for v in corners:
-                if v not in vertex_set:
-                    raise UnknownVertexError(
-                        f"cube corner {v!r} is not a listed vertex",
-                        vertex=v, cube=corners)
-            if len(set(corners)) != len(corners):
+            try:
+                ranked = tuple(map(rank.__getitem__, corners))
+            except KeyError:
+                v = next(v for v in corners if v not in rank)
+                raise UnknownVertexError(
+                    f"cube corner {v!r} is not a listed vertex",
+                    vertex=v, cube=corners) from None
+            if len(set(ranked)) != len(ranked):
                 raise SelfGluingError(
                     "cube has a repeated corner id", cube=corners, dim=k)
-            canon = canonical_cube(corners)
-            if canon in listed[k]:
+            canon = canonical_cube(ranked)
+            if canon in seen:
                 raise DuplicateCubeError(
                     "cube listed twice (up to symmetry)", cube=corners, dim=k)
-            listed[k].add(canon)
+            seen.add(canon)
 
-    x = CubeComplex(vertices=vertex_set,
-                    cubes=frozenset(c for cs in listed.values() for c in cs))
-    # one fixed walk, by dimension and then by corner ids, so the cubes an
-    # error names do not depend on set iteration order
-    rank = x.vertex_index
-    walk = sorted(x.cubes, key=lambda c: (len(c), [rank[v] for v in c]))
-    for c in walk:
-        k = cube_dim(c)
+    # one fixed walk, by dimension and then by corner ranks, so the cubes
+    # an error names do not depend on set iteration order
+    walk = {k: sorted(listed[k]) for k in sorted(listed)}
+    covered = set()  # cubes that are faces of larger ones
+    for k, cubes in walk.items():
         if k == 1:
             continue  # endpoints already checked against the vertex set
-        for f in cube_faces(c):
-            if canonical_cube(f) not in listed.get(k - 1, ()):
-                raise MissingFaceError(
-                    "face of a listed cube is not listed",
-                    cube=c, face=f, dim=k - 1)
+        below = listed.get(k - 1, ())
+        pickers = _face_pickers(k)
+        for c in cubes:
+            for eps, pick in pickers:
+                f = pick(c)
+                face = canonical_cube(f) if eps else f
+                if face not in below:
+                    raise MissingFaceError(
+                        "face of a listed cube is not listed",
+                        cube=_named(labels, c), face=_named(labels, f), dim=k - 1)
+                covered.add(face)
 
-    _check_double_gluing(walk)
-    return x
+    cubes = frozenset(c for cs in listed.values() for c in cs)
+    _check_double_gluing([c for cs in walk.values() for c in cs], labels)
+    return CubeComplex(labels=labels, cubes=cubes, maximal=cubes - covered)
 
 
-def _check_double_gluing(walk: list[tuple]) -> None:
+def _check_double_gluing(walk: list[tuple], labels: tuple) -> None:
     """Two distinct cubes may share at most the corner set of one common
     face; anything else is a double gluing. Given that every face of every
     cube is listed, this holds iff no two cubes share a diagonal, a pair of
@@ -308,21 +348,27 @@ def _check_double_gluing(walk: list[tuple]) -> None:
       so it is also a face of b. The shared corners are closed under these
       spans, hence convex in a, and convex corner sets of a cube are its
       faces: they form the one face that a and b have in common.
-    So one pass over the diagonals, in ``walk`` order, decides; ``cube_a``
-    is the earlier owner of the first repeated diagonal."""
+    So one pass over the diagonals, as rank pairs in ``walk`` order,
+    decides; ``cube_a`` is the earlier owner of the first repeated
+    diagonal."""
     owner: dict = {}
     for c in walk:
         top = len(c) - 1
         for p in range(len(c) // 2):
-            a = owner.setdefault(frozenset((c[p], c[p ^ top])), c)
+            u, w = c[p], c[p ^ top]
+            a = owner.setdefault((u, w) if u < w else (w, u), c)
             if a is not c:
                 raise DoubleGluingError(
                     "cubes intersect in more than one common face",
-                    cube_a=a, cube_b=c, shared=ssorted(set(a) & set(c)))
+                    cube_a=_named(labels, a), cube_b=_named(labels, c),
+                    shared=[labels[r] for r in sorted(set(a) & set(c))])
 
 
 def load_complex(data: dict) -> CubeComplex:
-    """Ingest the JSON form {"vertices": [...], "cubes": {"1": [[..]..], ...}}."""
+    """Ingest the JSON form {"vertices": [...], "cubes": {"1": [[..]..], ...}}.
+
+    Witnesses and certificates name a vertex by ``str(v)``, so two
+    distinct ids with one string form (1 and "1") are an input error."""
     if not isinstance(data, dict) or "vertices" not in data:
         raise InputFormatError("complex JSON needs 'vertices' and 'cubes'")
     vertices = parse_list(data["vertices"], "'vertices'")
@@ -335,6 +381,12 @@ def load_complex(data: dict) -> CubeComplex:
             tuple(parse_list(c, "a cube")) for c in parse_list(cs, f"cubes[{k!r}]")]
     check_ids(vertices, "vertex ids")
     check_ids((v for cs in cubes.values() for c in cs for v in c), "cube corners")
+    printed: dict = {}
+    for v in vertices:
+        u = printed.setdefault(str(v), v)
+        if u is not v and u != v:
+            raise InputFormatError(
+                f"vertex ids {u!r} and {v!r} have the same string form", ids=[u, v])
     return build_complex(vertices, cubes)
 
 
@@ -342,12 +394,11 @@ def dump_complex(x: CubeComplex) -> dict:
     def vid(v):
         return v if isinstance(v, (int, str)) else ",".join(str(t) for t in v)
 
+    names = [vid(v) for v in x.labels]
     return {
-        "vertices": [vid(v) for v in x.vertex_order],
+        "vertices": names,
         "cubes": {
-            str(k): sorted(
-                ([vid(v) for v in c] for c in x.by_dim[k]),
-                key=lambda t: [skey(x) for x in t])
+            str(k): [[names[r] for r in c] for c in sorted(x.by_dim[k])]
             for k in sorted(x.by_dim)
         },
     }
@@ -358,17 +409,18 @@ def dump_complex(x: CubeComplex) -> dict:
 
 
 def vertex_link(x: CubeComplex, v) -> SimplicialComplex:
-    """Link of v: one link vertex per edge at v, one (k-1)-simplex per
-    (k-cube, corner-at-v) incidence, spanned by that cube's edges at v."""
-    if v not in x.vertices:
+    """Link of the vertex with id v: one link vertex per edge at v, one
+    (k-1)-simplex per (k-cube, corner-at-v) incidence, spanned by that
+    cube's edges at v. Link vertices are edges of x, as x stores them:
+    rank pairs, least rank first."""
+    r = x.vertex_index.get(v)
+    if r is None:
         raise UnknownVertexError(f"unknown vertex {v!r}", vertex=v)
     link_vertices: set[tuple] = set()
     simplices: list[frozenset] = []
-    rank = x.vertex_index
-    for c, pos in x.incidence[v]:
+    for c, pos in x.incidence[r]:
         nbrs = (c[pos ^ (1 << axis)] for axis in range(cube_dim(c)))
-        # the canonical edge: its least corner first
-        dirs = [(v, u) if rank[v] < rank[u] else (u, v) for u in nbrs]
+        dirs = [(r, u) if r < u else (u, r) for u in nbrs]
         link_vertices.update(dirs)
         simplices.append(frozenset(dirs))
     return build_simplicial(link_vertices, simplices)
@@ -411,11 +463,13 @@ class LocalCat0Result:
 
 
 def is_locally_cat0(x: CubeComplex) -> LocalCat0Result:
-    """Gromov link test: every vertex link must be flag."""
-    for v in x.vertex_order:
+    """Gromov link test: every vertex link must be flag. The witness names
+    the vertex and the edges of its empty simplex by their ids."""
+    for v in x.labels:
         res = is_flag(vertex_link(x, v))
         if not res.ok:
-            return LocalCat0Result(ok=False, vertex=v, witness=res.witness)
+            return LocalCat0Result(ok=False, vertex=v,
+                                   witness=tuple(map(x.named, res.witness)))
     return LocalCat0Result(ok=True)
 
 
@@ -438,21 +492,22 @@ def _bfs(nbrs, root: int) -> tuple[list[int], list[int]]:
 
 
 def median(x: CubeComplex, a, b, c):
-    """The unique vertex in all three pairwise geodesic intervals.
+    """The unique vertex in all three pairwise geodesic intervals, given
+    and returned by id.
 
     Raises NoMedianError / MultipleMediansError when the triple has zero or
     several candidates (both certify that the complex is not CAT(0)).
     """
     for v in (a, b, c):
-        if v not in x.vertices:
+        if v not in x.vertex_index:
             raise UnknownVertexError(f"unknown vertex {v!r}", vertex=v)
     if not x.is_connected():
         raise DisconnectedError("median requires a connected complex")
     ia, ib, ic = (x.vertex_index[v] for v in (a, b, c))
-    da, db, dc = (_bfs(x.neighbours, i)[0] for i in (ia, ib, ic))
+    da, db, dc = (_bfs(x.adjacency, i)[0] for i in (ia, ib, ic))
     hits = [
-        x.vertex_order[m]
-        for m in range(len(x.vertex_order))
+        x.labels[m]
+        for m in x.vertices
         if da[m] + db[m] == da[ib]
         and db[m] + dc[m] == db[ic]
         and da[m] + dc[m] == da[ic]
@@ -468,24 +523,23 @@ def median(x: CubeComplex, a, b, c):
 def _median_violation(x: CubeComplex, cap: int):
     """Exact unique-median check over all vertex triples of a connected
     complex whose 4-cycles all bound listed squares. Returns None or a
-    witness dict: the first triple (a, b, c) in ``vertex_order`` with
-    a < b < c, in lexicographic order, whose pairwise geodesic intervals
-    do not meet in exactly one vertex, and the vertices they meet in.
+    witness dict, by ids: the first triple (a, b, c) of ranks a < b < c,
+    in lexicographic order, whose pairwise geodesic intervals do not meet
+    in exactly one vertex, and the vertices they meet in.
 
     ``_is_roller_dual`` decides at any size. Only a failure runs
     ``_first_bad_triple``, and above ``cap`` raises CapExceededError."""
     if _is_roller_dual(x):
         return None
-    n = len(x.vertex_order)
+    n = len(x.labels)
     if n > cap:
         raise CapExceededError(
             f"median check over {n} vertices exceeds cap {cap}", cap=cap)
-    found = _first_bad_triple(x.neighbours)
+    found = _first_bad_triple(x.adjacency)
     if found is None:
         return None
     triple, medians = found
-    return {"triple": tuple(x.vertex_order[i] for i in triple),
-            "medians": [x.vertex_order[m] for m in medians]}
+    return {"triple": x.named(triple), "medians": [x.labels[m] for m in medians]}
 
 
 def _is_roller_dual(x: CubeComplex) -> bool:
@@ -505,22 +559,21 @@ def _is_roller_dual(x: CubeComplex) -> bool:
     splits, and v borders exactly its minimal halfspaces. Halfspaces 2i
     and 2i + 1 are the sides of class i holding the two ends of one of
     its edges."""
-    n = len(x.vertex_order)
-    idx = x.vertex_index
+    n = len(x.labels)
     hps = hyperplanes(x)
     nbrs = [[] for _ in range(n)]  # (neighbour, class) pairs
     for h in hps:
         for a, b in h.edges:
-            nbrs[idx[a]].append((idx[b], h.index))
-            nbrs[idx[b]].append((idx[a], h.index))
+            nbrs[a].append((b, h.index))
+            nbrs[b].append((a, h.index))
     halfspaces = []  # vertex bitsets
     chosen = [0] * n  # vertex -> bitset of the halfspaces holding it
     for h in hps:
         rest = [[w for w, c in ns if c != h.index] for ns in nbrs]
-        u, w = (idx[v] for v in next(iter(h.edges)))
+        u, w = next(iter(h.edges))
         (near, side), (_, other) = _bfs(rest, u), _bfs(rest, w)
         if (near[w] >= 0 or len(side) + len(other) != n  # (a)
-                or any((near[idx[a]] < 0) == (near[idx[b]] < 0) for a, b in h.edges)):
+                or any((near[a] < 0) == (near[b] < 0) for a, b in h.edges)):
             return False
         for part, bit in ((side, 1 << 2 * h.index), (other, 2 << 2 * h.index)):
             halfspaces.append(sum(1 << v for v in part))
@@ -575,21 +628,18 @@ def _first_bad_triple(nbrs):
 
 
 def _unfilled_square(x: CubeComplex):
-    """A 4-cycle of the 1-skeleton with no listed square on it, if any.
-    Cycle a-v-b-w: a,b opposite, v,w opposite."""
+    """A 4-cycle of the 1-skeleton with no listed square on it, if any, by
+    ids. Cycle a-v-b-w: a,b opposite, v,w opposite."""
     adj = x.adjacency
-    rank = x.vertex_index
-    for a in x.vertex_order:
+    squares = x.squares
+    for a in x.vertices:
         # the pairs (a, b) of the all-pairs scan that can close a 4-cycle:
         # b after a at distance 2, in the same order
-        near = {b for v in adj[a] for b in adj[v]
-                if rank[b] > rank[a] and b not in adj[a]}
-        for b in sorted(near, key=rank.__getitem__):
-            common = sorted(adj[a] & adj[b], key=rank.__getitem__)
-            for v, w in itertools.combinations(common, 2):
-                candidate = canonical_cube((a, v, w, b))
-                if candidate not in x.squares:
-                    return {"cycle": (a, v, b, w)}
+        near = {b for v in adj[a] for b in adj[v] if b > a and b not in adj[a]}
+        for b in sorted(near):
+            for v, w in itertools.combinations(sorted(adj[a] & adj[b]), 2):
+                if canonical_cube((a, v, w, b)) not in squares:
+                    return {"cycle": x.named((a, v, b, w))}
     return None
 
 
@@ -643,18 +693,16 @@ def hyperplanes(x: CubeComplex) -> list[Hyperplane]:
     Classes are indexed in the order of their least edge."""
     opposite = {e: [] for e in x.edges}
     for c00, c10, c01, c11 in x.squares:
+        # the edges at the origin c00 of a canonical square are canonical
         for e, f in (((c00, c10), (c01, c11)), ((c00, c01), (c10, c11))):
-            e, f = canonical_cube(e), canonical_cube(f)
+            f = canonical_cube(f)
             opposite[e].append(f)
             opposite[f].append(e)
-    edge_order = sorted(x.edges, key=lambda e: [skey(v) for v in e])
-    classes = components(edge_order, opposite)
-    class_of = {}  # both orientations of every edge -> class index
-    for i, cls in enumerate(classes):
-        for a, b in cls:
-            class_of[a, b] = class_of[b, a] = i
+    classes = components(sorted(x.edges), opposite)
+    class_of = {e: i for i, cls in enumerate(classes) for e in cls}
     # the edges of a cube along one axis are opposite in its square faces,
-    # which build_complex requires to be listed: one edge per axis suffices
+    # which build_complex requires to be listed: one edge per axis, the one
+    # at the cube's origin, suffices
     crossed = [set() for _ in classes]
     for c in x.cubes:
         for axis in range(cube_dim(c)):
@@ -666,14 +714,15 @@ def hyperplanes(x: CubeComplex) -> list[Hyperplane]:
 
 def halfspaces_of(x: CubeComplex, h: Hyperplane) -> list[frozenset]:
     """Connected components of the 1-skeleton after deleting the class
-    edges. CAT(0) complexes give exactly two; other counts are reported."""
-    adj = {v: set(ns) for v, ns in x.adjacency.items()}
+    edges, as rank sets. CAT(0) complexes give exactly two; other counts
+    are reported."""
+    adj = [set(ns) for ns in x.adjacency]
     for a, b in h.edges:
         adj[a].discard(b)
         adj[b].discard(a)
     # components come ordered by least vertex, and the sort is stable: the
     # result is ordered by (size, least vertex)
-    comps = [frozenset(c) for c in components(x.vertex_order, adj)]
+    comps = [frozenset(c) for c in components(x.vertices, adj)]
     comps.sort(key=len)
     return comps
 
@@ -709,7 +758,8 @@ class HellyResult:
 def helly_check(x: CubeComplex, family: list[Hyperplane],
                 cat0: Cat0Result | None = None) -> HellyResult:
     """For a pairwise-crossing family on a CAT(0) complex: a common crossed
-    cube must exist and the family size is bounded by the dimension."""
+    cube must exist and the family size is bounded by the dimension. The
+    common cube is the least such, as a rank tuple."""
     if cat0 is None:
         cat0 = is_cat0(x)
     if not cat0.ok:
@@ -729,7 +779,7 @@ def helly_check(x: CubeComplex, family: list[Hyperplane],
     if not common:
         return HellyResult(ok=False, family=idxs, common_cube=None,
                            detail="no common crossed cube")
-    best = min(common, key=lambda c: (cube_dim(c), [skey(v) for v in c]))
+    best = min(common, key=lambda c: (len(c), c))
     return HellyResult(ok=True, family=idxs, common_cube=best)
 
 
@@ -740,7 +790,8 @@ def helly_check(x: CubeComplex, family: list[Hyperplane],
 @dataclass(frozen=True)
 class HalfspaceDecomposition:
     """Halfspace system of a CAT(0) complex plus the vertex membership of
-    each abstract halfspace, so concrete orientations can be read off."""
+    each abstract halfspace, by vertex id, so concrete orientations can be
+    read off."""
 
     system: object  # pocsets.HalfspaceSystem
     members: dict
@@ -783,7 +834,7 @@ def halfspace_system_of(x: CubeComplex, cat0: Cat0Result | None = None) -> Halfs
                 f"hyperplane {h.index} separates into {len(comps)} components",
                 hyperplane=h.index)
         plus, minus = f"h{h.index}+", f"h{h.index}-"
-        members[plus], members[minus] = comps[0], comps[1]
+        members[plus], members[minus] = (frozenset(x.named(c)) for c in comps)
         ids += [plus, minus]
         star_pairs.append((plus, minus))
     leq = [(a, b) for a in ids for b in ids

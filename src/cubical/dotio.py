@@ -24,11 +24,12 @@ def skeleton_dot(x, hyperplane_list=None) -> str:
             for e in h.edges:
                 edge_color[e] = _color(h.index)
     lines = ["graph skeleton {", "  node [shape=point];"]
-    for v in sorted(x.vertices, key=skey):
+    for v in x.labels:
         lines.append(f"  {_q(v)};")
-    for e in sorted(x.edges, key=lambda t: [skey(v) for v in t]):
+    for e in sorted(x.edges):
+        a, b = x.named(e)
         attr = f' [color="{edge_color[e]}"]' if e in edge_color else ""
-        lines.append(f"  {_q(e[0])} -- {_q(e[1])}{attr};")
+        lines.append(f"  {_q(a)} -- {_q(b)}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -113,10 +113,6 @@ class NotMinimalError(CubicalError):
     code = "not_minimal"
 
 
-class UnsatisfiableError(CubicalError):
-    code = "unsatisfiable"
-
-
 # ---- Coxeter systems ---------------------------------------------------
 
 class NotSymmetricError(CubicalError):

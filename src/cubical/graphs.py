@@ -109,7 +109,8 @@ def graph_isomorphic(adj1: dict, adj2: dict) -> bool:
 
 def complex_isomorphic(x, y, attempts: int = 10_000):
     """Cube-complex isomorphism: a 1-skeleton isomorphism that maps the cube
-    set of x onto the cube set of y. Returns a mapping or None."""
+    set of x onto the cube set of y. Returns the mapping of vertex ids, or
+    None."""
     from .complexes import canonical_cube
 
     if len(x.vertices) != len(y.vertices) or len(x.cubes) != len(y.cubes):
@@ -117,11 +118,12 @@ def complex_isomorphic(x, y, attempts: int = 10_000):
     if sorted(map(len, x.cubes)) != sorted(map(len, y.cubes)):
         return None
     tried = 0
-    for phi in graph_isomorphisms(x.adjacency, y.adjacency):
+    for phi in graph_isomorphisms(dict(enumerate(x.adjacency)),
+                                  dict(enumerate(y.adjacency))):
         tried += 1
-        image = {canonical_cube(tuple(phi[v] for v in c)) for c in x.cubes}
-        if image == set(y.cubes):
-            return phi
+        image = {canonical_cube(tuple(phi[r] for r in c)) for c in x.cubes}
+        if image == y.cubes:
+            return {x.labels[r]: y.labels[phi[r]] for r in phi}
         if tried >= attempts:
             break
     return None

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import CubeComplex, build_complex, canonical_cube, cube_dim, cube_faces
+from .complexes import CubeComplex, build_complex
 from .errors import (
     CapExceededError,
     ComparableComplementsError,
@@ -39,10 +39,8 @@ from .errors import (
     PartialOrientationError,
     SameHyperplaneError,
     SelfPairedError,
-    UnsatisfiableError,
 )
 from .graphs import cliques
-from .twosat import TwoSat
 from .util import check_ids, parse_list, skey, ssorted
 
 
@@ -316,19 +314,24 @@ def is_vertex(s: HalfspaceSystem, o: Orientation) -> VertexResult:
 
 
 def seed_vertex(s: HalfspaceSystem) -> Orientation:
-    """Some consistent orientation, from the 2-SAT instance: one halfspace
-    per pair, and choosing a forbids choosing b whenever a <= b*. The
-    literal of position p is p, so "choose p" implies "choose q" for every
-    q above p; clauses are added in position order."""
-    sat = TwoSat(len(s.star_pairs))
-    for p, m in enumerate(s.above):
-        for q in _bits(m):
-            sat.add_clause(p ^ 1, q)
-    assignment = sat.solve()
-    if assignment is None:
-        raise UnsatisfiableError("no consistent orientation exists")
-    return Orientation(choices=tuple(pair[0] if bit else pair[1]
-                                     for pair, bit in zip(s.star_pairs, assignment)))
+    """A consistent orientation in closed form: per hyperplane, the side p
+    whose least position m(p) in {p} | below(p) comes first.
+
+    On a valid system the result is consistent, so this raises nothing:
+    (1) m(p) != m(p*). A halfspace at or below both p and p* would make
+        p and p* comparable, or lie strictly below both, two relations
+        between its hyperplane and p's, against nesting.
+    (2) Say the chosen p and q had p < q*; then also q < p*, so
+        m(q*) <= m(p) and m(p*) <= m(q). With the choices,
+        m(q*) <= m(p) < m(p*) <= m(q) < m(q*), a contradiction.
+    The tests check it against the 2-SAT solution it replaces (choosing a
+    forbids b whenever a <= b*, solved by Tarjan's components)."""
+    below = s.below
+    choices = []
+    for i, pair in enumerate(s.star_pairs):
+        a, b = ((1 << p) | below[p] for p in (2 * i, 2 * i + 1))
+        choices.append(pair[0] if a & -a < b & -b else pair[1])
+    return Orientation(choices=tuple(choices))
 
 
 def minimal_halfspaces(s: HalfspaceSystem, v: Orientation) -> tuple:
@@ -416,8 +419,7 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
                 ids[w] = len(order)
                 order.append(w)
 
-    cubes_by_dim: dict[int, set] = {}
-    families: dict[tuple, tuple] = {}
+    cubes_by_dim: dict[int, list] = {}
     for v, minimal in zip(order, minimal_at):
         first = [i for i in minimal if v >> 2 * i & 1]
         for fam in cliques(s.transversal_adjacency, first):
@@ -426,12 +428,14 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
             corners = [v]  # corner k flips the hyperplanes fam[pos] for the bits pos of k
             for i in fam:
                 corners += [c ^ (3 << 2 * i) for c in corners]
-            canon = canonical_cube(tuple(ids[c] for c in corners))
-            cubes_by_dim.setdefault(len(fam), set()).add(canon)
-            families[canon] = fam
+            cubes_by_dim.setdefault(len(fam), []).append(tuple(ids[c] for c in corners))
 
-    complex_ = build_complex(list(range(len(order))),
-                             {k: sorted(v) for k, v in cubes_by_dim.items()})
+    # vertex ids are 0..n-1, their own ranks: build_complex canonicalizes
+    # each cube, and its family is read back off two opposite corners
+    complex_ = build_complex(range(len(order)), cubes_by_dim)
+    even = _evens(2 * len(s.star_pairs))
+    families = {c: tuple(p >> 1 for p in _bits((order[c[0]] ^ order[c[-1]]) & even))
+                for c in complex_.cubes}
     labels = s.labels
     orientations = tuple(Orientation(choices=tuple(labels[p] for p in _bits(v)))
                          for v in order)
@@ -441,18 +445,11 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
 
 def maximal_cubes(dual: DualComplex) -> list[tuple]:
     """Maximal cubes of the component with their defining hyperplane
-    families; verifies the cube <-> maximal-transversal-family bijection."""
+    families, as ``build_complex`` recorded them; verifies the cube <->
+    maximal-transversal-family bijection."""
     s = dual.system
-    x = dual.complex
-    face_of_bigger: set[tuple] = set()
-    for c in x.cubes:
-        if cube_dim(c) >= 2:
-            for f in cube_faces(c):
-                face_of_bigger.add(canonical_cube(f))
-    result = []
-    for c in sorted(x.cubes, key=lambda t: (len(t), t)):
-        if c not in face_of_bigger:
-            result.append((c, dual.cube_families[c]))
+    result = [(c, dual.cube_families[c])
+              for c in sorted(dual.complex.maximal, key=lambda t: (len(t), t))]
 
     fams = [fam for _, fam in result]
     if len(set(fams)) != len(fams):

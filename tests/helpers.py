@@ -5,6 +5,9 @@ torus complexes are written down cell by cell; dihedral groups, the rank-3
 affine reflection group, and PGL(2,Z) are modeled by exact arithmetic
 (signed rotations, affine permutations, integer matrices up to sign); the
 ShortLex normal form oracle is a plain BFS over those models.
+
+A ``CubeComplex`` holds its vertices as ranks; ``named`` is the one place
+the tests read its cells back by vertex id.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from cubical.errors import (
     CyclicOrderError,
     DisconnectedError,
     DoubleGluingError,
+    DuplicateCubeError,
     IncompatibleClustersError,
     InputFormatError,
+    MissingFaceError,
     MultipleMediansError,
     NestingViolationError,
     NoMedianError,
@@ -41,14 +46,13 @@ from cubical.errors import (
     NotAVertexError,
     NotInvolutionError,
     PartialOrientationError,
+    SelfGluingError,
     SelfPairedError,
     UnknownVertexError,
-    UnsatisfiableError,
 )
 from cubical.graphs import cliques
 from cubical.pocsets import DualComplex, HalfspaceSystem, Orientation, VertexResult
 from cubical.treespace import Orthant, PhyloTree, _ckey, compatible
-from cubical.twosat import TwoSat
 from cubical.util import skey, ssorted
 
 
@@ -80,6 +84,144 @@ def lexmin_cube(corners: tuple) -> tuple:
     images = (tuple(corners[j] for j in sigma)
               for sigma in symmetry_maps(len(corners).bit_length() - 1))
     return min(images, key=lambda img: [skey(v) for v in img])
+
+
+def skey_canonical_cube(corners: tuple) -> tuple:
+    """Oracle for ``complexes.canonical_cube`` on vertex ids: the same
+    closed form with the corners compared by ``skey``, as it ran before
+    vertices were ranked."""
+    keys = [skey(v) for v in corners]
+    origin = min(range(len(corners)), key=keys.__getitem__)
+    axes = sorted((1 << i for i in range(len(corners).bit_length() - 1)),
+                  key=lambda a: keys[origin ^ a])
+    index = [origin]
+    for a in axes:
+        index += [j ^ a for j in index]
+    return tuple(corners[j] for j in index)
+
+
+# ---------------------------------------------------------------------------
+# complexes keyed by vertex ids (oracle for the ranked build)
+
+
+@dataclass(frozen=True)
+class LabelComplex:
+    """A cube complex keyed by vertex ids: ``vertices`` is the id set,
+    ``cubes`` and ``maximal`` hold corner-id tuples, canonical by
+    ``skey``. ``named`` reads a ``CubeComplex`` this way, and
+    ``label_build_complex`` builds one directly."""
+
+    vertices: frozenset
+    cubes: frozenset
+    maximal: frozenset
+
+    @cached_property
+    def by_dim(self) -> dict:
+        out: dict = {}
+        for c in self.cubes:
+            out.setdefault(cube_dim(c), set()).add(c)
+        return {k: frozenset(v) for k, v in out.items()}
+
+    @property
+    def edges(self) -> frozenset:
+        return self.by_dim.get(1, frozenset())
+
+    @property
+    def squares(self) -> frozenset:
+        return self.by_dim.get(2, frozenset())
+
+    @cached_property
+    def adjacency(self) -> dict:
+        adj = {v: set() for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return {v: frozenset(ns) for v, ns in adj.items()}
+
+
+def named(x: CubeComplex) -> LabelComplex:
+    """x with every rank replaced by its vertex id. Rank order is ``skey``
+    order, so the rank-canonical cubes come out ``skey``-canonical."""
+    return LabelComplex(vertices=frozenset(x.labels),
+                        cubes=frozenset(map(x.named, x.cubes)),
+                        maximal=frozenset(map(x.named, x.maximal)))
+
+
+def faces_of_larger(cubes, canon=canonical_cube) -> set:
+    """Oracle for the face record of ``complexes.build_complex``: every
+    codimension-1 face of every cube of dimension >= 2, each one
+    canonicalized by ``canon``."""
+    return {canon(f) for c in cubes if cube_dim(c) >= 2 for f in cube_faces(c)}
+
+
+def label_build_complex(vertices, cubes_by_dim: dict) -> LabelComplex:
+    """Oracle for ``complexes.build_complex``: the same checks in the same
+    order on vertex ids, every cube and every face canonicalized by
+    ``skey_canonical_cube``, as the builder ran before vertices were
+    ranked; the maximal cubes come from ``faces_of_larger``."""
+    vertex_list = list(vertices)
+    vertex_set = frozenset(vertex_list)
+    if len(vertex_set) != len(vertex_list):
+        raise DuplicateCubeError("duplicate vertex id", dim=0)
+    listed: dict[int, set] = {}
+    for dim_key, raw_cubes in cubes_by_dim.items():
+        k = int(dim_key)
+        if k < 1:
+            raise InputFormatError(f"cube dimension must be >= 1, got {k}")
+        if k > 62:
+            raise InputFormatError(f"cube dimension {k} is too large")
+        listed.setdefault(k, set())
+        for corners in raw_cubes:
+            corners = tuple(corners)
+            if len(corners) != 1 << k:
+                raise InputFormatError(
+                    f"{k}-cube needs {1 << k} corners, got {len(corners)}",
+                    cube=corners)
+            for v in corners:
+                if v not in vertex_set:
+                    raise UnknownVertexError(
+                        f"cube corner {v!r} is not a listed vertex",
+                        vertex=v, cube=corners)
+            if len(set(corners)) != len(corners):
+                raise SelfGluingError(
+                    "cube has a repeated corner id", cube=corners, dim=k)
+            canon = skey_canonical_cube(corners)
+            if canon in listed[k]:
+                raise DuplicateCubeError(
+                    "cube listed twice (up to symmetry)", cube=corners, dim=k)
+            listed[k].add(canon)
+    cubes = frozenset(c for cs in listed.values() for c in cs)
+    walk = sorted(cubes, key=lambda c: (len(c), [skey(v) for v in c]))
+    for c in walk:
+        k = cube_dim(c)
+        if k == 1:
+            continue
+        for f in cube_faces(c):
+            if skey_canonical_cube(f) not in listed.get(k - 1, ()):
+                raise MissingFaceError(
+                    "face of a listed cube is not listed",
+                    cube=c, face=f, dim=k - 1)
+    owner: dict = {}
+    for c in walk:
+        top = len(c) - 1
+        for p in range(len(c) // 2):
+            a = owner.setdefault(frozenset((c[p], c[p ^ top])), c)
+            if a is not c:
+                raise DoubleGluingError(
+                    "cubes intersect in more than one common face",
+                    cube_a=a, cube_b=c, shared=ssorted(set(a) & set(c)))
+    return LabelComplex(vertices=vertex_set, cubes=cubes,
+                        maximal=cubes - faces_of_larger(cubes, skey_canonical_cube))
+
+
+def scan_maximal_cubes(dual: DualComplex) -> list[tuple]:
+    """Oracle for ``pocsets.maximal_cubes``: the cubes that are no face of
+    a larger one, by ``faces_of_larger``, with their families, ordered by
+    (size, corners)."""
+    x = dual.complex
+    covered = faces_of_larger(x.cubes)
+    return [(c, dual.cube_families[c])
+            for c in sorted(x.cubes, key=lambda t: (len(t), t)) if c not in covered]
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +292,7 @@ def torus_3x3() -> CubeComplex:
 
 def cube_boundary_3() -> CubeComplex:
     """The six squares of a 3-cube without the solid cube."""
-    solid = grid_complex(1, 1, 1)
+    solid = named(grid_complex(1, 1, 1))
     squares = sorted(solid.by_dim[2])
     edges = sorted(solid.by_dim[1])
     return build_complex(sorted(solid.vertices), {1: edges, 2: squares})
@@ -192,7 +334,7 @@ def glue_cube_boundary(x: CubeComplex, at) -> CubeComplex:
     """x with the boundary of a 3-cube glued on at vertex ``at``: the
     corner links of the boundary are empty triangles."""
     corner = [at] + [("cb", i) for i in range(1, 8)]
-    solid = grid_complex(1, 1, 1)
+    solid = named(grid_complex(1, 1, 1))
     rename = {p: corner[p[0] + 2 * p[1] + 4 * p[2]] for p in solid.vertices}
     cells = {k: [tuple(rename[p] for p in c) for c in solid.by_dim[k]]
              for k in (1, 2)}
@@ -200,29 +342,30 @@ def glue_cube_boundary(x: CubeComplex, at) -> CubeComplex:
 
 
 def _glue(x: CubeComplex, new_vertices, new_cubes) -> CubeComplex:
-    cubes = {k: list(cs) for k, cs in x.by_dim.items()}
+    cubes = {k: list(cs) for k, cs in named(x).by_dim.items()}
     for k, cs in new_cubes.items():
         cubes.setdefault(k, []).extend(cs)
-    return build_complex(list(x.vertices) + list(new_vertices), cubes)
+    return build_complex(list(x.labels) + list(new_vertices), cubes)
 
 
 def relabel(x: CubeComplex, rename) -> CubeComplex:
-    """Copy of x with vertex v renamed to rename[v]."""
+    """Copy of x with vertex id v renamed to rename[v]."""
     return build_complex(
-        [rename[v] for v in x.vertices],
+        [rename[v] for v in x.labels],
         {k: [tuple(rename[v] for v in c) for c in cs]
-         for k, cs in x.by_dim.items()})
+         for k, cs in named(x).by_dim.items()})
 
 
 def bfs_distances(x: CubeComplex) -> dict:
-    """(u, v) -> 1-skeleton distance for every connected pair, by a plain
-    breadth-first search per vertex."""
+    """(u, v) -> 1-skeleton distance, by vertex ids, for every connected
+    pair, by a plain breadth-first search per vertex."""
+    y = named(x)
     out = {}
-    for start in x.vertices:
+    for start in y.vertices:
         seen = {start: 0}
         queue = [start]
         for v in queue:
-            for w in x.adjacency[v]:
+            for w in y.adjacency[v]:
                 if w not in seen:
                     seen[w] = seen[v] + 1
                     queue.append(w)
@@ -232,9 +375,9 @@ def bfs_distances(x: CubeComplex) -> dict:
 
 def distance_matrix(x: CubeComplex) -> np.ndarray:
     """All-pairs 1-skeleton distances from ``bfs_distances``, indexed like
-    ``vertex_order``; -1 for unreachable pairs."""
+    ranks; -1 for unreachable pairs."""
     dist = bfs_distances(x)
-    order = x.vertex_order
+    order = x.labels
     return np.array([[dist.get((u, v), -1) for v in order] for u in order],
                     dtype=np.int32).reshape(len(order), len(order))
 
@@ -244,7 +387,7 @@ def dense_median_violation(x: CubeComplex, cap: int):
     unique-median check over all vertex triples, through a dense
     interval[x, y, m] tensor (O(n^3) memory, one einsum per slice).
     Returns None or a witness dict."""
-    n = len(x.vertex_order)
+    n = len(x.labels)
     if n > cap:
         raise CapExceededError(
             f"median check over {n} vertices exceeds cap {cap}", cap=cap)
@@ -262,10 +405,8 @@ def dense_median_violation(x: CubeComplex, cap: int):
         bad = bad[bad[:, 0] < bad[:, 1]]
         if bad.size:
             b, c = (int(t) for t in bad[0])
-            triple = (x.vertex_order[a],
-                      x.vertex_order[a + 1 + b],
-                      x.vertex_order[a + 1 + c])
-            medians = [x.vertex_order[m] for m in range(n)
+            triple = (x.labels[a], x.labels[a + 1 + b], x.labels[a + 1 + c])
+            medians = [x.labels[m] for m in range(n)
                        if interval[x.vertex_index[triple[0]],
                                    x.vertex_index[triple[1]], m]
                        and interval[x.vertex_index[triple[1]],
@@ -283,7 +424,7 @@ def label_median_violation(x: CubeComplex, cap: int):
     bitwise majority is a label. Labels that are not isometric prove the
     graph is not median, and the intervals are scanned one pair at a time
     for the least bad triple. Returns None or a witness dict."""
-    n = len(x.vertex_order)
+    n = len(x.labels)
     if n > cap:
         raise CapExceededError(
             f"median check over {n} vertices exceeds cap {cap}", cap=cap)
@@ -295,16 +436,15 @@ def label_median_violation(x: CubeComplex, cap: int):
     if found is None:
         return None
     triple, medians = found
-    return {"triple": tuple(x.vertex_order[i] for i in triple),
-            "medians": [x.vertex_order[m] for m in medians]}
+    return {"triple": tuple(x.labels[i] for i in triple),
+            "medians": [x.labels[m] for m in medians]}
 
 
 def _hyperplane_labels(x: CubeComplex, dist: np.ndarray):
     """(n, k) bool labels, bit i of vertex w set iff w is nearer the first
     end of one edge (u, v) of hyperplane i than the second; or None when
     the Hamming distance of two labels is not always their distance."""
-    idx = x.vertex_index
-    ends = [min((idx[a], idx[b]) for a, b in h.edges) for h in hyperplanes(x)]
+    ends = [min(h.edges) for h in hyperplanes(x)]
     u, v = np.array(ends, dtype=np.intp).reshape(-1, 2).T
     labels = dist[:, u] < dist[:, v]
     for w in range(len(labels)):
@@ -358,13 +498,13 @@ def matrix_median(x: CubeComplex, a, b, c):
     """Oracle for ``complexes.median``: the vertices in all three pairwise
     intervals, read off the distance matrix, or the error it raises."""
     for v in (a, b, c):
-        if v not in x.vertices:
+        if v not in x.labels:
             raise UnknownVertexError(f"unknown vertex {v!r}", vertex=v)
     dist = distance_matrix(x)
-    if len(x.vertices) and (dist[0] < 0).any():
+    if len(x.labels) and (dist[0] < 0).any():
         raise DisconnectedError("median requires a connected complex")
-    ia, ib, ic = (x.vertex_index[v] for v in (a, b, c))
-    hits = [x.vertex_order[m] for m in range(len(x.vertex_order))
+    ia, ib, ic = (x.labels.index(v) for v in (a, b, c))
+    hits = [x.labels[m] for m in range(len(x.labels))
             if dist[ia, m] + dist[m, ib] == dist[ia, ib]
             and dist[ib, m] + dist[m, ic] == dist[ib, ic]
             and dist[ia, m] + dist[m, ic] == dist[ia, ic]]
@@ -381,9 +521,9 @@ def matrix_median(x: CubeComplex, a, b, c):
 
 
 def all_faces(corners: tuple) -> dict[frozenset, tuple]:
-    """Map corner-id set -> canonical cube, over every face of every
-    dimension (including the cube itself)."""
-    out = {frozenset(corners): canonical_cube(corners)}
+    """Map corner-id set -> canonical cube (by ``skey``), over every face of
+    every dimension (including the cube itself)."""
+    out = {frozenset(corners): skey_canonical_cube(corners)}
     stack = [corners]
     while stack:
         c = stack.pop()
@@ -392,7 +532,7 @@ def all_faces(corners: tuple) -> dict[frozenset, tuple]:
         for f in cube_faces(c):
             key = frozenset(f)
             if key not in out:
-                out[key] = canonical_cube(f)
+                out[key] = skey_canonical_cube(f)
                 stack.append(f)
     return out
 
@@ -432,15 +572,16 @@ def pairwise_double_gluing(all_cubes) -> None:
 
 
 def scan_vertex_link(x: CubeComplex, v):
-    """Oracle for ``complexes.vertex_link``: the link of v from a scan of
-    every cube of x."""
+    """Oracle for ``complexes.vertex_link``: the link of the vertex with id
+    v from a scan of every cube of x."""
+    r = x.labels.index(v)
     link_vertices: set[tuple] = set()
     simplices: list[frozenset] = []
     for c in x.cubes:
         for pos, corner in enumerate(c):
-            if corner != v:
+            if corner != r:
                 continue
-            dirs = [canonical_cube((v, c[pos ^ (1 << axis)]))
+            dirs = [canonical_cube((r, c[pos ^ (1 << axis)]))
                     for axis in range(cube_dim(c))]
             link_vertices.update(dirs)
             simplices.append(frozenset(dirs))
@@ -449,9 +590,11 @@ def scan_vertex_link(x: CubeComplex, v):
 
 def all_pairs_unfilled_square(x: CubeComplex):
     """Oracle for ``complexes._unfilled_square``: the first 4-cycle a-v-b-w
-    with no listed square, over all vertex pairs a < b in ``vertex_order``."""
-    adj = x.adjacency
-    order = x.vertex_order
+    with no listed square, over all vertex pairs a < b of ids in ``skey``
+    order, on the complex keyed by ids."""
+    y = named(x)
+    adj = y.adjacency
+    order = ssorted(y.vertices)
     rank = {v: i for i, v in enumerate(order)}
     for a in order:
         for b in order:
@@ -459,7 +602,7 @@ def all_pairs_unfilled_square(x: CubeComplex):
                 continue
             common = ssorted(adj[a] & adj[b])
             for v, w in itertools.combinations(common, 2):
-                if canonical_cube((a, v, w, b)) not in x.squares:
+                if skey_canonical_cube((a, v, w, b)) not in y.squares:
                     return {"cycle": (a, v, b, w)}
     return None
 
@@ -519,8 +662,8 @@ def swapped_torus(m: int, k: int) -> CubeComplex:
         for j in range(m):
             a, b, c, d = (orbit_min(((i + di) % m, (j + dj) % m))
                           for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)))
-            edges |= {canonical_cube((a, b)), canonical_cube((a, c))}
-            squares.add(canonical_cube((a, b, c, d)))
+            edges |= {skey_canonical_cube((a, b)), skey_canonical_cube((a, c))}
+            squares.add(skey_canonical_cube((a, b, c, d)))
     vertices = sorted({v for e in edges for v in e})
     return build_complex(vertices, {1: sorted(edges), 2: sorted(squares)})
 
@@ -714,10 +857,83 @@ def pair_is_vertex(s: PairSystem, o: Orientation) -> VertexResult:
     return VertexResult(ok=True)
 
 
+class TwoSat:
+    """2-SAT via strongly connected components of the implication graph
+    (Tarjan). Literals are ints: variable v has positive literal 2*v and
+    negative 2*v+1."""
+
+    def __init__(self, n_vars: int):
+        self.n = n_vars
+        self.adj: list[list[int]] = [[] for _ in range(2 * n_vars)]
+
+    def add_clause(self, a: int, b: int) -> None:
+        """Require a OR b."""
+        self.adj[a ^ 1].append(b)
+        self.adj[b ^ 1].append(a)
+
+    def _tarjan(self) -> list[int]:
+        n = 2 * self.n
+        index = [-1] * n
+        low = [0] * n
+        comp = [-1] * n
+        on_stack = [False] * n
+        stack: list[int] = []
+        counter = 0
+        ncomp = 0
+        for root in range(n):
+            if index[root] != -1:
+                continue
+            work = [(root, 0)]
+            while work:
+                v, pi = work.pop()
+                if pi == 0:
+                    index[v] = low[v] = counter
+                    counter += 1
+                    stack.append(v)
+                    on_stack[v] = True
+                recurse = False
+                for i in range(pi, len(self.adj[v])):
+                    w = self.adj[v][i]
+                    if index[w] == -1:
+                        work.append((v, i + 1))
+                        work.append((w, 0))
+                        recurse = True
+                        break
+                    if on_stack[w]:
+                        low[v] = min(low[v], index[w])
+                if recurse:
+                    continue
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+        return comp
+
+    def solve(self) -> list[bool] | None:
+        """Satisfying assignment, or None. Deterministic for a fixed input."""
+        comp = self._tarjan()
+        out = []
+        for v in range(self.n):
+            if comp[2 * v] == comp[2 * v + 1]:
+                return None
+            # Tarjan numbers components in reverse topological order, so the
+            # literal with the smaller component id is implied later and safe
+            # to set true.
+            out.append(comp[2 * v] < comp[2 * v + 1])
+        return out
+
+
 def pair_seed_vertex(s: PairSystem, clauses=None) -> Orientation:
     """Oracle for ``pocsets.seed_vertex``: one 2-SAT clause per strict pair
     (a, b), "not a or not b*", added in the order of ``clauses`` (default:
-    the iteration order of ``s.leq``)."""
+    the iteration order of ``s.leq``), solved by ``TwoSat``."""
     n = len(s.hyperplanes)
 
     def as_literal(h):
@@ -731,8 +947,7 @@ def pair_seed_vertex(s: PairSystem, clauses=None) -> Orientation:
             continue
         sat.add_clause(as_literal(a) ^ 1, as_literal(bs) ^ 1)
     assignment = sat.solve()
-    if assignment is None:
-        raise UnsatisfiableError("no consistent orientation exists")
+    assert assignment is not None, "no consistent orientation exists"
     return Orientation(choices=tuple(
         s.hyperplanes[i][0] if assignment[i] else s.hyperplanes[i][1]
         for i in range(n)))

@@ -136,7 +136,7 @@ def test_criterion_3_sageev_duality():
             assert len(d.complex.by_dim[n]) == 1
         for name, x in cat0_corpus():
             dec = halfspace_system_of(x)
-            seed = dec.principal_orientation(next(iter(x.vertex_order)))
+            seed = dec.principal_orientation(x.labels[0])
             d = dual_complex(dec.system, seed)
             assert complex_isomorphic(x, d.complex) is not None, name
 

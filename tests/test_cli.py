@@ -354,6 +354,20 @@ def test_parser_is_built_once(capsys, square_file):
     assert run_cli(capsys, "complex", "check", square_file) == first
 
 
+@pytest.mark.parametrize("cmd", ["check", "links", "hyperplanes", "export"])
+def test_vertex_ids_with_one_string_form_exit_2(capsys, tmp_path, cmd):
+    # certificates name vertices by str(v): 1 and "1" would share a name,
+    # and one link entry would overwrite the other
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps({"vertices": [1, "1", 2],
+                                "cubes": {"1": [[1, "1"], ["1", 2]]}}))
+    code, verdict = run_cli(capsys, "complex", cmd, str(path))
+    assert code == 2
+    assert verdict["certificate"] == {
+        "error": "input_format", "ids": [1, "1"],
+        "message": "vertex ids 1 and '1' have the same string form"}
+
+
 def test_complex_links_single_vertex(capsys, torus_file):
     code, verdict = run_cli(capsys, "complex", "links", torus_file,
                             "--vertex", "0,0")

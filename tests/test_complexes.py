@@ -25,16 +25,20 @@ from helpers import (
     glue_hexagon,
     grid_complex,
     hollow_square,
+    label_build_complex,
     label_median_violation,
     lexmin_cube,
     matrix_median,
+    named,
     pairwise_double_gluing,
     path_complex,
     relabel,
     scan_hyperplanes_cross,
     scan_vertex_link,
+    skey_canonical_cube,
     star_complex,
     swapped_torus,
+    symmetry_maps,
     torus,
     torus_3x3,
     tree_complex,
@@ -67,6 +71,7 @@ from cubical.complexes import (
     build_simplicial,
     canonical_cube,
     cube_dim,
+    cube_faces,
     dump_complex,
     load_complex,
 )
@@ -82,7 +87,7 @@ from cubical.errors import (
     SelfGluingError,
     UnknownVertexError,
 )
-from cubical.util import ssorted
+from cubical.util import skey, ssorted
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +108,27 @@ def cube_corner_tuples(draw):
 @settings(max_examples=150, deadline=None)
 @given(cube_corner_tuples())
 def test_canonical_cube_matches_symmetry_search(corners):
-    assert canonical_cube(corners) == lexmin_cube(corners)
+    # on ranks in skey order the int form names the cube the skey form does
+    labels = ssorted(corners)
+    rank = {v: r for r, v in enumerate(labels)}
+    ranked = tuple(rank[v] for v in corners)
+    assert canonical_cube(ranked) == lexmin_cube(ranked)
+    assert tuple(labels[r] for r in canonical_cube(ranked)) == lexmin_cube(corners)
+    assert skey_canonical_cube(corners) == lexmin_cube(corners)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6), st.randoms(use_true_random=False))
+def test_origin_faces_of_a_canonical_cube_are_canonical(dim, rng):
+    # build_complex canonicalizes only the faces off the origin (eps = 1)
+    c = canonical_cube(tuple(rng.sample(range(200), 1 << dim)))
+    sides = itertools.product(range(dim), (0, 1))
+    for (_, eps), f in zip(sides, cube_faces(c)):
+        if eps == 0:
+            assert canonical_cube(f) == f
+    # while a face off the origin may need it
+    assert [canonical_cube(f) == f for f in cube_faces((0, 2, 3, 1))] == [
+        True, False, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +173,8 @@ def test_double_gluing_rejected():
     edges, squares = set(), []
     for i in range(2):
         for j in range(2):
-            edges.add(canonical_cube(((i, j), ((i + 1) % 2, j))))
-            edges.add(canonical_cube(((i, j), (i, (j + 1) % 2))))
+            edges.add(skey_canonical_cube(((i, j), ((i + 1) % 2, j))))
+            edges.add(skey_canonical_cube(((i, j), (i, (j + 1) % 2))))
             squares.append(((i, j), ((i + 1) % 2, j),
                             (i, (j + 1) % 2), ((i + 1) % 2, (j + 1) % 2)))
     with pytest.raises((DoubleGluingError, DuplicateCubeError, SelfGluingError)):
@@ -187,7 +212,7 @@ def glued_complexes(draw):
     shapes = [s for k in (1, 2, 3) for s in itertools.product(range(2, 10), repeat=k)
               if math.prod(s) <= room and (k > 1 or defect in (None, "cube"))]
     sizes = draw(st.sampled_from(shapes))
-    x = tree_product(*[[(rng.randrange(i), i) for i in range(1, s)] for s in sizes])
+    x = named(tree_product(*[[(rng.randrange(i), i) for i in range(1, s)] for s in sizes]))
     tops = [c for c in x.cubes if rng.random() < 0.5]
     new_cubes = []
     if defect in ("diagonal", "twin", "opposite"):
@@ -217,7 +242,7 @@ def glued_complexes(draw):
                                  lambda i: i if i % 2 else f"v{i}"]))
     rename = {v: name(i) for i, v in enumerate(rng.sample(ssorted(vertices), len(vertices)))}
     return ([rename[v] for v in vertices],
-            {canonical_cube(tuple(rename[v] for v in c)) for c in cubes})
+            {skey_canonical_cube(tuple(rename[v] for v in c)) for c in cubes})
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,13 +264,13 @@ def test_double_gluing_matches_pairwise_oracle(case):
         face_a, face_b = all_faces(a).get(shared), all_faces(b).get(shared)
         assert face_a is None or face_b is None or face_a != face_b
     else:
-        assert build_complex(vertices, by_dim).cubes == cubes
+        assert named(build_complex(vertices, by_dim)).cubes == cubes
 
 
 def test_double_gluing_witness_is_first_repeated_diagonal():
     # an edge across a square face of a 3-cube shares its ends with the
     # square and the cube; the edge comes first, then the square
-    solid = grid_complex(1, 1, 1)
+    solid = named(grid_complex(1, 1, 1))
     corner = {p: p[0] + 2 * p[1] + 4 * p[2] for p in solid.vertices}
     cubes = {k: [tuple(corner[p] for p in c) for c in cs]
              for k, cs in solid.by_dim.items()}
@@ -254,6 +279,95 @@ def test_double_gluing_witness_is_first_repeated_diagonal():
         build_complex(range(8), cubes)
     assert info.value.details == {"cube_a": (0, 3), "cube_b": (0, 1, 2, 3),
                                   "shared": [0, 3]}
+
+
+_LABEL_STYLES = [lambda i: i, lambda i: f"v{i}", lambda i: i if i % 2 else f"v{i}"]
+
+
+@st.composite
+def listed_complexes(draw):
+    """(vertices, cubes by dimension) as an input may list them: a complex
+    of ``glued_complexes`` (valid, or glued wrongly), with in a quarter of
+    the cases one more defect (a repeated corner, a cube listed twice, a
+    cube left out, an unknown corner), ids renamed to int, str or mixed
+    ones, vertices, dimensions and cubes shuffled, and each cube's corners
+    moved by a random symmetry of the cube."""
+    rng = draw(st.randoms(use_true_random=False))
+    vertices, cubes = draw(glued_complexes())
+    cubes = sorted(cubes, key=lambda c: (len(c), [skey(v) for v in c]))
+    defect = draw(st.sampled_from([None] * 4 + ["self", "duplicate", "missing", "unknown"]))
+    if defect is not None and cubes:
+        c = rng.choice(cubes)
+        if defect == "self":
+            cubes.append((c[-1],) + c[1:])
+        elif defect == "duplicate":
+            cubes.append(c[::-1])
+        elif defect == "missing":
+            cubes.remove(c)
+        else:
+            cubes.append(c[:-1] + (("ghost", 0),))
+    name = draw(st.sampled_from(_LABEL_STYLES))
+    rename = {v: name(i) for i, v in enumerate(rng.sample(ssorted(vertices), len(vertices)))}
+    rename[("ghost", 0)] = "ghost"
+    by_dim: dict = {}
+    for c in rng.sample(cubes, len(cubes)):
+        sigma = rng.choice(symmetry_maps(cube_dim(c)))
+        by_dim.setdefault(cube_dim(c), []).append(tuple(rename[c[j]] for j in sigma))
+    dims = rng.sample(sorted(by_dim), len(by_dim))
+    return rng.sample([rename[v] for v in vertices], len(vertices)), {k: by_dim[k] for k in dims}
+
+
+def _built(build, vertices, by_dim):
+    """The complex keyed by ids, or the class, message and details raised."""
+    try:
+        x = build(vertices, by_dim)
+    except CubicalError as exc:
+        return type(exc), str(exc), exc.details
+    return x if build is label_build_complex else named(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_complexes(), st.sampled_from(_LABEL_STYLES), st.randoms(use_true_random=False))
+def test_build_complex_matches_label_oracle(case, style, rng):
+    vertices, by_dim = case
+    got = _built(build_complex, vertices, by_dim)
+    assert got == _built(label_build_complex, vertices, by_dim)
+    if isinstance(got, tuple):
+        return
+    # the same complex up to labels under any other naming
+    rename = dict(zip(ssorted(vertices), map(style, rng.sample(range(len(vertices)),
+                                                               len(vertices)))))
+    again = named(build_complex([rename[v] for v in vertices],
+                                {k: [tuple(rename[v] for v in c) for c in cs]
+                                 for k, cs in by_dim.items()}))
+    for key in ("cubes", "maximal"):
+        assert getattr(again, key) == {skey_canonical_cube(tuple(rename[v] for v in c))
+                                       for c in getattr(got, key)}
+
+
+def test_build_errors_match_label_oracle():
+    # one input per kind of invalid complex; the details are pinned
+    square = [("a", "b"), ("c", "d"), ("a", "c"), ("b", "d")]
+    cases = [
+        ("abc", {1: [("a", "b"), ("c", "c")]}),
+        ("abcd", {1: square, 2: [("a", "b", "c", "d"), ("d", "c", "b", "a")]}),
+        ("abcd", {1: square[:3], 2: [("b", "d", "a", "c")]}),
+        ("abcd", {1: square + [("d", "a")], 2: [("a", "b", "c", "d")]}),
+        ([2, "b", 1], {1: [(1, 2), ("b", 3)]}),
+    ]
+    kinds = []
+    for vertices, by_dim in cases:
+        got = _built(build_complex, vertices, by_dim)
+        assert got == _built(label_build_complex, vertices, by_dim)
+        kinds.append((got[0].__name__, got[2]))
+    assert kinds == [
+        ("SelfGluingError", {"cube": ("c", "c"), "dim": 1}),
+        ("DuplicateCubeError", {"cube": ("d", "c", "b", "a"), "dim": 2}),
+        ("MissingFaceError", {"cube": ("a", "b", "c", "d"), "face": ("b", "d"), "dim": 1}),
+        ("DoubleGluingError", {"cube_a": ("a", "d"), "cube_b": ("a", "b", "c", "d"),
+                               "shared": ["a", "d"]}),
+        ("UnknownVertexError", {"vertex": 3, "cube": ("b", 3)}),
+    ]
 
 
 def test_face_closure_holds_on_corpus():
@@ -288,7 +402,7 @@ def test_link_of_square_corner_is_edge():
 
 def test_link_on_torus_is_4_cycle():
     x = torus_3x3()
-    for v in x.vertices:
+    for v in x.labels:
         link = vertex_link(x, v)
         assert len(link.vertices) == 4
         assert len(link.edges) == 4
@@ -404,7 +518,7 @@ def test_cat0_link_failure_beats_disconnection(capsys, tmp_path):
 
     from cubical.cli import main
 
-    x = cube_boundary_3()
+    x = named(cube_boundary_3())
     y = build_complex(sorted(x.vertices) + [(9, 9, 9)],
                       {k: sorted(cs) for k, cs in x.by_dim.items()})
     res = is_cat0(y)
@@ -448,7 +562,7 @@ def test_random_trees_are_cat0_with_unique_medians(n, rng):
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     x = tree_complex(edges)
     assert is_cat0(x).ok
-    verts = sorted(x.vertices)
+    verts = x.labels
     a, b, c = (rng.choice(verts) for _ in range(3))
     assert median(x, a, b, c) is not None
 
@@ -484,11 +598,11 @@ def median_test_complexes(draw, tops={1: 190, 2: 13, 3: 5}):
     x = tree_product(*trees)
     glue = draw(st.sampled_from([None, glue_hexagon, glue_cube_boundary]))
     if glue is not None:
-        x = glue(x, rng.choice(x.vertex_order))
+        x = glue(x, rng.choice(x.labels))
     name = draw(st.sampled_from([lambda i: i, lambda i: f"v{i}",
                                  lambda i: i if i % 2 else f"v{i}"]))
     places = rng.sample(range(len(x.vertices)), len(x.vertices))
-    return relabel(x, {v: name(i) for v, i in zip(x.vertex_order, places)})
+    return relabel(x, {v: name(i) for v, i in zip(x.labels, places)})
 
 
 @settings(max_examples=40, deadline=None)
@@ -513,22 +627,22 @@ def test_median_matches_matrix_oracle(x, rng):
             return type(exc), exc.certificate()
 
     for _ in range(20):
-        triple = [rng.choice(x.vertex_order) for _ in range(3)]
+        triple = [rng.choice(x.labels) for _ in range(3)]
         assert outcome(median, triple) == outcome(matrix_median, triple)
 
 
 @settings(max_examples=40, deadline=None)
 @given(median_test_complexes(tops={1: 30, 2: 6, 3: 3}))
 def test_vertex_link_matches_full_scan(x):
-    for v in x.vertex_order:
+    for v in x.labels:
         assert vertex_link(x, v) == scan_vertex_link(x, v)
 
 
 def _shuffled_ids(x: CubeComplex, rng) -> dict:
-    """Vertex -> an int, str or mixed id, in a random order."""
+    """Vertex id -> an int, str or mixed id, in a random order."""
     name = rng.choice([lambda i: i, lambda i: f"v{i}", lambda i: i if i % 2 else f"v{i}"])
     n = len(x.vertices)
-    return dict(zip(x.vertex_order, map(name, rng.sample(range(n), n))))
+    return dict(zip(x.labels, map(name, rng.sample(range(n), n))))
 
 
 @settings(max_examples=30, deadline=None)
@@ -546,8 +660,9 @@ def test_unfilled_square_on_c4_torus_matches_all_pairs_scan(n, rng):
 @given(st.integers(2, 8), st.integers(2, 8), st.randoms(use_true_random=False))
 def test_unfilled_square_with_squares_removed_matches_all_pairs_scan(m, n, rng):
     x = tree_product(*[[(rng.randrange(i), i) for i in range(1, s)] for s in (m, n)])
-    gone = set(rng.sample(sorted(x.squares), min(len(x.squares), rng.randint(1, 3))))
     rename = _shuffled_ids(x, rng)
+    x = named(x)
+    gone = set(rng.sample(sorted(x.squares), min(len(x.squares), rng.randint(1, 3))))
     y = build_complex([rename[v] for v in x.vertices],
                       {k: [tuple(rename[v] for v in c) for c in cs if c not in gone]
                        for k, cs in x.by_dim.items()})
@@ -557,7 +672,7 @@ def test_unfilled_square_with_squares_removed_matches_all_pairs_scan(m, n, rng):
 
 def _cut_cube() -> CubeComplex:
     """The 3-cube without corner 7, corners numbered by their bits."""
-    solid = grid_complex(1, 1, 1)
+    solid = named(grid_complex(1, 1, 1))
     name = {p: p[0] + 2 * p[1] + 4 * p[2] for p in solid.vertices}
     return build_complex(range(7), {
         k: [tuple(name[p] for p in c) for c in solid.by_dim[k]
@@ -613,7 +728,7 @@ def test_first_bad_triple_matches_dense_oracle(n, rng, data):
              if step == 1 or (b - a) % 2]
     edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
     x = build_complex(range(n), {1: sorted(edges)})
-    found = _first_bad_triple(x.neighbours)
+    found = _first_bad_triple(x.adjacency)
     witness = None if found is None else {"triple": found[0], "medians": found[1]}
     assert witness == dense_median_violation(x, n)
 
@@ -660,9 +775,9 @@ def test_distance_matrix_matches_bfs(n, name, data):
     expected = bfs_distances(x)
     matrix = distance_matrix(x)
     assert matrix.shape == (n, n)
-    for i, u in enumerate(x.vertex_order):
-        dist, order = _bfs(x.neighbours, i)
-        assert dist == [expected.get((u, v), -1) for v in x.vertex_order]
+    for i, u in enumerate(x.labels):
+        dist, order = _bfs(x.adjacency, i)
+        assert dist == [expected.get((u, v), -1) for v in x.labels]
         assert dist == matrix[i].tolist()
         assert sorted(order) == [j for j, d in enumerate(dist) if d >= 0]
         assert [dist[j] for j in order] == sorted(dist[j] for j in order)
@@ -700,7 +815,7 @@ def test_torus_hyperplanes():
 def test_path_halfspace_sizes():
     x = path_complex(3)
     hps = hyperplanes(x)
-    middle = next(h for h in hps if (1, 2) in h.edges)
+    middle = next(h for h in hps if (1, 2) in map(x.named, h.edges))
     comps = halfspaces_of(x, middle)
     assert sorted(len(c) for c in comps) == [2, 2]
 
@@ -826,7 +941,7 @@ def test_median_unique_on_all_triples_of_grid():
     # cross-check: the CAT(0) verdict matches per-triple median() calls
     x = grid_complex(3, 3)
     assert is_cat0(x).ok
-    verts = sorted(x.vertices)
+    verts = x.labels
     for a in verts:
         for b in verts:
             for c in verts:

@@ -7,6 +7,7 @@ import itertools
 import pytest
 from helpers import (
     PairSystem,
+    TwoSat,
     all_corners_dual_complex,
     bfs_distances,
     fixpoint_build_system,
@@ -17,6 +18,7 @@ from helpers import (
     pair_minimal,
     pair_seed_vertex,
     path_complex,
+    scan_maximal_cubes,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,7 +51,6 @@ from cubical.errors import (
 )
 from cubical.graphs import complex_isomorphic
 from cubical.pocsets import DualComplex
-from cubical.twosat import TwoSat
 from cubical.util import skey
 
 
@@ -318,7 +319,7 @@ def test_vertices_seed_and_dual_match_pair_oracle(system):
     assert d.cube_families == families
     oracle = DualComplex(system=ps, seed=seed, complex=complex_, orientations=order,
                          cube_families=families)
-    assert maximal_cubes(d) == maximal_cubes(oracle)
+    assert maximal_cubes(d) == maximal_cubes(oracle) == scan_maximal_cubes(d)
     for cap in (0, len(order) - 1):
         assert _outcome(dual_complex, s, seed, cap) == _outcome(pair_dual_complex, ps, seed, cap)
     assert len(dual_complex(s, seed, len(order)).orientations) == len(order)
@@ -506,24 +507,47 @@ def _cubulated_systems():
 def test_dual_assembles_each_cube_once(monkeypatch):
     import cubical.pocsets
 
-    calls = []
-    original = cubical.pocsets.canonical_cube
+    # every cube the dual lists for build_complex is listed exactly once
+    listed = []
+    original = cubical.pocsets.build_complex
 
-    def counting(corners):
-        calls.append(corners)
-        return original(corners)
+    def recording(vertices, cubes_by_dim):
+        listed.extend(c for cs in cubes_by_dim.values() for c in cs)
+        return original(vertices, cubes_by_dim)
 
     systems = [pairs_system(4), chain_system(4),
                halfspace_system_of(grid_complex(2, 3, 1)).system,
                *_cubulated_systems()]
     for s in systems:
         seed = seed_vertex(s)
-        calls.clear()
+        listed.clear()
         with monkeypatch.context() as m:
-            m.setattr(cubical.pocsets, "canonical_cube", counting)
+            m.setattr(cubical.pocsets, "build_complex", recording)
             d = dual_complex(s, seed)
-        assert len(calls) == len(d.complex.cubes)
+        assert len(listed) == len(d.complex.cubes)
         assert d == all_corners_dual_complex(s, seed)
+
+
+def test_seed_vertex_matches_twosat_on_truncations():
+    # the closed form against the 2-SAT oracle on Coxeter truncations
+    for s in _cubulated_systems():
+        clauses = sorted(s.leq, key=lambda r: (skey(r[0]), skey(r[1])))
+        assert seed_vertex(s) == pair_seed_vertex(PairSystem.of(s), clauses)
+
+
+def test_maximal_cubes_match_face_scan_on_corpus():
+    # the face record of build_complex against the face-of-bigger scan, on
+    # the dual of every system the tests build
+    from helpers import cat0_corpus
+
+    systems = [pairs_system(k) for k in range(1, 5)] + [chain_system(k) for k in range(1, 6)]
+    systems += [halfspace_system_of(x).system for _, x in cat0_corpus()]
+    systems += [halfspace_system_of(grid_complex(2, 3, 1)).system, *_cubulated_systems()]
+    for s in systems:
+        d = dual_complex(s, seed_vertex(s))
+        scanned = scan_maximal_cubes(d)
+        assert maximal_cubes(d) == scanned
+        assert d.complex.maximal == {c for c, _ in scanned}
 
 
 def test_cube_criterion_brute_force():
@@ -576,7 +600,7 @@ def test_maximal_cubes_path_and_square():
 def test_round_trip_small():
     for x in [grid_complex(2, 2), path_complex(3), grid_complex(1, 1, 1)]:
         dec = halfspace_system_of(x)
-        seed = dec.principal_orientation(next(iter(x.vertices)))
+        seed = dec.principal_orientation(x.labels[0])
         d = dual_complex(dec.system, seed)
         assert complex_isomorphic(x, d.complex) is not None
 

@@ -8,7 +8,7 @@ import math
 import random
 
 import pytest
-from helpers import pairwise_from_orthant, pairwise_make_orthant
+from helpers import named, pairwise_from_orthant, pairwise_make_orthant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,7 +290,7 @@ def test_treespace_4_counts():
     x = treespace_complex(4)
     assert len(x.vertices) == 26  # origin + 10 clusters + 15 binary sets
     assert len(x.squares) == 15
-    origin_edges = [e for e in x.edges if "*" in e]
+    origin_edges = [e for e in named(x).edges if "*" in e]
     assert len(origin_edges) == 10
     assert is_locally_cat0(x).ok
     assert is_cat0(x).ok
