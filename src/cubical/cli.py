@@ -4,6 +4,20 @@ Exit codes: 0 for an ok verdict, 1 for a negative verdict (still a valid
 run), 2 for input errors. Output is deterministic for a fixed invocation;
 --seed is recorded in the verdict for reproducibility of any sampling a
 caller layers on top.
+
+``COMMANDS`` is the one list of commands. Each takes exactly the flags its
+handler reads, plus --seed and --pretty:
+
+    complex check FILE [--cap --dot], links FILE [--vertex],
+        hyperplanes FILE [--dot], export FILE [--dot --out]
+    pocset validate FILE, dual FILE [--cap --dot --out], cubes FILE [--cap]
+    coxeter --matrix M --radius R: ball [--cap --dot], walls [--cap --dot
+        --root-edge], halfspaces [--margin --cap --out], cubulate [--margin
+        --seed-element --cap --dot --out], ends [--cap]; reduce --matrix M --word W
+    tree validate FILE [--out], count -n N, enumerate -n N [--cap --out],
+        link -n N [--dot], complex -n N [--cap --dot --out], dist FILE1 FILE2
+
+Any other flag is an input error: argparse exits 2 before anything runs.
 """
 
 from __future__ import annotations
@@ -107,104 +121,6 @@ def _dumps(verdict: dict, pretty: bool) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _common_flags(p):
-    p.add_argument("--cap", type=int, default=100_000,
-                   help="size cap for enumerations")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed recorded in the verdict")
-    p.add_argument("--pretty", action="store_true", help="indent the verdict")
-    p.add_argument("--dot", metavar="PATH", default=None,
-                   help="write a DOT rendering here")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="write the primary JSON payload here")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it as is)."""
-    top = argparse.ArgumentParser(
-        prog="cubical",
-        description="exact CAT(0) cube complex combinatorics")
-    top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="group", required=True)
-
-    cx = sub.add_parser("complex", help="cubical complexes").add_subparsers(
-        dest="cmd", required=True)
-    p = cx.add_parser("check", help="link condition, medians, CAT(0) verdict")
-    p.add_argument("file")
-    _common_flags(p)
-    p = cx.add_parser("links", help="vertex links and flag verdicts")
-    p.add_argument("file")
-    p.add_argument("--vertex", default=None, help="restrict to one vertex id")
-    _common_flags(p)
-    p = cx.add_parser("hyperplanes", help="hyperplanes, halfspaces, crossings")
-    p.add_argument("file")
-    _common_flags(p)
-    p = cx.add_parser("export", help="re-emit canonical JSON / DOT")
-    p.add_argument("file")
-    _common_flags(p)
-
-    pc = sub.add_parser("pocset", help="halfspace systems").add_subparsers(
-        dest="cmd", required=True)
-    p = pc.add_parser("validate", help="validate a halfspace system")
-    p.add_argument("file")
-    _common_flags(p)
-    p = pc.add_parser("dual", help="dual cube complex of one component")
-    p.add_argument("file")
-    _common_flags(p)
-    p = pc.add_parser("cubes", help="maximal cubes and their families")
-    p.add_argument("file")
-    _common_flags(p)
-
-    co = sub.add_parser("coxeter", help="Coxeter groups").add_subparsers(
-        dest="cmd", required=True)
-    for name, extra in [
-        ("ball", []), ("walls", ["root-edge"]), ("halfspaces", ["margin"]),
-        ("cubulate", ["margin"]), ("ends", []), ("reduce", ["word"]),
-    ]:
-        p = co.add_parser(name)
-        p.add_argument("--matrix", required=True, help="Coxeter matrix JSON")
-        if name != "reduce":
-            p.add_argument("--radius", type=int, required=True)
-        if "margin" in extra:
-            p.add_argument("--margin", type=int, default=2,
-                           help="walls are kept only when defined within "
-                                "radius - margin (default 2)")
-        if "word" in extra:
-            p.add_argument("--word", required=True,
-                           help="1-based generator indices, e.g. '1 2 1'")
-        if "root-edge" in extra:
-            p.add_argument("--root-edge", default=None, metavar="U,V",
-                           help="two adjacent words ('e,1'): color the DOT "
-                                "vertices by the root H(U,V)")
-        p.add_argument("--seed-element", default=None,
-                       help="1-based word seeding the dual enumeration")
-        _common_flags(p)
-
-    tr = sub.add_parser("tree", help="BHV tree space").add_subparsers(
-        dest="cmd", required=True)
-    p = tr.add_parser("validate", help="canonicalize a tree")
-    p.add_argument("file")
-    _common_flags(p)
-    p = tr.add_parser("count", help="(2n-3)!! binary topologies")
-    p.add_argument("-n", type=int, required=True)
-    _common_flags(p)
-    p = tr.add_parser("enumerate", help="enumerate binary topologies")
-    p.add_argument("-n", type=int, required=True)
-    _common_flags(p)
-    p = tr.add_parser("link", help="link of the origin")
-    p.add_argument("-n", type=int, required=True)
-    _common_flags(p)
-    p = tr.add_parser("complex", help="unit truncation as a cube complex")
-    p.add_argument("-n", type=int, required=True)
-    _common_flags(p)
-    p = tr.add_parser("dist", help="distance between two trees")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    _common_flags(p)
-    return top
-
-
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -299,7 +215,7 @@ def _pocset_dual(run):
     payload = {
         "complex": dump_complex(x),
         "orientations": {str(i): dual.bitmap(i)
-                         for i in range(len(dual.orientations))},
+                         for i in range(len(dual.masks))},
     }
     if run.args.out:
         _write(run.args.out, json.dumps(payload, indent=2, sort_keys=True))
@@ -515,33 +431,97 @@ def _tree_dist(run):
     run.stats = {"value": res.value, "exact": res.exact, "path": res.path}
 
 
-HANDLERS = {
-    ("complex", "check"): _complex_check,
-    ("complex", "links"): _complex_links,
-    ("complex", "hyperplanes"): _complex_hyperplanes,
-    ("complex", "export"): _complex_export,
-    ("pocset", "validate"): _pocset_validate,
-    ("pocset", "dual"): _pocset_dual,
-    ("pocset", "cubes"): _pocset_cubes,
-    ("coxeter", "ball"): _coxeter_ball,
-    ("coxeter", "walls"): _coxeter_walls,
-    ("coxeter", "halfspaces"): _coxeter_halfspaces,
-    ("coxeter", "cubulate"): _coxeter_cubulate,
-    ("coxeter", "ends"): _coxeter_ends,
-    ("coxeter", "reduce"): _coxeter_reduce,
-    ("tree", "validate"): _tree_validate,
-    ("tree", "count"): _tree_count,
-    ("tree", "enumerate"): _tree_enumerate,
-    ("tree", "link"): _tree_link,
-    ("tree", "complex"): _tree_complex,
-    ("tree", "dist"): _tree_dist,
+# ---------------------------------------------------------------------------
+# the command table
+
+# One spec per flag, keyed by its name on the command line. A handler reads
+# the attribute argparse derives from that name: --root-edge is root_edge.
+FLAGS = {
+    "file": {}, "file1": {}, "file2": {},
+    "-n": {"type": int, "required": True},
+    "--matrix": {"required": True, "help": "Coxeter matrix JSON"},
+    "--radius": {"type": int, "required": True},
+    "--margin": {"type": int, "default": 2, "help": "walls are kept only when "
+                 "defined within radius - margin (default 2)"},
+    "--word": {"required": True, "help": "1-based generator indices, e.g. '1 2 1'"},
+    "--root-edge": {"metavar": "U,V", "help": "two adjacent words ('e,1'): "
+                    "color the DOT vertices by the root H(U,V)"},
+    "--seed-element": {"help": "1-based word seeding the dual enumeration"},
+    "--vertex": {"help": "restrict to one vertex id"},
+    "--cap": {"type": int, "default": 100_000, "help": "size cap for enumerations"},
+    "--dot": {"metavar": "PATH", "help": "write a DOT rendering here"},
+    "--out": {"metavar": "PATH", "help": "write the primary JSON payload here"},
+    # every command takes these two: Run.emit and main read them
+    "--seed": {"type": int, "help": "seed recorded in the verdict"},
+    "--pretty": {"action": "store_true", "help": "indent the verdict"},
 }
+
+GROUPS = {"complex": "cubical complexes", "pocset": "halfspace systems",
+          "coxeter": "Coxeter groups", "tree": "BHV tree space"}
+
+# (group, command) -> (handler, help, the flags the handler reads). The only
+# list of commands: build_parser makes the subparsers from it, and main
+# dispatches through it.
+COMMANDS = {
+    ("complex", "check"): (_complex_check, "link condition, medians, CAT(0) verdict",
+                           "file --cap --dot"),
+    ("complex", "links"): (_complex_links, "vertex links and flag verdicts",
+                           "file --vertex"),
+    ("complex", "hyperplanes"): (_complex_hyperplanes,
+                                 "hyperplanes, halfspaces, crossings", "file --dot"),
+    ("complex", "export"): (_complex_export, "re-emit canonical JSON / DOT",
+                            "file --dot --out"),
+    ("pocset", "validate"): (_pocset_validate, "validate a halfspace system", "file"),
+    ("pocset", "dual"): (_pocset_dual, "dual cube complex of one component",
+                         "file --cap --dot --out"),
+    ("pocset", "cubes"): (_pocset_cubes, "maximal cubes and their families",
+                          "file --cap"),
+    ("coxeter", "ball"): (_coxeter_ball, "exact Cayley ball",
+                          "--matrix --radius --cap --dot"),
+    ("coxeter", "walls"): (_coxeter_walls, "walls of the ball's edges",
+                           "--matrix --radius --cap --dot --root-edge"),
+    ("coxeter", "halfspaces"): (_coxeter_halfspaces, "truncated halfspace system",
+                                "--matrix --radius --margin --cap --out"),
+    ("coxeter", "cubulate"): (_coxeter_cubulate, "dual cube complex and embedding",
+                              "--matrix --radius --margin --seed-element --cap "
+                              "--dot --out"),
+    ("coxeter", "ends"): (_coxeter_ends, "ends estimate", "--matrix --radius --cap"),
+    ("coxeter", "reduce"): (_coxeter_reduce, "ShortLex normal form of a word",
+                            "--matrix --word"),
+    ("tree", "validate"): (_tree_validate, "canonicalize a tree", "file --out"),
+    ("tree", "count"): (_tree_count, "(2n-3)!! binary topologies", "-n"),
+    ("tree", "enumerate"): (_tree_enumerate, "enumerate binary topologies",
+                            "-n --cap --out"),
+    ("tree", "link"): (_tree_link, "link of the origin", "-n --dot"),
+    ("tree", "complex"): (_tree_complex, "unit truncation as a cube complex",
+                          "-n --cap --dot --out"),
+    ("tree", "dist"): (_tree_dist, "distance between two trees", "file1 file2"),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as
+    is). Each command takes exactly the flags its table entry names, plus
+    --seed and --pretty; any other flag is an input error (exit 2)."""
+    top = argparse.ArgumentParser(
+        prog="cubical",
+        description="exact CAT(0) cube complex combinatorics")
+    top.add_argument("--version", action="version", version=__version__)
+    sub = top.add_subparsers(dest="group", required=True)
+    groups = {group: sub.add_parser(group, help=text).add_subparsers(
+        dest="cmd", required=True) for group, text in GROUPS.items()}
+    for (group, cmd), (_, text, flags) in COMMANDS.items():
+        p = groups[group].add_parser(cmd, help=text)
+        for name in (*flags.split(), "--seed", "--pretty"):
+            p.add_argument(name, **FLAGS[name])
+    return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run = Run(args)
-    handler = HANDLERS[(args.group, args.cmd)]
+    handler = COMMANDS[args.group, args.cmd][0]
     try:
         handler(run)
     except CubicalError as exc:

@@ -391,10 +391,8 @@ def load_complex(data: dict) -> CubeComplex:
 
 
 def dump_complex(x: CubeComplex) -> dict:
-    def vid(v):
-        return v if isinstance(v, (int, str)) else ",".join(str(t) for t in v)
-
-    names = [vid(v) for v in x.labels]
+    names = [",".join(map(str, v)) if isinstance(v, tuple) else v
+             for v in x.labels]
     return {
         "vertices": names,
         "cubes": {
@@ -417,13 +415,17 @@ def vertex_link(x: CubeComplex, v) -> SimplicialComplex:
     if r is None:
         raise UnknownVertexError(f"unknown vertex {v!r}", vertex=v)
     link_vertices: set[tuple] = set()
-    simplices: list[frozenset] = []
+    simplices: set[frozenset] = set()
     for c, pos in x.incidence[r]:
         nbrs = (c[pos ^ (1 << axis)] for axis in range(cube_dim(c)))
         dirs = [(r, u) if r < u else (u, r) for u in nbrs]
         link_vertices.update(dirs)
-        simplices.append(frozenset(dirs))
-    return build_simplicial(link_vertices, simplices)
+        simplices.add(frozenset(dirs))
+    # closed downward as it stands: build_complex lists every face of every
+    # cube, so each face through v of a cube at v is a listed cube at v, and
+    # those faces give every nonempty subset of the cube's dirs
+    return SimplicialComplex(vertices=frozenset(link_vertices),
+                             simplices=frozenset(simplices))
 
 
 @dataclass(frozen=True)

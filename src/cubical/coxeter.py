@@ -38,6 +38,7 @@ from .pocsets import (
     DualComplex,
     HalfspaceSystem,
     Orientation,
+    _chosen,
     build_system,
     dual_complex,
     is_vertex,
@@ -243,32 +244,32 @@ class CayleyBall:
 
 def cayley_ball(sys_: CoxeterSystem, radius: int,
                 cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
-    """BFS by right multiplication with canonical-form deduplication."""
+    """BFS by right multiplication with canonical-form deduplication.
+
+    Each w + (s,) is reduced once. When the result u is one letter longer
+    than w, it lies on the next level and (w, u, s) is an edge. Levels are
+    walked in element order and s ascending, so the edges come in that
+    order; elements on the last level have no edge up."""
     if radius < 0:
         raise InputFormatError("radius must be >= 0")
     levels: list[list[Word]] = [[()]]
-    seen = {()}
+    size = 1
+    edges = []
     for d in range(radius):
         nxt = set()
         for w in levels[d]:
             for s in range(sys_.rank):
                 u = reduce_word(sys_, w + (s,))
-                if len(u) == d + 1 and u not in seen:
+                if len(u) == d + 1:
+                    edges.append((w, u, s))
                     nxt.add(u)
         if not nxt:
             break
-        if len(seen) + len(nxt) > cap:
+        size += len(nxt)
+        if size > cap:
             raise CapExceededError(f"ball exceeds cap {cap}", cap=cap)
-        level = sorted(nxt)
-        seen |= nxt
-        levels.append(level)
+        levels.append(sorted(nxt))
     elements = tuple(w for level in levels for w in level)
-    edges = []
-    for w in elements:
-        for s in range(sys_.rank):
-            u = reduce_word(sys_, w + (s,))
-            if len(u) == len(w) + 1 and u in seen:
-                edges.append((w, u, s))
     return CayleyBall(system=sys_, radius=radius,
                       elements=elements, edges=tuple(edges))
 
@@ -526,7 +527,7 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
     nu = {}
     for g in ball.elements:
         o = th.orientation_of(g)
-        vid = dual.vertex_of.get(o)
+        vid = dual.vertex_of.get(_chosen(th.system, o))
         if vid is None:  # every dual vertex is consistent: test only a miss
             res = is_vertex(th.system, o)
             if not res.ok:
@@ -539,9 +540,7 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
     wall_index = {w.reflection: i for i, w in enumerate(th.walls)}
     for u, v, s in ball.edges:
         refl = reflection_of_edge(sys_, u, s)
-        diff = [i for i in range(len(th.system.hyperplanes))
-                if dual.orientations[nu[u]].choices[i]
-                != dual.orientations[nu[v]].choices[i]]
+        diff = dual.differing(nu[u], nu[v])
         if refl in wall_index:
             if diff != [th.hyperplane_of_wall(wall_index[refl])]:
                 raise CubicalError(

@@ -365,24 +365,37 @@ def flip(s: HalfspaceSystem, v: Orientation, i: int) -> Orientation:
 @dataclass(frozen=True)
 class DualComplex:
     """One connected component of the dual complex, with the orientation
-    behind every vertex id and the hyperplane family behind every cube."""
+    behind every vertex id and the hyperplane family behind every cube.
+    Vertices are kept as bitsets of chosen positions, the seed's first."""
 
     system: HalfspaceSystem
     seed: Orientation
     complex: CubeComplex
-    orientations: tuple          # vertex id -> Orientation
+    masks: tuple                 # vertex id -> bitset of chosen positions
     cube_families: dict          # canonical cube tuple -> tuple of hyperplane idxs
 
     @cached_property
-    def vertex_of(self) -> dict:
-        return {o: i for i, o in enumerate(self.orientations)}
+    def orientations(self) -> tuple:  # vertex id -> Orientation, on first use
+        labels = self.system.labels
+        return tuple(Orientation(choices=tuple(labels[p] for p in _bits(m)))
+                     for m in self.masks)
+
+    @cached_property
+    def vertex_of(self) -> dict:  # bitset -> vertex id
+        return {m: i for i, m in enumerate(self.masks)}
+
+    def differing(self, u: int, v: int) -> list:
+        """The hyperplanes on which vertices u and v choose differently,
+        in increasing order."""
+        diff = (self.masks[u] ^ self.masks[v]) & _evens(2 * len(self.system.star_pairs))
+        return [p >> 1 for p in _bits(diff)]
 
     def bitmap(self, vertex_id: int) -> str:
         """Per-hyperplane bits, 1 where the orientation differs from seed."""
-        o = self.orientations[vertex_id]
-        return "".join(
-            "1" if o.choices[i] != self.seed.choices[i] else "0"
-            for i in range(len(self.system.hyperplanes)))
+        # bit 2i of the xor, least first; the top bit keeps leading zeros
+        size = 2 * len(self.system.star_pairs)
+        diff = (self.masks[vertex_id] ^ self.masks[0]) | 1 << size
+        return bin(diff)[:1:-1][:size:2]
 
 
 def dual_complex(s: HalfspaceSystem, seed: Orientation,
@@ -394,10 +407,9 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     assembled once: at that corner, from the minimal hyperplanes whose
     first halfspace it chooses.
 
-    Vertices are bitsets of chosen positions while the BFS runs: flipping
-    hyperplane i is ``v ^ (3 << 2i)``. Each ``Orientation`` is built once,
-    at the end. More than ``cap`` vertices, the seed included, raise
-    ``CapExceededError``."""
+    Vertices are bitsets of chosen positions: flipping hyperplane i is
+    ``v ^ (3 << 2i)``, and the result keeps them as its ``masks``. More
+    than ``cap`` vertices, the seed included, raise ``CapExceededError``."""
     res = is_vertex(s, seed)
     if not res.ok:
         raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
@@ -436,11 +448,8 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     even = _evens(2 * len(s.star_pairs))
     families = {c: tuple(p >> 1 for p in _bits((order[c[0]] ^ order[c[-1]]) & even))
                 for c in complex_.cubes}
-    labels = s.labels
-    orientations = tuple(Orientation(choices=tuple(labels[p] for p in _bits(v)))
-                         for v in order)
     return DualComplex(system=s, seed=seed, complex=complex_,
-                       orientations=orientations, cube_families=families)
+                       masks=tuple(order), cube_families=families)
 
 
 def maximal_cubes(dual: DualComplex) -> list[tuple]:

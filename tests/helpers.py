@@ -28,7 +28,14 @@ from cubical.complexes import (
     cube_faces,
     hyperplanes,
 )
-from cubical.coxeter import TruncatedHalfspaces, _hid, distance, walls
+from cubical.coxeter import (
+    CayleyBall,
+    TruncatedHalfspaces,
+    _hid,
+    distance,
+    reduce_word,
+    walls,
+)
 from cubical.errors import (
     CapExceededError,
     ComparableComplementsError,
@@ -51,7 +58,7 @@ from cubical.errors import (
     UnknownVertexError,
 )
 from cubical.graphs import cliques
-from cubical.pocsets import DualComplex, HalfspaceSystem, Orientation, VertexResult
+from cubical.pocsets import DualComplex, HalfspaceSystem, Orientation, VertexResult, _chosen
 from cubical.treespace import Orthant, PhyloTree, _ckey, compatible
 from cubical.util import skey, ssorted
 
@@ -1017,7 +1024,8 @@ def all_corners_dual_complex(s: HalfspaceSystem, seed, cap: int = 100_000) -> Du
     order, complex_, families = pair_dual_complex(PairSystem.of(s), seed, cap,
                                                   all_corners=True)
     return DualComplex(system=s, seed=seed, complex=complex_,
-                       orientations=order, cube_families=families)
+                       masks=tuple(_chosen(s, o) for o in order),
+                       cube_families=families)
 
 
 def fixpoint_closure(star: dict, leq_pairs) -> set:
@@ -1076,6 +1084,42 @@ def fixpoint_build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
             raise ComparableComplementsError(
                 f"halfspace {h!r} comparable with its complement", halfspace=h)
     return system_of_pairs(ssorted(ids), pairs, strict)
+
+
+# ---------------------------------------------------------------------------
+# Cayley balls
+
+
+def two_pass_cayley_ball(sys_, radius: int, cap: int = 100_000) -> CayleyBall:
+    """Oracle for ``coxeter.cayley_ball``: the BFS lists the elements level
+    by level, and a second pass over all of them reduces every w + (s,)
+    again to list the edges."""
+    if radius < 0:
+        raise InputFormatError("radius must be >= 0")
+    levels = [[()]]
+    seen = {()}
+    for d in range(radius):
+        nxt = set()
+        for w in levels[d]:
+            for s in range(sys_.rank):
+                u = reduce_word(sys_, w + (s,))
+                if len(u) == d + 1 and u not in seen:
+                    nxt.add(u)
+        if not nxt:
+            break
+        if len(seen) + len(nxt) > cap:
+            raise CapExceededError(f"ball exceeds cap {cap}", cap=cap)
+        seen |= nxt
+        levels.append(sorted(nxt))
+    elements = tuple(w for level in levels for w in level)
+    edges = []
+    for w in elements:
+        for s in range(sys_.rank):
+            u = reduce_word(sys_, w + (s,))
+            if len(u) == len(w) + 1 and u in seen:
+                edges.append((w, u, s))
+    return CayleyBall(system=sys_, radius=radius,
+                      elements=elements, edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from helpers import torus_3x3
 
 import cubical
 from cubical.cli import main
-from cubical.complexes import dump_complex
+from cubical.complexes import dump_complex, load_complex
 
 
 @pytest.fixture()
@@ -93,6 +93,16 @@ def test_complex_export_round_trip(capsys, tmp_path, square_file):
     code, _ = run_cli(capsys, "complex", "export", str(out), "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text()) == first
+
+
+def test_complex_export_float_ids(capsys, tmp_path):
+    # JSON ids may be numbers of any kind: floats are dumped as they are
+    data = {"vertices": [1.5, 2], "cubes": {"1": [[1.5, 2]]}}
+    path, out = tmp_path / "floats.json", tmp_path / "exported.json"
+    path.write_text(json.dumps(data))
+    code, _ = run_cli(capsys, "complex", "export", str(path), "--out", str(out))
+    assert code == 0
+    assert load_complex(json.loads(out.read_text())) == load_complex(data)
 
 
 def test_input_error_exit_2(capsys, tmp_path):

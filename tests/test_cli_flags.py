@@ -1,0 +1,116 @@
+"""The command table: every command takes exactly the flags its handler
+reads, plus --seed and --pretty, and any other flag is an input error.
+
+Needs only pytest and the package, so it runs without the test extras.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from cubical import cli
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+# the input file of each group's FILE commands
+FILES = {"complex": "grid3x3.json", "pocset": "pairs5.json", "tree": "tree1.json"}
+
+
+def _values(group: str, tmp_path: Path) -> dict:
+    """A value for every flag, valid for any command that takes it."""
+    return {
+        "file": str(FIXTURES / FILES[group]) if group in FILES else None,
+        "file1": str(FIXTURES / "tree1.json"),
+        "file2": str(FIXTURES / "tree2.json"),
+        "-n": "4",
+        "--matrix": str(FIXTURES / "a2t.json"),
+        "--radius": "3",
+        "--margin": "1",
+        "--word": "1 2 1",
+        "--root-edge": "e,1",
+        "--seed-element": "1",
+        "--vertex": "1,1",
+        "--cap": "1000",
+        "--dot": str(tmp_path / "out.dot"),
+        "--out": str(tmp_path / "out.json"),
+        "--seed": "7",
+        "--pretty": None,
+    }
+
+
+def _argv(key, names, values) -> list:
+    argv = list(key)
+    for name in names:
+        if not name.startswith("-"):
+            argv.append(values[name])
+        elif values[name] is None:
+            argv.append(name)
+        else:
+            argv += [name, values[name]]
+    return argv
+
+
+def _declared(key) -> list:
+    return [*cli.COMMANDS[key][2].split(), "--seed", "--pretty"]
+
+
+class Reads:
+    """Parsed arguments that record the name of every attribute read."""
+
+    def __init__(self, args):
+        self.args = args
+        self.names = set()
+
+    def __getattr__(self, name):  # only for names not set in __init__
+        self.names.add(name)
+        return getattr(self.args, name)
+
+
+COMMANDS = sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("key", COMMANDS, ids=" ".join)
+def test_handler_reads_every_declared_flag(capsys, tmp_path, key):
+    declared = _declared(key)
+    argv = _argv(key, declared, _values(key[0], tmp_path))
+    args = Reads(cli.build_parser().parse_args(argv))
+    run = cli.Run(args)
+    cli.COMMANDS[key][0](run)
+    assert run.emit() in (0, 1)
+    assert capsys.readouterr().out
+    assert args.names == {name.lstrip("-").replace("-", "_") for name in declared}
+
+
+@pytest.mark.parametrize("key", COMMANDS, ids=" ".join)
+def test_undeclared_flags_exit_2(capsys, tmp_path, key):
+    values = _values(key[0], tmp_path)
+    declared = _declared(key)
+    base = _argv(key, declared, values)
+    others = [name for name in cli.FLAGS
+              if name.startswith("-") and name not in declared]
+    assert others
+    for name in others:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(base + _argv((), [name], values))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())  # nothing ran, nothing was written
+
+
+def test_tree_count_rejects_dot_and_out(capsys, tmp_path):
+    dot, out = tmp_path / "x.dot", tmp_path / "y.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tree", "count", "-n", "5", "--dot", str(dot), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not dot.exists() and not out.exists()
+
+
+def test_every_command_takes_seed_and_pretty_and_its_own_flags():
+    # 19 commands, 69 optional flag slots beyond the required ones
+    optional = [name for key in COMMANDS for name in _declared(key)
+                if name.startswith("--") and not cli.FLAGS[name].get("required")]
+    assert len(COMMANDS) == 19
+    assert len(optional) == 69

@@ -28,9 +28,9 @@ def _case_id(case):
 
 
 def test_golden_table_covers_every_subcommand():
-    from cubical.cli import HANDLERS
+    from cubical.cli import COMMANDS
 
-    assert {tuple(case["argv"][:2]) for case in TABLE} == set(HANDLERS)
+    assert {tuple(case["argv"][:2]) for case in TABLE} == set(COMMANDS)
 
 
 @pytest.mark.parametrize("case", TABLE, ids=_case_id)

@@ -18,6 +18,7 @@ from helpers import (
     frozenset_leq,
     frozenset_trust_report,
     oracle_shortlex_forms,
+    two_pass_cayley_ball,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,7 @@ from cubical.coxeter import (
 )
 from cubical.errors import (
     BadDiagonalError,
+    CubicalError,
     EntryBelowTwoError,
     NotSymmetricError,
 )
@@ -211,6 +213,30 @@ def test_ball_matches_oracle_elements():
     ball = cayley_ball(pgl, 4)
     forms = oracle_shortlex_forms(PGL2ZOracle(), 3, 4)
     assert sorted(ball.elements) == sorted(forms.values())
+
+
+LANDMARKS = {
+    "I2(3)": [[1, 3], [3, 1]], "I2(4)": [[1, 4], [4, 1]], "I2(5)": [[1, 5], [5, 1]],
+    "A2~": A2_TILDE, "PGL(2,Z)": PGL2Z, "(2,3,7)": TRIANGLE_237,
+    "(3,3,4)": [[1, 3, 3], [3, 1, 4], [3, 4, 1]], "D_inf": [[1, 0], [0, 1]],
+}
+
+
+@pytest.mark.parametrize("name", LANDMARKS)
+def test_ball_matches_two_pass_oracle(name):
+    def outcome(build, radius, cap):
+        try:
+            ball = build(parse_system(LANDMARKS[name]), radius, cap)
+        except CubicalError as exc:
+            return type(exc), str(exc), exc.certificate()
+        return ball.elements, ball.edges
+
+    for radius in range(7):
+        elements, edges = outcome(two_pass_cayley_ball, radius, 100_000)
+        assert outcome(cayley_ball, radius, 100_000) == (elements, edges)
+        for cap in (1, len(elements) - 1, len(elements)):
+            assert outcome(cayley_ball, radius, cap) == outcome(
+                two_pass_cayley_ball, radius, cap)
 
 
 def test_radius_zero():
@@ -458,7 +484,7 @@ def test_cubulate_tests_consistency_only_on_a_miss(monkeypatch):
 
     import cubical.coxeter as cox
     from cubical.errors import CubicalError
-    from cubical.pocsets import Orientation
+    from cubical.pocsets import Orientation, _chosen
 
     ball = cayley_ball(parse_system(A2_TILDE), 4)
     calls = []
@@ -478,8 +504,9 @@ def test_cubulate_tests_consistency_only_on_a_miss(monkeypatch):
 
     def without_lost(*args, **kwargs):
         d = dual(*args, **kwargs)
+        lost_mask = _chosen(d.system, lost)
         return dataclasses.replace(
-            d, orientations=tuple(o for o in d.orientations if o != lost))
+            d, masks=tuple(m for m in d.masks if m != lost_mask))
 
     with monkeypatch.context() as m:
         m.setattr(cox, "dual_complex", without_lost)

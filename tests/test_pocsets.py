@@ -50,7 +50,7 @@ from cubical.errors import (
     SelfPairedError,
 )
 from cubical.graphs import complex_isomorphic
-from cubical.pocsets import DualComplex
+from cubical.pocsets import DualComplex, _chosen
 from cubical.util import skey
 
 
@@ -317,7 +317,14 @@ def test_vertices_seed_and_dual_match_pair_oracle(system):
     assert d.orientations == order
     assert d.complex.cubes == complex_.cubes
     assert d.cube_families == families
-    oracle = DualComplex(system=ps, seed=seed, complex=complex_, orientations=order,
+    masks = tuple(_chosen(s, o) for o in order)
+    assert d.masks == masks
+    for v, o in enumerate(order):  # bits and differences from the choice tuples
+        diff = [i for i, (a, b) in enumerate(zip(o.choices, seed.choices)) if a != b]
+        assert d.differing(v, 0) == d.differing(0, v) == diff
+        assert d.bitmap(v) == "".join("1" if i in diff else "0"
+                                      for i in range(len(s.hyperplanes)))
+    oracle = DualComplex(system=ps, seed=seed, complex=complex_, masks=masks,
                          cube_families=families)
     assert maximal_cubes(d) == maximal_cubes(oracle) == scan_maximal_cubes(d)
     for cap in (0, len(order) - 1):
