@@ -17,7 +17,8 @@ handler reads, plus --seed and --pretty:
     tree validate FILE [--out], count -n N, enumerate -n N [--cap --out],
         link -n N [--dot], complex -n N [--cap --dot --out], dist FILE1 FILE2
 
-Any other flag is an input error: argparse exits 2 before anything runs.
+Any other flag, a missing flag or a bad value is an input error: nothing
+runs, usage goes to stderr and the verdict to stdout, with exit code 2.
 """
 
 from __future__ import annotations
@@ -280,15 +281,14 @@ def _coxeter_walls(run):
     run.ok = covered == len(ball.edges)
     if not run.ok:
         run.certificate["uncovered_edges"] = len(ball.edges) - covered
+    root = None
+    if run.args.root_edge:
+        parts = run.args.root_edge.split(",")
+        if len(parts) != 2:
+            raise InputFormatError("--root-edge wants 'U,V'")
+        root = cox_halfspace(ball, _parse_word(parts[0]), _parse_word(parts[1]))
+        run.stats["root_side_size"] = len(root.side)
     if run.args.dot:
-        root = None
-        if run.args.root_edge:
-            parts = run.args.root_edge.split(",")
-            if len(parts) != 2:
-                raise InputFormatError("--root-edge wants 'U,V'")
-            root = cox_halfspace(ball, _parse_word(parts[0]),
-                                 _parse_word(parts[1]))
-            run.stats["root_side_size"] = len(root.side)
         _write(run.args.dot, ball_dot(ball, ws, root=root))
 
 
@@ -499,12 +499,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):  # add_subparsers makes its parsers of this class
+    def error(self, message):  # usage on stderr, the message in the verdict
+        self.print_usage(sys.stderr)
+        raise InputFormatError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it as
     is). Each command takes exactly the flags its table entry names, plus
     --seed and --pretty; any other flag is an input error (exit 2)."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="cubical",
         description="exact CAT(0) cube complex combinatorics")
     top.add_argument("--version", action="version", version=__version__)
@@ -519,14 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    run = Run(args)
-    handler = COMMANDS[args.group, args.cmd][0]
+    run = None  # a command line that does not parse gets a compact verdict
     try:
-        handler(run)
+        run = Run(build_parser().parse_args(argv))
+        COMMANDS[run.args.group, run.args.cmd][0](run)
     except CubicalError as exc:
         verdict = {"ok": False, "certificate": exc.certificate(), "stats": {}}
-        print(_dumps(verdict, args.pretty))
+        print(_dumps(verdict, run is not None and run.args.pretty))
         return 2
     return run.emit()
 

@@ -559,38 +559,33 @@ def _is_roller_dual(x: CubeComplex) -> bool:
     neighbours, so the labels fill the connected dual, a median graph.
     A median graph passes all three: its square classes are its convex
     splits, and v borders exactly its minimal halfspaces. Halfspaces 2i
-    and 2i + 1 are the sides of class i holding the two ends of one of
-    its edges."""
+    and 2i + 1 are the smaller and the larger side of class i, as
+    ``halfspaces_of`` orders them."""
     n = len(x.labels)
-    hps = hyperplanes(x)
-    nbrs = [[] for _ in range(n)]  # (neighbour, class) pairs
-    for h in hps:
-        for a, b in h.edges:
-            nbrs[a].append((b, h.index))
-            nbrs[b].append((a, h.index))
     halfspaces = []  # vertex bitsets
     chosen = [0] * n  # vertex -> bitset of the halfspaces holding it
-    for h in hps:
-        rest = [[w for w, c in ns if c != h.index] for ns in nbrs]
-        u, w = next(iter(h.edges))
-        (near, side), (_, other) = _bfs(rest, u), _bfs(rest, w)
-        if (near[w] >= 0 or len(side) + len(other) != n  # (a)
-                or any((near[a] < 0) == (near[b] < 0) for a, b in h.edges)):
+    borders = [0] * n  # vertex -> bit 2i for each class i of its edges
+    for h in hyperplanes(x):
+        sides = halfspaces_of(x, h)
+        if len(sides) != 2 or any((a in sides[0]) == (b in sides[0])  # (a)
+                                  for a, b in h.edges):
             return False
-        for part, bit in ((side, 1 << 2 * h.index), (other, 2 << 2 * h.index)):
+        for part, bit in zip(sides, (1 << 2 * h.index, 2 << 2 * h.index)):
             halfspaces.append(sum(1 << v for v in part))
             for v in part:
                 chosen[v] |= bit
+        for a, b in h.edges:
+            borders[a] |= 1 << 2 * h.index
+            borders[b] |= 1 << 2 * h.index
     if len(set(chosen)) != n:  # (b)
         return False
     below = [sum(1 << q for q, low in enumerate(halfspaces)
                  if q != p and not low & ~high)
              for p, high in enumerate(halfspaces)]
     for v in range(n):  # (c)
-        borders = sum(1 << 2 * c for _, c in nbrs[v])
         minimal = sum(1 << (p & ~1) for p in range(len(halfspaces))
                       if chosen[v] >> p & 1 and not below[p] & chosen[v])
-        if borders != minimal:
+        if borders[v] != minimal:
             return False
     return True
 

@@ -11,6 +11,10 @@ Walls are edge classes of one reflection wsw^-1 each; roots are the two
 crossing-parity sides of a wall; truncated roots over a finite ball give
 a halfspace system that feeds the dual-complex construction.
 
+Only ``walls`` reduces reflections: inside the ball, element sides come
+from the wall of each element's parent edge (``halfspace_system``), and
+only words outside it are walked letter by letter.
+
 Systems and balls are immutable; the reduction memo is a pure cache.
 """
 
@@ -38,7 +42,8 @@ from .pocsets import (
     DualComplex,
     HalfspaceSystem,
     Orientation,
-    _chosen,
+    _bits,
+    _orientation,
     build_system,
     dual_complex,
     is_vertex,
@@ -317,15 +322,9 @@ def crossing_parity(sys_: CoxeterSystem, x: Word, y: Word, wall: Wall,
     x = reduce_word(sys_, x)
     y = reduce_word(sys_, y)
     letters = tuple(via) if via is not None else reduce_word(sys_, _inv(x) + y)
-    cur = x
-    count = 0
-    for s in letters:
-        if reflection_of_edge(sys_, cur, s) == wall.reflection:
-            count += 1
-        cur = reduce_word(sys_, cur + (s,))
-    if cur != y:
+    if reduce_word(sys_, x + letters) != y:
         raise InputFormatError("path does not reach the target element")
-    return count % 2
+    return wall_crossings_on_path(sys_, x, letters).count(wall.reflection) % 2
 
 
 def wall_crossings_on_path(sys_: CoxeterSystem, x: Word, letters) -> list[Word]:
@@ -376,17 +375,26 @@ def halfspace(ball: CayleyBall, u: Word, v: Word) -> Root:
 @dataclass(frozen=True)
 class TruncatedHalfspaces:
     """Halfspace system of the truncated roots, with the data needed to
-    interpret it: selected walls, the member set of every halfspace id,
-    and a trust report for relations that could flip with a larger ball."""
+    interpret it: selected walls, the walls each ball element lies across,
+    the member set of every halfspace id, and a trust report."""
 
     ball: CayleyBall
     margin: int
     system: HalfspaceSystem
     walls: tuple
-    members: dict  # halfspace id -> frozenset of ball elements
     defining_edges: tuple  # per wall, the (u, v) edge with u on the "+" side
     untrusted_pairs: tuple
     wall_ids: tuple  # per wall, its ("+", "-") halfspace ids
+    crossed: tuple  # per ball element: bitset of the selected walls it lies across
+
+    @cached_property
+    def members(self) -> dict:  # halfspace id -> frozenset of ball elements
+        out = {}
+        for i, (plus, minus) in enumerate(self.wall_ids):
+            out[minus] = frozenset(g for g, c in zip(self.ball.elements, self.crossed)
+                                   if c >> i & 1)
+            out[plus] = self.ball.element_set - out[minus]
+        return out
 
     def orientation_of(self, g: Word) -> Orientation:
         """Principal orientation: per wall, the side containing g, which
@@ -403,8 +411,7 @@ class TruncatedHalfspaces:
     def side_containing(self, wall_index: int, g: Word):
         """Halfspace id of the side of wall_index containing g, which need
         not lie in the ball; "+" is the identity's side."""
-        crossed = _crossed_walls(self.ball.system, g)
-        return self.wall_ids[wall_index][self.walls[wall_index].reflection in crossed]
+        return self.orientation_of(g).choices[self.hyperplane_of_wall(wall_index)]
 
 
 def _crossed_walls(sys_: CoxeterSystem, g: Word) -> frozenset:
@@ -425,42 +432,33 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     (u, v), and so the identity: an element lies in it iff a geodesic from
     the identity to it does not cross the wall.
 
+    Sides are int bitsets over the positions of ``ball.elements``, filled
+    from the wall table of ``walls(ball)`` in one pass: g[:-1] is a normal
+    form and (g[:-1], g) a ball edge, so ``crossed[g]``, the selected walls
+    between g and the identity, is ``crossed[g[:-1]]`` plus the wall of
+    that edge.
+
     Validation errors propagate and signal that the margin is too small.
     The trust report lists wall pairs whose nesting relation could still
     flip to transversal with a larger ball: some quarter is empty while
     both of its factors reach the boundary sphere.
-
-    Each truncated side is also held as an int bitset over the positions
-    of ``ball.elements``, for the inclusions and the quarter tests.
     """
     if margin < 0:
         raise InputFormatError("margin must be >= 0")
-    sys_ = ball.system
     inner = ball.radius - margin
-    selected = []
-    for w in walls(ball):
-        if any(len(v) <= inner for _, v in w.edges):
-            selected.append(w)
-    wall_of = {w.reflection: i for i, w in enumerate(selected)}
-    across: list[list] = [[] for _ in selected]  # per wall, the elements off the identity's side
-    masks = [0] * len(selected)
-    for k, g in enumerate(ball.elements):
-        for r in _crossed_walls(sys_, g):
-            i = wall_of.get(r)
-            if i is not None:
-                across[i].append(g)
-                masks[i] |= 1 << k
+    selected = [w for w in walls(ball) if any(len(v) <= inner for _, v in w.edges)]
+    bit_of = {e: 1 << i for i, w in enumerate(selected) for e in w.edges}
+    crossed = {(): 0}  # ball.elements starts with the identity, then by length
+    for g in ball.elements[1:]:
+        crossed[g] = crossed[g[:-1]] | bit_of.get((g[:-1], g), 0)
+    masks = [0] * len(selected)  # per wall, the elements off the identity's side
+    for k, c in enumerate(crossed.values()):
+        for i in _bits(c):
+            masks[i] |= 1 << k
     full = (1 << len(ball.elements)) - 1
-    universe = frozenset(ball.elements)
     wall_ids = tuple((_hid(i, "+"), _hid(i, "-")) for i in range(len(selected)))
     ids = [h for pair in wall_ids for h in pair]
-    side = []  # per id, in ids order: its ball elements as a bitset
-    members: dict = {}
-    for (plus, minus), elems, mask in zip(wall_ids, across, masks):
-        members[minus] = frozenset(elems)
-        members[plus] = universe - members[minus]
-        side += [full ^ mask, mask]
-    defining = [w.edges[0] for w in selected]
+    side = [m for mask in masks for m in (full ^ mask, mask)]  # per id, in ids order
     seen_sides: dict[int, str] = {}
     for h, m in zip(ids, side):
         other = seen_sides.setdefault(m, h)
@@ -472,8 +470,8 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
            if ma != mb and not ma & ~mb]
     system = build_system(ids, wall_ids, leq)
 
-    sphere = frozenset(ball.sphere(ball.radius))
-    touches = [not sphere.isdisjoint(members[h]) for h in ids]
+    sphere = sum(1 << k for k, g in enumerate(ball.elements) if len(g) == ball.radius)
+    touches = [bool(m & sphere) for m in side]
     untrusted = []
     for i, j in itertools.combinations(range(len(selected)), 2):
         empty_quarters = tuple(
@@ -483,8 +481,9 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
             untrusted.append((i, j, empty_quarters))
     return TruncatedHalfspaces(
         ball=ball, margin=margin, system=system, walls=tuple(selected),
-        members=members, defining_edges=tuple(defining),
-        untrusted_pairs=tuple(untrusted), wall_ids=wall_ids)
+        defining_edges=tuple(w.edges[0] for w in selected),
+        untrusted_pairs=tuple(untrusted), wall_ids=wall_ids,
+        crossed=tuple(crossed.values()))
 
 
 @dataclass(frozen=True)
@@ -510,26 +509,29 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
 
     The dual is seeded at the principal orientation of ``seed_element``
     (default: the identity). The table nu maps every ball element to the
-    dual vertex of its principal orientation. Injectivity is asserted on
-    the trusted sub-ball of radius R - margin (the full ball may
-    legitimately fold onto fewer orientation cells when outer walls are
-    truncated away); adjacency is asserted exactly: neighbors differ on
-    the selected wall of their shared edge and nothing else.
+    dual vertex of its principal orientation: all "+" but on its
+    ``crossed`` walls. Injectivity is asserted on the trusted sub-ball of
+    radius R - margin (the full ball may legitimately fold onto fewer
+    orientation cells when outer walls are truncated away); adjacency is
+    asserted exactly: neighbors differ on the wall of their shared edge and
+    nothing else.
     """
     th = halfspace_system(ball, margin)
-    sys_ = ball.system
-    seed = th.orientation_of(reduce_word(sys_, seed_element))
+    seed = th.orientation_of(seed_element)
     check = is_vertex(th.system, seed)
     if not check.ok:
         raise CubicalError("seed orientation is not a vertex",
                            witness=check.witness)
     dual = dual_complex(th.system, seed, cap=cap)
+    position = th.system.position
+    identity = sum(1 << position[plus] for plus, _ in th.wall_ids)
+    flips = [3 << (position[plus] & ~1) for plus, _ in th.wall_ids]
     nu = {}
-    for g in ball.elements:
-        o = th.orientation_of(g)
-        vid = dual.vertex_of.get(_chosen(th.system, o))
+    for g, crossed in zip(ball.elements, th.crossed):
+        mask = identity ^ sum(flips[i] for i in _bits(crossed))
+        vid = dual.vertex_of.get(mask)
         if vid is None:  # every dual vertex is consistent: test only a miss
-            res = is_vertex(th.system, o)
+            res = is_vertex(th.system, _orientation(th.system, mask))
             if not res.ok:
                 raise CubicalError(f"principal orientation of {g!r} is not a vertex",
                                    element=g, witness=res.witness)
@@ -537,12 +539,12 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
                                element=g)
         nu[g] = vid
 
-    wall_index = {w.reflection: i for i, w in enumerate(th.walls)}
-    for u, v, s in ball.edges:
-        refl = reflection_of_edge(sys_, u, s)
+    wall_of = {e: i for i, w in enumerate(th.walls) for e in w.edges}
+    for u, v, _ in ball.edges:
         diff = dual.differing(nu[u], nu[v])
-        if refl in wall_index:
-            if diff != [th.hyperplane_of_wall(wall_index[refl])]:
+        i = wall_of.get((u, v))
+        if i is not None:
+            if diff != [th.hyperplane_of_wall(i)]:
                 raise CubicalError(
                     "adjacent ball elements do not differ exactly on their wall",
                     edge=(u, v), differing=diff)

@@ -119,9 +119,6 @@ class HalfspaceSystem:
             out[i] = frozenset(q >> 1 for q in _bits(free))
         return out
 
-    def le(self, a, b) -> bool:
-        return a == b or (a, b) in self.leq
-
     def lt(self, a, b) -> bool:
         return (a, b) in self.leq
 
@@ -297,6 +294,11 @@ def _chosen(s: HalfspaceSystem, o: Orientation) -> int:
     return chosen
 
 
+def _orientation(s: HalfspaceSystem, chosen: int) -> Orientation:
+    """The orientation choosing the positions of the bitset ``chosen``."""
+    return Orientation(choices=tuple(s.labels[p] for p in _bits(chosen)))
+
+
 def is_vertex(s: HalfspaceSystem, o: Orientation) -> VertexResult:
     """Consistency of an orientation: no pair with choice(h) <= choice(k)*.
     (The <=-form of the vertex condition, which the flip lemmas use.)
@@ -376,9 +378,7 @@ class DualComplex:
 
     @cached_property
     def orientations(self) -> tuple:  # vertex id -> Orientation, on first use
-        labels = self.system.labels
-        return tuple(Orientation(choices=tuple(labels[p] for p in _bits(m)))
-                     for m in self.masks)
+        return tuple(_orientation(self.system, m) for m in self.masks)
 
     @cached_property
     def vertex_of(self) -> dict:  # bitset -> vertex id

@@ -49,10 +49,6 @@ class PhyloTree:
     lengths: dict      # interior child node -> positive length
     notes: tuple = ()
 
-    @cached_property
-    def label_to_leaf(self) -> dict:
-        return {lab: node for node, lab in self.leaf_label.items()}
-
     def leaves_below(self, node) -> frozenset:
         """Labels of the leaves below ``node``; iterative, so deep trees hit
         no recursion limit."""

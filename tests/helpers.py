@@ -31,6 +31,7 @@ from cubical.complexes import (
 from cubical.coxeter import (
     CayleyBall,
     TruncatedHalfspaces,
+    _crossed_walls,
     _hid,
     distance,
     reduce_word,
@@ -1182,6 +1183,16 @@ def distance_orientation(th: TruncatedHalfspaces, g) -> tuple:
     by_hyperplane = {th.hyperplane_of_wall(i): distance_side(th, i, g)
                      for i in range(len(th.walls))}
     return tuple(by_hyperplane[i] for i in range(len(by_hyperplane)))
+
+
+def walked_crossings(th: TruncatedHalfspaces) -> tuple:
+    """Oracle for ``TruncatedHalfspaces.crossed``: per ball element, the
+    bitset of the selected walls whose reflections ``_crossed_walls``
+    meets on the walk of the element's normal form from the identity."""
+    sys_ = th.ball.system
+    wall_of = {w.reflection: i for i, w in enumerate(th.walls)}
+    return tuple(sum(1 << wall_of[r] for r in _crossed_walls(sys_, g) if r in wall_of)
+                 for g in th.ball.elements)
 
 
 def cat0_corpus() -> list[tuple[str, CubeComplex]]:

@@ -183,6 +183,23 @@ def test_coxeter_ball_and_walls(capsys, a2t_file):
     assert code == 0
 
 
+def test_coxeter_walls_root_edge_without_dot(capsys, tmp_path, a2t_file):
+    # the root is built whenever --root-edge is given: a bad value is an
+    # input error and a good one reports its side, with or without --dot
+    dot = tmp_path / "w.dot"
+    base = ["coxeter", "walls", "--matrix", a2t_file, "--radius", "3"]
+    for extra in ([], ["--dot", str(dot)]):
+        code, verdict = run_cli(capsys, *base, "--root-edge", "garbage", *extra)
+        assert code == 2
+        assert verdict["certificate"] == {"error": "input_format",
+                                          "message": "--root-edge wants 'U,V'"}
+        assert not dot.exists()
+        code, verdict = run_cli(capsys, *base, "--root-edge", "e,1", *extra)
+        assert code == 0
+        assert verdict["stats"]["root_side_size"] == 12
+    assert "cayley" in dot.read_text()
+
+
 def test_coxeter_reduce(capsys, a2t_file):
     code, verdict = run_cli(capsys, "coxeter", "reduce", "--matrix", a2t_file,
                             "--word", "1 1 2 1")

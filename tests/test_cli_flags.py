@@ -1,11 +1,13 @@
 """The command table: every command takes exactly the flags its handler
-reads, plus --seed and --pretty, and any other flag is an input error.
+reads, plus --seed and --pretty, and any other flag is an input error with
+an ``input_format`` verdict.
 
 Needs only pytest and the package, so it runs without the test extras.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -92,20 +94,47 @@ def test_undeclared_flags_exit_2(capsys, tmp_path, key):
               if name.startswith("-") and name not in declared]
     assert others
     for name in others:
-        with pytest.raises(SystemExit) as exc:
-            cli.main(base + _argv((), [name], values))
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert cli.main(base + _argv((), [name], values)) == 2
+        captured = capsys.readouterr()
+        cert = json.loads(captured.out)["certificate"]
+        assert cert["error"] == "input_format"
+        assert cert["message"].startswith("unrecognized arguments: " + name)
+        assert captured.err.startswith("usage: cubical")
         assert not any(tmp_path.iterdir())  # nothing ran, nothing was written
 
 
 def test_tree_count_rejects_dot_and_out(capsys, tmp_path):
     dot, out = tmp_path / "x.dot", tmp_path / "y.json"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["tree", "count", "-n", "5", "--dot", str(dot), "--out", str(out)])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    assert cli.main(["tree", "count", "-n", "5", "--dot", str(dot), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": False, "stats": {}, "certificate": {
+            "error": "input_format",
+            "message": f"unrecognized arguments: --dot {dot} --out {out}"}}
     assert not dot.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: group"),
+    (["tree", "count"], "the following arguments are required: -n"),
+    (["tree", "count", "-n", "x"], "argument -n: invalid int value: 'x'"),
+    (["coxeter", "ball", "--radius", "2"], "the following arguments are required: --matrix"),
+    (["tree", "count", "-n", "5", "--bogus", "--pretty"], "unrecognized arguments: --bogus"),
+])
+def test_parse_errors_print_an_input_format_verdict(capsys, argv, message):
+    # a command line that does not parse gets a compact verdict, usage on stderr
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == cli._dumps({"ok": False, "stats": {}, "certificate": {
+        "error": "input_format", "message": message}}, False) + "\n"
+    assert captured.err.startswith("usage: cubical")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["tree", "count", "--help"]])
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code in (0, None)
+    assert capsys.readouterr().out
 
 
 def test_every_command_takes_seed_and_pretty_and_its_own_flags():

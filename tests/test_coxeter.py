@@ -19,6 +19,7 @@ from helpers import (
     frozenset_trust_report,
     oracle_shortlex_forms,
     two_pass_cayley_ball,
+    walked_crossings,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -423,6 +424,18 @@ def test_wall_sides_match_distance_sides(matrix, radius, margin):
         assert th.orientation_of(g).choices == distance_orientation(th, g)
 
 
+@pytest.mark.parametrize("name", ["I2(5)", "A2~", "PGL(2,Z)", "(2,3,7)", "(3,3,4)"])
+def test_wall_table_matches_walked_crossings(name):
+    # each element's row of the wall table, filled from its parent edge,
+    # is the set of selected walls a geodesic from the identity crosses
+    for radius in range(7):
+        ball = cayley_ball(parse_system(LANDMARKS[name]), radius)
+        for margin in range(3):
+            th = halfspace_system(ball, margin)
+            assert len(th.crossed) == len(ball.elements)
+            assert th.crossed == walked_crossings(th)
+
+
 @pytest.mark.parametrize("matrix, radius", [
     ([[1, 5], [5, 1]], 6), (A2_TILDE, 6), (PGL2Z, 10), (TRIANGLE_237, 6)],
     ids=["I2(5)", "affine A2", "PGL(2,Z)", "(2,3,7)"])
@@ -512,19 +525,53 @@ def test_cubulate_tests_consistency_only_on_a_miss(monkeypatch):
         m.setattr(cox, "dual_complex", without_lost)
         with pytest.raises(CubicalError, match="falls outside the component"):
             cubulate(ball, 2)
-    # an inconsistent one is reported as such
-    system = cub.truncated.system
+    # an inconsistent one is reported as such: flip one wall in the last
+    # element's row of the wall table
+    th = cub.truncated
+    system = th.system
     for i in range(len(lost.choices)):
         choices = list(lost.choices)
         choices[i] = system.star[choices[i]]
         if not original(system, Orientation(tuple(choices))).ok:
             break
     bad = Orientation(tuple(choices))
-    side = cox.TruncatedHalfspaces.orientation_of
-    monkeypatch.setattr(cox.TruncatedHalfspaces, "orientation_of",
-                        lambda th, g: bad if g == last else side(th, g))
+    wall = next(j for j in range(len(th.walls)) if th.hyperplane_of_wall(j) == i)
+    truncate = cox.halfspace_system
+
+    def flipped(*args, **kwargs):
+        t = truncate(*args, **kwargs)
+        return dataclasses.replace(
+            t, crossed=t.crossed[:-1] + (t.crossed[-1] ^ 1 << wall,))
+
+    monkeypatch.setattr(cox, "halfspace_system", flipped)
     with pytest.raises(CubicalError, match="is not a vertex"):
         cubulate(ball, 2)
+    assert calls[-1] == bad  # the miss tests the orientation the table gives
+
+
+@pytest.mark.parametrize("radius, margin, message", [
+    (3, 0, "do not differ exactly on their wall"),
+    (4, 2, "on an unselected wall maps to distinct vertices")])
+def test_cubulate_checks_every_edge_against_the_wall_table(monkeypatch, radius,
+                                                          margin, message):
+    # swapped rows of the last two elements still hit dual vertices, so only
+    # the adjacency check can notice
+    import dataclasses
+
+    import cubical.coxeter as cox
+
+    ball = cayley_ball(parse_system(A2_TILDE), radius)
+    truncate = cox.halfspace_system
+
+    def swapped(*args, **kwargs):
+        t = truncate(*args, **kwargs)
+        *rest, a, b = t.crossed
+        assert a != b
+        return dataclasses.replace(t, crossed=(*rest, b, a))
+
+    monkeypatch.setattr(cox, "halfspace_system", swapped)
+    with pytest.raises(CubicalError, match=message):
+        cubulate(ball, margin)
 
 
 def test_cubulate_affine_equivariance_on_selected_walls():
