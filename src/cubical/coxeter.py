@@ -1,28 +1,26 @@
 """Coxeter groups: word problem, Cayley balls, walls, roots, and cubulation.
 
-Words are tuples of 0-based generator indices. The word problem is solved
-by exhaustive search of the braid-move orbit with memoization (Tits'
-moves: delete/insert a doubled letter, replace an alternating run of
-length m_ij by its swap). The canonical form of an element is the
-ShortLex-least reduced word; generators with m_ij = infinity admit no
-braid move.
+Words are tuples of 0-based generator indices; the canonical form of an
+element is its ShortLex-least reduced word. All three layers act in Tits'
+geometric representation, which is faithful (Humphreys, Reflection Groups
+and Coxeter Groups, 5.3-5.4): s acts on the coweight coordinates of a
+point by v_j += 2cos(pi/m_sj) v_s for j != s, then v_s = -v_s. These
+numbers lie in Z[lambda], lambda = 2cos(pi/M) with M the lcm of the finite
+entries m >= 4, and each is held as D = phi(2M)/2 ints, so points are
+exact dict keys and signs are exact. ``reduce_word`` reads the normal form
+off w.rho, ``cayley_ball`` keys each element w by w^-1 rho, and ``walls``
+keys the edge (u, us) by t.rho, t = u s u^-1.
 
-Walls are edge classes of one reflection wsw^-1 each; roots are the two
+Walls are edge classes of one reflection each; roots are the two
 crossing-parity sides of a wall; truncated roots over a finite ball give
-a halfspace system that feeds the dual-complex construction.
-
-Only ``walls`` reduces reflections: inside the ball, element sides come
-from the wall of each element's parent edge (``halfspace_system``), and
-only words outside it are walked letter by letter.
-
-Systems and balls are immutable; the reduction memo is a pure cache.
+a halfspace system that feeds the dual-complex construction. Inside the
+ball, element sides come from the wall of each element's parent edge.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,7 +33,6 @@ from .errors import (
     NestingViolationError,
     NotAdjacentError,
     NotSymmetricError,
-    OrbitCapExceededError,
 )
 from .graphs import components
 from .pocsets import (
@@ -52,18 +49,23 @@ from .util import parse_int, parse_list
 
 Word = tuple  # tuple of generator indices
 
-DEFAULT_ORBIT_CAP = 200_000
 DEFAULT_BALL_CAP = 100_000
+MAX_DEGREE = 128  # ceiling on D, the ints per number of Tits' representation
 
 
 @dataclass(frozen=True)
 class CoxeterSystem:
     """Coxeter matrix: symmetric, 1 on the diagonal, entries >= 2 or
-    math.inf off it. The reduction memo lives on the system."""
+    math.inf off it. Its exact Tits representation is built on first use."""
 
     rank: int
     matrix: tuple
+    # stays empty, as no word is memoized; perfbench/spans.py reads its size
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def tits(self) -> _Tits:
+        return _Tits(self.matrix)
 
     def m(self, i: int, j: int):
         return self.matrix[i][j]
@@ -125,72 +127,140 @@ def dump_matrix(sys_: CoxeterSystem) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# word problem
+# word problem, in Tits' representation
 
 
-def _braid_images(sys_: CoxeterSystem, w: Word):
-    for p in range(len(w) - 1):
-        s, t = w[p], w[p + 1]
-        if s == t:
-            continue
-        m = sys_.m(s, t)
-        if m == math.inf or p + m > len(w):
-            continue
-        if all(w[p + i] == (s if i % 2 == 0 else t) for i in range(m)):
-            run = tuple(t if i % 2 == 0 else s for i in range(m))
-            yield w[:p] + run + w[p + m:]
+def _primes(n: int) -> list:
+    out = []
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+    return out + [n] * (n > 1)
 
 
-def _orbit_step(sys_: CoxeterSystem, start: Word, memo: dict, cap: int):
-    """Explore the braid orbit of ``start``. Returns ("canon", word) on a
-    memo hit, ("shorter", word) when a doubled letter appears anywhere in
-    the orbit, or ("reduced", orbit) when the full orbit has no deletion."""
-    orbit = {start}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        hit = memo.get(w)
-        if hit is not None:
-            return "canon", hit, orbit
-        for i in range(len(w) - 1):
-            if w[i] == w[i + 1]:
-                return "shorter", w[:i] + w[i + 2:], orbit
-        for img in _braid_images(sys_, w):
-            if img not in orbit:
-                if len(orbit) >= cap:
-                    raise OrbitCapExceededError(
-                        f"braid orbit exceeds cap {cap}", cap=cap, word=start)
-                orbit.add(img)
-                queue.append(img)
-    return "reduced", None, orbit
+def _lambda_polynomial(n: int, primes: list) -> list:
+    """Minimal polynomial psi of lambda = 2cos(2pi/n), constant term first:
+    the cyclotomic Phi_n(z), the product of (z^(n/e) - 1)^mu(e) over the
+    squarefree e | n, is z^D psi(z + 1/z)."""
+    phi = [1]
+    for r in sorted(range(len(primes) + 1), key=lambda r: r % 2):  # divide last
+        for e in (n // math.prod(c) for c in itertools.combinations(primes, r)):
+            if r % 2:  # phi / (z^e - 1) = -phi (1 + z^e + z^2e + ...)
+                phi = [-sum(phi[i::-e]) for i in range(len(phi) - e)]
+            else:
+                phi = [a - b for a, b in zip([0] * e + phi, phi + [0] * e)]
+    d = len(phi) // 2
+    psi, prev, cur = [phi[d]] + [0] * d, [2], [0, 1]  # V_k(z + 1/z) = z^k + z^-k
+    for c in phi[d + 1:]:
+        psi = [a + c * b for a, b in zip(psi, cur + [0] * d)]
+        prev, cur = cur, [a - b for a, b in zip([0] + cur, prev + [0, 0])]
+    return psi
 
 
-def reduce_word(sys_: CoxeterSystem, word, orbit_cap: int = DEFAULT_ORBIT_CAP) -> Word:
+class _Tits:
+    """Tits' representation, exactly: coordinate j of a point p, its pairing
+    with alpha_j, is sum_k p[j*D + k] lambda^k, reduced modulo psi."""
+
+    def __init__(self, matrix):
+        self.rank = rank = len(matrix)
+        n = 2 * math.lcm(*(m for row in matrix for m in row if 4 <= m < math.inf))
+        primes = _primes(n)
+        self.degree = d = max(1, n // math.prod(primes) * math.prod(p - 1 for p in primes) // 2)
+        if d > MAX_DEGREE:
+            raise CapExceededError(f"Tits' representation needs D = {d} ints per number, "
+                                   f"above {MAX_DEGREE}", cap=MAX_DEGREE, degree=d)
+        psi = _lambda_polynomial(n, primes) if d > 1 else None
+
+        def times_lambda(v):  # psi is monic
+            return tuple([-v[-1] * psi[0]] + [v[i - 1] - v[-1] * psi[i] for i in range(1, d)])
+
+        def two_cos(m):  # 2cos(pi/m): V_(M/m)(lambda), Chebyshev, for m >= 4
+            if m < 4 or m == math.inf:
+                return ({1: -2, 2: 0, 3: 1}.get(m, 2),) + (0,) * (d - 1)
+            prev, cur = (2,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2)
+            for _ in range(n // 2 // m - 1):
+                prev, cur = cur, tuple(a - b for a, b in zip(times_lambda(cur), prev))
+            return cur
+
+        # s maps v to v - <v, alpha_s> alpha_s^vee: v_j += 2cos(pi/m_sj) v_s for every j,
+        # m_ss = 1 included; moves[s] has (i, k, c): int i of the image gains c * int k of v
+        self.moves = [[] for _ in range(rank)]
+        for s, j in itertools.product(range(rank), repeat=2):
+            cols = [two_cos(matrix[s][j])]  # column k: 2cos(pi/m_sj) lambda^k
+            for _ in range(d - 1):
+                cols.append(times_lambda(cols[-1]))
+            self.moves[s] += [(j * d + i, s * d + k, col[i])
+                              for k, col in enumerate(cols) for i in range(d) if col[i]]
+        self.rho = tuple(int(k % d == 0) for k in range(rank * d))
+        if d > 1:  # lambda is within 2^-40 of a / 2^40, and psi's other roots over
+            # 32/M^2 >= 2^-27 away: phi(n) >= (n/2)^(1/2), so M <= 4 D^2 <= 2^16
+            a = round(2 * math.cos(2 * math.pi / n) * 2 ** 40)
+            self._psi, self._bracket, self._levels = psi, (a - 1, a + 1, 40), []
+
+    def act(self, s: int, p: tuple) -> tuple:
+        q = list(p)
+        for i, k, c in self.moves[s]:
+            q[i] += c * p[k]
+        return tuple(q)
+
+    def point(self, word, p=None) -> tuple:
+        """w.p, w.rho by default: the letters act from the last one on."""
+        p = p or self.rho
+        for s in reversed(word):
+            p = self.act(s, p)
+        return p
+
+    def sign(self, p: tuple, s: int) -> int:
+        """Sign of coordinate s of p: the sign its ints share, if they do, as
+        lambda > 0; else that of fixed-point bounds, refined till they agree."""
+        d = self.degree
+        if d == 1:
+            return (p[s] > 0) - (p[s] < 0)
+        x = p[s * d:(s + 1) * d]
+        if not any(x) or min(x) >= 0 or max(x) <= 0:
+            return (max(x) > 0) - (min(x) < 0)
+        for level in itertools.count():
+            if level == len(self._levels):
+                a, b, bits = self._bracket
+                new = 2 * bits
+                a, b = a << bits, b << bits
+                while b - a > 1:  # psi < 0 just below lambda, its largest root
+                    mid, value = (a + b) // 2, 0
+                    for i, c in enumerate(reversed(self._psi)):  # psi(mid / 2^new) 2^(new D)
+                        value = value * mid + (c << new * i)
+                    a, b = (a, mid) if value > 0 else (mid, b)
+                self._bracket = (a, b, new)  # and lambda^k 2^(new (D - 1)) is bounded by
+                self._levels.append([(a ** k << new * (d - 1 - k), b ** k << new * (d - 1 - k))
+                                     for k in range(d)])
+            low = sum(c * (lo if c > 0 else hi) for c, (lo, hi) in zip(x, self._levels[level]))
+            high = sum(c * (hi if c > 0 else lo) for c, (lo, hi) in zip(x, self._levels[level]))
+            if low > 0 or high < 0:
+                return 1 if low > 0 else -1
+
+    def normal_form(self, p: tuple) -> Word:
+        """ShortLex-least word of the w with p = w.rho (rho: every coordinate 1).
+        It starts with w's least left descent s, the least s whose coordinate
+        of w.rho, and so the root w^-1(alpha_s), is negative; s w's word follows."""
+        out, s = [], 0
+        while s < self.rank:
+            if self.sign(p, s) < 0:
+                out.append(s)
+                p = self.act(s, p)
+                s = 0
+            else:
+                s += 1
+        return tuple(out)
+
+
+def reduce_word(sys_: CoxeterSystem, word) -> Word:
     """ShortLex-least reduced word equal to ``word`` in the group."""
     w = tuple(word)
-    for s in w:
-        if not 0 <= s < sys_.rank:
-            raise InputFormatError(f"letter {s} out of range for rank {sys_.rank}")
-    memo = sys_._memo
-    if w in memo:
-        return memo[w]
-    trail: list = []
-    current = w
-    while True:
-        kind, payload, orbit = _orbit_step(sys_, current, memo, orbit_cap)
-        trail.extend(orbit)
-        if kind == "canon":
-            canon = payload
-            break
-        if kind == "shorter":
-            current = payload
-            continue
-        canon = min(orbit)
-        break
-    for u in trail:
-        memo[u] = canon
-    memo[w] = canon
-    return canon
+    if w and not 0 <= min(w) <= max(w) < sys_.rank:
+        s = next(s for s in w if not 0 <= s < sys_.rank)
+        raise InputFormatError(f"letter {s} out of range for rank {sys_.rank}")
+    return sys_.tits.normal_form(sys_.tits.point(w))
 
 
 def words_equal(sys_: CoxeterSystem, w1, w2) -> bool:
@@ -223,6 +293,7 @@ class CayleyBall:
     radius: int
     elements: tuple
     edges: tuple  # (u, v, s) with len(v) == len(u) + 1
+    points: tuple  # per element w, w^-1 rho in Tits' representation
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -249,34 +320,32 @@ class CayleyBall:
 
 def cayley_ball(sys_: CoxeterSystem, radius: int,
                 cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
-    """BFS by right multiplication with canonical-form deduplication.
-
-    Each w + (s,) is reduced once. When the result u is one letter longer
-    than w, it lies on the next level and (w, u, s) is an edge. Levels are
-    walked in element order and s ascending, so the edges come in that
-    order; elements on the last level have no edge up."""
+    """BFS by right multiplication, keyed by the point w^-1 rho: ws is longer
+    than w iff its coordinate s is positive, and then (w, ws, s) is an edge
+    and (ws)^-1 rho = s w^-1 rho. Levels are walked in element order and s
+    ascending, so the first word to reach a point is its normal form, and
+    the edges come in that order; the last level has no edge up."""
     if radius < 0:
         raise InputFormatError("radius must be >= 0")
-    levels: list[list[Word]] = [[()]]
+    tits = sys_.tits
+    levels = [[((), tits.rho)]]  # (normal form w, w^-1 rho), by normal form
     size = 1
     edges = []
     for d in range(radius):
-        nxt = set()
-        for w in levels[d]:
+        nxt: dict = {}  # point -> the first word to reach it
+        for w, p in levels[d]:
             for s in range(sys_.rank):
-                u = reduce_word(sys_, w + (s,))
-                if len(u) == d + 1:
-                    edges.append((w, u, s))
-                    nxt.add(u)
+                if tits.sign(p, s) > 0:
+                    edges.append((w, nxt.setdefault(tits.act(s, p), w + (s,)), s))
         if not nxt:
             break
         size += len(nxt)
         if size > cap:
             raise CapExceededError(f"ball exceeds cap {cap}", cap=cap)
-        levels.append(sorted(nxt))
-    elements = tuple(w for level in levels for w in level)
-    return CayleyBall(system=sys_, radius=radius,
-                      elements=elements, edges=tuple(edges))
+        levels.append(sorted((w, p) for p, w in nxt.items()))
+    elements, points = zip(*(pair for level in levels for pair in level))
+    return CayleyBall(system=sys_, radius=radius, elements=elements,
+                      edges=tuple(edges), points=points)
 
 
 def distances_differ_by_one(ball: CayleyBall, x: Word, u: Word, v: Word) -> bool:
@@ -299,16 +368,16 @@ def reflection_of_edge(sys_: CoxeterSystem, u: Word, s: int) -> Word:
 
 
 def walls(ball: CayleyBall) -> list[Wall]:
-    """Group the ball's edges by the canonical form of their reflection."""
-    sys_ = ball.system
-    grouped: dict[Word, list] = {}
-    for u, v, s in ball.edges:
-        r = reflection_of_edge(sys_, u, s)
-        grouped.setdefault(r, []).append((u, v))
-    out = []
-    for r in sorted(grouped, key=lambda w: (len(w), w)):
-        out.append(Wall(reflection=r, edges=tuple(sorted(grouped[r]))))
-    return out
+    """Group the ball's edges (u, us) by t.rho = u (us)^-1 rho, t = u s u^-1,
+    into walls sorted by the normal forms of their reflections t."""
+    tits = ball.system.tits
+    point = dict(zip(ball.elements, ball.points))
+    grouped: dict[tuple, list] = {}
+    for u, v, _ in ball.edges:
+        grouped.setdefault(tits.point(u, point[v]), []).append((u, v))
+    return sorted((Wall(reflection=tits.normal_form(p), edges=tuple(sorted(edges)))
+                   for p, edges in grouped.items()),
+                  key=lambda w: (len(w.reflection), w.reflection))
 
 
 def crossing_parity(sys_: CoxeterSystem, x: Word, y: Word, wall: Wall,
@@ -433,10 +502,10 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     the identity to it does not cross the wall.
 
     Sides are int bitsets over the positions of ``ball.elements``, filled
-    from the wall table of ``walls(ball)`` in one pass: g[:-1] is a normal
-    form and (g[:-1], g) a ball edge, so ``crossed[g]``, the selected walls
-    between g and the identity, is ``crossed[g[:-1]]`` plus the wall of
-    that edge.
+    from the wall table of ``walls(ball)``: g[:-1] is a normal form and
+    (g[:-1], g) a ball edge, so ``crossed[g]``, the selected walls between
+    g and the identity, is ``crossed[g[:-1]]`` plus the wall of that edge,
+    and a wall's "-" side joins the subtrees below its edges of that kind.
 
     Validation errors propagate and signal that the margin is too small.
     The trust report lists wall pairs whose nesting relation could still
@@ -451,10 +520,12 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     crossed = {(): 0}  # ball.elements starts with the identity, then by length
     for g in ball.elements[1:]:
         crossed[g] = crossed[g[:-1]] | bit_of.get((g[:-1], g), 0)
+    below = {g: 1 << k for k, g in enumerate(ball.elements)}  # grows to g's subtree
     masks = [0] * len(selected)  # per wall, the elements off the identity's side
-    for k, c in enumerate(crossed.values()):
-        for i in _bits(c):
-            masks[i] |= 1 << k
+    for g in reversed(ball.elements[1:]):
+        below[g[:-1]] |= below[g]
+        for i in _bits(bit_of.get((g[:-1], g), 0)):
+            masks[i] |= below[g]
     full = (1 << len(ball.elements)) - 1
     wall_ids = tuple((_hid(i, "+"), _hid(i, "-")) for i in range(len(selected)))
     ids = [h for pair in wall_ids for h in pair]
@@ -466,8 +537,9 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
             raise NestingViolationError(
                 f"walls {other} and {h} have identical truncated sides; "
                 "increase the radius or margin", pair=(other, h))
-    leq = [(a, b) for a, ma in zip(ids, side) for b, mb in zip(ids, side)
-           if ma != mb and not ma & ~mb]
+    # sides are distinct, and side q ^ 1 is the complement of side q
+    leq = [(ids[p], ids[q]) for p in range(len(side)) for q in range(len(side))
+           if p != q and not side[p] & side[q ^ 1]]
     system = build_system(ids, wall_ids, leq)
 
     sphere = sum(1 << k for k, g in enumerate(ball.elements) if len(g) == ball.radius)
@@ -476,7 +548,7 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     for i, j in itertools.combinations(range(len(selected)), 2):
         empty_quarters = tuple(
             (ids[p], ids[q]) for p in (2 * i, 2 * i + 1) for q in (2 * j, 2 * j + 1)
-            if not side[p] & side[q] and touches[p] and touches[q])
+            if touches[p] and touches[q] and not side[p] & side[q])
         if empty_quarters:
             untrusted.append((i, j, empty_quarters))
     return TruncatedHalfspaces(

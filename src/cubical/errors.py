@@ -127,10 +127,6 @@ class EntryBelowTwoError(CubicalError):
     code = "entry_below_two"
 
 
-class OrbitCapExceededError(CapExceededError):
-    code = "orbit_cap_exceeded"
-
-
 class NotAdjacentError(CubicalError):
     code = "not_adjacent"
 

@@ -135,14 +135,13 @@ def girth(adj: dict) -> int | None:
     for root in adj:
         dist = {root: 0}
         parent = {root: None}
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
+        order = [root]
+        for v in order:  # order grows while it is read: a breadth-first queue
             for w in adj[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     parent[w] = v
-                    queue.append(w)
+                    order.append(w)
                 elif parent[v] != w:
                     cycle = dist[v] + dist[w] + 1
                     if best is None or cycle < best:

@@ -13,7 +13,9 @@ the tests read its cells back by vertex id.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -31,10 +33,10 @@ from cubical.complexes import (
 from cubical.coxeter import (
     CayleyBall,
     TruncatedHalfspaces,
+    Wall,
     _crossed_walls,
     _hid,
     distance,
-    reduce_word,
     walls,
 )
 from cubical.errors import (
@@ -1088,22 +1090,111 @@ def fixpoint_build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
 
 
 # ---------------------------------------------------------------------------
+# braid-orbit word problem (oracle for coxeter.reduce_word)
+
+BRAID_ORBIT_CAP = 200_000
+
+
+class OrbitCapExceeded(Exception):
+    pass
+
+
+def _braid_images(sys_, w):
+    for p in range(len(w) - 1):
+        s, t = w[p], w[p + 1]
+        if s == t:
+            continue
+        m = sys_.m(s, t)
+        if m == math.inf or p + m > len(w):
+            continue
+        if all(w[p + i] == (s if i % 2 == 0 else t) for i in range(m)):
+            run = tuple(t if i % 2 == 0 else s for i in range(m))
+            yield w[:p] + run + w[p + m:]
+
+
+def _orbit_step(sys_, start, memo: dict, cap: int):
+    """Explore the braid orbit of ``start``. Returns ("canon", word) on a
+    memo hit, ("shorter", word) when a doubled letter appears anywhere in
+    the orbit, or ("reduced", orbit) when the full orbit has no deletion."""
+    orbit = {start}
+    queue = deque([start])
+    while queue:
+        w = queue.popleft()
+        hit = memo.get(w)
+        if hit is not None:
+            return "canon", hit, orbit
+        for i in range(len(w) - 1):
+            if w[i] == w[i + 1]:
+                return "shorter", w[:i] + w[i + 2:], orbit
+        for img in _braid_images(sys_, w):
+            if img not in orbit:
+                if len(orbit) >= cap:
+                    raise OrbitCapExceeded(f"braid orbit exceeds cap {cap}")
+                orbit.add(img)
+                queue.append(img)
+    return "reduced", None, orbit
+
+
+def braid_reduce_word(sys_, word, memo: dict, orbit_cap: int = BRAID_ORBIT_CAP):
+    """Oracle for ``coxeter.reduce_word``, by Tits' solution of the word
+    problem: a word is reduced iff no word in its braid-move orbit has a
+    doubled letter, and the reduced words of an element form one orbit.
+    So the normal form is the least word of the orbit reached after
+    deleting doubled letters. Every word met goes into ``memo``, which
+    maps words of this system to their normal forms."""
+    w = tuple(word)
+    if w in memo:
+        return memo[w]
+    trail: list = []
+    current = w
+    while True:
+        kind, payload, orbit = _orbit_step(sys_, current, memo, orbit_cap)
+        trail.extend(orbit)
+        if kind == "canon":
+            canon = payload
+            break
+        if kind == "shorter":
+            current = payload
+            continue
+        canon = min(orbit)
+        break
+    for u in trail:
+        memo[u] = canon
+    memo[w] = canon
+    return canon
+
+
+def reflection_word_walls(ball) -> list[Wall]:
+    """Oracle for ``coxeter.walls``: the ball's edges grouped by the braid
+    normal form of their reflection u s u^-1, sorted by that word."""
+    grouped: dict = {}
+    memo: dict = {}
+    for u, v, s in ball.edges:
+        r = braid_reduce_word(ball.system, u + (s,) + tuple(reversed(u)), memo)
+        grouped.setdefault(r, []).append((u, v))
+    return [Wall(reflection=r, edges=tuple(sorted(grouped[r])))
+            for r in sorted(grouped, key=lambda w: (len(w), w))]
+
+
+# ---------------------------------------------------------------------------
 # Cayley balls
 
 
 def two_pass_cayley_ball(sys_, radius: int, cap: int = 100_000) -> CayleyBall:
     """Oracle for ``coxeter.cayley_ball``: the BFS lists the elements level
-    by level, and a second pass over all of them reduces every w + (s,)
-    again to list the edges."""
+    by level, by braid normal forms, and a second pass over all of them
+    reduces every w + (s,) again to list the edges. Each element's point
+    w^-1 rho is its word's letters acting on rho, first letter first."""
     if radius < 0:
         raise InputFormatError("radius must be >= 0")
     levels = [[()]]
     seen = {()}
+    memo: dict = {}
     for d in range(radius):
         nxt = set()
         for w in levels[d]:
             for s in range(sys_.rank):
-                u = reduce_word(sys_, w + (s,))
+                u = braid_reduce_word(sys_, w + (s,), memo)
                 if len(u) == d + 1 and u not in seen:
                     nxt.add(u)
         if not nxt:
@@ -1116,11 +1207,18 @@ def two_pass_cayley_ball(sys_, radius: int, cap: int = 100_000) -> CayleyBall:
     edges = []
     for w in elements:
         for s in range(sys_.rank):
-            u = reduce_word(sys_, w + (s,))
+            u = braid_reduce_word(sys_, w + (s,), memo)
             if len(u) == len(w) + 1 and u in seen:
                 edges.append((w, u, s))
-    return CayleyBall(system=sys_, radius=radius,
-                      elements=elements, edges=tuple(edges))
+    tits = sys_.tits
+    points = []
+    for w in elements:
+        p = tits.rho
+        for s in w:
+            p = tits.act(s, p)
+        points.append(p)
+    return CayleyBall(system=sys_, radius=radius, elements=elements,
+                      edges=tuple(edges), points=tuple(points))
 
 
 # ---------------------------------------------------------------------------

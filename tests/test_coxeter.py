@@ -12,12 +12,14 @@ from helpers import (
     AffinePermOracle,
     DihedralOracle,
     PGL2ZOracle,
+    braid_reduce_word,
     distance_members,
     distance_orientation,
     distance_side,
     frozenset_leq,
     frozenset_trust_report,
     oracle_shortlex_forms,
+    reflection_word_walls,
     two_pass_cayley_ball,
     walked_crossings,
 )
@@ -186,6 +188,77 @@ def test_reduce_properties(letters):
     assert reduce_word(sys_, w + tuple(reversed(w))) == ()
 
 
+# Tits' representation against the braid-orbit search: m = 2, 3, 4, 5, 7, 8
+# and infinity, lcm M = 1, 4, 5, 7, 8, 20 and 35; in (2,4,5) and (5,7,inf) M
+# is a proper multiple of the entries, so 2cos(pi/m) is a Chebyshev
+# polynomial of degree >= 2 in lambda
+ORACLE_GROUPS = {
+    "A2~": A2_TILDE, "PGL(2,Z)": PGL2Z, "(3,3,4)": [[1, 3, 3], [3, 1, 4], [3, 4, 1]],
+    "(4,4,4)": [[1, 4, 4], [4, 1, 4], [4, 4, 1]], "(2,3,7)": TRIANGLE_237,
+    "I2(5)": [[1, 5], [5, 1]], "I2(7)": [[1, 7], [7, 1]], "I2(8)": [[1, 8], [8, 1]],
+    "D_inf": [[1, 0], [0, 1]], "H3": [[1, 5, 2], [5, 1, 3], [2, 3, 1]],
+    "(5,7,inf)": [[1, 5, 7], [5, 1, 0], [7, 0, 1]], "(2,4,5)": [[1, 2, 4], [2, 1, 5], [4, 5, 1]],
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_reduce_word_matches_braid_orbit_search(name):
+    sys_ = parse_system(ORACLE_GROUPS[name])
+    rng = random.Random(name)
+    memo: dict = {}
+    for _ in range(300):
+        word = tuple(rng.randrange(sys_.rank) for _ in range(rng.randrange(16)))
+        assert reduce_word(sys_, word) == braid_reduce_word(sys_, word, memo), word
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_walls_match_reflection_word_grouping(name):
+    for radius in range(7):
+        ball = cayley_ball(parse_system(ORACLE_GROUPS[name]), radius)
+        assert walls(ball) == reflection_word_walls(ball)
+
+
+def test_exact_sign_past_float_precision():
+    # in I2(5), lambda = 2cos(pi/5) is the golden ratio, so the Fibonacci
+    # numbers give F(n+1) - F(n) lambda = (-1/lambda)^n: below 10^-20 at
+    # n = 100, where F(n) needs 69 bits and float evaluation says nothing
+    tits = parse_system([[1, 5], [5, 1]]).tits
+    assert tits.degree == 2
+    fib = [0, 1]
+    while len(fib) < 102:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 101):
+        assert tits.sign((fib[n + 1], -fib[n]), 0) == (-1) ** n, n
+    assert len(tits._levels) == 2  # 80 bits, then 160: refined once, and kept
+    golden = 2 * math.cos(math.pi / 5)
+    assert any(math.copysign(1, fib[n + 1] - fib[n] * golden) != (-1) ** n
+               for n in range(60, 101))
+
+
+def test_degree_ceiling_checked_before_tables(monkeypatch, tmp_path, capsys):
+    import json
+
+    import cubical.coxeter as cox
+    from cubical.cli import main
+    from cubical.errors import CapExceededError
+
+    assert cox.MAX_DEGREE == 128
+    at = parse_system([[1, 257], [257, 1]])  # D = phi(514) / 2 = 128
+    assert at.tits.degree == 128
+    assert reduce_word(at, (0, 1) * 130) == (1, 0) * 127
+    monkeypatch.setattr(cox, "_lambda_polynomial", None)  # no table may be built
+    for matrix, degree in (([[1, 263], [263, 1]], 131),
+                           ([[1, 89, 2], [89, 1, 97], [2, 97, 1]], 4224)):
+        with pytest.raises(CapExceededError) as err:
+            parse_system(matrix).tits
+        assert err.value.details == {"cap": 128, "degree": degree}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rank": 3, "m": [[1, 89, 2], [89, 1, 97], [2, 97, 1]]}))
+    assert main(["coxeter", "reduce", "--matrix", str(path), "--word", " ".join("123" * 7)]) == 2
+    certificate = json.loads(capsys.readouterr().out)["certificate"]
+    assert certificate["error"] == "cap_exceeded" and certificate["degree"] == 4224
+
+
 # ---------------------------------------------------------------------------
 # balls
 
@@ -230,11 +303,11 @@ def test_ball_matches_two_pass_oracle(name):
             ball = build(parse_system(LANDMARKS[name]), radius, cap)
         except CubicalError as exc:
             return type(exc), str(exc), exc.certificate()
-        return ball.elements, ball.edges
+        return ball.elements, ball.edges, ball.points
 
     for radius in range(7):
-        elements, edges = outcome(two_pass_cayley_ball, radius, 100_000)
-        assert outcome(cayley_ball, radius, 100_000) == (elements, edges)
+        elements, edges, points = outcome(two_pass_cayley_ball, radius, 100_000)
+        assert outcome(cayley_ball, radius, 100_000) == (elements, edges, points)
         for cap in (1, len(elements) - 1, len(elements)):
             assert outcome(cayley_ball, radius, cap) == outcome(
                 two_pass_cayley_ball, radius, cap)
