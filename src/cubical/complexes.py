@@ -22,7 +22,11 @@ The CAT(0) oracle is fully combinatorial: a finite complex is CAT(0) iff
 it is connected, all vertex links are flag (the Gromov link condition),
 every 4-cycle of the 1-skeleton bounds a listed square, and the
 1-skeleton is a median graph (Chepoi 2000). Failures come with explicit
-certificates. The median test is Roller duality: the square classes
+certificates. The link test makes one pass per vertex over its
+incidences, on int bitmasks over the vertex's neighbours: each incidence
+gives a simplex, each square a link edge, and the cliques of those edges
+are taken level by level, so the least empty simplex comes first. The
+median test is Roller duality: the square classes
 must cut the 1-skeleton like the halfspaces of a pocset whose consistent
 orientations are exactly the vertices, so that the 1-skeleton is the
 pocset's dual, a median graph (Roller 1998). It compares halfspaces as
@@ -54,8 +58,8 @@ from .errors import (
     SelfGluingError,
     UnknownVertexError,
 )
-from .graphs import cliques, components
-from .util import check_ids, parse_int, parse_list, skey, ssorted
+from .graphs import components
+from .util import check_ids, parse_int, parse_list, ssorted
 
 DEFAULT_MEDIAN_CAP = 600
 
@@ -89,6 +93,10 @@ def canonical_cube(corners: tuple) -> tuple:
 
 def cube_dim(corners: tuple) -> int:
     return len(corners).bit_length() - 1
+
+
+# corner count 2^k -> the position offsets 1 << axis of a k-cube's axes
+_AXES = {1 << k: tuple(1 << axis for axis in range(k)) for k in range(63)}
 
 
 @functools.cache
@@ -428,6 +436,37 @@ def vertex_link(x: CubeComplex, v) -> SimplicialComplex:
                              simplices=frozenset(simplices))
 
 
+def _least_empty_simplex(adj: list, simplices: set) -> int:
+    """The least clique of size >= 3 not in ``simplices``, by (size,
+    positions), as the bitmask of its positions 0..d-1; 0 if there is
+    none. ``adj[i]`` is the mask of i's neighbours.
+
+    Each level lists the cliques of one size in lexicographic order: a
+    clique grows by each later common neighbour, least first. So the first
+    clique missing at the first level that has one is the least, and a
+    minimal empty simplex, since its faces are smaller cliques. Only
+    simplices grow, as any other clique ends the scan."""
+    level = [(1 << i, adj[i] >> (i + 1) << (i + 1)) for i in range(len(adj))]
+    size = 1
+    while level:
+        size += 1
+        longer = []
+        for clique, cands in level:
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                grown = clique | low
+                if size >= 3 and grown not in simplices:
+                    return grown
+                longer.append((grown, cands & adj[low.bit_length() - 1]))
+        level = longer
+    return 0
+
+
+def _positions(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @dataclass(frozen=True)
 class FlagResult:
     ok: bool
@@ -443,11 +482,19 @@ def is_flag(link: SimplicialComplex) -> FlagResult:
     """Every clique of the 1-skeleton must span a listed simplex. On failure
     the witness is the least empty simplex by (size, sorted ids): a minimal
     one, since all its proper faces are smaller cliques."""
-    failures = [c for c in cliques(link.adjacency, ssorted(link.vertices))
-                if len(c) >= 3 and frozenset(c) not in link.simplices]
-    if failures:
-        witness = min(failures, key=lambda t: (len(t), [skey(v) for v in t]))
-        return FlagResult(ok=False, witness=witness)
+    order = ssorted(link.vertices)
+    index = {v: i for i, v in enumerate(order)}
+    adj = [0] * len(order)
+    simplices = set()
+    for s in link.simplices:
+        simplices.add(sum(1 << index[v] for v in s))
+        if len(s) == 2:
+            a, b = map(index.__getitem__, s)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    empty = _least_empty_simplex(adj, simplices)
+    if empty:
+        return FlagResult(ok=False, witness=tuple(order[i] for i in _positions(empty)))
     return FlagResult(ok=True)
 
 
@@ -466,12 +513,35 @@ class LocalCat0Result:
 
 def is_locally_cat0(x: CubeComplex) -> LocalCat0Result:
     """Gromov link test: every vertex link must be flag. The witness names
-    the vertex and the edges of its empty simplex by their ids."""
-    for v in x.labels:
-        res = is_flag(vertex_link(x, v))
-        if not res.ok:
-            return LocalCat0Result(ok=False, vertex=v,
-                                   witness=tuple(map(x.named, res.witness)))
+    the vertex and the edges of its empty simplex by their ids.
+
+    Each vertex r is one pass over its incidences, with no link built: r's
+    neighbours get the positions 0..d-1 in rank order, each incidence gives
+    a simplex mask and each square a link edge. The witness is that of
+    ``is_flag(vertex_link(x, v))``: that link's vertices, rank pairs, sort
+    in ``skey`` order as (u, r) for u < r, then (r, u) for u > r, each group
+    by u, which is neighbour rank order. So the least by (size, sorted ids)
+    is the least by (size, positions)."""
+    for r, incident in enumerate(x.incidence):
+        nbrs = sorted(x.adjacency[r])
+        bit = {u: 1 << i for i, u in enumerate(nbrs)}
+        adj = [0] * len(nbrs)
+        simplices = set()
+        for c, pos in incident:
+            mask = 0
+            for axis in _AXES[len(c)]:
+                mask |= bit[c[pos ^ axis]]
+            simplices.add(mask)
+            if len(c) == 4:
+                a, b = bit[c[pos ^ 1]], bit[c[pos ^ 2]]
+                adj[a.bit_length() - 1] |= b
+                adj[b.bit_length() - 1] |= a
+        empty = _least_empty_simplex(adj, simplices)
+        if empty:
+            edges = ((u, r) if u < r else (r, u)
+                     for u in map(nbrs.__getitem__, _positions(empty)))
+            return LocalCat0Result(ok=False, vertex=x.labels[r],
+                                   witness=tuple(map(x.named, edges)))
     return LocalCat0Result(ok=True)
 
 
@@ -582,9 +652,15 @@ def _is_roller_dual(x: CubeComplex) -> bool:
     below = [sum(1 << q for q, low in enumerate(halfspaces)
                  if q != p and not low & ~high)
              for p, high in enumerate(halfspaces)]
-    for v in range(n):  # (c)
-        minimal = sum(1 << (p & ~1) for p in range(len(halfspaces))
-                      if chosen[v] >> p & 1 and not below[p] & chosen[v])
+    for v in range(n):  # (c), over the H halfspaces holding v
+        minimal = 0
+        rest = chosen[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            if not below[p] & chosen[v]:
+                minimal |= 1 << (p & ~1)
         if borders[v] != minimal:
             return False
     return True
@@ -713,10 +789,10 @@ def halfspaces_of(x: CubeComplex, h: Hyperplane) -> list[frozenset]:
     """Connected components of the 1-skeleton after deleting the class
     edges, as rank sets. CAT(0) complexes give exactly two; other counts
     are reported."""
-    adj = [set(ns) for ns in x.adjacency]
+    adj = list(x.adjacency)  # only the class edges' ends get new sets
     for a, b in h.edges:
-        adj[a].discard(b)
-        adj[b].discard(a)
+        adj[a] = adj[a] - {b}
+        adj[b] = adj[b] - {a}
     # components come ordered by least vertex, and the sort is stable: the
     # result is ordered by (size, least vertex)
     comps = [frozenset(c) for c in components(x.vertices, adj)]

@@ -1,11 +1,13 @@
 """Plain-graph utilities: cliques, connected components, isomorphism
 search, girth, regularity.
 
-``cliques`` and ``components`` are the one clique enumerator and the one
-component finder of the package: the link condition, the cubes of a dual
-complex, maximal transversal families and the link of the BHV origin are
-clique enumerations; hyperplanes, halfspaces and annuli are components.
-Both are iterative, so deep or large inputs hit no recursion limit.
+``cliques`` and ``components`` are the general clique enumerator and the
+one component finder of the package: the cubes of a dual complex, maximal
+transversal families and the link of the BHV origin are clique
+enumerations; hyperplanes, halfspaces and annuli are components. Both are
+iterative, so deep or large inputs hit no recursion limit. The link
+condition alone takes its cliques level by level on int bitmasks, in
+``complexes``, so that the least empty simplex comes first.
 
 The isomorphism search is deliberately independent of any complex
 construction so it can serve as an oracle for round-trip checks.

@@ -24,11 +24,13 @@ import numpy as np
 from cubical import build_complex
 from cubical.complexes import (
     CubeComplex,
+    LocalCat0Result,
     build_simplicial,
     canonical_cube,
     cube_dim,
     cube_faces,
     hyperplanes,
+    vertex_link,
 )
 from cubical.coxeter import (
     CayleyBall,
@@ -596,6 +598,23 @@ def scan_vertex_link(x: CubeComplex, v):
             link_vertices.update(dirs)
             simplices.append(frozenset(dirs))
     return build_simplicial(link_vertices, simplices)
+
+
+def scan_is_locally_cat0(x: CubeComplex) -> LocalCat0Result:
+    """Oracle for ``complexes.is_locally_cat0``: each vertex link built as
+    a ``SimplicialComplex`` by ``vertex_link``, every clique of its
+    1-skeleton listed by ``graphs.cliques`` in ``ssorted`` order, and the
+    least one of size >= 3 missing from the simplices, by (size, sorted
+    ids), as the witness of the first vertex that has one."""
+    for v in x.labels:
+        link = vertex_link(x, v)
+        failures = [c for c in cliques(link.adjacency, ssorted(link.vertices))
+                    if len(c) >= 3 and frozenset(c) not in link.simplices]
+        if failures:
+            least = min(failures, key=lambda t: (len(t), [skey(u) for u in t]))
+            return LocalCat0Result(ok=False, vertex=v,
+                                   witness=tuple(map(x.named, least)))
+    return LocalCat0Result(ok=True)
 
 
 def all_pairs_unfilled_square(x: CubeComplex):

@@ -34,6 +34,7 @@ from helpers import (
     path_complex,
     relabel,
     scan_hyperplanes_cross,
+    scan_is_locally_cat0,
     scan_vertex_link,
     skey_canonical_cube,
     star_complex,
@@ -87,6 +88,7 @@ from cubical.errors import (
     SelfGluingError,
     UnknownVertexError,
 )
+from cubical.treespace import treespace_complex
 from cubical.util import skey, ssorted
 
 
@@ -636,6 +638,28 @@ def test_median_matches_matrix_oracle(x, rng):
 def test_vertex_link_matches_full_scan(x):
     for v in x.labels:
         assert vertex_link(x, v) == scan_vertex_link(x, v)
+
+
+@st.composite
+def products_less_a_cube(draw):
+    """A product of 3 random trees with one random 3-cube deleted: each of
+    that cube's 8 corners keeps its 3 squares, an empty triangle in its
+    link."""
+    rng = draw(st.randoms(use_true_random=False))
+    sizes = draw(st.lists(st.integers(2, 5), min_size=3, max_size=3))
+    x = named(tree_product(*[[(rng.randrange(i), i) for i in range(1, s)]
+                             for s in sizes]))
+    cubes = {k: sorted(cs) for k, cs in x.by_dim.items()}
+    cubes[3].remove(rng.choice(cubes[3]))
+    return build_complex(sorted(x.vertices), cubes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(median_test_complexes(),
+                 products_less_a_cube(),
+                 st.builds(treespace_complex, st.just(5))))
+def test_is_locally_cat0_matches_link_scan(x):
+    assert is_locally_cat0(x) == scan_is_locally_cat0(x)
 
 
 def _shuffled_ids(x: CubeComplex, rng) -> dict:
