@@ -2,11 +2,15 @@
 
 Vertices are interned once, by ``build_complex``: the vertex ids, sorted
 by ``skey``, get the ranks 0..n-1, and everything after the build works
-on ranks. ``CubeComplex.labels`` maps a rank back to its id. Ids appear
-only at the edges: in the loaders and ``dump_complex``, in the vertices
-that public functions take (``vertex_link``, ``median``), and in
-witnesses and error details. Rank order is ``skey`` order, so every
-"least" choice names the same cell in either form.
+on ranks. The dual of a halfspace system numbers its vertices 0..n-1 as
+it finds them and canonicalizes each cube as it assembles it, so it skips
+the ranking and hands its rank tuples straight to the validating core
+that ``build_complex`` ends in. ``CubeComplex.labels`` maps a rank back
+to its id. Ids appear only at the edges: in the loaders and
+``dump_complex``, in the vertices that public functions take
+(``vertex_link``, ``median``), and in witnesses and error details. Rank
+order is ``skey`` order, so every "least" choice names the same cell in
+either form.
 
 A k-cube is stored as a tuple of 2^k corner ranks indexed by binary
 coordinate vectors: position b encodes corner b of [0,1]^k (bit i of the
@@ -77,16 +81,28 @@ def canonical_cube(corners: tuple) -> tuple:
     neighbour of that origin along new axis i, and every other position is
     fixed once the axes below its top bit are. So the greedy choice is the
     least one: the least corner becomes the origin, and its axes are
-    ordered by the neighbour across each one.
+    ordered by the neighbour across each one. For d <= 2 that is spelled
+    out: an edge is its sorted pair, and a square with origin o keeps the
+    smaller of its neighbours o ^ 1, o ^ 2 at position 1, with o ^ 3
+    opposite.
 
     Hence the faces of a canonical cube through its origin (eps = 0 in
     ``cube_faces``) are canonical as they stand: each holds the least
     corner at position 0 and keeps the cube's order of the neighbours."""
+    k = len(corners)
+    if k == 2:
+        a, b = corners
+        return (a, b) if a < b else (b, a)
+    if k == 4:
+        o = corners.index(min(corners))
+        a, b = corners[o ^ 1], corners[o ^ 2]
+        return (corners[o], a, b, corners[o ^ 3]) if a < b else (
+            corners[o], b, a, corners[o ^ 3])
     origin = corners.index(min(corners))
     index = [origin]
     # the corners are distinct, so the pairs are ordered by the neighbour
     for _, a in sorted([(corners[origin ^ (1 << i)], 1 << i)
-                        for i in range(len(corners).bit_length() - 1)]):
+                        for i in range(k.bit_length() - 1)]):
         index += [j ^ a for j in index]
     return tuple([corners[j] for j in index])
 
@@ -135,8 +151,8 @@ class CubeComplex:
     the vertices are the ranks ``range(len(labels))``. ``cubes`` holds
     the canonical rank tuples of every positive dimension. ``maximal``
     holds those that are a face of no larger cube, as the face pass of
-    ``build_complex`` records them. Adjacency and incidence are indexed by
-    rank."""
+    ``_complex_of_ranks`` records them. Adjacency and incidence are indexed
+    by rank."""
 
     labels: tuple
     cubes: frozenset
@@ -277,13 +293,11 @@ def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
     """Validate raw cube data and return a canonical CubeComplex.
 
     The ids are ranked once, in ``skey`` order, and every listed cube is
-    rewritten to ranks and canonicalized once. Faces must be listed
-    explicitly; nothing is inferred. One face pass, by dimension and then
-    by canonical cube, checks that the faces are listed and records the
-    cubes that are faces of larger ones; only the faces off the origin
-    need canonicalizing (see ``canonical_cube``). Raises SelfGluingError,
-    DuplicateCubeError, MissingFaceError, DoubleGluingError, or
-    UnknownVertexError with the offending cells attached, by their ids.
+    rewritten to ranks and canonicalized once; ``_complex_of_ranks`` then
+    validates the canonical rank tuples. Faces must be listed explicitly;
+    nothing is inferred. Raises SelfGluingError, DuplicateCubeError,
+    MissingFaceError, DoubleGluingError, or UnknownVertexError with the
+    offending cells attached, by their ids.
     """
     vertex_list = list(vertices)
     if len(set(vertex_list)) != len(vertex_list):
@@ -319,14 +333,27 @@ def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
                 raise DuplicateCubeError(
                     "cube listed twice (up to symmetry)", cube=corners, dim=k)
             seen.add(canon)
+    return _complex_of_ranks(labels, listed)
 
+
+def _complex_of_ranks(labels: tuple, listed: dict) -> CubeComplex:
+    """The validating core of ``build_complex``, on ranks: ``listed`` maps
+    each dimension k >= 1 to the set of its canonical rank tuples, distinct
+    and each free of repeated corners, and ``labels`` names the ranks.
+
+    One face pass, by dimension and then by canonical cube, checks that the
+    faces are listed and records the cubes that are faces of larger ones;
+    only the faces off the origin need canonicalizing (see
+    ``canonical_cube``). Then the diagonal pass rules out double gluing.
+    Raises MissingFaceError or DoubleGluingError, naming cells by their
+    labels."""
     # one fixed walk, by dimension and then by corner ranks, so the cubes
     # an error names do not depend on set iteration order
     walk = {k: sorted(listed[k]) for k in sorted(listed)}
     covered = set()  # cubes that are faces of larger ones
     for k, cubes in walk.items():
         if k == 1:
-            continue  # endpoints already checked against the vertex set
+            continue  # an edge's faces are its corners, which are ranks
         below = listed.get(k - 1, ())
         pickers = _face_pickers(k)
         for c in cubes:

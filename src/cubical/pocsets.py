@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import CubeComplex, build_complex
+from .complexes import CubeComplex, _complex_of_ranks, canonical_cube
 from .errors import (
     CapExceededError,
     ComparableComplementsError,
     CubicalError,
     CyclicOrderError,
+    DuplicateCubeError,
     InputFormatError,
     NestingViolationError,
     NotAVertexError,
@@ -66,8 +67,9 @@ class HalfspaceSystem:
     (``labels`` maps a position back to its id). ``above[p]`` is the int
     bitset of the positions strictly above p in the closed order. Derived:
     ``below[p]`` is ``above[p ^ 1]`` with the two bits of every hyperplane
-    swapped, since q < p iff p* < q*; ``leq`` is the order as a frozenset
-    of id pairs (a, b) meaning a < b, for I/O."""
+    swapped, since q < p iff p* < q*; ``covers[p]`` holds the positions
+    above p with nothing strictly between; ``leq`` is the order as a
+    frozenset of id pairs (a, b) meaning a < b, for I/O."""
 
     halfspaces: tuple
     star_pairs: tuple
@@ -98,6 +100,17 @@ class HalfspaceSystem:
         even = _evens(len(self.above))
         swapped = [((m & even) << 1) | ((m >> 1) & even) for m in self.above]
         return tuple(swapped[p ^ 1] for p in range(len(swapped)))
+
+    @cached_property
+    def covers(self) -> tuple:
+        above = self.above
+        out = []
+        for m in above:
+            between = 0
+            for r in _bits(m):
+                between |= above[r]
+            out.append(m & ~between)
+        return tuple(out)
 
     @cached_property
     def leq(self) -> frozenset:
@@ -409,52 +422,86 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
 
     Vertices are bitsets of chosen positions: flipping hyperplane i is
     ``v ^ (3 << 2i)``, and the result keeps them as its ``masks``. More
-    than ``cap`` vertices, the seed included, raise ``CapExceededError``."""
+    than ``cap`` vertices, the seed included, raise ``CapExceededError``.
+
+    Each vertex's minimal positions M are found once. The seed's come from
+    ``_minimal_unchecked``; a vertex w first reached from v by flipping the
+    minimal position p to q = p* has
+        M_w = ((M_v - {p}) | {q}) - above[q]
+              | {r in covers[p] & w : no position of w lies below r}.
+    q is minimal at w, or some chosen s < p* would make v inconsistent. q
+    is the only new choice, so an old minimal r is lost exactly when
+    q < r. And r becomes minimal only if p was the one chosen position
+    below it at v; any s with p < s < r is chosen at v by consistency, so
+    r covers p. (The test on below[r] alone decides; covers[p] only narrows
+    the candidates.)
+
+    Each cube is canonicalized as it is assembled, and its family recorded
+    with it; ``_complex_of_ranks`` then checks faces and gluing on the ids
+    0..n-1, which are their own ranks. A cube's corners flip distinct sets
+    of hyperplanes, so they are distinct vertices."""
     res = is_vertex(s, seed)
     if not res.ok:
         raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
     if cap < 1:
         raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
+    above, below, covers = s.above, s.below, s.covers
     start = _chosen(s, seed)
     order = [start]
     ids = {start: 0}
-    minimal_at = []  # per vertex id: its minimal hyperplanes, increasing
-    for v in order:  # order grows while it is read: a breadth-first queue
-        minimal = _minimal_unchecked(s, v)
-        minimal_at.append(minimal)
-        for i in minimal:
-            w = v ^ (3 << 2 * i)
-            if w not in ids:
-                if len(order) >= cap:
-                    raise CapExceededError(
-                        f"dual component exceeds cap {cap}", cap=cap)
-                ids[w] = len(order)
-                order.append(w)
+    # per vertex id: the bitset of its minimal positions
+    minimal_at = [sum(start & 3 << 2 * i for i in _minimal_unchecked(s, start))]
+    for n, v in enumerate(order):  # order grows while it is read: a breadth-first queue
+        minimal = rest = minimal_at[n]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            w = v ^ (3 << (p & ~1))
+            if w in ids:
+                continue
+            if len(order) >= cap:
+                raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
+            ids[w] = len(order)
+            order.append(w)
+            q = p ^ 1
+            gained = 0
+            new = covers[p] & w
+            while new:
+                r = new & -new
+                new ^= r
+                if not below[r.bit_length() - 1] & w:
+                    gained |= r
+            minimal_at.append((minimal ^ low | 1 << q) & ~above[q] | gained)
 
-    cubes_by_dim: dict[int, list] = {}
+    even = _evens(2 * len(s.star_pairs))
+    listed: dict[int, set] = {}
+    families = {}
     for v, minimal in zip(order, minimal_at):
-        first = [i for i in minimal if v >> 2 * i & 1]
+        first = [p >> 1 for p in _bits(minimal & even)]
         for fam in cliques(s.transversal_adjacency, first):
             if not fam:
                 continue
             corners = [v]  # corner k flips the hyperplanes fam[pos] for the bits pos of k
             for i in fam:
                 corners += [c ^ (3 << 2 * i) for c in corners]
-            cubes_by_dim.setdefault(len(fam), []).append(tuple(ids[c] for c in corners))
+            ranked = tuple([ids[c] for c in corners])
+            cube = canonical_cube(ranked)
+            seen = listed.setdefault(len(fam), set())
+            if cube in seen:
+                raise DuplicateCubeError(
+                    "cube listed twice (up to symmetry)", cube=ranked, dim=len(fam))
+            seen.add(cube)
+            families[cube] = fam
 
-    # vertex ids are 0..n-1, their own ranks: build_complex canonicalizes
-    # each cube, and its family is read back off two opposite corners
-    complex_ = build_complex(range(len(order)), cubes_by_dim)
-    even = _evens(2 * len(s.star_pairs))
-    families = {c: tuple(p >> 1 for p in _bits((order[c[0]] ^ order[c[-1]]) & even))
-                for c in complex_.cubes}
+    complex_ = _complex_of_ranks(tuple(range(len(order))), listed)
     return DualComplex(system=s, seed=seed, complex=complex_,
                        masks=tuple(order), cube_families=families)
 
 
 def maximal_cubes(dual: DualComplex) -> list[tuple]:
     """Maximal cubes of the component with their defining hyperplane
-    families, as ``build_complex`` recorded them; verifies the cube <->
+    families, as ``dual_complex`` recorded them; verifies the cube <->
     maximal-transversal-family bijection."""
     s = dual.system
     result = [(c, dual.cube_families[c])

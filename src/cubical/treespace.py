@@ -303,7 +303,8 @@ def load_orthant(data: dict) -> Orthant:
         raise InputFormatError("orthant JSON needs n, clusters, lengths")
     clusters = [parse_list(c, "a cluster")
                 for c in parse_list(data["clusters"], "'clusters'")]
-    if not all(isinstance(x, int) for c in clusters for x in c):
+    if not all(isinstance(x, int) and not isinstance(x, bool)
+               for c in clusters for x in c):
         raise InputFormatError(f"clusters must list integer leaf labels, got {clusters!r}")
     lengths = [parse_float(x, "a length")
                for x in parse_list(data.get("lengths"), "'lengths'")]

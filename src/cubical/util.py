@@ -3,6 +3,8 @@ type checks of the JSON loaders."""
 
 from __future__ import annotations
 
+import math
+
 from .errors import InputFormatError
 
 
@@ -33,24 +35,33 @@ def ssorted(xs):
 
 
 def check_ids(ids, what: str) -> None:
-    """Ids read from JSON must be numbers or strings."""
+    """Ids read from JSON must be finite numbers or strings. Python's json
+    reads NaN and Infinity as floats, which no JSON output can print back,
+    and true and false as bools, which equal 1 and 0."""
     for v in ids:
-        if not isinstance(v, (int, float, str)):
-            raise InputFormatError(f"{what} must be numbers or strings, got {v!r}")
+        if isinstance(v, bool) or not (isinstance(v, (int, str)) or (
+                isinstance(v, float) and math.isfinite(v))):
+            raise InputFormatError(
+                f"{what} must be finite numbers or strings, got {v!r}")
 
 
 def parse_int(x, what: str) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError):
-        raise InputFormatError(f"{what} must be an integer, got {x!r}") from None
+    if not isinstance(x, bool):
+        try:
+            return int(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputFormatError(f"{what} must be an integer, got {x!r}")
 
 
 def parse_float(x, what: str) -> float:
     try:
-        return float(x)
+        f = float(x)
     except (TypeError, ValueError, OverflowError):
-        raise InputFormatError(f"{what} must be a number, got {x!r}") from None
+        f = math.nan
+    if isinstance(x, bool) or not math.isfinite(f):
+        raise InputFormatError(f"{what} must be a finite number, got {x!r}")
+    return f
 
 
 def parse_list(x, what: str, length: int | None = None) -> list:

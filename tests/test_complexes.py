@@ -119,6 +119,14 @@ def test_canonical_cube_matches_symmetry_search(corners):
     assert skey_canonical_cube(corners) == lexmin_cube(corners)
 
 
+@pytest.mark.parametrize("ranks", [(0, 1), (7, 3), (0, 1, 2, 3), (3, 9, 4, 17),
+                                   (40, 2, 11, 5), (8, 6, 7, 5)])
+def test_closed_form_edges_and_squares_match_symmetry_search(ranks):
+    # every order of the corners, symmetric or not
+    for corners in itertools.permutations(ranks):
+        assert canonical_cube(corners) == lexmin_cube(corners)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 6), st.randoms(use_true_random=False))
 def test_origin_faces_of_a_canonical_cube_are_canonical(dim, rng):

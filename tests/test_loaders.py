@@ -80,6 +80,42 @@ def test_malformed_input_exits_2(argv, payload):
     assert json.loads(out)["certificate"]["error"] == "input_format"
 
 
+TREE1 = json.loads((Path(__file__).parent / "fixtures" / "tree1.json").read_text())
+
+
+def _tree1_with_length(i, length):
+    edges = [list(e) for e in TREE1["edges"]]
+    edges[i][2] = length
+    return {**TREE1, "edges": edges}
+
+
+NAN_POCSET = '{"halfspaces":[NaN,1],"star":[[NaN,1]],"leq":[]}'
+
+
+@pytest.mark.parametrize("argv,payloads", [
+    # a NaN id is unequal to itself: validate counted two hyperplanes for
+    # one star pair, and dual named a partial orientation
+    (["pocset", "validate", "{}"], [NAN_POCSET]),
+    (POCSET, [NAN_POCSET]),
+    (["complex", "export", "{}"],
+     ['{"vertices":[Infinity,1],"cubes":{"1":[[Infinity,1]]}}']),
+    (TREE, [_tree1_with_length(0, float("inf"))]),
+    (["tree", "dist", "{}", "{}"], [_tree1_with_length(0, float("inf")), TREE1]),
+    # a NaN interior length was dropped, and the distance reported as exact
+    (["tree", "dist", "{}", "{}"], [_tree1_with_length(1, float("nan")), TREE1]),
+    (["tree", "dist", "{}", "{}"], [TREE1, _tree1_with_length(1, True)]),
+    # true and false were vertices 1 and 0, and [1, true] a duplicate
+    (COMPLEX, [{"vertices": [True, False], "cubes": {"1": [[True, False]]}}]),
+    (COMPLEX, [{"vertices": [1, True], "cubes": {}}]),
+    (["pocset", "validate", "{}"],
+     [{"halfspaces": [False, 1], "star": [[False, 1]], "leq": []}]),
+])
+def test_non_finite_and_boolean_values_exit_2(argv, payloads):
+    code, out = run_json(argv, *payloads)
+    assert code == 2
+    assert json.loads(out)["certificate"]["error"] == "input_format"
+
+
 def test_huge_leaf_count_is_rejected_without_allocating():
     code, out = run_json(TREE, {**GOOD_TREE, "n": 10 ** 12})
     assert code == 2

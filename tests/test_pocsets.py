@@ -19,6 +19,7 @@ from helpers import (
     pair_seed_vertex,
     path_complex,
     scan_maximal_cubes,
+    tree_product,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,8 @@ from cubical.errors import (
     ComparableComplementsError,
     CubicalError,
     CyclicOrderError,
+    DuplicateCubeError,
+    MissingFaceError,
     NestingViolationError,
     NotInvolutionError,
     NotMinimalError,
@@ -514,13 +517,13 @@ def _cubulated_systems():
 def test_dual_assembles_each_cube_once(monkeypatch):
     import cubical.pocsets
 
-    # every cube the dual lists for build_complex is listed exactly once
+    # every cube the dual hands to the validating core is listed exactly once
     listed = []
-    original = cubical.pocsets.build_complex
+    original = cubical.pocsets._complex_of_ranks
 
-    def recording(vertices, cubes_by_dim):
+    def recording(labels, cubes_by_dim):
         listed.extend(c for cs in cubes_by_dim.values() for c in cs)
-        return original(vertices, cubes_by_dim)
+        return original(labels, cubes_by_dim)
 
     systems = [pairs_system(4), chain_system(4),
                halfspace_system_of(grid_complex(2, 3, 1)).system,
@@ -529,10 +532,63 @@ def test_dual_assembles_each_cube_once(monkeypatch):
         seed = seed_vertex(s)
         listed.clear()
         with monkeypatch.context() as m:
-            m.setattr(cubical.pocsets, "build_complex", recording)
+            m.setattr(cubical.pocsets, "_complex_of_ranks", recording)
             d = dual_complex(s, seed)
         assert len(listed) == len(d.complex.cubes)
         assert d == all_corners_dual_complex(s, seed)
+
+
+def _assert_covers_by_definition(s):
+    # b covers a: a < b with nothing strictly between, on ids
+    labels = s.labels
+    for p, a in enumerate(labels):
+        covering = {b for b in labels if s.lt(a, b)
+                    and not any(s.lt(a, c) and s.lt(c, b) for c in labels)}
+        assert {labels[q] for q in range(len(labels)) if s.covers[p] >> q & 1} == covering
+
+
+# the oracle assembles every cube at each of its corners: a 12-cube has
+# 3^12 - 2^12 of them, so larger duals are compared by their cap errors
+ORACLE_CAP = 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_generator_sets(max_hyperplanes=12))
+def test_covers_and_dual_match_oracles(system):
+    # the dual's minimal sets are updated through covers, found once per
+    # vertex; the pair-set BFS recomputes them at every vertex
+    s = build_system(*system)
+    _assert_covers_by_definition(s)
+    seed = seed_vertex(s)
+    assert (_outcome(dual_complex, s, seed, ORACLE_CAP)
+            == _outcome(all_corners_dual_complex, s, seed, ORACLE_CAP))
+
+
+def test_covers_and_dual_match_oracles_on_deep_systems():
+    trees = ([(0, 1), (1, 2), (1, 3), (3, 4)], [(0, 1), (0, 2), (0, 3)],
+             [(0, 1), (1, 2), (2, 3), (2, 4)])
+    systems = [chain_system(40), halfspace_system_of(tree_product(*trees)).system,
+               *_cubulated_systems()]
+    for s in systems:
+        _assert_covers_by_definition(s)
+        seed = seed_vertex(s)
+        assert dual_complex(s, seed) == all_corners_dual_complex(s, seed)
+
+
+@pytest.mark.parametrize("error,mangle", [
+    (DuplicateCubeError, lambda fams: (f for fam in fams for f in (fam, fam))),
+    (MissingFaceError, lambda fams: (fam for fam in fams if len(fam) != 1)),
+])
+def test_dual_cubes_pass_the_builder_checks(monkeypatch, error, mangle):
+    # each family assembled twice, or the edges left out, on a 3-cube
+    import cubical.pocsets
+
+    original = cubical.pocsets.cliques
+    monkeypatch.setattr(cubical.pocsets, "cliques",
+                        lambda adj, order: mangle(original(adj, order)))
+    s = pairs_system(3)
+    with pytest.raises(error):
+        dual_complex(s, seed_vertex(s))
 
 
 def test_seed_vertex_matches_twosat_on_truncations():
