@@ -35,7 +35,8 @@ must cut the 1-skeleton like the halfspaces of a pocset whose consistent
 orientations are exactly the vertices, so that the 1-skeleton is the
 pocset's dual, a median graph (Roller 1998). It compares halfspaces as
 int bitsets, with no distance matrix and no cap; only a failure scans
-geodesic intervals, to name the least bad triple.
+geodesic intervals, to name the least bad triple. On success it returns
+those halfspaces, and ``halfspace_system_of`` builds the pocset from them.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs; concurrent reads are safe.
@@ -626,9 +627,9 @@ def _median_violation(x: CubeComplex, cap: int):
     in lexicographic order, whose pairwise geodesic intervals do not meet
     in exactly one vertex, and the vertices they meet in.
 
-    ``_is_roller_dual`` decides at any size. Only a failure runs
+    ``_roller_halfspaces`` decides at any size. Only a failure runs
     ``_first_bad_triple``, and above ``cap`` raises CapExceededError."""
-    if _is_roller_dual(x):
+    if _roller_halfspaces(x) is not None:
         return None
     n = len(x.labels)
     if n > cap:
@@ -641,9 +642,10 @@ def _median_violation(x: CubeComplex, cap: int):
     return {"triple": x.named(triple), "medians": [x.labels[m] for m in medians]}
 
 
-def _is_roller_dual(x: CubeComplex) -> bool:
-    """True iff the 1-skeleton of x, connected with every 4-cycle bounding
-    a listed square, is median: iff its square classes cut it like the
+def _roller_halfspaces(x: CubeComplex) -> list[int] | None:
+    """The halfspaces of x as vertex bitsets if the 1-skeleton of x,
+    connected with every 4-cycle bounding a listed square, is median, and
+    None if not. It is median iff its square classes cut it like the
     halfspaces of a pocset whose dual it is (Roller 1998, Chepoi 2000).
     (a) Deleting any class leaves exactly two components, its halfspaces,
         and every edge of the class joins them.
@@ -657,7 +659,8 @@ def _is_roller_dual(x: CubeComplex) -> bool:
     A median graph passes all three: its square classes are its convex
     splits, and v borders exactly its minimal halfspaces. Halfspaces 2i
     and 2i + 1 are the smaller and the larger side of class i, as
-    ``halfspaces_of`` orders them."""
+    ``halfspaces_of`` orders them, so halfspace p ^ 1 is the complement
+    of halfspace p, as in ``pocsets``."""
     n = len(x.labels)
     halfspaces = []  # vertex bitsets
     chosen = [0] * n  # vertex -> bitset of the halfspaces holding it
@@ -666,7 +669,7 @@ def _is_roller_dual(x: CubeComplex) -> bool:
         sides = halfspaces_of(x, h)
         if len(sides) != 2 or any((a in sides[0]) == (b in sides[0])  # (a)
                                   for a, b in h.edges):
-            return False
+            return None
         for part, bit in zip(sides, (1 << 2 * h.index, 2 << 2 * h.index)):
             halfspaces.append(sum(1 << v for v in part))
             for v in part:
@@ -675,7 +678,7 @@ def _is_roller_dual(x: CubeComplex) -> bool:
             borders[a] |= 1 << 2 * h.index
             borders[b] |= 1 << 2 * h.index
     if len(set(chosen)) != n:  # (b)
-        return False
+        return None
     below = [sum(1 << q for q, low in enumerate(halfspaces)
                  if q != p and not low & ~high)
              for p, high in enumerate(halfspaces)]
@@ -689,8 +692,8 @@ def _is_roller_dual(x: CubeComplex) -> bool:
             if not below[p] & chosen[v]:
                 minimal |= 1 << (p & ~1)
         if borders[v] != minimal:
-            return False
-    return True
+            return None
+    return halfspaces
 
 
 def _first_bad_triple(nbrs):
@@ -895,7 +898,6 @@ class HalfspaceDecomposition:
 
     system: object  # pocsets.HalfspaceSystem
     members: dict
-    hyperplane_list: tuple
 
     def principal_orientation(self, v):
         from .pocsets import Orientation
@@ -913,32 +915,18 @@ class HalfspaceDecomposition:
         return Orientation(choices=tuple(choices))
 
 
-def halfspace_system_of(x: CubeComplex, cat0: Cat0Result | None = None) -> HalfspaceDecomposition:
-    """Vertex-set halves of every hyperplane, ordered by inclusion, with
-    complementation as the involution."""
-    from .pocsets import build_system
+def halfspace_system_of(x: CubeComplex) -> HalfspaceDecomposition:
+    """The halfspaces that the median stage of ``is_cat0`` finds, ordered
+    by inclusion, with complementation as the involution: x is the dual of
+    this system. ``h{i}+`` and ``h{i}-`` are the smaller and the larger
+    side of square class i, as ``halfspaces_of`` orders them."""
+    from .pocsets import system_of_sides
 
-    if cat0 is None:
-        cat0 = is_cat0(x)
+    cat0 = is_cat0(x)
     if not cat0.ok:
         raise NotCat0Error("halfspace_system_of requires a CAT(0) complex",
                            certificate=cat0.certificate())
-    hps = hyperplanes(x)
-    members = {}
-    ids = []
-    star_pairs = []
-    for h in hps:
-        comps = halfspaces_of(x, h)
-        if len(comps) != 2:
-            raise NotCat0Error(
-                f"hyperplane {h.index} separates into {len(comps)} components",
-                hyperplane=h.index)
-        plus, minus = f"h{h.index}+", f"h{h.index}-"
-        members[plus], members[minus] = (frozenset(x.named(c)) for c in comps)
-        ids += [plus, minus]
-        star_pairs.append((plus, minus))
-    leq = [(a, b) for a in ids for b in ids
-           if a != b and members[a] < members[b]]
-    system = build_system(ids, star_pairs, leq)
-    return HalfspaceDecomposition(system=system, members=members,
-                                  hyperplane_list=tuple(hps))
+    sides = _roller_halfspaces(x)
+    ids = [f"h{p >> 1}{'+-'[p & 1]}" for p in range(len(sides))]
+    members = {h: frozenset(x.named(_positions(m))) for h, m in zip(ids, sides)}
+    return HalfspaceDecomposition(system=system_of_sides(ids, sides), members=members)

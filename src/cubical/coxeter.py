@@ -41,9 +41,9 @@ from .pocsets import (
     Orientation,
     _bits,
     _orientation,
-    build_system,
     dual_complex,
     is_vertex,
+    system_of_sides,
 )
 from .util import parse_int, parse_list
 
@@ -537,10 +537,7 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
             raise NestingViolationError(
                 f"walls {other} and {h} have identical truncated sides; "
                 "increase the radius or margin", pair=(other, h))
-    # sides are distinct, and side q ^ 1 is the complement of side q
-    leq = [(ids[p], ids[q]) for p in range(len(side)) for q in range(len(side))
-           if p != q and not side[p] & side[q ^ 1]]
-    system = build_system(ids, wall_ids, leq)
+    system = system_of_sides(ids, side)
 
     sphere = sum(1 << k for k, g in enumerate(ball.elements) if len(g) == ball.radius)
     touches = [bool(m & sphere) for m in side]
@@ -580,21 +577,17 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
     """Build the dual complex and embed the ball into it vertex by vertex.
 
     The dual is seeded at the principal orientation of ``seed_element``
-    (default: the identity). The table nu maps every ball element to the
-    dual vertex of its principal orientation: all "+" but on its
-    ``crossed`` walls. Injectivity is asserted on the trusted sub-ball of
-    radius R - margin (the full ball may legitimately fold onto fewer
-    orientation cells when outer walls are truncated away); adjacency is
-    asserted exactly: neighbors differ on the wall of their shared edge and
-    nothing else.
+    (default: the identity), which ``dual_complex`` rejects if it is not a
+    vertex, as for some elements outside the ball. The table nu maps every
+    ball element to the dual vertex of its principal orientation: all "+"
+    but on its ``crossed`` walls. Injectivity is asserted on the trusted
+    sub-ball of radius R - margin (the full ball may legitimately fold onto
+    fewer orientation cells when outer walls are truncated away); adjacency
+    is asserted exactly: neighbors differ on the wall of their shared edge
+    and nothing else.
     """
     th = halfspace_system(ball, margin)
-    seed = th.orientation_of(seed_element)
-    check = is_vertex(th.system, seed)
-    if not check.ok:
-        raise CubicalError("seed orientation is not a vertex",
-                           witness=check.witness)
-    dual = dual_complex(th.system, seed, cap=cap)
+    dual = dual_complex(th.system, th.orientation_of(seed_element), cap=cap)
     position = th.system.position
     identity = sum(1 << position[plus] for plus, _ in th.wall_ids)
     flips = [3 << (position[plus] & ~1) for plus, _ in th.wall_ids]

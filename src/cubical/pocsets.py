@@ -208,6 +208,16 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
                            above=tuple(above))
 
 
+def system_of_sides(ids, sides) -> HalfspaceSystem:
+    """The system of distinct sets ordered by inclusion, with complements
+    as the involution: ``ids[2i]`` and ``ids[2i + 1]`` name the sides of
+    hyperplane i, ``sides[p]`` is side p as an int bitset, and side p lies
+    in side q iff it misses side q ^ 1, the complement of q."""
+    leq = [(ids[p], ids[q]) for p in range(len(sides)) for q in range(len(sides))
+           if p != q and not sides[p] & sides[q ^ 1]]
+    return build_system(ids, zip(ids[::2], ids[1::2]), leq)
+
+
 def _closure(succ: list) -> list:
     """Strict transitive closure of the relation p -> q for q in succ[p],
     on int bitsets. Each position takes its successors and everything above

@@ -35,6 +35,7 @@ from .graphs import cliques
 from .util import check_ids, parse_float, parse_int, parse_list
 
 DEFAULT_TOPOLOGY_CAP = 200_000
+MAX_COMPLEX_N = 6  # cell counts of treespace_complex explode past it
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,17 +406,15 @@ def _set_name(s: frozenset) -> str:
     return "|".join(sorted((_cluster_name(c) for c in s)))
 
 
-def treespace_complex(n: int, cap: int = 100_000, max_n: int = 6) -> CubeComplex:
+def treespace_complex(n: int, cap: int = 100_000) -> CubeComplex:
     """Unit truncation of tree space as a cube complex: one k-cube per pair
     (frozen clusters O, free clusters F) with O and F jointly compatible and
-    |F| = k; vertex ids name the cluster set held at length 1.
-
-    Cell counts explode past n = 6, hence the default bound."""
+    |F| = k; vertex ids name the cluster set held at length 1."""
     if n < 3:
         raise InputFormatError("need n >= 3")
-    if n > max_n:
+    if n > MAX_COMPLEX_N:
         raise CapExceededError(
-            f"n = {n} exceeds the configured bound {max_n}", cap=max_n)
+            f"n = {n} exceeds the configured bound {MAX_COMPLEX_N}", cap=MAX_COMPLEX_N)
     clusters = all_clusters(n)
     vertex_sets = _compatible_sets(clusters, limit=cap)
     names = {s: _set_name(s) for s in vertex_sets}

@@ -46,7 +46,9 @@ def check_ids(ids, what: str) -> None:
 
 
 def parse_int(x, what: str) -> int:
-    if not isinstance(x, bool):
+    """An int, or a string or float naming one exactly: ``int`` would
+    truncate 4.7 to 4."""
+    if not isinstance(x, bool) and (not isinstance(x, float) or x.is_integer()):
         try:
             return int(x)
         except (TypeError, ValueError, OverflowError):

@@ -24,12 +24,15 @@ import numpy as np
 from cubical import build_complex
 from cubical.complexes import (
     CubeComplex,
+    HalfspaceDecomposition,
     LocalCat0Result,
     build_simplicial,
     canonical_cube,
     cube_dim,
     cube_faces,
+    halfspaces_of,
     hyperplanes,
+    is_cat0,
     vertex_link,
 )
 from cubical.coxeter import (
@@ -56,6 +59,7 @@ from cubical.errors import (
     NoMedianError,
     NonPositiveLengthError,
     NotAVertexError,
+    NotCat0Error,
     NotInvolutionError,
     PartialOrientationError,
     SelfGluingError,
@@ -63,7 +67,14 @@ from cubical.errors import (
     UnknownVertexError,
 )
 from cubical.graphs import cliques
-from cubical.pocsets import DualComplex, HalfspaceSystem, Orientation, VertexResult, _chosen
+from cubical.pocsets import (
+    DualComplex,
+    HalfspaceSystem,
+    Orientation,
+    VertexResult,
+    _chosen,
+    build_system,
+)
 from cubical.treespace import Orthant, PhyloTree, _ckey, compatible
 from cubical.util import skey, ssorted
 
@@ -675,6 +686,33 @@ def scan_hyperplanes_cross(x: CubeComplex, h1, h2) -> bool:
             return True
     return False
 
+
+
+def frozenset_halfspace_system_of(x: CubeComplex) -> HalfspaceDecomposition:
+    """Oracle for ``complexes.halfspace_system_of``: a second pass over the
+    hyperplanes, one component search per class, and the proper inclusions
+    of the named member frozensets."""
+    cat0 = is_cat0(x)
+    if not cat0.ok:
+        raise NotCat0Error("halfspace_system_of requires a CAT(0) complex",
+                           certificate=cat0.certificate())
+    members = {}
+    ids = []
+    star_pairs = []
+    for h in hyperplanes(x):
+        comps = halfspaces_of(x, h)
+        if len(comps) != 2:
+            raise NotCat0Error(
+                f"hyperplane {h.index} separates into {len(comps)} components",
+                hyperplane=h.index)
+        plus, minus = f"h{h.index}+", f"h{h.index}-"
+        members[plus], members[minus] = (frozenset(x.named(c)) for c in comps)
+        ids += [plus, minus]
+        star_pairs.append((plus, minus))
+    leq = [(a, b) for a in ids for b in ids
+           if a != b and members[a] < members[b]]
+    return HalfspaceDecomposition(system=build_system(ids, star_pairs, leq),
+                                  members=members)
 
 def swapped_torus(m: int, k: int) -> CubeComplex:
     """C_m x C_m modulo (x, y) -> (y + k, x), which turns horizontal edges

@@ -21,6 +21,7 @@ from helpers import (
     cube_boundary_3,
     dense_median_violation,
     distance_matrix,
+    frozenset_halfspace_system_of,
     glue_cube_boundary,
     glue_hexagon,
     grid_complex,
@@ -66,8 +67,8 @@ from cubical.complexes import (
     CubeComplex,
     _bfs,
     _first_bad_triple,
-    _is_roller_dual,
     _median_violation,
+    _roller_halfspaces,
     _unfilled_square,
     build_simplicial,
     canonical_cube,
@@ -592,11 +593,12 @@ def _path(size):
 
 
 @st.composite
-def median_test_complexes(draw, tops={1: 190, 2: 13, 3: 5}):
+def median_test_complexes(draw, tops={1: 190, 2: 13, 3: 5},
+                          glues=[None, glue_hexagon, glue_cube_boundary]):
     """At most 200 vertices: a product of 1-3 random trees or paths (boxes),
-    as is or with a hexagon or a 3-cube boundary glued on, with int, str or
-    mixed vertex ids in a random order. A factor has at most ``tops[k]``
-    vertices in a product of k."""
+    as is or with a hexagon or a 3-cube boundary glued on (one of
+    ``glues``), with int, str or mixed vertex ids in a random order. A
+    factor has at most ``tops[k]`` vertices in a product of k."""
     rng = draw(st.randoms(use_true_random=False))
     factors = draw(st.integers(1, 3))
     top = tops[factors]
@@ -606,7 +608,7 @@ def median_test_complexes(draw, tops={1: 190, 2: 13, 3: 5}):
     else:
         trees = [[(rng.randrange(i), i) for i in range(1, s)] for s in sizes]
     x = tree_product(*trees)
-    glue = draw(st.sampled_from([None, glue_hexagon, glue_cube_boundary]))
+    glue = draw(st.sampled_from(glues))
     if glue is not None:
         x = glue(x, rng.choice(x.labels))
     name = draw(st.sampled_from([lambda i: i, lambda i: f"v{i}",
@@ -714,12 +716,12 @@ def _cut_cube() -> CubeComplex:
 def test_median_stage_branches_match_dense_oracle():
     # a box is its own halfspaces' dual
     box = tree_product(_path(3), _path(4))
-    assert _is_roller_dual(box)
+    assert _roller_halfspaces(box) is not None
     assert _median_violation(box, 600) is None
     assert label_median_violation(box, 600) is dense_median_violation(box, 600) is None
     # a glued hexagon: deleting one of its edges leaves one component (a)
     hexed = glue_hexagon(box, (0, 0))
-    assert not _is_roller_dual(hexed)
+    assert _roller_halfspaces(hexed) is None
     witness = dense_median_violation(hexed, 600)
     assert witness is not None
     assert _median_violation(hexed, 600) == label_median_violation(hexed, 600) == witness
@@ -728,7 +730,7 @@ def test_median_stage_branches_match_dense_oracle():
     # in two with distinct labels, but at corner 3 the class of the
     # missing edge to 7 is minimal (c); the majority of 3, 5, 6 is 7
     cut = _cut_cube()
-    assert not _is_roller_dual(cut)
+    assert _roller_halfspaces(cut) is None
     witness = {"triple": (3, 5, 6), "medians": []}
     assert dense_median_violation(cut, 600) == witness
     assert label_median_violation(cut, 600) == witness
@@ -967,6 +969,25 @@ def test_halfspace_system_of_square_is_transversal():
 def test_halfspace_system_rejects_torus():
     with pytest.raises(NotCat0Error):
         halfspace_system_of(torus_3x3())
+
+
+def _assert_same_decomposition(x):
+    dec, oracle = halfspace_system_of(x), frozenset_halfspace_system_of(x)
+    assert dec.system.star_pairs == oracle.system.star_pairs
+    assert dec.system.halfspaces == oracle.system.halfspaces
+    assert dec.system.leq == oracle.system.leq
+    assert dec.members == oracle.members
+
+
+def test_halfspace_system_of_matches_frozenset_oracle_on_corpus():
+    for _, x in cat0_corpus():
+        _assert_same_decomposition(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(median_test_complexes(tops={1: 40, 2: 7, 3: 4}, glues=[None]))
+def test_halfspace_system_of_matches_frozenset_oracle(x):
+    _assert_same_decomposition(x)
 
 
 def test_median_unique_on_all_triples_of_grid():

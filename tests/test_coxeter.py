@@ -582,7 +582,7 @@ def test_cubulate_tests_consistency_only_on_a_miss(monkeypatch):
 
     monkeypatch.setattr(cox, "is_vertex", counting)
     cub = cubulate(ball, 2)
-    assert len(calls) == 1  # the seed: every ball element hits the dual
+    assert not calls  # dual_complex checks the seed; every ball element hits the dual
     # a consistent orientation missing from the dual falls outside it
     last = ball.elements[-1]
     lost = cub.dual.orientations[cub.nu[last]]
@@ -620,6 +620,17 @@ def test_cubulate_tests_consistency_only_on_a_miss(monkeypatch):
     with pytest.raises(CubicalError, match="is not a vertex"):
         cubulate(ball, 2)
     assert calls[-1] == bad  # the miss tests the orientation the table gives
+
+
+def test_cubulate_rejects_an_inconsistent_seed():
+    # outside the ball a principal orientation can choose two truncated
+    # sides that are nested the wrong way: the dual rejects it as its seed
+    from cubical.errors import NotAVertexError
+
+    ball = cayley_ball(parse_system(PGL2Z), 3)
+    with pytest.raises(NotAVertexError, match="seed orientation is not a vertex") as err:
+        cubulate(ball, 0, seed_element=(0, 1, 2) * 3 + (0, 1))
+    assert err.value.details["witness"] == ("w001-", "w006-")
 
 
 @pytest.mark.parametrize("radius, margin, message", [

@@ -116,6 +116,32 @@ def test_non_finite_and_boolean_values_exit_2(argv, payloads):
     assert json.loads(out)["certificate"]["error"] == "input_format"
 
 
+REDUCE = ["coxeter", "reduce", "--matrix", "{}", "--word", "1 2 1 2 1 2 1"]
+
+
+@pytest.mark.parametrize("argv,payload", [
+    # int() truncated these: n = 4.7 validated as n = 4, and m = 5.9
+    # reduced the word as in I2(5)
+    (TREE, {**TREE1, "n": 4.7}),
+    (REDUCE, {"m": [[1, 5.9], [5.9, 1]]}),
+    (TREE, {**TREE1, "leaf_labels": {**TREE1["leaf_labels"], "l4": 4.5}}),
+    (MATRIX, {"rank": 2.5, "m": [[1, 3], [3, 1]]}),
+])
+def test_fractional_integers_exit_2(argv, payload):
+    code, out = run_json(argv, payload)
+    assert code == 2
+    assert json.loads(out)["certificate"]["error"] == "input_format"
+
+
+@pytest.mark.parametrize("argv,payload,original", [
+    (TREE, {**TREE1, "n": 4.0}, TREE1),
+    (REDUCE, {"m": [[1, 5.0], [5.0, 1]]}, {"m": [[1, 5], [5, 1]]}),
+    (TREE, {**TREE1, "leaf_labels": {**TREE1["leaf_labels"], "l4": 4.0}}, TREE1),
+])
+def test_integral_floats_load_as_integers(argv, payload, original):
+    assert run_json(argv, payload) == run_json(argv, original)
+
+
 def test_huge_leaf_count_is_rejected_without_allocating():
     code, out = run_json(TREE, {**GOOD_TREE, "n": 10 ** 12})
     assert code == 2
