@@ -30,13 +30,20 @@ certificates. The link test makes one pass per vertex over its
 incidences, on int bitmasks over the vertex's neighbours: each incidence
 gives a simplex, each square a link edge, and the cliques of those edges
 are taken level by level, so the least empty simplex comes first. The
-median test is Roller duality: the square classes
-must cut the 1-skeleton like the halfspaces of a pocset whose consistent
-orientations are exactly the vertices, so that the 1-skeleton is the
-pocset's dual, a median graph (Roller 1998). It compares halfspaces as
-int bitsets, with no distance matrix and no cap; only a failure scans
-geodesic intervals, to name the least bad triple. On success it returns
-those halfspaces, and ``halfspace_system_of`` builds the pocset from them.
+median test is Roller duality: the square classes must cut the 1-skeleton
+like the halfspaces of a pocset whose consistent orientations are exactly
+the vertices, so that the 1-skeleton is the pocset's dual, a median graph
+(Roller 1998). One union-find finds the classes and one breadth-first
+pass labels each vertex with one bit per class; each edge must flip its
+own class's bit alone, the labels must be distinct, and each vertex's
+edges must cross exactly its minimal halfspaces, which the search tree
+carries from parent to child by the dual's flip step. Consistent labels
+make each side of a class a union of components of the 1-skeleton less
+that class, and the other two conditions make it one, so no class needs
+a component search. Halfspaces are int bitsets, with no distance matrix
+and no cap; only a failure scans geodesic intervals, to name the least
+bad triple. On success the complex keeps those halfspaces, and
+``halfspace_system_of`` builds the pocset from them.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs; concurrent reads are safe.
@@ -212,6 +219,13 @@ class CubeComplex:
 
     def is_connected(self) -> bool:
         return len(components(self.vertices, self.adjacency)) <= 1
+
+    @cached_property
+    def _roller(self) -> tuple | None:
+        """``_roller_halfspaces`` of this complex, run once: the median
+        stage of ``is_cat0`` and ``halfspace_system_of`` both read it."""
+        sides = _roller_halfspaces(self)
+        return None if sides is None else tuple(sides)
 
     def euler_characteristic(self) -> int:
         chi = len(self.labels)
@@ -627,9 +641,10 @@ def _median_violation(x: CubeComplex, cap: int):
     in lexicographic order, whose pairwise geodesic intervals do not meet
     in exactly one vertex, and the vertices they meet in.
 
-    ``_roller_halfspaces`` decides at any size. Only a failure runs
+    ``_roller_halfspaces`` decides at any size, run once per complex
+    through ``CubeComplex._roller``. Only a failure runs
     ``_first_bad_triple``, and above ``cap`` raises CapExceededError."""
-    if _roller_halfspaces(x) is not None:
+    if x._roller is not None:
         return None
     n = len(x.labels)
     if n > cap:
@@ -647,52 +662,109 @@ def _roller_halfspaces(x: CubeComplex) -> list[int] | None:
     connected with every 4-cycle bounding a listed square, is median, and
     None if not. It is median iff its square classes cut it like the
     halfspaces of a pocset whose dual it is (Roller 1998, Chepoi 2000).
-    (a) Deleting any class leaves exactly two components, its halfspaces,
-        and every edge of the class joins them.
-    (b) The side labels, one bit per class, are pairwise distinct.
-    (c) At every vertex v, the classes of v's edges are exactly those
-        whose halfspace holding v is inclusion-minimal among v's.
-    Then each label is a consistent orientation of the halfspaces under
-    inclusion, and the consistent flips of one are those of its minimal
-    choices: by (b) and (c) these are the labels of the vertex's
-    neighbours, so the labels fill the connected dual, a median graph.
-    A median graph passes all three: its square classes are its convex
-    splits, and v borders exactly its minimal halfspaces. Halfspaces 2i
-    and 2i + 1 are the smaller and the larger side of class i, as
-    ``halfspaces_of`` orders them, so halfspace p ^ 1 is the complement
-    of halfspace p, as in ``pocsets``."""
+
+    One breadth-first pass from rank 0 labels each vertex with the
+    positions it chooses: 2i + 1 for each class i that its search tree
+    path from rank 0 crosses an odd number of times, 2i for the others.
+    Then x is median iff
+    (a) every edge of class i changes the choice of class i and no other;
+    (b) the labels are pairwise distinct;
+    (c) at every vertex v, the classes of v's edges are exactly those
+        whose side holding v is inclusion-minimal among v's.
+    By (a) the sides of class i, the vertices choosing 2i and those
+    choosing 2i + 1, are unions of components of the 1-skeleton less
+    class i, and no two sides are equal: an edge of class i separates the
+    sides of class i and of no other class. Each label is a consistent
+    orientation of the sides under inclusion, and the consistent flips of
+    one are those of its minimal choices: by (a), (b) and (c) these are
+    the labels of the vertex's neighbours, so the labels fill the
+    connected dual, a median graph whose class-i edges are those flipping
+    class i. Deleting them leaves its two convex halfspaces, so each side
+    is connected with no component search. A median graph passes all
+    three: its square classes are its convex splits, and v borders
+    exactly its minimal halfspaces. Neither (a) nor (b) follows from the
+    other two conditions: the tests hold a complex that fails each alone.
+
+    (c) walks the chosen positions of rank 0 alone. A vertex w first
+    reached from v across class i gets its minimal positions from v's by
+    ``pocsets.dual_complex``'s flip step, which (c) at v makes valid: it
+    puts v's side of class i among v's minimal ones.
+
+    Halfspaces 2i and 2i + 1 of the result are the smaller and the larger
+    side of class i, the one holding rank 0 first on a tie, as
+    ``halfspaces_of`` orders them by (size, least vertex); so halfspace
+    p ^ 1 is the complement of halfspace p, as in ``pocsets``."""
     n = len(x.labels)
-    halfspaces = []  # vertex bitsets
-    chosen = [0] * n  # vertex -> bitset of the halfspaces holding it
+    if not n:
+        return []
+    classes = _square_classes(x)
+    evens = ((1 << 2 * len(classes)) - 1) // 3  # position 2i of every class i
+    nbrs = [[] for _ in range(n)]  # vertex -> (neighbour, its class's flip)
     borders = [0] * n  # vertex -> bit 2i for each class i of its edges
-    for h in hyperplanes(x):
-        sides = halfspaces_of(x, h)
-        if len(sides) != 2 or any((a in sides[0]) == (b in sides[0])  # (a)
-                                  for a, b in h.edges):
-            return None
-        for part, bit in zip(sides, (1 << 2 * h.index, 2 << 2 * h.index)):
-            halfspaces.append(sum(1 << v for v in part))
-            for v in part:
-                chosen[v] |= bit
-        for a, b in h.edges:
-            borders[a] |= 1 << 2 * h.index
-            borders[b] |= 1 << 2 * h.index
-    if len(set(chosen)) != n:  # (b)
+    for i, edges in enumerate(classes):
+        flip = 3 << 2 * i
+        for a, b in edges:
+            nbrs[a].append((b, flip))
+            nbrs[b].append((a, flip))
+            borders[a] |= 1 << 2 * i
+            borders[b] |= 1 << 2 * i
+    label = [-1] * n
+    label[0] = evens
+    order = [0]
+    parent = [0] * n  # vertex -> (its BFS parent, the flip between them)
+    for v in order:  # order grows while it is read: a breadth-first queue
+        for w, flip in nbrs[v]:
+            if label[w] < 0:
+                label[w] = label[v] ^ flip
+                parent[w] = v, flip
+                order.append(w)
+            elif label[w] ^ label[v] != flip:  # (a)
+                return None
+    if len(order) < n or len(set(label)) < n:  # connected, (b)
         return None
-    below = [sum(1 << q for q, low in enumerate(halfspaces)
-                 if q != p and not low & ~high)
-             for p, high in enumerate(halfspaces)]
-    for v in range(n):  # (c), over the H halfspaces holding v
-        minimal = 0
-        rest = chosen[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
+
+    # class i -> the vertices choosing 2i + 1, as the bytes of a bitset
+    far = [bytearray((n + 7) >> 3) for _ in classes]
+    for v, mask in enumerate(label):
+        mask &= ~evens
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            far[(low.bit_length() - 1) >> 1][v >> 3] |= 1 << (v & 7)
+    sides = []  # position -> vertex bitset, on the label positions
+    halfspaces = []  # the result, each class's smaller side first
+    full = (1 << n) - 1
+    for buf in far:
+        away = int.from_bytes(buf, "little")
+        sides += [full ^ away, away]
+        halfspaces += [away, full ^ away] if 2 * away.bit_count() < n else [full ^ away, away]
+
+    # q lies below p iff side q misses side p ^ 1, the complement of p;
+    # r lies above q iff r ^ 1 lies below q ^ 1
+    below = [sum(1 << q for q, side in enumerate(sides) if q != p and not side & sides[p ^ 1])
+             for p in range(len(sides))]
+    above = [((m & evens) << 1) | ((m >> 1) & evens) for m in below]
+    above = [above[q ^ 1] for q in range(len(sides))]
+    minimal = [0] * n  # vertex -> its minimal positions
+    for w in order:  # (c)
+        chosen = label[w]
+        if w:
+            v, flip = parent[w]
+            low = label[v] & flip  # the position p that v chose, now q = p ^ 1
             p = low.bit_length() - 1
-            if not below[p] & chosen[v]:
-                minimal |= 1 << (p & ~1)
-        if borders[v] != minimal:
+            gained = 0
+            new = above[p] & chosen
+            while new:
+                r = new & -new
+                new ^= r
+                if not below[r.bit_length() - 1] & chosen:
+                    gained |= r
+            mins = (minimal[v] ^ low | flip ^ low) & ~above[p ^ 1] | gained
+        else:
+            mins = sum(1 << p for p in _positions(chosen) if not below[p] & chosen)
+        if (mins | mins >> 1) & evens != borders[w]:
             return None
+        minimal[w] = mins
     return halfspaces
 
 
@@ -790,18 +862,39 @@ def is_cat0(x: CubeComplex, cap: int = DEFAULT_MEDIAN_CAP) -> Cat0Result:
 # hyperplanes
 
 
+def _square_classes(x: CubeComplex) -> list[list[tuple]]:
+    """Square-equivalence classes of edges (opposite edges of every 2-cube
+    identified), in the order of their least edge, each in sorted order.
+    One union-find over the sorted edges, each class's root its least."""
+    edges = sorted(x.edges)
+    index = {e: k for k, e in enumerate(edges)}
+    root = list(range(len(edges)))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    for c00, c10, c01, c11 in x.squares:
+        # the edges at the origin c00 of a canonical square are canonical
+        for e, (a, b) in (((c00, c10), (c01, c11)), ((c00, c01), (c10, c11))):
+            r, s = find(index[e]), find(index[(a, b) if a < b else (b, a)])
+            if r < s:
+                root[s] = r
+            elif s < r:
+                root[r] = s
+    classes = {}  # root -> its class, first met at the root, its least edge
+    for k, e in enumerate(edges):
+        classes.setdefault(find(k), []).append(e)
+    return list(classes.values())
+
+
 def hyperplanes(x: CubeComplex) -> list[Hyperplane]:
     """Square-equivalence classes of edges (opposite edges of every 2-cube
     identified), each with the set of cubes containing a class edge.
     Classes are indexed in the order of their least edge."""
-    opposite = {e: [] for e in x.edges}
-    for c00, c10, c01, c11 in x.squares:
-        # the edges at the origin c00 of a canonical square are canonical
-        for e, f in (((c00, c10), (c01, c11)), ((c00, c01), (c10, c11))):
-            f = canonical_cube(f)
-            opposite[e].append(f)
-            opposite[f].append(e)
-    classes = components(sorted(x.edges), opposite)
+    classes = _square_classes(x)
     class_of = {e: i for i, cls in enumerate(classes) for e in cls}
     # the edges of a cube along one axis are opposite in its square faces,
     # which build_complex requires to be listed: one edge per axis, the one
@@ -918,7 +1011,8 @@ class HalfspaceDecomposition:
 def halfspace_system_of(x: CubeComplex) -> HalfspaceDecomposition:
     """The halfspaces that the median stage of ``is_cat0`` finds, ordered
     by inclusion, with complementation as the involution: x is the dual of
-    this system. ``h{i}+`` and ``h{i}-`` are the smaller and the larger
+    this system. They are read back from ``x._roller``, so the Roller test
+    runs once. ``h{i}+`` and ``h{i}-`` are the smaller and the larger
     side of square class i, as ``halfspaces_of`` orders them."""
     from .pocsets import system_of_sides
 
@@ -926,7 +1020,7 @@ def halfspace_system_of(x: CubeComplex) -> HalfspaceDecomposition:
     if not cat0.ok:
         raise NotCat0Error("halfspace_system_of requires a CAT(0) complex",
                            certificate=cat0.certificate())
-    sides = _roller_halfspaces(x)
+    sides = x._roller
     ids = [f"h{p >> 1}{'+-'[p & 1]}" for p in range(len(sides))]
     members = {h: frozenset(x.named(_positions(m))) for h, m in zip(ids, sides)}
     return HalfspaceDecomposition(system=system_of_sides(ids, sides), members=members)

@@ -517,6 +517,46 @@ def _pairwise_violation(dist: np.ndarray):
     return None
 
 
+def component_roller_halfspaces(x: CubeComplex) -> list[int] | None:
+    """Oracle for ``complexes._roller_halfspaces``: the three Roller
+    conditions checked one class at a time, through ``hyperplanes`` and one
+    ``halfspaces_of`` component search per class.
+    (a) Deleting any class leaves exactly two components, its halfspaces,
+        and every edge of the class joins them.
+    (b) The side labels, one bit per class, are pairwise distinct.
+    (c) At every vertex v, the classes of v's edges are exactly those
+        whose halfspace holding v is inclusion-minimal among v's.
+    Halfspaces 2i and 2i + 1 are the sides of class i in ``halfspaces_of``
+    order, (size, least vertex)."""
+    n = len(x.labels)
+    halfspaces = []  # vertex bitsets
+    chosen = [0] * n  # vertex -> bitset of the halfspaces holding it
+    borders = [0] * n  # vertex -> bit 2i for each class i of its edges
+    for h in hyperplanes(x):
+        sides = halfspaces_of(x, h)
+        if len(sides) != 2 or any((a in sides[0]) == (b in sides[0])  # (a)
+                                  for a, b in h.edges):
+            return None
+        for part, bit in zip(sides, (1 << 2 * h.index, 2 << 2 * h.index)):
+            halfspaces.append(sum(1 << v for v in part))
+            for v in part:
+                chosen[v] |= bit
+        for a, b in h.edges:
+            borders[a] |= 1 << 2 * h.index
+            borders[b] |= 1 << 2 * h.index
+    if len(set(chosen)) != n:  # (b)
+        return None
+    below = [sum(1 << q for q, low in enumerate(halfspaces)
+                 if q != p and not low & ~high)
+             for p, high in enumerate(halfspaces)]
+    for v in range(n):  # (c), over every position
+        minimal = sum(1 << (p & ~1) for p in range(len(halfspaces))
+                      if chosen[v] >> p & 1 and not below[p] & chosen[v])
+        if borders[v] != minimal:
+            return None
+    return halfspaces
+
+
 def matrix_median(x: CubeComplex, a, b, c):
     """Oracle for ``complexes.median``: the vertices in all three pairwise
     intervals, read off the distance matrix, or the error it raises."""
@@ -733,6 +773,53 @@ def swapped_torus(m: int, k: int) -> CubeComplex:
             squares.add(skey_canonical_cube((a, b, c, d)))
     vertices = sorted({v for e in edges for v in e})
     return build_complex(vertices, {1: sorted(edges), 2: sorted(squares)})
+
+
+def folded_cube(n: int) -> CubeComplex:
+    """The n-cube modulo its antipodal map, with every square, for n >= 5
+    (below that two squares share a diagonal). Its n classes are the
+    directions, and a path from v to its antipode closes a loop that
+    crosses every class once: no labelling flips one class per edge, yet
+    the labels along a search tree are distinct and pass the minimal-side
+    test."""
+    full = (1 << n) - 1
+
+    def fold(v):
+        return min(v, v ^ full)
+
+    corners = {frozenset(sq): sq for sq in (
+        tuple(fold(v ^ c) for c in (0, 1 << i, 1 << j, 1 << i | 1 << j))
+        for v in range(1 << n) for i, j in itertools.combinations(range(n), 2))}
+    edges = {tuple(sorted((fold(v), fold(v ^ 1 << i)))) for v in range(1 << n) for i in range(n)}
+    return build_complex(sorted({fold(v) for v in range(1 << n)}),
+                         {1: sorted(edges), 2: sorted(corners.values())})
+
+
+def cube_double_cover() -> CubeComplex:
+    """A connected double cover of the 4-cube graph: vertex (v, s) for each
+    corner v and sheet s, and the edge (v, w) lifts to (v, s)-(w, s ^ t)
+    with t = 1 on six edges. A square lifts to two squares when its
+    voltage is 0; the others are left out. Each class is the preimage of
+    one direction, so the labels flip one class per edge and pass the
+    minimal-side test, but the two lifts of a corner share a label."""
+    ones = {(0, 1), (0, 2), (1, 5), (2, 6), (5, 7), (8, 9)}
+
+    def t(u, w):
+        return int((min(u, w), max(u, w)) in ones)
+
+    edges, squares = [], []
+    for v in range(16):
+        for i in range(4):
+            if not v >> i & 1:
+                edges += [((v, s), (v | 1 << i, s ^ t(v, v | 1 << i))) for s in (0, 1)]
+        for i, j in itertools.combinations(range(4), 2):
+            a, b = 1 << i, 1 << j
+            if v & (a | b) or t(v, v | a) ^ t(v | a, v | a | b) ^ t(v | b, v | a | b) ^ t(v, v | b):
+                continue
+            for s in (0, 1):
+                sa, sb = s ^ t(v, v | a), s ^ t(v, v | b)
+                squares.append(((v, s), (v | a, sa), (v | b, sb), (v | a | b, sa ^ t(v | a, v | a | b))))
+    return build_complex([(v, s) for v in range(16) for s in (0, 1)], {1: edges, 2: squares})
 
 
 def pairwise_from_orthant(o: Orthant) -> PhyloTree:

@@ -18,9 +18,12 @@ from helpers import (
     all_pairs_unfilled_square,
     bfs_distances,
     cat0_corpus,
+    component_roller_halfspaces,
     cube_boundary_3,
+    cube_double_cover,
     dense_median_violation,
     distance_matrix,
+    folded_cube,
     frozenset_halfspace_system_of,
     glue_cube_boundary,
     glue_hexagon,
@@ -735,6 +738,52 @@ def test_median_stage_branches_match_dense_oracle():
     assert dense_median_violation(cut, 600) == witness
     assert label_median_violation(cut, 600) == witness
     assert _median_violation(cut, 600) == witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(median_test_complexes(), products_less_a_cube()))
+def test_roller_halfspaces_match_component_oracle(x):
+    assert _roller_halfspaces(x) == component_roller_halfspaces(x)
+
+
+def test_roller_halfspaces_match_component_oracle_on_fixed_complexes():
+    box = tree_product(_path(3), _path(4))
+    passing = [x for _, x in cat0_corpus()] + [
+        treespace_complex(5), build_complex(["v"], {}), build_complex([], {})]
+    failing = [
+        _cut_cube(),
+        glue_hexagon(box, (0, 0)),
+        glue_hexagon(grid_complex(3, 3), (1, 1)),
+        torus_3x3(),  # deleting a class leaves one component
+        swapped_torus(10, 5),
+        folded_cube(5),  # only the per-edge flip check rejects it
+        cube_double_cover(),  # only distinct labels reject it
+        build_complex([0, 1], {}),
+    ] + [torus(4, n) for n in range(3, 9)]
+    for x in passing:
+        sides = _roller_halfspaces(x)
+        assert sides is not None and sides == component_roller_halfspaces(x)
+    for x in failing:
+        assert _roller_halfspaces(x) is component_roller_halfspaces(x) is None
+    assert _roller_halfspaces(build_complex([], {})) == []
+
+
+@pytest.mark.parametrize("make", [lambda: grid_complex(2, 3), torus_3x3])
+def test_halfspace_system_of_runs_the_roller_test_once(make):
+    x = make()
+    with mock.patch.object(complexes, "_roller_halfspaces",
+                           wraps=complexes._roller_halfspaces) as roller:
+        try:
+            dec = halfspace_system_of(x)
+        except NotCat0Error as exc:
+            dec = exc.details["certificate"]
+    assert roller.call_count == 1
+    fresh = make()  # a second complex, so nothing is read back from x
+    if is_cat0(fresh).ok:
+        oracle = frozenset_halfspace_system_of(fresh)
+        assert dec.system.leq == oracle.system.leq and dec.members == oracle.members
+    else:
+        assert dec == is_cat0(fresh).certificate()
 
 
 def test_majority_miss_on_hexagon_labels_any_width():
