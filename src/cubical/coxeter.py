@@ -41,9 +41,9 @@ from .pocsets import (
     Orientation,
     _bits,
     _orientation,
+    _validated,
     dual_complex,
     is_vertex,
-    system_of_sides,
 )
 from .util import parse_int, parse_list
 
@@ -452,9 +452,45 @@ class TruncatedHalfspaces:
     system: HalfspaceSystem
     walls: tuple
     defining_edges: tuple  # per wall, the (u, v) edge with u on the "+" side
-    untrusted_pairs: tuple
     wall_ids: tuple  # per wall, its ("+", "-") halfspace ids
     crossed: tuple  # per ball element: bitset of the selected walls it lies across
+
+    @cached_property
+    def untrusted_pairs(self) -> tuple:
+        """Wall pairs (i, j), i < j, whose nesting relation could still flip
+        to transversal with a larger ball: some quarter is empty while both
+        of its factors reach the boundary sphere. Each comes with its empty
+        quarters, as (side of i, side of j) ids.
+
+        Quarter (p, q) is empty iff side p lies in q's complement, that is
+        iff q lies below p's complement. The "-" side of wall i reaches the
+        sphere iff some sphere element lies across wall i, and the "+" side
+        iff some sphere element does not."""
+        s = self.system
+        across, everywhere = 0, (1 << len(self.walls)) - 1
+        for g, c in zip(self.ball.elements, self.crossed):
+            if len(g) == self.ball.radius:
+                across |= c
+                everywhere &= c
+        touch = 0  # positions of the sides that reach the sphere
+        for i, (plus, minus) in enumerate(self.wall_ids):
+            if not everywhere >> i & 1:
+                touch |= 1 << s.position[plus]
+            if across >> i & 1:
+                touch |= 1 << s.position[minus]
+        out = []
+        for i, sides in enumerate(self.wall_ids):
+            quarters: dict[int, list] = {}  # wall j -> its empty quarters with i
+            for h in sides:
+                p = s.position[h]
+                if not touch >> p & 1:
+                    continue
+                for q in _bits(s.below[p ^ 1] & touch):
+                    j = int(s.labels[q][1:-1])  # ids look like "w003+"
+                    if j > i:
+                        quarters.setdefault(j, []).append((h, s.labels[q]))
+            out += [(i, j, tuple(quarters[j])) for j in sorted(quarters)]
+        return tuple(out)
 
     @cached_property
     def members(self) -> dict:  # halfspace id -> frozenset of ball elements
@@ -501,16 +537,16 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     (u, v), and so the identity: an element lies in it iff a geodesic from
     the identity to it does not cross the wall.
 
-    Sides are int bitsets over the positions of ``ball.elements``, filled
-    from the wall table of ``walls(ball)``: g[:-1] is a normal form and
-    (g[:-1], g) a ball edge, so ``crossed[g]``, the selected walls between
-    g and the identity, is ``crossed[g[:-1]]`` plus the wall of that edge,
-    and a wall's "-" side joins the subtrees below its edges of that kind.
+    The roots are read off the rows of the wall table of ``walls(ball)``:
+    g[:-1] is a normal form and (g[:-1], g) a ball edge, so ``crossed[g]``,
+    the selected walls between g and the identity, is ``crossed[g[:-1]]``
+    plus the wall of that edge. ``_system_of_crossings`` orders the sides
+    from these rows alone: per wall i, the AND and the OR of the rows on
+    its "-" side say which sides contain it. Inclusion of sets is already
+    transitive and reversed by complements, so no closure is needed.
 
     Validation errors propagate and signal that the margin is too small.
-    The trust report lists wall pairs whose nesting relation could still
-    flip to transversal with a larger ball: some quarter is empty while
-    both of its factors reach the boundary sphere.
+    The trust report, ``untrusted_pairs``, is worked out on first use.
     """
     if margin < 0:
         raise InputFormatError("margin must be >= 0")
@@ -520,39 +556,85 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     crossed = {(): 0}  # ball.elements starts with the identity, then by length
     for g in ball.elements[1:]:
         crossed[g] = crossed[g[:-1]] | bit_of.get((g[:-1], g), 0)
-    below = {g: 1 << k for k, g in enumerate(ball.elements)}  # grows to g's subtree
-    masks = [0] * len(selected)  # per wall, the elements off the identity's side
-    for g in reversed(ball.elements[1:]):
-        below[g[:-1]] |= below[g]
-        for i in _bits(bit_of.get((g[:-1], g), 0)):
-            masks[i] |= below[g]
-    full = (1 << len(ball.elements)) - 1
-    wall_ids = tuple((_hid(i, "+"), _hid(i, "-")) for i in range(len(selected)))
-    ids = [h for pair in wall_ids for h in pair]
-    side = [m for mask in masks for m in (full ^ mask, mask)]  # per id, in ids order
-    seen_sides: dict[int, str] = {}
-    for h, m in zip(ids, side):
-        other = seen_sides.setdefault(m, h)
-        if other != h:
-            raise NestingViolationError(
-                f"walls {other} and {h} have identical truncated sides; "
-                "increase the radius or margin", pair=(other, h))
-    system = system_of_sides(ids, side)
-
-    sphere = sum(1 << k for k, g in enumerate(ball.elements) if len(g) == ball.radius)
-    touches = [bool(m & sphere) for m in side]
-    untrusted = []
-    for i, j in itertools.combinations(range(len(selected)), 2):
-        empty_quarters = tuple(
-            (ids[p], ids[q]) for p in (2 * i, 2 * i + 1) for q in (2 * j, 2 * j + 1)
-            if touches[p] and touches[q] and not side[p] & side[q])
-        if empty_quarters:
-            untrusted.append((i, j, empty_quarters))
+    rows = tuple(crossed.values())
     return TruncatedHalfspaces(
-        ball=ball, margin=margin, system=system, walls=tuple(selected),
-        defining_edges=tuple(w.edges[0] for w in selected),
-        untrusted_pairs=tuple(untrusted), wall_ids=wall_ids,
-        crossed=tuple(crossed.values()))
+        ball=ball, margin=margin, system=_system_of_crossings(rows, len(selected)),
+        walls=tuple(selected), defining_edges=tuple(w.edges[0] for w in selected),
+        wall_ids=tuple((_hid(i, "+"), _hid(i, "-")) for i in range(len(selected))),
+        crossed=rows)
+
+
+def _spread(x: int) -> int:
+    """x with its bit k moved to bit 2k."""
+    return int("0".join(bin(x)[2:]), 2)
+
+
+def _system_of_crossings(crossed, count: int) -> HalfspaceSystem:
+    """The sides of ``count`` walls ordered by inclusion, with complements
+    as the involution, given per point k the bitset ``crossed[k]`` of the
+    walls whose "-" side holds it. Point 0 lies on every "+" side. Wall i
+    has the ids ``_hid(i, "+")`` and ``_hid(i, "-")``.
+
+    Let AND[i] and OR[i] be the AND and the OR of the rows with bit i set,
+    those of the points of wall i's "-" side (AND[i] is every wall when
+    that side is empty). Then for j != i:
+    - i- < j- iff bit j of AND[i] is set
+    - i- < j+ iff bit j of OR[i] is clear
+    - i+ < j+ iff j- < i-, so the "+" rows are the columns of AND
+    - i+ < j- never holds, as point 0 lies in i+ and not in j-
+    Inclusion of sets is transitive and complements reverse it, so the
+    rows need no closure; ``_validated`` still checks them for cycles,
+    nesting and comparable complements. A W-bit row goes to the even
+    positions 2j ("+") or the odd ones 2j + 1 ("-") of the system by
+    ``_spread``.
+
+    Walls i and j have identical sides iff AND[i] == AND[j]: AND[i] holds
+    bit i, so equal rows make each side lie in the other. That raises
+    NestingViolationError, naming the first such j and its least i. No
+    Cayley ball reaches it: the two ends of an edge of wall i differ in
+    bit i only, so one of them lies on wall i's "-" side and the other
+    does not, while they lie on the same side of every other wall."""
+    full = (1 << count) - 1
+    ids = [_hid(i, sign) for i in range(count) for sign in "+-"]
+    # the layout of build_system: the ids are strings, so their sort key is
+    # their own order, and "+" sorts before "-"; past w999 it is not wall order
+    pairs = sorted(zip(ids[::2], ids[1::2]))
+    rank = [0] * count  # wall -> hyperplane
+    for h, (plus, _) in enumerate(pairs):
+        rank[int(plus[1:-1])] = h
+    permuted = rank != list(range(count))
+    meet = [full] * count  # per hyperplane, on hyperplane bits
+    join = [0] * count
+    for c in crossed:
+        if permuted:
+            c = sum(1 << rank[i] for i in _bits(c))
+        rest = c
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            h = low.bit_length() - 1
+            meet[h] &= c
+            join[h] |= c
+
+    first: dict[int, int] = {}
+    for j, h in enumerate(rank):
+        i = first.setdefault(meet[h], j)
+        if i != j:
+            a, b = ids[2 * i], ids[2 * j]
+            raise NestingViolationError(
+                f"walls {a} and {b} have identical truncated sides; "
+                "increase the radius or margin", pair=(a, b))
+
+    # column h of AND, high rows first, is the "+" row of h spread out
+    width = f"0{count}b"
+    columns = zip(*[format(m, width) for m in reversed(meet)])
+    plus = [int("0".join(col), 2) for col in columns][::-1]
+    above = []
+    for h in range(count):
+        above.append(plus[h] & ~(1 << 2 * h))
+        above.append(_spread(meet[h] & ~(1 << h)) << 1 | _spread(full & ~join[h]))
+    return _validated(HalfspaceSystem(
+        halfspaces=tuple(sorted(ids)), star_pairs=tuple(pairs), above=tuple(above)), ids)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,11 @@ complex are consistent orientations (one halfspace per hyperplane, never
 choice(h) <= choice(k)*); n pairwise-transversal minimal halfspaces at a
 vertex span an n-cube, and the edges are the 1-cubes: single flips.
 
-The order is the transitive closure of the generators and their star
-images; being star-closed, it is order-reversed by the involution.
+``build_system`` takes the order as the transitive closure of the
+generators and their star images; being star-closed, it is order-reversed
+by the involution. Systems of sets ordered by inclusion (``system_of_sides``
+and the Coxeter truncations) are transitive as they stand and need no
+closure. ``_validated`` checks every order, however it was made.
 
 Halfspaces are interned at build time: hyperplane i is the i-th star pair
 in id order, and its halfspaces sit at positions 2i and 2i + 1, so the
@@ -103,12 +106,18 @@ class HalfspaceSystem:
 
     @cached_property
     def covers(self) -> tuple:
+        """The positions above p with nothing strictly between. A position
+        already in ``between`` lies above one visited before, so by
+        transitivity its row adds nothing, and it is skipped."""
         above = self.above
         out = []
         for m in above:
             between = 0
-            for r in _bits(m):
-                between |= above[r]
+            rest = m
+            while rest:
+                low = rest & -rest
+                between |= above[low.bit_length() - 1]
+                rest &= ~(between | low)
             out.append(m & ~between)
         return tuple(out)
 
@@ -119,18 +128,24 @@ class HalfspaceSystem:
                          for p, m in enumerate(self.above) for q in _bits(m))
 
     @cached_property
-    def transversal_adjacency(self) -> dict:
-        """Hyperplane index -> indices of the hyperplanes transversal to it:
-        those with no order relation between any of their halfspaces. By
-        star symmetry every relation between hyperplanes i and j shows in
-        ``above[2i] | above[2i + 1]``."""
-        even = _evens(len(self.above))
-        out = {}
+    def transversal_masks(self) -> tuple:
+        """Hyperplane index i -> the bitset of the even positions 2j of the
+        hyperplanes j transversal to i: those with no order relation
+        between any of their halfspaces. By star symmetry every relation
+        between hyperplanes i and j shows in ``above[2i] | above[2i + 1]``."""
+        above = self.above
+        even = _evens(len(above))
+        out = []
         for i in range(len(self.star_pairs)):
-            rel = self.above[2 * i] | self.above[2 * i + 1]
-            free = ~(rel | rel >> 1) & even & ~(1 << 2 * i)
-            out[i] = frozenset(q >> 1 for q in _bits(free))
-        return out
+            rel = above[2 * i] | above[2 * i + 1]
+            out.append(~(rel | rel >> 1) & even & ~(1 << 2 * i))
+        return tuple(out)
+
+    @cached_property
+    def transversal_adjacency(self) -> dict:
+        """Hyperplane index -> indices of the hyperplanes transversal to it."""
+        return {i: frozenset(q >> 1 for q in _bits(free))
+                for i, free in enumerate(self.transversal_masks)}
 
     def lt(self, a, b) -> bool:
         return (a, b) in self.leq
@@ -144,6 +159,25 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
     builder checks the involution, antisymmetry, the nesting condition and
     incomparability of complements, in that order.
     """
+    ids, pairs = _star_layout(halfspaces, star_pairs)
+    pos = {h: p for p, h in enumerate(h for pair in pairs for h in pair)}
+    succ = [0] * len(pos)
+    for a, b in leq_pairs:
+        if a not in pos or b not in pos:
+            raise InputFormatError(f"leq pair ({a!r},{b!r}) uses unknown ids")
+        if a != b:
+            p, q = pos[a], pos[b]
+            succ[p] |= 1 << q
+            succ[q ^ 1] |= 1 << (p ^ 1)
+    return _validated(HalfspaceSystem(
+        halfspaces=tuple(ssorted(ids)), star_pairs=tuple(pairs),
+        above=tuple(_closure(succ))), ids)
+
+
+def _star_layout(halfspaces, star_pairs) -> tuple[list, list]:
+    """The ids in input order and the star pairs in hyperplane order, each
+    pair in id order, after checking that the pairs form an involution of
+    the ids."""
     ids = list(halfspaces)
     idset = set(ids)
     if len(idset) != len(ids):
@@ -161,29 +195,29 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
     unpaired = [h for h in ids if h not in star]
     if unpaired:
         raise NotInvolutionError("unpaired halfspaces", halfspaces=ssorted(unpaired))
-
     pairs = sorted({tuple(ssorted((a, b))) for a, b in star.items()},
                    key=lambda p: (skey(p[0]), skey(p[1])))
-    labels = [h for pair in pairs for h in pair]
-    pos = {h: p for p, h in enumerate(labels)}
-    succ = [0] * len(labels)
-    for a, b in leq_pairs:
-        if a not in idset or b not in idset:
-            raise InputFormatError(f"leq pair ({a!r},{b!r}) uses unknown ids")
-        if a != b:
-            p, q = pos[a], pos[b]
-            succ[p] |= 1 << q
-            succ[q ^ 1] |= 1 << (p ^ 1)
-    above = _closure(succ)
+    return ids, pairs
 
+
+def _validated(s: HalfspaceSystem, ids) -> HalfspaceSystem:
+    """``s``, once its order is checked: no cycle, the nesting condition,
+    and no halfspace comparable with its complement, in that order. ``s.above``
+    must be transitive and star-closed (q < p iff p* < q*), as the closure
+    of star-closed generators and inclusion of sets under complements both
+    are. Errors name halfspaces by the first in ``ids``, the input order."""
+    above, pairs = s.above, s.star_pairs
+    pos = s.position
+    below = s.below
     for a in ids:
         p = pos[a]
-        if above[p] >> p & 1:  # a lies on a cycle: name the first pair in input order
+        if above[p] & below[p]:  # a lies on a cycle: name the first pair in input order
             b = next(b for b in ids if b != a and above[p] >> pos[b] & 1
                      and above[pos[b]] >> p & 1)
             raise CyclicOrderError(f"{a!r} and {b!r} are mutually below each other",
                                    pair=(a, b))
 
+    labels = s.labels
     even = _evens(len(labels))
     for i, (a, b) in enumerate(pairs):
         # hyperplanes j > i with two relations a|b < c|d: two in one row, or one in each
@@ -203,19 +237,24 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
         if (above[p] >> (p ^ 1) | above[p ^ 1] >> p) & 1:
             raise ComparableComplementsError(
                 f"halfspace {h!r} comparable with its complement", halfspace=h)
-
-    return HalfspaceSystem(halfspaces=tuple(ssorted(ids)), star_pairs=tuple(pairs),
-                           above=tuple(above))
+    return s
 
 
 def system_of_sides(ids, sides) -> HalfspaceSystem:
     """The system of distinct sets ordered by inclusion, with complements
     as the involution: ``ids[2i]`` and ``ids[2i + 1]`` name the sides of
     hyperplane i, ``sides[p]`` is side p as an int bitset, and side p lies
-    in side q iff it misses side q ^ 1, the complement of q."""
-    leq = [(ids[p], ids[q]) for p in range(len(sides)) for q in range(len(sides))
-           if p != q and not sides[p] & sides[q ^ 1]]
-    return build_system(ids, zip(ids[::2], ids[1::2]), leq)
+    in side q iff it misses side q ^ 1, the complement of q. Inclusion is
+    transitive and complements reverse it, so the rows need no closure."""
+    ids, pairs = _star_layout(ids, zip(ids[::2], ids[1::2]))
+    pos = {h: p for p, h in enumerate(h for pair in pairs for h in pair)}
+    at = [pos[h] for h in ids]  # input index -> position
+    above = [0] * len(ids)
+    for p, side in enumerate(sides):
+        above[at[p]] = sum(1 << at[q] for q in range(len(sides))
+                           if q != p and not side & sides[q ^ 1])
+    return _validated(HalfspaceSystem(
+        halfspaces=tuple(ssorted(ids)), star_pairs=tuple(pairs), above=tuple(above)), ids)
 
 
 def _closure(succ: list) -> list:
@@ -446,9 +485,11 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     r covers p. (The test on below[r] alone decides; covers[p] only narrows
     the candidates.)
 
-    Each cube is canonicalized as it is assembled, and its family recorded
-    with it; ``_complex_of_ranks`` then checks faces and gluing on the ids
-    0..n-1, which are their own ranks. A cube's corners flip distinct sets
+    ``_dual_cubes`` walks the families of each vertex on bitsets, building
+    each cube's corners from its parent family's. Each cube is
+    canonicalized as it is assembled, and its family recorded with it;
+    ``_complex_of_ranks`` then checks faces and gluing on the ids 0..n-1,
+    which are their own ranks. A cube's corners flip distinct sets
     of hyperplanes, so they are distinct vertices."""
     res = is_vertex(s, seed)
     if not res.ok:
@@ -484,29 +525,58 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
                     gained |= r
             minimal_at.append((minimal ^ low | 1 << q) & ~above[q] | gained)
 
-    even = _evens(2 * len(s.star_pairs))
     listed: dict[int, set] = {}
     families = {}
-    for v, minimal in zip(order, minimal_at):
-        first = [p >> 1 for p in _bits(minimal & even)]
-        for fam in cliques(s.transversal_adjacency, first):
-            if not fam:
-                continue
-            corners = [v]  # corner k flips the hyperplanes fam[pos] for the bits pos of k
-            for i in fam:
-                corners += [c ^ (3 << 2 * i) for c in corners]
-            ranked = tuple([ids[c] for c in corners])
-            cube = canonical_cube(ranked)
-            seen = listed.setdefault(len(fam), set())
-            if cube in seen:
-                raise DuplicateCubeError(
-                    "cube listed twice (up to symmetry)", cube=ranked, dim=len(fam))
-            seen.add(cube)
-            families[cube] = fam
+    for fam, ranked in _dual_cubes(s, order, minimal_at, ids):
+        cube = canonical_cube(ranked)
+        seen = listed.get(len(fam))
+        if seen is None:
+            seen = listed[len(fam)] = set()
+        elif cube in seen:
+            raise DuplicateCubeError(
+                "cube listed twice (up to symmetry)", cube=ranked, dim=len(fam))
+        seen.add(cube)
+        families[cube] = fam
 
     complex_ = _complex_of_ranks(tuple(range(len(order))), listed)
     return DualComplex(system=s, seed=seed, complex=complex_,
                        masks=tuple(order), cube_families=families)
+
+
+def _dual_cubes(s: HalfspaceSystem, order: list, minimal_at: list, ids: dict):
+    """Yield (family, corner ids) for each cube of the dual at the vertex
+    that chooses the first halfspace of each of its hyperplanes, vertices
+    in ``order``. At vertex v the families are the cliques of the
+    transversal graph on the hyperplanes whose first halfspace is minimal
+    at v, walked on bitsets of even positions in the pre-order of
+    ``graphs.cliques``: each family before its extensions, extensions by
+    earlier hyperplanes first. A family's corners are its parent's, then
+    the parent's flipped on the added hyperplane, so corner k flips
+    ``fam[pos]`` for the bits pos of k."""
+    transversal = s.transversal_masks
+    even = _evens(2 * len(s.star_pairs))
+    for n, (v, minimal) in enumerate(zip(order, minimal_at)):
+        rest = minimal & even  # the candidates left at the current family
+        stack = []  # the families it extends, each with its candidates left
+        fam, corners, ranked = (), [v], (n,)
+        while True:
+            if rest:
+                low = rest & -rest
+                rest ^= low
+                p = low.bit_length() - 1
+                flipped = [c ^ (3 << p) for c in corners]
+                child = fam + (p >> 1,)
+                child_ranked = ranked + tuple([ids[c] for c in flipped])
+                yield child, child_ranked
+                later = rest & transversal[p >> 1]
+                if later:  # walk the child's extensions before its siblings
+                    stack.append((fam, corners, ranked, rest))
+                    fam, corners, ranked, rest = (child, corners + flipped,
+                                                  child_ranked, later)
+            elif stack:
+                fam, corners, ranked, rest = stack.pop()
+            else:
+                break
 
 
 def maximal_cubes(dual: DualComplex) -> list[tuple]:

@@ -15,7 +15,8 @@ from helpers import torus_3x3
 
 import cubical
 from cubical.cli import main
-from cubical.complexes import dump_complex, load_complex
+from cubical.complexes import dump_complex, halfspaces_of, hyperplanes, load_complex
+from cubical.errors import CubicalError
 
 
 @pytest.fixture()
@@ -82,6 +83,31 @@ def test_complex_hyperplanes_torus(capsys, torus_file):
     assert code == 1  # self-parallel hyperplanes do not separate
     assert verdict["stats"]["hyperplanes"] == 6
     assert set(verdict["certificate"]["bad_separations"].values()) == {1}
+
+
+def _fixture_complexes() -> dict:
+    """The valid cube complexes among the fixtures, by file name."""
+    out = {}
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        data = json.loads(path.read_text())
+        try:
+            out[path.name] = load_complex(data)
+        except CubicalError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("name", [*_fixture_complexes(), "torus"])
+def test_complex_hyperplanes_counts_match_component_search(capsys, tmp_path, name):
+    # median graphs skip the search: each class splits them in two
+    x = torus_3x3() if name == "torus" else _fixture_complexes()[name]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(dump_complex(x)))
+    x = load_complex(json.loads(path.read_text()))
+    code, verdict = run_cli(capsys, "complex", "hyperplanes", str(path))
+    counts = {str(h.index): len(halfspaces_of(x, h)) for h in hyperplanes(x)}
+    assert verdict["stats"]["halfspace_counts"] == counts
+    assert code == (0 if set(counts.values()) <= {2} else 1)
 
 
 def test_complex_export_round_trip(capsys, tmp_path, square_file):

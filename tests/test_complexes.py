@@ -157,6 +157,19 @@ def test_single_square_builds():
     assert len(x.squares) == 1
 
 
+def test_by_dim_is_the_listed_cubes_by_dimension():
+    # an empty dimension lists nothing, as if it were left out
+    x = build_complex("ab", {1: [("a", "b")], 2: []})
+    assert x.by_dim == {1: frozenset({(0, 1)})}
+    assert x.counts() == {"vertices": 2, "cubes": {"1": 1}, "euler_characteristic": 1}
+    for y in (torus_3x3(), build_complex("abcd", {
+            1: [("a", "b"), ("c", "d"), ("a", "c"), ("b", "d")], 2: [("a", "b", "c", "d")]})):
+        bucketed = {}
+        for c in y.cubes:
+            bucketed.setdefault(cube_dim(c), set()).add(c)
+        assert y.by_dim == bucketed
+
+
 def test_torus_counts():
     x = torus_3x3()
     assert len(x.vertices) == 9

@@ -46,6 +46,7 @@ from cubical import (
 )
 from cubical.coxeter import (
     _hid,
+    _system_of_crossings,
     act_on_halfspace,
     reflection_of_edge,
     wall_crossings_on_path,
@@ -54,8 +55,10 @@ from cubical.errors import (
     BadDiagonalError,
     CubicalError,
     EntryBelowTwoError,
+    NestingViolationError,
     NotSymmetricError,
 )
+from cubical.pocsets import system_of_sides
 
 
 def dihedral(m):
@@ -509,18 +512,69 @@ def test_wall_table_matches_walked_crossings(name):
             assert th.crossed == walked_crossings(th)
 
 
-@pytest.mark.parametrize("matrix, radius", [
-    ([[1, 5], [5, 1]], 6), (A2_TILDE, 6), (PGL2Z, 10), (TRIANGLE_237, 6)],
-    ids=["I2(5)", "affine A2", "PGL(2,Z)", "(2,3,7)"])
-def test_trust_report_and_order_match_frozensets(matrix, radius):
-    # the bitset sides give the frozenset inclusions and empty quarters
+@pytest.mark.parametrize("matrix, radius, margin", [
+    ([[1, 5], [5, 1]], 6, 2), (A2_TILDE, 6, 2), (PGL2Z, 10, 2), (TRIANGLE_237, 6, 2),
+    (PGL2Z, 10, 0), (A2_TILDE, 14, 2), ([[1, 5], [5, 1]], 8, 2)],
+    ids=["I2(5)", "affine A2", "PGL(2,Z)", "(2,3,7)", "PGL(2,Z) margin 0",
+         "affine A2 R14", "I2(5) R8"])
+def test_trust_report_and_order_match_frozensets(matrix, radius, margin):
+    # the orders read off the crossing rows give the frozenset inclusions
+    # and empty quarters
     ball = cayley_ball(parse_system(matrix), radius)
-    th = halfspace_system(ball, 2)
+    th = halfspace_system(ball, margin)
     assert th.wall_ids == tuple((_hid(i, "+"), _hid(i, "-")) for i in range(len(th.walls)))
     assert th.untrusted_pairs == frozenset_trust_report(th)
     assert th.system.leq == frozenset_leq(th)
-    if matrix == PGL2Z:
+    if matrix == PGL2Z and margin == 2:
         assert len(th.walls) == 59 and th.untrusted_pairs
+
+
+@pytest.mark.parametrize("name", LANDMARKS)
+def test_trust_report_and_order_match_frozensets_on_landmarks(name):
+    for radius in range(7):
+        ball = cayley_ball(parse_system(LANDMARKS[name]), radius)
+        for margin in range(3):
+            th = halfspace_system(ball, margin)
+            assert th.untrusted_pairs == frozenset_trust_report(th)
+            assert th.system.leq == frozenset_leq(th)
+
+
+def _sides_of_rows(rows, count) -> list:
+    """Per wall, its "+" and "-" sides as bitsets over the rows."""
+    full = (1 << len(rows)) - 1
+    sides = []
+    for i in range(count):
+        minus = sum(1 << k for k, c in enumerate(rows) if c >> i & 1)
+        sides += [full ^ minus, minus]
+    return sides
+
+
+def test_crossing_rows_match_sides_past_wall_999():
+    # a 1001 x 3 grid: the walls of each factor nest, and walls of
+    # different factors are transversal. The ids of 1002 walls sort out of
+    # wall order, so the rows are laid out on a permutation of the walls.
+    rows = [(1 << a) - 1 | ((1 << b) - 1) << 1000 for a in range(1001) for b in range(3)]
+    count = 1002
+    system = _system_of_crossings(rows, count)
+    assert ([int(plus[1:-1]) for plus, _ in system.star_pairs[99:104]]
+            == [99, 100, 1000, 1001, 101])
+    ids = [_hid(i, sign) for i in range(count) for sign in "+-"]
+    assert system == system_of_sides(ids, _sides_of_rows(rows, count))
+
+
+def test_identical_crossing_rows_raise_nesting_violation():
+    # walls 0 and 2 agree on every point, and so do walls 1 and 3: the
+    # error names the first wall j with an earlier twin, and its least twin i
+    rows = [0b0000, 0b0101, 0b1010, 0b1111, 0b0101]
+    with pytest.raises(NestingViolationError) as err:
+        _system_of_crossings(rows, 4)
+    assert err.value.message == ("walls w000+ and w002+ have identical truncated "
+                                 "sides; increase the radius or margin")
+    assert err.value.details == {"pair": ("w000+", "w002+")}
+    # walls that differ on one point are ordered as the pair path orders them
+    rows[-1] = 0b1001
+    ids = [_hid(i, sign) for i in range(4) for sign in "+-"]
+    assert _system_of_crossings(rows, 4) == system_of_sides(ids, _sides_of_rows(rows, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ from cubical.errors import (
     SameHyperplaneError,
     SelfPairedError,
 )
-from cubical.graphs import complex_isomorphic
-from cubical.pocsets import DualComplex, _chosen
+from cubical.graphs import cliques, complex_isomorphic
+from cubical.pocsets import DualComplex, _bits, _chosen, _dual_cubes, system_of_sides
 from cubical.util import skey
 
 
@@ -538,6 +538,37 @@ def test_dual_assembles_each_cube_once(monkeypatch):
         assert d == all_corners_dual_complex(s, seed)
 
 
+def test_system_of_sides_names_equal_sides_as_a_cycle():
+    # inclusion in both directions, with no closure run: the first side in
+    # input order with a twin, and its first twin
+    ids = ["b+", "b-", "a+", "a-", "c+", "c-"]
+    with pytest.raises(CyclicOrderError) as err:
+        system_of_sides(ids, [0b011, 0b100, 0b001, 0b110, 0b011, 0b100])
+    assert err.value.details == {"pair": ("b+", "c+")}
+
+
+def test_cube_walk_keeps_the_clique_pre_order():
+    # the mask walk lists the families of graphs.cliques in its order, so a
+    # duplicate cube is named as before; corner k flips fam[pos] for the
+    # bits pos of k
+    systems = [pairs_system(4), chain_system(6),
+               halfspace_system_of(grid_complex(2, 3, 1)).system, *_cubulated_systems()]
+    for s in systems:
+        d = dual_complex(s, seed_vertex(s))
+        order, ids = list(d.masks), d.vertex_of
+        minimal_at = [sum(1 << p for p in _bits(v) if not s.below[p] & v) for v in order]
+        expected = []
+        for v in order:
+            first = [p >> 1 for p in _bits(v) if not s.below[p] & v and not p & 1]
+            for fam in cliques(s.transversal_adjacency, first):
+                corners = [v]
+                for i in fam:
+                    corners += [c ^ (3 << 2 * i) for c in corners]
+                if fam:
+                    expected.append((fam, tuple(ids[c] for c in corners)))
+        assert list(_dual_cubes(s, order, minimal_at, ids)) == expected
+
+
 def _assert_covers_by_definition(s):
     # b covers a: a < b with nothing strictly between, on ids
     labels = s.labels
@@ -576,16 +607,16 @@ def test_covers_and_dual_match_oracles_on_deep_systems():
 
 
 @pytest.mark.parametrize("error,mangle", [
-    (DuplicateCubeError, lambda fams: (f for fam in fams for f in (fam, fam))),
-    (MissingFaceError, lambda fams: (fam for fam in fams if len(fam) != 1)),
+    (DuplicateCubeError, lambda cubes: (c for cube in cubes for c in (cube, cube))),
+    (MissingFaceError, lambda cubes: (c for c in cubes if len(c[0]) != 1)),
 ])
 def test_dual_cubes_pass_the_builder_checks(monkeypatch, error, mangle):
-    # each family assembled twice, or the edges left out, on a 3-cube
+    # each cube assembled twice, or the edges left out, on a 3-cube
     import cubical.pocsets
 
-    original = cubical.pocsets.cliques
-    monkeypatch.setattr(cubical.pocsets, "cliques",
-                        lambda adj, order: mangle(original(adj, order)))
+    original = cubical.pocsets._dual_cubes
+    monkeypatch.setattr(cubical.pocsets, "_dual_cubes",
+                        lambda *args: mangle(original(*args)))
     s = pairs_system(3)
     with pytest.raises(error):
         dual_complex(s, seed_vertex(s))
