@@ -14,8 +14,8 @@ from cubical import (
     link_of_origin,
     treespace_complex,
 )
-from cubical.graphs import girth, graph_isomorphic, is_regular
-from cubical.cli import PETERSEN
+from cubical.graphs import girth, is_regular
+from cubical.treespace import petersen_checks
 
 
 def main():
@@ -34,7 +34,8 @@ def main():
     adj = link.adjacency
     print(f"\nlink of origin, n=4: {len(link.vertices)} vertices, "
           f"{len(link.edges)} edges, 3-regular={is_regular(adj, 3)}, "
-          f"girth={girth(adj)}, petersen={graph_isomorphic(adj, PETERSEN)}")
+          f"girth={girth(adj)}, "
+          f"petersen={petersen_checks(adj)['isomorphic_to_petersen']}")
 
     for n in range(3, args.cat0_max_n + 1):
         x = treespace_complex(n)

@@ -53,7 +53,7 @@ from .coxeter import (
 from .coxeter import halfspace as cox_halfspace
 from .dotio import ball_dot, crossing_graph_dot, simple_graph_dot, skeleton_dot
 from .errors import CubicalError, InputFormatError
-from .graphs import girth, graph_isomorphic, is_regular
+from .graphs import girth
 from .pocsets import dual_complex, dump_system, load_system, maximal_cubes, seed_vertex
 from .treespace import (
     cone_distance,
@@ -61,15 +61,11 @@ from .treespace import (
     dump_tree,
     enumerate_topologies,
     link_of_origin,
+    petersen_checks,
     to_orthant,
     treespace_complex,
     validate_tree,
 )
-
-PETERSEN = {
-    0: {1, 4, 5}, 1: {0, 2, 6}, 2: {1, 3, 7}, 3: {2, 4, 8}, 4: {0, 3, 9},
-    5: {0, 7, 8}, 6: {1, 8, 9}, 7: {2, 5, 9}, 8: {3, 5, 6}, 9: {4, 6, 7},
-}
 
 
 def _read_json(path: str):
@@ -400,13 +396,7 @@ def _tree_link(run):
         "girth": girth(adj),
     }
     if run.args.n == 4:
-        cert = {
-            "vertices": len(link.vertices) == 10,
-            "edges": len(link.edges) == 15,
-            "three_regular": is_regular(adj, 3),
-            "girth_five": girth(adj) == 5,
-            "isomorphic_to_petersen": graph_isomorphic(adj, PETERSEN),
-        }
+        cert = petersen_checks(adj)
         run.certificate["is_petersen"] = all(cert.values())
         run.certificate["petersen_checks"] = cert
         run.ok = all(cert.values())

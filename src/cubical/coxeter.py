@@ -686,19 +686,17 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
                                element=g)
         nu[g] = vid
 
+    # two orientations differ on a hyperplane iff their masks differ in
+    # both of its bits: the edge across wall i flips exactly flips[i]
     wall_of = {e: i for i, w in enumerate(th.walls) for e in w.edges}
+    masks = dual.masks
     for u, v, _ in ball.edges:
-        diff = dual.differing(nu[u], nu[v])
         i = wall_of.get((u, v))
-        if i is not None:
-            if diff != [th.hyperplane_of_wall(i)]:
-                raise CubicalError(
-                    "adjacent ball elements do not differ exactly on their wall",
-                    edge=(u, v), differing=diff)
-        elif diff:
+        if masks[nu[u]] ^ masks[nu[v]] != (flips[i] if i is not None else 0):
             raise CubicalError(
-                "ball edge on an unselected wall maps to distinct vertices",
-                edge=(u, v), differing=diff)
+                "ball edge on an unselected wall maps to distinct vertices" if i is None
+                else "adjacent ball elements do not differ exactly on their wall",
+                edge=(u, v), differing=dual.differing(nu[u], nu[v]))
 
     trusted_radius = ball.radius - margin
     trusted = [g for g in ball.elements if len(g) <= trusted_radius]

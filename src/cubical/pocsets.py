@@ -307,11 +307,18 @@ def load_system(data: dict) -> HalfspaceSystem:
 
 
 def dump_system(s: HalfspaceSystem) -> dict:
+    """The system as JSON, its ``leq`` pairs (a, b) in (skey(a), skey(b))
+    order. ``halfspaces`` is in ``skey`` order with no ties, as duplicate
+    ids are rejected, so the pairs are sorted by their indices there."""
+    hs = s.halfspaces
+    n = len(hs)
+    index = {h: i for i, h in enumerate(hs)}
+    rank = [index[h] for h in s.labels]  # position -> index in halfspaces
+    keys = sorted(rank[p] * n + rank[q] for p, m in enumerate(s.above) for q in _bits(m))
     return {
-        "halfspaces": list(s.halfspaces),
+        "halfspaces": list(hs),
         "star": [list(p) for p in s.star_pairs],
-        "leq": sorted(([a, b] for a, b in s.leq),
-                      key=lambda p: (skey(p[0]), skey(p[1]))),
+        "leq": [[hs[k // n], hs[k % n]] for k in keys],
     }
 
 

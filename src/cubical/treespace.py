@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import CubeComplex, SimplicialComplex, build_complex, build_simplicial
+from .complexes import CubeComplex, SimplicialComplex, build_complex
 from .errors import (
     BadRootValencyError,
     CapExceededError,
@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveLengthError,
     UnlabeledLeafError,
 )
-from .graphs import cliques
+from .graphs import cliques, girth, is_regular
 from .util import check_ids, parse_float, parse_int, parse_list
 
 DEFAULT_TOPOLOGY_CAP = 200_000
@@ -376,10 +376,30 @@ def link_of_origin(n: int) -> SimplicialComplex:
     clusters = all_clusters(n)
     cname = {c: _cluster_name(c) for c in clusters}
     # every clique is a simplex: pairwise compatibility makes the set an
-    # orthant face
-    simplices = [frozenset(cname[c] for c in c_set)
-                 for c_set in _compatible_sets(clusters, limit=None) if c_set]
-    return build_simplicial([cname[c] for c in clusters], simplices)
+    # orthant face. The cliques are closed under subsets, so the family
+    # needs no downward closure.
+    simplices = frozenset(frozenset(cname[c] for c in c_set)
+                          for c_set in _compatible_sets(clusters, limit=None) if c_set)
+    return SimplicialComplex(vertices=frozenset(cname.values()), simplices=simplices)
+
+
+def petersen_checks(adj: dict) -> dict:
+    """The checks that the graph with adjacency ``adj`` is the Petersen
+    graph, as ``tree link -n 4`` reports them. The last follows from the
+    others with no search: in a 3-regular graph of girth 5, a vertex, its
+    3 neighbours and their 6 further neighbours are distinct, so it has at
+    least 1 + 3 + 6 = 10 vertices (the Moore bound), and at exactly 10 it
+    is the Petersen graph, the unique (3,5)-cage (Hoffman & Singleton, "On
+    Moore graphs with diameters 2 and 3", IBM J. Res. Dev. 1960)."""
+    checks = {
+        "vertices": len(adj) == 10,
+        "edges": sum(map(len, adj.values())) // 2 == 15,
+        "three_regular": is_regular(adj, 3),
+        "girth_five": girth(adj) == 5,
+    }
+    checks["isomorphic_to_petersen"] = (
+        checks["vertices"] and checks["three_regular"] and checks["girth_five"])
+    return checks
 
 
 def _cluster_name(c: frozenset) -> str:

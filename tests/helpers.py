@@ -1437,6 +1437,39 @@ def walked_crossings(th: TruncatedHalfspaces) -> tuple:
                  for g in th.ball.elements)
 
 
+def assert_sageev_isomorphism(x: CubeComplex, dec: HalfspaceDecomposition,
+                              d: DualComplex) -> None:
+    """Check the explicit map of Sageev duality, x -> d, where ``dec`` is
+    x's halfspace system and ``d`` its dual: vertex rank r goes to the dual
+    vertex of its principal orientation, the halfspaces that hold it. The
+    map must be a bijection onto the dual's vertices that carries the cubes
+    of x onto the cubes of d."""
+    vertex_of = d.vertex_of
+    phi = [vertex_of[_chosen(dec.system, dec.principal_orientation(v))]
+           for v in x.labels]
+    assert sorted(phi) == list(d.complex.vertices)
+    assert {canonical_cube(tuple(phi[r] for r in c)) for c in x.cubes} == d.complex.cubes
+
+
+def assert_link_is_petersen(link) -> None:
+    """Check the explicit map of the n = 4 origin link onto the Kneser
+    graph K(5,2), the Petersen graph: 2-subsets of {1..5}, adjacent iff
+    disjoint. A 2-cluster c of {1..4} maps to c, a 3-cluster c to
+    {5} | ({1..4} - c). The map must be a bijection of the vertices that
+    carries the link edges exactly onto the disjoint pairs."""
+    four = frozenset({1, 2, 3, 4})
+
+    def image(name):
+        c = frozenset(int(x) for x in name.split("."))
+        return c if len(c) == 2 else (four - c) | {5}
+
+    phi = {v: image(v) for v in link.vertices}
+    pairs = {frozenset(p) for p in itertools.combinations(range(1, 6), 2)}
+    assert len(phi) == 10 and set(phi.values()) == pairs
+    assert {frozenset(phi[v] for v in e) for e in link.edges} == {
+        frozenset((a, b)) for a, b in itertools.combinations(pairs, 2) if not a & b}
+
+
 def cat0_corpus() -> list[tuple[str, CubeComplex]]:
     """At least 20 CAT(0) complexes, all with <= 64 vertices."""
     out = [

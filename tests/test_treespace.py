@@ -8,7 +8,12 @@ import math
 import random
 
 import pytest
-from helpers import named, pairwise_from_orthant, pairwise_make_orthant
+from helpers import (
+    assert_link_is_petersen,
+    named,
+    pairwise_from_orthant,
+    pairwise_make_orthant,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +39,7 @@ from cubical.errors import (
     NonPositiveLengthError,
     UnlabeledLeafError,
 )
-from cubical.graphs import girth, graph_isomorphic, is_regular
+from cubical.graphs import girth, is_regular
 from cubical.treespace import (
     Orthant,
     _ckey,
@@ -42,12 +47,8 @@ from cubical.treespace import (
     dump_orthant,
     dump_tree,
     load_orthant,
+    petersen_checks,
 )
-
-PETERSEN = {
-    0: {1, 4, 5}, 1: {0, 2, 6}, 2: {1, 3, 7}, 3: {2, 4, 8}, 4: {0, 3, 9},
-    5: {0, 7, 8}, 6: {1, 8, 9}, 7: {2, 5, 9}, 8: {3, 5, 6}, 9: {4, 6, 7},
-}
 
 
 def tree_json(n, edges, leaf_labels, root="r", nodes=None):
@@ -263,9 +264,34 @@ def test_link_n4_is_petersen():
     assert len(link.edges) == 15
     assert is_regular(adj, 3)
     assert girth(adj) == 5
-    assert graph_isomorphic(adj, PETERSEN)
+    assert_link_is_petersen(link)
     # maximal simplices have size n - 2 = 2
     assert max(len(s) for s in link.simplices) == 2
+
+
+def _adjacency(edges):
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
+def test_petersen_checks_need_ten_vertices_and_girth_five():
+    assert all(petersen_checks(link_of_origin(4).adjacency).values())
+    prism = _adjacency([(i, (i + 1) % 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+                       + [(i, 5 + i) for i in range(5)])
+    cube3 = _adjacency([(v, v ^ bit) for v in range(8) for bit in (1, 2, 4)])
+    k33 = _adjacency([(a, b) for a in "abc" for b in "xyz"])
+    for adj in (prism, cube3, k33):
+        checks = petersen_checks(adj)
+        assert checks["three_regular"] and not checks["girth_five"]
+        assert not checks["isomorphic_to_petersen"]
+    # the pentagonal prism passes every other check
+    assert petersen_checks(prism) == {
+        "vertices": True, "edges": True, "three_regular": True,
+        "girth_five": False, "isomorphic_to_petersen": False}
 
 
 def test_link_n5_simplices_reach_dimension():
