@@ -3,9 +3,9 @@
 Vertices are interned once, by ``build_complex``: the vertex ids, sorted
 by ``skey``, get the ranks 0..n-1, and everything after the build works
 on ranks. The dual of a halfspace system numbers its vertices 0..n-1 as
-it finds them and canonicalizes each cube as it assembles it, so it skips
-the ranking and hands its rank tuples straight to the validating core
-that ``build_complex`` ends in. ``CubeComplex.labels`` maps a rank back
+it finds them and canonicalizes the cubes it assembles, so it skips the
+ranking and hands its rank tuples straight to the validating core that
+``build_complex`` ends in. ``CubeComplex.labels`` maps a rank back
 to its id. Ids appear only at the edges: in the loaders and
 ``dump_complex``, in the vertices that public functions take
 (``vertex_link``, ``median``), and in witnesses and error details. Rank
@@ -19,8 +19,12 @@ of the cube, so cube identity is a set-membership test.
 
 A valid complex lists every face of every cube, and any two cubes meet in
 at most one common face. Given the faces, the second condition holds iff
-no two cubes share a diagonal (a pair of opposite corners), which one pass
-over the diagonals decides.
+no two cubes share a diagonal (a pair of opposite corners). Set passes
+over whole dimensions decide every check of the build: the canonical
+faces of each dimension must lie in the one below, and the set of all
+diagonals must be as large as their count. Only a failed pass scans the
+cubes in a fixed order, to name the first defect, so a witness does not
+depend on set iteration order.
 
 The CAT(0) oracle is fully combinatorial: a finite complex is CAT(0) iff
 it is connected, all vertex links are flag (the Gromov link condition),
@@ -59,6 +63,7 @@ from operator import itemgetter
 
 from .errors import (
     CapExceededError,
+    CubicalError,
     DisconnectedError,
     DoubleGluingError,
     DuplicateCubeError,
@@ -313,6 +318,11 @@ def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
     nothing is inferred. Raises SelfGluingError, DuplicateCubeError,
     MissingFaceError, DoubleGluingError, or UnknownVertexError with the
     offending cells attached, by their ids.
+
+    Each dimension's listing is decided in whole-list passes: corner
+    counts, ranking, canonical forms, repeated corners, and duplicates by
+    set size. Only a dimension with a defect is scanned cube by cube, in
+    listing order, to name the first one.
     """
     vertex_list = list(vertices)
     if len(set(vertex_list)) != len(vertex_list):
@@ -327,28 +337,63 @@ def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
         if k > 62:  # 2^k corners could not be listed
             raise InputFormatError(f"cube dimension {k} is too large")
         seen = listed.setdefault(k, set())
-        for corners in raw_cubes:
-            corners = tuple(corners)
-            if len(corners) != 1 << k:
-                raise InputFormatError(
-                    f"{k}-cube needs {1 << k} corners, got {len(corners)}",
-                    cube=corners)
-            try:
-                ranked = tuple(map(rank.__getitem__, corners))
-            except KeyError:
-                v = next(v for v in corners if v not in rank)
-                raise UnknownVertexError(
-                    f"cube corner {v!r} is not a listed vertex",
-                    vertex=v, cube=corners) from None
-            if len(set(ranked)) != len(ranked):
-                raise SelfGluingError(
-                    "cube has a repeated corner id", cube=corners, dim=k)
-            canon = canonical_cube(ranked)
-            if canon in seen:
-                raise DuplicateCubeError(
-                    "cube listed twice (up to symmetry)", cube=corners, dim=k)
-            seen.add(canon)
+        raw = list(map(tuple, raw_cubes))
+        new = _canonical_set(raw, rank, 1 << k)
+        if new is None or not seen.isdisjoint(new):
+            _scan_listing(raw, k, rank, seen)
+            raise _disagreement("listing")
+        seen |= new
     return _complex_of_ranks(labels, listed)
+
+
+def _canonical_set(raw: list, rank: dict, size: int) -> set | None:
+    """The set of canonical rank tuples of the cubes in ``raw``, or None
+    unless each has ``size`` corners, all of them distinct listed vertices,
+    and no two are one cube. ``canonical_cube`` permutes a tuple's
+    entries, whatever they are, so repeated corners show in its output."""
+    if not set(map(len, raw)) <= {size}:
+        return None
+    get = rank.__getitem__
+    try:
+        ranked = [tuple(map(get, c)) for c in raw]
+    except KeyError:
+        return None
+    canon = list(map(canonical_cube, ranked))
+    distinct = set(canon)
+    if len(distinct) != len(canon) or not set(map(len, map(set, canon))) <= {size}:
+        return None
+    return distinct
+
+
+def _scan_listing(raw: list, k: int, rank: dict, seen: set) -> None:
+    """Raise the first defect of the k-cubes ``raw``, cube by cube in
+    listing order, with ``seen`` the canonical k-cubes listed before
+    them."""
+    for corners in raw:
+        if len(corners) != 1 << k:
+            raise InputFormatError(
+                f"{k}-cube needs {1 << k} corners, got {len(corners)}",
+                cube=corners)
+        try:
+            ranked = tuple(map(rank.__getitem__, corners))
+        except KeyError:
+            v = next(v for v in corners if v not in rank)
+            raise UnknownVertexError(
+                f"cube corner {v!r} is not a listed vertex",
+                vertex=v, cube=corners) from None
+        if len(set(ranked)) != len(ranked):
+            raise SelfGluingError(
+                "cube has a repeated corner id", cube=corners, dim=k)
+        canon = canonical_cube(ranked)
+        if canon in seen:
+            raise DuplicateCubeError(
+                "cube listed twice (up to symmetry)", cube=corners, dim=k)
+        seen.add(canon)
+
+
+def _disagreement(check: str) -> CubicalError:
+    return CubicalError(f"the {check} set pass found a defect that the "
+                        "ordered scan does not name")
 
 
 def _complex_of_ranks(labels: tuple, listed: dict) -> CubeComplex:
@@ -356,37 +401,84 @@ def _complex_of_ranks(labels: tuple, listed: dict) -> CubeComplex:
     each dimension k >= 1 to the set of its canonical rank tuples, distinct
     and each free of repeated corners, and ``labels`` names the ranks.
 
-    One face pass, by dimension and then by canonical cube, checks that the
-    faces are listed and records the cubes that are faces of larger ones;
-    only the faces off the origin need canonicalizing (see
-    ``canonical_cube``). Then the diagonal pass rules out double gluing.
-    Raises MissingFaceError or DoubleGluingError, naming cells by their
-    labels. The nonempty dimensions of ``listed`` become ``by_dim``."""
-    # one fixed walk, by dimension and then by corner ranks, so the cubes
-    # an error names do not depend on set iteration order
-    walk = {k: sorted(listed[k]) for k in sorted(listed)}
-    covered = set()  # cubes that are faces of larger ones
-    for k, cubes in walk.items():
+    Set passes decide. Per dimension, the set of canonical codimension-1
+    faces must lie in the dimension below; only the faces off the origin
+    need canonicalizing (see ``canonical_cube``), and the cubes below that
+    are no such face are maximal. Then one set of diagonals rules out
+    double gluing (see ``_check_double_gluing``). Only a failed pass walks
+    the cubes in order, to name the witness: it raises MissingFaceError or
+    DoubleGluingError, naming cells by their labels. The nonempty
+    dimensions of ``listed`` become ``by_dim``."""
+    maximal = set()
+    for k in sorted(listed):
+        if k + 1 not in listed:  # no larger cube has a k-face
+            maximal |= listed[k]
         if k == 1:
             continue  # an edge's faces are its corners, which are ranks
-        below = listed.get(k - 1, ())
-        pickers = _face_pickers(k)
-        for c in cubes:
-            for eps, pick in pickers:
-                f = pick(c)
-                face = canonical_cube(f) if eps else f
-                if face not in below:
-                    raise MissingFaceError(
-                        "face of a listed cube is not listed",
-                        cube=_named(labels, c), face=_named(labels, f), dim=k - 1)
-                covered.add(face)
+        faces = _face_set(k, listed[k])
+        below = listed.get(k - 1, set())
+        if not faces <= below:
+            _scan_faces(labels, listed)
+            raise _disagreement("face")
+        maximal |= below - faces
+
+    # the diagonal {u, w}, u < w, as the int u * n + w; an edge is its own
+    n = len(labels)
+    diagonals = {u * n + w for u, w in listed.get(1, ())}
+    count = len(diagonals)
+    for k, cubes in listed.items():
+        if k > 1:
+            top = (1 << k) - 1
+            # the origin is a canonical cube's least corner
+            diagonals.update(c[0] * n + c[top] for c in cubes)
+            for p in range(1, 1 << (k - 1)):
+                q = p ^ top
+                diagonals.update(c[p] * n + c[q] if c[p] < c[q] else c[q] * n + c[p]
+                                 for c in cubes)
+            count += len(cubes) << (k - 1)
+    if len(diagonals) != count:
+        _check_double_gluing([c for k in sorted(listed) for c in sorted(listed[k])],
+                             labels)
+        raise _disagreement("diagonal")
+    del diagonals  # before the frozensets below are built
 
     by_dim = {k: frozenset(cs) for k, cs in listed.items() if cs}
     cubes = frozenset().union(*by_dim.values())
-    _check_double_gluing([c for cs in walk.values() for c in cs], labels)
-    x = CubeComplex(labels=labels, cubes=cubes, maximal=cubes - covered)
+    x = CubeComplex(labels=labels, cubes=cubes, maximal=frozenset(maximal))
     x.__dict__["by_dim"] = by_dim  # the cached property, already bucketed
     return x
+
+
+def _face_set(k: int, cubes) -> set:
+    """The canonical codimension-1 faces of the canonical k-cubes, k >= 2.
+    A square (a, b, c, d) has least corner a, so its faces (a, b) and
+    (a, c) are canonical as they stand."""
+    if k == 2:
+        return {f for a, b, c, d in cubes
+                for f in ((a, b), (a, c), (b, d) if b < d else (d, b),
+                          (c, d) if c < d else (d, c))}
+    faces = set()
+    for eps, pick in _face_pickers(k):
+        faces.update(map(canonical_cube, map(pick, cubes)) if eps else map(pick, cubes))
+    return faces
+
+
+def _scan_faces(labels: tuple, listed: dict) -> None:
+    """Raise MissingFaceError for the first unlisted face, walking by
+    dimension, then by canonical cube, then by face in ``_face_pickers``
+    order, so the cubes named do not depend on set iteration order."""
+    for k in sorted(listed):
+        if k == 1:
+            continue
+        below = listed.get(k - 1, ())
+        pickers = _face_pickers(k)
+        for c in sorted(listed[k]):
+            for eps, pick in pickers:
+                f = pick(c)
+                if (canonical_cube(f) if eps else f) not in below:
+                    raise MissingFaceError(
+                        "face of a listed cube is not listed",
+                        cube=_named(labels, c), face=_named(labels, f), dim=k - 1)
 
 
 def _check_double_gluing(walk: list[tuple], labels: tuple) -> None:
@@ -401,9 +493,9 @@ def _check_double_gluing(walk: list[tuple], labels: tuple) -> None:
       so it is also a face of b. The shared corners are closed under these
       spans, hence convex in a, and convex corner sets of a cube are its
       faces: they form the one face that a and b have in common.
-    So one pass over the diagonals, as rank pairs in ``walk`` order,
-    decides; ``cube_a`` is the earlier owner of the first repeated
-    diagonal."""
+    So the diagonal set of ``_complex_of_ranks`` decides, and this scan,
+    over the diagonals as rank pairs in ``walk`` order, names the witness:
+    ``cube_a`` is the earlier owner of the first repeated diagonal."""
     owner: dict = {}
     for c in walk:
         top = len(c) - 1

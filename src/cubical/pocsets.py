@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import CubeComplex, _complex_of_ranks, canonical_cube
+from .complexes import CubeComplex, _complex_of_ranks, _disagreement, canonical_cube
 from .errors import (
     CapExceededError,
     ComparableComplementsError,
@@ -72,7 +72,8 @@ class HalfspaceSystem:
     ``below[p]`` is ``above[p ^ 1]`` with the two bits of every hyperplane
     swapped, since q < p iff p* < q*; ``covers[p]`` holds the positions
     above p with nothing strictly between; ``leq`` is the order as a
-    frozenset of id pairs (a, b) meaning a < b, for I/O."""
+    frozenset of id pairs (a, b) meaning a < b, built only on request:
+    ``lt`` reads one pair off ``above``."""
 
     halfspaces: tuple
     star_pairs: tuple
@@ -148,7 +149,10 @@ class HalfspaceSystem:
                 for i, free in enumerate(self.transversal_masks)}
 
     def lt(self, a, b) -> bool:
-        return (a, b) in self.leq
+        """a < b in the closed order, read off ``above``; False if either
+        id is unknown."""
+        p, q = self.position.get(a), self.position.get(b)
+        return p is not None and q is not None and bool(self.above[p] >> q & 1)
 
 
 def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
@@ -260,14 +264,20 @@ def system_of_sides(ids, sides) -> HalfspaceSystem:
 def _closure(succ: list) -> list:
     """Strict transitive closure of the relation p -> q for q in succ[p],
     on int bitsets. Each position takes its successors and everything above
-    them, in depth-first post-order, so one sweep closes an acyclic
-    relation; sweeps repeat until nothing changes, which closes cycles too."""
+    them, in depth-first post-order. A successor still on the stack when a
+    position is pushed closes a cycle. With none (a loop p -> p at a root
+    is not looked for: it adds nothing to one sweep), the post-order is a
+    reverse topological order and one sweep closes the relation; otherwise
+    sweeps repeat until nothing changes, which closes the cycles too."""
     order = []
     seen = 0
+    on_stack = 0
+    cyclic = False
     for root in range(len(succ)):
         if seen >> root & 1:
             continue
         seen |= 1 << root
+        on_stack |= 1 << root
         stack = [[root, succ[root]]]
         while stack:
             top = stack[-1]
@@ -275,11 +285,14 @@ def _closure(succ: list) -> list:
             if rest:
                 low = rest & -rest
                 seen |= low
+                on_stack |= low
                 top[1] = rest ^ low
                 q = low.bit_length() - 1
+                cyclic = cyclic or bool(succ[q] & on_stack)
                 stack.append([q, succ[q]])
             else:
                 stack.pop()
+                on_stack ^= 1 << top[0]
                 order.append(top[0])
     above = [0] * len(succ)
     changed = True
@@ -291,7 +304,7 @@ def _closure(succ: list) -> list:
                 reach |= above[q]
             if reach != above[p]:
                 above[p] = reach
-                changed = True
+                changed = cyclic  # else one sweep has closed the relation
     return above
 
 
@@ -493,8 +506,10 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     the candidates.)
 
     ``_dual_cubes`` walks the families of each vertex on bitsets, building
-    each cube's corners from its parent family's. Each cube is
-    canonicalized as it is assembled, and its family recorded with it;
+    each cube's corners from its parent family's. The walked cubes are
+    canonicalized a dimension at a time, and each family recorded with its
+    cube; a set of fewer cubes than were walked means one was assembled
+    twice, and only then does a second walk name the first repeat.
     ``_complex_of_ranks`` then checks faces and gluing on the ids 0..n-1,
     which are their own ranks. A cube's corners flip distinct sets
     of hyperplanes, so they are distinct vertices."""
@@ -532,22 +547,36 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
                     gained |= r
             minimal_at.append((minimal ^ low | 1 << q) & ~above[q] | gained)
 
+    walked: dict[int, list] = {}
+    for cube in _dual_cubes(s, order, minimal_at, ids):
+        walked.setdefault(len(cube[0]), []).append(cube)
     listed: dict[int, set] = {}
     families = {}
-    for fam, ranked in _dual_cubes(s, order, minimal_at, ids):
-        cube = canonical_cube(ranked)
-        seen = listed.get(len(fam))
-        if seen is None:
-            seen = listed[len(fam)] = set()
-        elif cube in seen:
-            raise DuplicateCubeError(
-                "cube listed twice (up to symmetry)", cube=ranked, dim=len(fam))
-        seen.add(cube)
-        families[cube] = fam
+    for k, cubes in walked.items():
+        fams, ranked = zip(*cubes)
+        canon = list(map(canonical_cube, ranked))
+        listed[k] = set(canon)
+        if len(listed[k]) != len(canon):
+            _first_duplicate(_dual_cubes(s, order, minimal_at, ids))
+        families.update(zip(canon, fams))
 
     complex_ = _complex_of_ranks(tuple(range(len(order))), listed)
     return DualComplex(system=s, seed=seed, complex=complex_,
                        masks=tuple(order), cube_families=families)
+
+
+def _first_duplicate(walk) -> None:
+    """Raise DuplicateCubeError for the first cube of ``walk``, the (family,
+    corner ids) pairs of ``_dual_cubes``, that an earlier one repeats up
+    to symmetry."""
+    seen = set()
+    for fam, ranked in walk:
+        cube = canonical_cube(ranked)
+        if cube in seen:
+            raise DuplicateCubeError(
+                "cube listed twice (up to symmetry)", cube=ranked, dim=len(fam))
+        seen.add(cube)
+    raise _disagreement("duplicate")
 
 
 def _dual_cubes(s: HalfspaceSystem, order: list, minimal_at: list, ids: dict):

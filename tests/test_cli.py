@@ -284,8 +284,14 @@ def test_tree_complex_n6(capsys):
     # a+ < b+ < c+ < a+ and c+ < d+: the first mutually-below pair in input order
     (("pocset", "validate"), "cyclic_order",
      {"error": "cyclic_order", "pair": ["a+", "b+"]}),
+    # the faces are checked before the gluing, listings before both
+    (("complex", "check"), "missing_face_double_gluing",
+     {"error": "missing_face", "cube": ["E", "F", "H", "G"], "face": ["F", "G"]}),
+    (("complex", "check"), "duplicate_square_missing_edge",
+     {"error": "duplicate_cube", "cube": ["E", "H", "F", "G"], "dim": 2}),
 ], ids=["two_diagonals-witness0", "two_missing_edges-witness1",  # stable test ids
-        "cyclic_order-witness2"])
+        "cyclic_order-witness2", "missing_face_double_gluing-witness3",
+        "duplicate_square_missing_edge-witness4"])
 def test_build_witness_ignores_hash_seed(command, name, witness):
     # several defects in one input: the one named depends on the ids
     # alone, not on the iteration order of string hashes

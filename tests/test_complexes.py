@@ -333,6 +333,14 @@ def listed_complexes(draw):
             cubes.remove(c)
         else:
             cubes.append(c[:-1] + (("ghost", 0),))
+    return _as_listed(draw, rng, vertices, cubes)
+
+
+def _as_listed(draw, rng, vertices, cubes):
+    """(vertices, cubes by dimension) as an input may list them: ids renamed
+    to int, str or mixed ones (``("ghost", 0)``, an unknown corner, to
+    ``"ghost"``), vertices, dimensions and cubes shuffled, and each cube's
+    corners moved by a random symmetry of the cube."""
     name = draw(st.sampled_from(_LABEL_STYLES))
     rename = {v: name(i) for i, v in enumerate(rng.sample(ssorted(vertices), len(vertices)))}
     rename[("ghost", 0)] = "ghost"
@@ -370,6 +378,80 @@ def test_build_complex_matches_label_oracle(case, style, rng):
     for key in ("cubes", "maximal"):
         assert getattr(again, key) == {skey_canonical_cube(tuple(rename[v] for v in c))
                                        for c in getattr(got, key)}
+
+
+_LISTING_DEFECTS = ["drop", "relist", "diagonal", "unknown", "repeat"]
+
+
+@st.composite
+def defective_complexes(draw):
+    """(vertices, cubes by dimension): a valid complex, a random subcomplex
+    of a product of trees closed under faces, with 0-3 defects applied in
+    turn: a cube dropped (a missing face, unless it was maximal), a cube
+    listed again under a random symmetry, a new square with its edges on
+    the diagonal of a cube, a corner replaced by an unknown id, a corner
+    replaced by another of the same cube; listed by ``_as_listed``."""
+    rng = draw(st.randoms(use_true_random=False))
+    shapes = [s for k in (1, 2, 3) for s in itertools.product(range(2, 6), repeat=k)
+              if math.prod(s) <= 12]
+    sizes = draw(st.sampled_from(shapes))
+    x = named(tree_product(*[[(rng.randrange(i), i) for i in range(1, s)] for s in sizes]))
+    tops = [c for c in x.cubes if rng.random() < 0.5]
+    cubes = sorted({face for c in tops for face in all_faces(c).values() if len(face) > 1},
+                   key=lambda c: (len(c), [skey(v) for v in c]))
+    vertices = set(x.vertices)
+    for n, defect in enumerate(draw(st.lists(st.sampled_from(_LISTING_DEFECTS), max_size=3))):
+        if not cubes:
+            break
+        c = rng.choice(cubes)
+        j = rng.randrange(len(c))
+        if defect == "drop":
+            cubes.remove(c)
+        elif defect == "relist":
+            cubes.append(tuple(c[i] for i in rng.choice(symmetry_maps(cube_dim(c)))))
+        elif defect == "diagonal":
+            u, w = c[j], c[j ^ (len(c) - 1)]
+            a, b = ("new", 2 * n), ("new", 2 * n + 1)
+            vertices |= {a, b}
+            cubes += [(u, a), (u, b), (a, w), (b, w), (u, a, b, w)]
+        else:
+            corner = ("ghost", 0) if defect == "unknown" else c[j ^ 1]
+            cubes[cubes.index(c)] = c[:j] + (corner,) + c[j + 1:]
+    return _as_listed(draw, rng, vertices, cubes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(defective_complexes())
+def test_set_passes_name_the_ordered_scan_witness(case):
+    # the builder decides its checks on whole sets and scans only to name a
+    # witness; the label oracle scans every cube in order. Both must raise
+    # the same class with the same certificate, or build the same complex
+    vertices, by_dim = case
+    try:
+        expected = label_build_complex(vertices, by_dim)
+    except CubicalError as exc:
+        with pytest.raises(type(exc)) as info:
+            build_complex(vertices, by_dim)
+        assert info.value.certificate() == exc.certificate()
+        return
+    x = build_complex(vertices, by_dim)
+    assert named(x) == expected
+    assert x.by_dim == {k: frozenset(c for c in x.cubes if cube_dim(c) == k)
+                        for k in {cube_dim(c) for c in x.cubes}}
+
+
+@pytest.mark.parametrize("scan,by_dim", [
+    ("_scan_listing", {1: [("a", "b"), ("b", "a")]}),
+    ("_scan_faces", {1: [("a", "b")], 2: [("a", "b", "c", "d")]}),
+    ("_check_double_gluing", {1: [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"),
+                                  ("a", "d")], 2: [("a", "b", "c", "d")]}),
+])
+def test_a_set_pass_defect_the_scan_misses_is_an_internal_error(monkeypatch, scan, by_dim):
+    monkeypatch.setattr(complexes, scan, lambda *args: None)
+    with pytest.raises(CubicalError) as info:
+        build_complex("abcd", by_dim)
+    assert type(info.value) is CubicalError
+    assert "ordered scan does not name" in str(info.value)
 
 
 def test_build_errors_match_label_oracle():

@@ -22,7 +22,7 @@ from helpers import (
     scan_maximal_cubes,
     tree_product,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubical import (
@@ -54,7 +54,13 @@ from cubical.errors import (
     SelfPairedError,
 )
 from cubical.graphs import cliques
-from cubical.pocsets import DualComplex, _bits, _chosen, _dual_cubes, system_of_sides
+from cubical.pocsets import (
+    DualComplex,
+    _bits,
+    _chosen,
+    _dual_cubes,
+    system_of_sides,
+)
 from cubical.util import skey
 
 
@@ -231,8 +237,20 @@ def _mutually_below(ids, star_pairs, leq):
     return {(a, b) for a, b in below if a != b and (b, a) in below}
 
 
+_PAIRS4 = (["a+", "a-", "b+", "b-", "c+", "c-", "d+", "d-"],
+           [("a+", "a-"), ("b+", "b-"), ("c+", "c-"), ("d+", "d-")])
+
+
 @settings(max_examples=400, deadline=None)
 @given(generator_sets())
+# cycles, and an acyclic order whose paths one post-order sweep must close;
+# in the third, positions 0-7 in id order, no root before b- (3) reaches
+# the cycle c+ < d+ < c+ (4, 6), so the search enters it from root 3
+@example((*_PAIRS4, [("a+", "b+"), ("b+", "a+")]))
+@example((*_PAIRS4, [("b+", "c+"), ("c+", "d+"), ("d+", "b+")]))
+@example((*_PAIRS4, [("b-", "c+"), ("c+", "d+"), ("d+", "c+")]))
+@example((*_PAIRS4, [("a+", "d-"), ("b+", "c+"), ("c+", "d+"), ("d+", "b+")]))
+@example((*_PAIRS4, [("d+", "c+"), ("c+", "b+"), ("b+", "a+"), ("a-", "d+")]))
 def test_build_system_matches_fixpoint_closure(system):
     try:
         expected = fixpoint_build_system(*system)
@@ -629,20 +647,39 @@ def test_covers_and_dual_match_oracles_on_deep_systems():
         assert dual_complex(s, seed) == all_corners_dual_complex(s, seed)
 
 
+def _relisted(cubes):
+    # each cube again, reflected along its first axis: corner j goes to j ^ 1
+    for fam, ranked in cubes:
+        yield fam, ranked
+        yield fam, tuple(ranked[j ^ 1] for j in range(len(ranked)))
+
+
 @pytest.mark.parametrize("error,mangle", [
     (DuplicateCubeError, lambda cubes: (c for cube in cubes for c in (cube, cube))),
+    (DuplicateCubeError, _relisted),
     (MissingFaceError, lambda cubes: (c for c in cubes if len(c[0]) != 1)),
 ])
 def test_dual_cubes_pass_the_builder_checks(monkeypatch, error, mangle):
-    # each cube assembled twice, or the edges left out, on a 3-cube
+    # each cube assembled twice, as it stands or under a symmetry, or the
+    # edges left out, on a 3-cube; a duplicate is named at its first repeat
+    # in walk order
     import cubical.pocsets
 
     original = cubical.pocsets._dual_cubes
-    monkeypatch.setattr(cubical.pocsets, "_dual_cubes",
-                        lambda *args: mangle(original(*args)))
+    walked = []  # the mangled walk, as the dual reads it
+
+    def mangled(*args):
+        for cube in mangle(original(*args)):
+            walked.append(cube)
+            yield cube
+
+    monkeypatch.setattr(cubical.pocsets, "_dual_cubes", mangled)
     s = pairs_system(3)
-    with pytest.raises(error):
+    with pytest.raises(error) as info:
         dual_complex(s, seed_vertex(s))
+    if error is DuplicateCubeError:
+        fam, ranked = walked[1]  # the first cube again
+        assert info.value.details == {"cube": ranked, "dim": len(fam)}
 
 
 def test_seed_vertex_matches_twosat_on_truncations():
@@ -650,6 +687,19 @@ def test_seed_vertex_matches_twosat_on_truncations():
     for s in _cubulated_systems():
         clauses = sorted(s.leq, key=lambda r: (skey(r[0]), skey(r[1])))
         assert seed_vertex(s) == pair_seed_vertex(PairSystem.of(s), clauses)
+
+
+def test_lt_reads_above_without_building_leq():
+    from helpers import cat0_corpus
+
+    systems = [pairs_system(3), chain_system(5), *_cubulated_systems()]
+    systems += [halfspace_system_of(x).system for _, x in cat0_corpus()]
+    for s in systems:
+        labels = s.labels
+        got = {(a, b) for a in labels for b in labels if s.lt(a, b)}
+        assert not s.lt(labels[0], "ghost") and not s.lt("ghost", labels[0])
+        assert "leq" not in s.__dict__
+        assert got == s.leq
 
 
 def test_maximal_cubes_match_face_scan_on_corpus():
