@@ -34,20 +34,17 @@ certificates. The link test makes one pass per vertex over its
 incidences, on int bitmasks over the vertex's neighbours: each incidence
 gives a simplex, each square a link edge, and the cliques of those edges
 are taken level by level, so the least empty simplex comes first. The
-median test is Roller duality: the square classes must cut the 1-skeleton
-like the halfspaces of a pocset whose consistent orientations are exactly
-the vertices, so that the 1-skeleton is the pocset's dual, a median graph
-(Roller 1998). One union-find finds the classes and one breadth-first
-pass labels each vertex with one bit per class; each edge must flip its
-own class's bit alone, the labels must be distinct, and each vertex's
-edges must cross exactly its minimal halfspaces, which the search tree
-carries from parent to child by the dual's flip step. Consistent labels
-make each side of a class a union of components of the 1-skeleton less
-that class, and the other two conditions make it one, so no class needs
-a component search. Halfspaces are int bitsets, with no distance matrix
-and no cap; only a failure scans geodesic intervals, to name the least
-bad triple. On success the complex keeps those halfspaces, and
-``halfspace_system_of`` builds the pocset from them.
+median test is Sageev-Roller duality: the 1-skeleton is median iff it is
+the dual of the pocset of its square classes' sides (Roller 1998). One
+union-find finds the classes and one breadth-first pass labels each
+vertex with its crossing row, one bit per class; each edge must flip its
+own class's bit alone, and the rows must be distinct. ``pocsets`` then
+orders the sides from the rows and walks their dual from rank 0's
+orientation, with the flip walk of ``dual_complex``, and the dual must
+have x's vertices and edges. Halfspaces are int bitsets, with no
+distance matrix and no size limit; only a failure scans geodesic
+intervals, to name the least bad triple. On success the complex keeps those
+halfspaces, and ``halfspace_system_of`` builds the pocset from them.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs; concurrent reads are safe.
@@ -76,7 +73,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .graphs import components
-from .util import check_ids, parse_int, parse_list, ssorted
+from .util import check_ids, parse_int, parse_list, ssorted, string_forms
 
 DEFAULT_MEDIAN_CAP = 600
 
@@ -513,7 +510,9 @@ def load_complex(data: dict) -> CubeComplex:
     """Ingest the JSON form {"vertices": [...], "cubes": {"1": [[..]..], ...}}.
 
     Witnesses and certificates name a vertex by ``str(v)``, so two
-    distinct ids with one string form (1 and "1") are an input error."""
+    distinct ids with one string form (1 and "1") are an input error, and
+    so are two keys naming one dimension ("1" and "01"), as the later
+    listing would replace the earlier."""
     if not isinstance(data, dict) or "vertices" not in data:
         raise InputFormatError("complex JSON needs 'vertices' and 'cubes'")
     vertices = parse_list(data["vertices"], "'vertices'")
@@ -521,17 +520,17 @@ def load_complex(data: dict) -> CubeComplex:
     if not isinstance(raw, dict):
         raise InputFormatError(f"'cubes' must map dimensions to cube lists, got {raw!r}")
     cubes = {}
+    key_of = {}  # dimension -> the key that names it
     for k, cs in raw.items():
-        cubes[parse_int(k, "cube dimension")] = [
-            tuple(parse_list(c, "a cube")) for c in parse_list(cs, f"cubes[{k!r}]")]
+        d = parse_int(k, "cube dimension")
+        if key_of.setdefault(d, k) != k:
+            raise InputFormatError(
+                f"cube keys {key_of[d]!r} and {k!r} both name dimension {d}",
+                keys=[key_of[d], k])
+        cubes[d] = [tuple(parse_list(c, "a cube")) for c in parse_list(cs, f"cubes[{k!r}]")]
     check_ids(vertices, "vertex ids")
     check_ids((v for cs in cubes.values() for c in cs for v in c), "cube corners")
-    printed: dict = {}
-    for v in vertices:
-        u = printed.setdefault(str(v), v)
-        if u is not v and u != v:
-            raise InputFormatError(
-                f"vertex ids {u!r} and {v!r} have the same string form", ids=[u, v])
+    string_forms(vertices, "vertex ids")
     return build_complex(vertices, cubes)
 
 
@@ -755,111 +754,63 @@ def _median_violation(x: CubeComplex, cap: int):
 def _roller_halfspaces(x: CubeComplex) -> list[int] | None:
     """The halfspaces of x as vertex bitsets if the 1-skeleton of x,
     connected with every 4-cycle bounding a listed square, is median, and
-    None if not. It is median iff its square classes cut it like the
-    halfspaces of a pocset whose dual it is (Roller 1998, Chepoi 2000).
+    None if not. It is median iff it is the dual of the pocset of its
+    square classes' sides (Roller 1998, Chepoi 2000).
 
-    One breadth-first pass from rank 0 labels each vertex with the
-    positions it chooses: 2i + 1 for each class i that its search tree
-    path from rank 0 crosses an odd number of times, 2i for the others.
-    Then x is median iff
-    (a) every edge of class i changes the choice of class i and no other;
-    (b) the labels are pairwise distinct;
-    (c) at every vertex v, the classes of v's edges are exactly those
-        whose side holding v is inclusion-minimal among v's.
-    By (a) the sides of class i, the vertices choosing 2i and those
-    choosing 2i + 1, are unions of components of the 1-skeleton less
-    class i, and no two sides are equal: an edge of class i separates the
-    sides of class i and of no other class. Each label is a consistent
-    orientation of the sides under inclusion, and the consistent flips of
-    one are those of its minimal choices: by (a), (b) and (c) these are
-    the labels of the vertex's neighbours, so the labels fill the
-    connected dual, a median graph whose class-i edges are those flipping
-    class i. Deleting them leaves its two convex halfspaces, so each side
-    is connected with no component search. A median graph passes all
-    three: its square classes are its convex splits, and v borders
-    exactly its minimal halfspaces. Neither (a) nor (b) follows from the
-    other two conditions: the tests hold a complex that fails each alone.
-
-    (c) walks the chosen positions of rank 0 alone. A vertex w first
-    reached from v across class i gets its minimal positions from v's by
-    ``pocsets.dual_complex``'s flip step, which (c) at v makes valid: it
-    puts v's side of class i among v's minimal ones.
+    One breadth-first pass from rank 0 labels each vertex with its
+    crossing row: bit i for each class i that its search tree path from
+    rank 0 crosses an odd number of times. Then x is median iff
+    (a) every edge of class i changes bit i of the row and no other;
+    (b) the rows are pairwise distinct;
+    (c) the dual of the sides has x's vertices and edges.
+    By (a) an edge of class i has its ends on the two sides of class i and
+    on one side of every other class, so no two sides are equal, and by
+    the flip lemma the edge is an edge of the dual: each row is a
+    consistent orientation of the sides under inclusion. With (b) the
+    dual's component thus holds all n rows. It is exactly them iff it has
+    n vertices, and its edges are then x's iff there are as many. A median
+    graph passes all three, as its square classes are its convex splits.
+    ``pocsets._system_of_crossings`` orders the sides from the rows, and
+    ``pocsets._flip_walk`` walks the dual from rank 0's orientation (every
+    "+" side), giving up past n vertices, as the dual can be exponentially
+    larger. Its vertices' minimal sides count its edges twice.
 
     Halfspaces 2i and 2i + 1 of the result are the smaller and the larger
     side of class i, the one holding rank 0 first on a tie, as
     ``halfspaces_of`` orders them by (size, least vertex); so halfspace
     p ^ 1 is the complement of halfspace p, as in ``pocsets``."""
+    from .pocsets import _columns, _evens, _flip_walk, _system_of_crossings
+
     n = len(x.labels)
     if not n:
         return []
     classes = _square_classes(x)
-    evens = ((1 << 2 * len(classes)) - 1) // 3  # position 2i of every class i
-    nbrs = [[] for _ in range(n)]  # vertex -> (neighbour, its class's flip)
-    borders = [0] * n  # vertex -> bit 2i for each class i of its edges
+    nbrs = [[] for _ in range(n)]  # vertex -> (neighbour, its class's bit)
     for i, edges in enumerate(classes):
-        flip = 3 << 2 * i
         for a, b in edges:
-            nbrs[a].append((b, flip))
-            nbrs[b].append((a, flip))
-            borders[a] |= 1 << 2 * i
-            borders[b] |= 1 << 2 * i
-    label = [-1] * n
-    label[0] = evens
+            nbrs[a].append((b, 1 << i))
+            nbrs[b].append((a, 1 << i))
+    row = [-1] * n
+    row[0] = 0
     order = [0]
-    parent = [0] * n  # vertex -> (its BFS parent, the flip between them)
     for v in order:  # order grows while it is read: a breadth-first queue
-        for w, flip in nbrs[v]:
-            if label[w] < 0:
-                label[w] = label[v] ^ flip
-                parent[w] = v, flip
+        for w, bit in nbrs[v]:
+            if row[w] < 0:
+                row[w] = row[v] ^ bit
                 order.append(w)
-            elif label[w] ^ label[v] != flip:  # (a)
+            elif row[w] ^ row[v] != bit:  # (a)
                 return None
-    if len(order) < n or len(set(label)) < n:  # connected, (b)
+    if len(order) < n or len(set(row)) < n:  # connected, (b)
+        return None
+    walk = _flip_walk(_system_of_crossings(row, len(classes)),
+                      _evens(2 * len(classes)), n)
+    if walk is None or sum(map(int.bit_count, walk[2])) != 2 * len(x.edges):  # (c)
         return None
 
-    # class i -> the vertices choosing 2i + 1, as the bytes of a bitset
-    far = [bytearray((n + 7) >> 3) for _ in classes]
-    for v, mask in enumerate(label):
-        mask &= ~evens
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            far[(low.bit_length() - 1) >> 1][v >> 3] |= 1 << (v & 7)
-    sides = []  # position -> vertex bitset, on the label positions
-    halfspaces = []  # the result, each class's smaller side first
+    halfspaces = []  # each class's smaller side first
     full = (1 << n) - 1
-    for buf in far:
-        away = int.from_bytes(buf, "little")
-        sides += [full ^ away, away]
+    for away in _columns(row, len(classes)):  # class i -> its far side
         halfspaces += [away, full ^ away] if 2 * away.bit_count() < n else [full ^ away, away]
-
-    # q lies below p iff side q misses side p ^ 1, the complement of p;
-    # r lies above q iff r ^ 1 lies below q ^ 1
-    below = [sum(1 << q for q, side in enumerate(sides) if q != p and not side & sides[p ^ 1])
-             for p in range(len(sides))]
-    above = [((m & evens) << 1) | ((m >> 1) & evens) for m in below]
-    above = [above[q ^ 1] for q in range(len(sides))]
-    minimal = [0] * n  # vertex -> its minimal positions
-    for w in order:  # (c)
-        chosen = label[w]
-        if w:
-            v, flip = parent[w]
-            low = label[v] & flip  # the position p that v chose, now q = p ^ 1
-            p = low.bit_length() - 1
-            gained = 0
-            new = above[p] & chosen
-            while new:
-                r = new & -new
-                new ^= r
-                if not below[r.bit_length() - 1] & chosen:
-                    gained |= r
-            mins = (minimal[v] ^ low | flip ^ low) & ~above[p ^ 1] | gained
-        else:
-            mins = sum(1 << p for p in _positions(chosen) if not below[p] & chosen)
-        if (mins | mins >> 1) & evens != borders[w]:
-            return None
-        minimal[w] = mins
     return halfspaces
 
 

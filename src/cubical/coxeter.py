@@ -30,7 +30,6 @@ from .errors import (
     CubicalError,
     EntryBelowTwoError,
     InputFormatError,
-    NestingViolationError,
     NotAdjacentError,
     NotSymmetricError,
 )
@@ -40,8 +39,9 @@ from .pocsets import (
     HalfspaceSystem,
     Orientation,
     _bits,
+    _hid,
     _orientation,
-    _validated,
+    _system_of_crossings,
     dual_complex,
     is_vertex,
 )
@@ -525,10 +525,6 @@ def _crossed_walls(sys_: CoxeterSystem, g: Word) -> frozenset:
     return frozenset(wall_crossings_on_path(sys_, (), reduce_word(sys_, g)))
 
 
-def _hid(i: int, sign: str) -> str:
-    return f"w{i:03d}{sign}"
-
-
 def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     """Truncated roots of every wall whose defining edges lie within radius
     R - margin, ordered by inclusion of the truncated sets.
@@ -540,9 +536,9 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     The roots are read off the rows of the wall table of ``walls(ball)``:
     g[:-1] is a normal form and (g[:-1], g) a ball edge, so ``crossed[g]``,
     the selected walls between g and the identity, is ``crossed[g[:-1]]``
-    plus the wall of that edge. ``_system_of_crossings`` orders the sides
-    from these rows alone: per wall i, the AND and the OR of the rows on
-    its "-" side say which sides contain it. Inclusion of sets is already
+    plus the wall of that edge. ``pocsets._system_of_crossings`` orders
+    the sides from these rows alone: per wall i, the AND and the OR of the
+    rows on its "-" side say which sides contain it. Inclusion of sets is
     transitive and reversed by complements, so no closure is needed.
 
     Validation errors propagate and signal that the margin is too small.
@@ -562,79 +558,6 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
         walls=tuple(selected), defining_edges=tuple(w.edges[0] for w in selected),
         wall_ids=tuple((_hid(i, "+"), _hid(i, "-")) for i in range(len(selected))),
         crossed=rows)
-
-
-def _spread(x: int) -> int:
-    """x with its bit k moved to bit 2k."""
-    return int("0".join(bin(x)[2:]), 2)
-
-
-def _system_of_crossings(crossed, count: int) -> HalfspaceSystem:
-    """The sides of ``count`` walls ordered by inclusion, with complements
-    as the involution, given per point k the bitset ``crossed[k]`` of the
-    walls whose "-" side holds it. Point 0 lies on every "+" side. Wall i
-    has the ids ``_hid(i, "+")`` and ``_hid(i, "-")``.
-
-    Let AND[i] and OR[i] be the AND and the OR of the rows with bit i set,
-    those of the points of wall i's "-" side (AND[i] is every wall when
-    that side is empty). Then for j != i:
-    - i- < j- iff bit j of AND[i] is set
-    - i- < j+ iff bit j of OR[i] is clear
-    - i+ < j+ iff j- < i-, so the "+" rows are the columns of AND
-    - i+ < j- never holds, as point 0 lies in i+ and not in j-
-    Inclusion of sets is transitive and complements reverse it, so the
-    rows need no closure; ``_validated`` still checks them for cycles,
-    nesting and comparable complements. A W-bit row goes to the even
-    positions 2j ("+") or the odd ones 2j + 1 ("-") of the system by
-    ``_spread``.
-
-    Walls i and j have identical sides iff AND[i] == AND[j]: AND[i] holds
-    bit i, so equal rows make each side lie in the other. That raises
-    NestingViolationError, naming the first such j and its least i. No
-    Cayley ball reaches it: the two ends of an edge of wall i differ in
-    bit i only, so one of them lies on wall i's "-" side and the other
-    does not, while they lie on the same side of every other wall."""
-    full = (1 << count) - 1
-    ids = [_hid(i, sign) for i in range(count) for sign in "+-"]
-    # the layout of build_system: the ids are strings, so their sort key is
-    # their own order, and "+" sorts before "-"; past w999 it is not wall order
-    pairs = sorted(zip(ids[::2], ids[1::2]))
-    rank = [0] * count  # wall -> hyperplane
-    for h, (plus, _) in enumerate(pairs):
-        rank[int(plus[1:-1])] = h
-    permuted = rank != list(range(count))
-    meet = [full] * count  # per hyperplane, on hyperplane bits
-    join = [0] * count
-    for c in crossed:
-        if permuted:
-            c = sum(1 << rank[i] for i in _bits(c))
-        rest = c
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            h = low.bit_length() - 1
-            meet[h] &= c
-            join[h] |= c
-
-    first: dict[int, int] = {}
-    for j, h in enumerate(rank):
-        i = first.setdefault(meet[h], j)
-        if i != j:
-            a, b = ids[2 * i], ids[2 * j]
-            raise NestingViolationError(
-                f"walls {a} and {b} have identical truncated sides; "
-                "increase the radius or margin", pair=(a, b))
-
-    # column h of AND, high rows first, is the "+" row of h spread out
-    width = f"0{count}b"
-    columns = zip(*[format(m, width) for m in reversed(meet)])
-    plus = [int("0".join(col), 2) for col in columns][::-1]
-    above = []
-    for h in range(count):
-        above.append(plus[h] & ~(1 << 2 * h))
-        above.append(_spread(meet[h] & ~(1 << h)) << 1 | _spread(full & ~join[h]))
-    return _validated(HalfspaceSystem(
-        halfspaces=tuple(sorted(ids)), star_pairs=tuple(pairs), above=tuple(above)), ids)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,14 @@ vertex span an n-cube, and the edges are the 1-cubes: single flips.
 
 ``build_system`` takes the order as the transitive closure of the
 generators and their star images; being star-closed, it is order-reversed
-by the involution. Systems of sets ordered by inclusion (``system_of_sides``
-and the Coxeter truncations) are transitive as they stand and need no
-closure. ``_validated`` checks every order, however it was made.
+by the involution. Systems of sets ordered by inclusion are transitive as
+they stand and need no closure: ``system_of_sides`` orders sets given as
+bitsets, and ``_system_of_crossings`` orders them from per-point rows of
+crossed walls, for the Coxeter truncations and for the Roller test of
+``complexes``. ``_validated`` checks every order, however it was made.
+``_flip_walk`` is the one search over minimal flips: ``dual_complex``
+assembles its cubes on the walk, and the Roller test compares the walk
+with a 1-skeleton.
 
 Halfspaces are interned at build time: hyperplane i is the i-th star pair
 in id order, and its halfspaces sit at positions 2i and 2i + 1, so the
@@ -261,6 +266,88 @@ def system_of_sides(ids, sides) -> HalfspaceSystem:
         halfspaces=tuple(ssorted(ids)), star_pairs=tuple(pairs), above=tuple(above)), ids)
 
 
+def _hid(i: int, sign: str) -> str:
+    return f"w{i:03d}{sign}"
+
+
+def _spread(x: int) -> int:
+    """x with its bit k moved to bit 2k."""
+    return int("0".join(bin(x)[2:]), 2)
+
+
+def _columns(rows, count: int, gap: str = "") -> list[int]:
+    """The ``count`` columns of the bit matrix ``rows``: bit k of column h
+    is bit h of ``rows[k]``, read off the rows' binary digits. With
+    ``gap="0"`` it is bit 2k, as ``_spread`` would place it."""
+    top = 1 << count  # a leading 1 keeps each row's leading zeros
+    digits = zip(*[bin(m | top)[3:] for m in reversed(rows)])
+    return [int(gap.join(col), 2) for col in digits][::-1]
+
+
+def _system_of_crossings(crossed, count: int) -> HalfspaceSystem:
+    """The sides of ``count`` walls ordered by inclusion, with complements
+    as the involution, given per point k the bitset ``crossed[k]`` of the
+    walls whose "-" side holds it. Point 0 lies on every "+" side. Wall i
+    has the ids ``_hid(i, "+")`` and ``_hid(i, "-")``.
+
+    Let AND[i] and OR[i] be the AND and the OR of the rows with bit i set,
+    those of the points of wall i's "-" side (AND[i] is every wall when
+    that side is empty). Then for j != i:
+    - i- < j- iff bit j of AND[i] is set
+    - i- < j+ iff bit j of OR[i] is clear
+    - i+ < j+ iff j- < i-, so the "+" rows are the columns of AND
+    - i+ < j- never holds, as point 0 lies in i+ and not in j-
+    Inclusion of sets is transitive and complements reverse it, so the
+    rows need no closure; ``_validated`` still checks them for cycles,
+    nesting and comparable complements. A W-bit row goes to the even
+    positions 2j ("+") or the odd ones 2j + 1 ("-") of the system by
+    ``_spread``.
+
+    Walls i and j have identical sides iff AND[i] == AND[j]: AND[i] holds
+    bit i, so equal rows make each side lie in the other. That raises
+    NestingViolationError, naming the first such j and its least i. Two
+    points per wall i that differ in bit i alone, such as the ends of an
+    edge of wall i in a Cayley ball or a 1-skeleton, rule it out."""
+    full = (1 << count) - 1
+    ids = [_hid(i, sign) for i in range(count) for sign in "+-"]
+    # the layout of build_system: the ids are strings, so their sort key is
+    # their own order, and "+" sorts before "-"; past w999 it is not wall order
+    pairs = sorted(zip(ids[::2], ids[1::2]))
+    rank = [0] * count  # wall -> hyperplane
+    for h, (plus, _) in enumerate(pairs):
+        rank[int(plus[1:-1])] = h
+    permuted = rank != list(range(count))
+    meet = [full] * count  # per hyperplane, on hyperplane bits
+    join = [0] * count
+    for c in crossed:
+        if permuted:
+            c = sum(1 << rank[i] for i in _bits(c))
+        rest = c
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            h = low.bit_length() - 1
+            meet[h] &= c
+            join[h] |= c
+
+    first: dict[int, int] = {}
+    for j, h in enumerate(rank):
+        i = first.setdefault(meet[h], j)
+        if i != j:
+            a, b = ids[2 * i], ids[2 * j]
+            raise NestingViolationError(
+                f"walls {a} and {b} have identical truncated sides; "
+                "increase the radius or margin", pair=(a, b))
+
+    plus = _columns(meet, count, "0")  # column h of AND, spread
+    above = []
+    for h in range(count):
+        above.append(plus[h] & ~(1 << 2 * h))
+        above.append(_spread(meet[h] & ~(1 << h)) << 1 | _spread(full & ~join[h]))
+    return _validated(HalfspaceSystem(
+        halfspaces=tuple(sorted(ids)), star_pairs=tuple(pairs), above=tuple(above)), ids)
+
+
 def _closure(succ: list) -> list:
     """Strict transitive closure of the relation p -> q for q in succ[p],
     on int bitsets. Each position takes its successors and everything above
@@ -489,22 +576,9 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     assembled once: at that corner, from the minimal hyperplanes whose
     first halfspace it chooses.
 
-    Vertices are bitsets of chosen positions: flipping hyperplane i is
-    ``v ^ (3 << 2i)``, and the result keeps them as its ``masks``. More
-    than ``cap`` vertices, the seed included, raise ``CapExceededError``.
-
-    Each vertex's minimal positions M are found once. The seed's come from
-    ``_minimal_unchecked``; a vertex w first reached from v by flipping the
-    minimal position p to q = p* has
-        M_w = ((M_v - {p}) | {q}) - above[q]
-              | {r in covers[p] & w : no position of w lies below r}.
-    q is minimal at w, or some chosen s < p* would make v inconsistent. q
-    is the only new choice, so an old minimal r is lost exactly when
-    q < r. And r becomes minimal only if p was the one chosen position
-    below it at v; any s with p < s < r is chosen at v by consistency, so
-    r covers p. (The test on below[r] alone decides; covers[p] only narrows
-    the candidates.)
-
+    ``_flip_walk`` finds the vertices, bitsets of chosen positions that the
+    result keeps as its ``masks``, and their minimal positions. More than
+    ``cap`` vertices, the seed included, raise ``CapExceededError``.
     ``_dual_cubes`` walks the families of each vertex on bitsets, building
     each cube's corners from its parent family's. The walked cubes are
     canonicalized a dimension at a time, and each family recorded with its
@@ -516,36 +590,10 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     res = is_vertex(s, seed)
     if not res.ok:
         raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
-    if cap < 1:
+    walk = _flip_walk(s, _chosen(s, seed), cap)
+    if walk is None:
         raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
-    above, below, covers = s.above, s.below, s.covers
-    start = _chosen(s, seed)
-    order = [start]
-    ids = {start: 0}
-    # per vertex id: the bitset of its minimal positions
-    minimal_at = [sum(start & 3 << 2 * i for i in _minimal_unchecked(s, start))]
-    for n, v in enumerate(order):  # order grows while it is read: a breadth-first queue
-        minimal = rest = minimal_at[n]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            p = low.bit_length() - 1
-            w = v ^ (3 << (p & ~1))
-            if w in ids:
-                continue
-            if len(order) >= cap:
-                raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
-            ids[w] = len(order)
-            order.append(w)
-            q = p ^ 1
-            gained = 0
-            new = covers[p] & w
-            while new:
-                r = new & -new
-                new ^= r
-                if not below[r.bit_length() - 1] & w:
-                    gained |= r
-            minimal_at.append((minimal ^ low | 1 << q) & ~above[q] | gained)
+    order, ids, minimal_at = walk
 
     walked: dict[int, list] = {}
     for cube in _dual_cubes(s, order, minimal_at, ids):
@@ -563,6 +611,57 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     complex_ = _complex_of_ranks(tuple(range(len(order))), listed)
     return DualComplex(system=s, seed=seed, complex=complex_,
                        masks=tuple(order), cube_families=families)
+
+
+def _flip_walk(s: HalfspaceSystem, start: int, cap: int):
+    """Breadth-first search over minimal flips from the consistent
+    orientation ``start``, a bitset of chosen positions: the vertices of
+    its component of the dual in the order found, the id of each, and
+    each one's bitset of minimal positions, as (order, ids, minimal_at);
+    None once the walk finds more than ``cap`` vertices, ``start``
+    included. Flipping hyperplane i is ``v ^ (3 << 2i)``.
+
+    Each vertex's minimal positions M are found once. The start's come
+    from ``_minimal_unchecked``; a vertex w first reached from v by
+    flipping the minimal position p to q = p* has
+        M_w = ((M_v - {p}) | {q}) - above[q]
+              | {r in covers[p] & w : no position of w lies below r}.
+    q is minimal at w, or some chosen s < p* would make v inconsistent. q
+    is the only new choice, so an old minimal r is lost exactly when
+    q < r. And r becomes minimal only if p was the one chosen position
+    below it at v; any s with p < s < r is chosen at v by consistency, so
+    r covers p. (The test on below[r] alone decides; covers[p] only narrows
+    the candidates.)"""
+    if cap < 1:
+        return None
+    above, below, covers = s.above, s.below, s.covers
+    order = [start]
+    ids = {start: 0}
+    # per vertex id: the bitset of its minimal positions
+    minimal_at = [sum(start & 3 << 2 * i for i in _minimal_unchecked(s, start))]
+    for n, v in enumerate(order):  # order grows while it is read: a breadth-first queue
+        minimal = rest = minimal_at[n]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            w = v ^ (3 << (p & ~1))
+            if w in ids:
+                continue
+            if len(order) >= cap:
+                return None
+            ids[w] = len(order)
+            order.append(w)
+            q = p ^ 1
+            gained = 0
+            new = covers[p] & w
+            while new:
+                r = new & -new
+                new ^= r
+                if not below[r.bit_length() - 1] & w:
+                    gained |= r
+            minimal_at.append((minimal ^ low | 1 << q) & ~above[q] | gained)
+    return order, ids, minimal_at
 
 
 def _first_duplicate(walk) -> None:

@@ -32,7 +32,7 @@ from .errors import (
     UnlabeledLeafError,
 )
 from .graphs import cliques, girth, is_regular
-from .util import check_ids, parse_float, parse_int, parse_list
+from .util import check_ids, parse_float, parse_int, parse_list, string_forms
 
 DEFAULT_TOPOLOGY_CAP = 200_000
 MAX_COMPLEX_N = 6  # cell counts of treespace_complex explode past it
@@ -143,7 +143,11 @@ def compatible(a: frozenset, b: frozenset) -> bool:
 
 def validate_tree(data: dict) -> PhyloTree:
     """Ingest {"n":, "root":, "nodes": [...], "edges": [[parent, child,
-    length]...], "leaf_labels": {node: label}} and canonicalize."""
+    length]...], "leaf_labels": {node: label}} and canonicalize.
+
+    JSON object keys are strings, so a ``leaf_labels`` key names the node
+    whose ``str`` it is, and two nodes with one string form (1 and "1")
+    are an input error."""
     if not isinstance(data, dict) or "n" not in data or "root" not in data:
         raise InputFormatError("tree JSON needs n, root, nodes, edges, leaf_labels")
     n = parse_int(data["n"], "n")
@@ -157,10 +161,12 @@ def validate_tree(data: dict) -> PhyloTree:
         raise InputFormatError("duplicate node id")
     if root not in node_set:
         raise InputFormatError("root is not a listed node")
+    node_of = string_forms(nodes, "node ids")
     labels = data.get("leaf_labels", {})
     if not isinstance(labels, dict):
         raise InputFormatError(f"'leaf_labels' must map nodes to labels, got {labels!r}")
-    raw_labels = {k: parse_int(v, "a leaf label") for k, v in labels.items()}
+    raw_labels = {node_of.get(str(k), k): parse_int(v, "a leaf label")
+                  for k, v in labels.items()}
 
     parent: dict = {}
     children: dict = {v: [] for v in nodes}

@@ -45,6 +45,19 @@ def check_ids(ids, what: str) -> None:
                 f"{what} must be finite numbers or strings, got {v!r}")
 
 
+def string_forms(ids, what: str) -> dict:
+    """``str(v) -> v`` over ``ids``. Certificates and JSON object keys name
+    an id by its string form, so two distinct ids with one form (1 and
+    "1") are an input error."""
+    out: dict = {}
+    for v in ids:
+        u = out.setdefault(str(v), v)
+        if u is not v and u != v:
+            raise InputFormatError(
+                f"{what} {u!r} and {v!r} have the same string form", ids=[u, v])
+    return out
+
+
 def parse_int(x, what: str) -> int:
     """An int, or a string or float naming one exactly: ``int`` would
     truncate 4.7 to 4."""

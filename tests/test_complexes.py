@@ -52,7 +52,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubical import complexes
+from cubical import complexes, pocsets
 from cubical import (
     build_complex,
     halfspace_system_of,
@@ -762,6 +762,22 @@ def products_less_a_cube(draw):
     return build_complex(sorted(x.vertices), cubes)
 
 
+@st.composite
+def products_less_an_edge(draw):
+    """A product of 2 or 3 random trees with one random edge deleted,
+    together with every cube on it. It stays connected, and every 4-cycle
+    left bounds a listed square."""
+    rng = draw(st.randoms(use_true_random=False))
+    factors = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(2, 5), min_size=factors, max_size=factors))
+    x = named(tree_product(*[[(rng.randrange(i), i) for i in range(1, s)]
+                             for s in sizes]))
+    gone = set(rng.choice(sorted(c for c in x.cubes if len(c) == 2)))
+    return build_complex(sorted(x.vertices), {
+        k: sorted(c for c in x.cubes if len(c) == 1 << k and not gone <= set(c))
+        for k in range(1, factors + 1)})
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(median_test_complexes(),
                  products_less_a_cube(),
@@ -811,6 +827,28 @@ def _cut_cube() -> CubeComplex:
             if (1, 1, 1) not in c] for k in (1, 2)})
 
 
+def _cube_less_an_edge() -> CubeComplex:
+    """The solid 3-cube less the edge 6-7, its two squares and the cube,
+    corners numbered by their bits: 8 vertices, 11 edges, 4 squares."""
+    solid = named(grid_complex(1, 1, 1))
+    name = {p: p[0] + 2 * p[1] + 4 * p[2] for p in solid.vertices}
+    return build_complex(range(8), {
+        k: [tuple(name[p] for p in c) for c in solid.by_dim[k]
+            if not {(0, 1, 1), (1, 1, 1)} <= set(c)] for k in (1, 2)})
+
+
+def _low_weight_cube(k: int) -> CubeComplex:
+    """The corners of weight at most 2 of the k-cube, as bitsets, with the
+    squares at 0. Its k classes, one per direction, cross pairwise, so
+    the dual of their sides is the whole k-cube."""
+    pairs = list(itertools.combinations(range(k), 2))
+    return build_complex(
+        [0] + [1 << i for i in range(k)] + [1 << i | 1 << j for i, j in pairs], {
+            1: [(0, 1 << i) for i in range(k)]
+            + [(1 << a, 1 << i | 1 << j) for i, j in pairs for a in (i, j)],
+            2: [(0, 1 << i, 1 << j, 1 << i | 1 << j) for i, j in pairs]})
+
+
 def test_median_stage_branches_match_dense_oracle():
     # a box is its own halfspaces' dual
     box = tree_product(_path(3), _path(4))
@@ -825,8 +863,8 @@ def test_median_stage_branches_match_dense_oracle():
     assert _median_violation(hexed, 600) == label_median_violation(hexed, 600) == witness
     # the 3-cube without corner 7 (its link at corner 0 is an empty
     # triangle, so is_cat0 never gets this far): its three classes cut it
-    # in two with distinct labels, but at corner 3 the class of the
-    # missing edge to 7 is minimal (c); the majority of 3, 5, 6 is 7
+    # in two with distinct labels, but they cross pairwise, so their dual
+    # is the whole 3-cube (c); the majority of 3, 5, 6 is 7
     cut = _cut_cube()
     assert _roller_halfspaces(cut) is None
     witness = {"triple": (3, 5, 6), "medians": []}
@@ -836,9 +874,56 @@ def test_median_stage_branches_match_dense_oracle():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(median_test_complexes(), products_less_a_cube()))
+@given(st.one_of(median_test_complexes(), products_less_a_cube(),
+                 products_less_an_edge()))
 def test_roller_halfspaces_match_component_oracle(x):
     assert _roller_halfspaces(x) == component_roller_halfspaces(x)
+
+
+def _roller_walks(x: CubeComplex) -> tuple:
+    """``_roller_halfspaces(x)``, and each (system, start, cap, result) of
+    the ``pocsets._flip_walk`` calls it made."""
+    real, calls = pocsets._flip_walk, []
+
+    def record(*args):
+        calls.append((*args, real(*args)))
+        return calls[-1][-1]
+
+    with mock.patch.object(pocsets, "_flip_walk", record):
+        return _roller_halfspaces(x), calls
+
+
+@pytest.mark.parametrize("make,walked", [
+    (lambda: folded_cube(5), None),  # (a): an edge flips more than its class
+    (cube_double_cover, None),  # (b): two vertices with one row
+    (_cut_cube, False),  # the dual is the 3-cube: 8 vertices for 7
+    (lambda: _low_weight_cube(12), False),  # 79 vertices, a dual of 4,096
+    (_cube_less_an_edge, True),  # the dual is the 3-cube: 12 edges for 11
+], ids=["folded_cube", "double_cover", "cut_cube", "low_weight_cube", "cube_less_an_edge"])
+def test_each_roller_step_rejects_its_complex(make, walked):
+    # walked: None if the labels reject x before the dual is walked, False
+    # if the walk finds more vertices than x has, True if it finds x's
+    # vertices and only the edge count rejects
+    x = make()
+    sides, calls = _roller_walks(x)
+    assert sides is component_roller_halfspaces(x) is None
+    if walked is None:
+        assert calls == []
+    else:
+        [(s, _, cap, result)] = calls
+        assert cap == len(x.labels) and len(s.star_pairs) == len(hyperplanes(x))
+        assert (result is not None) is walked
+
+
+def test_roller_walk_is_the_dual_of_the_sides():
+    # on a median complex the capped walk is the whole dual, and its
+    # vertices' minimal sides are the edges of x
+    x = tree_product(_path(3), _path(2), [(0, 1), (0, 2)])
+    sides, [(s, start, cap, (order, _, minimal_at))] = _roller_walks(x)
+    assert sides == component_roller_halfspaces(x)
+    dual = pocsets.dual_complex(s, pocsets._orientation(s, start), cap)
+    assert order == list(dual.masks) and len(order) == cap
+    assert sum(map(int.bit_count, minimal_at)) == 2 * len(x.edges) == 2 * len(dual.complex.edges)
 
 
 def test_roller_halfspaces_match_component_oracle_on_fixed_complexes():
@@ -847,12 +932,14 @@ def test_roller_halfspaces_match_component_oracle_on_fixed_complexes():
         treespace_complex(5), build_complex(["v"], {}), build_complex([], {})]
     failing = [
         _cut_cube(),
+        _cube_less_an_edge(),
+        _low_weight_cube(5),
         glue_hexagon(box, (0, 0)),
         glue_hexagon(grid_complex(3, 3), (1, 1)),
         torus_3x3(),  # deleting a class leaves one component
         swapped_torus(10, 5),
-        folded_cube(5),  # only the per-edge flip check rejects it
-        cube_double_cover(),  # only distinct labels reject it
+        folded_cube(5),  # fails the oracle's (a) alone
+        cube_double_cover(),  # fails the oracle's (b) alone
         build_complex([0, 1], {}),
     ] + [torus(4, n) for n in range(3, 9)]
     for x in passing:
@@ -941,6 +1028,24 @@ def test_import_leaves_numpy_out():
         [sys.executable, "-c", "import sys, cubical.cli; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_median_test_never_imports_coxeter():
+    # the package's __init__ imports every module, so the package is
+    # stubbed and cubical.coxeter made unimportable before complexes loads
+    src = os.path.dirname(os.path.dirname(complexes.__file__))
+    code = """if True:
+        import importlib.util, sys, types
+        package = types.ModuleType("cubical")
+        package.__path__ = importlib.util.find_spec("cubical").submodule_search_locations
+        sys.modules.update({"cubical": package, "cubical.coxeter": None})
+        from cubical.complexes import build_complex, halfspace_system_of
+        x = build_complex(range(4), {1: [(0, 1), (0, 2), (1, 3), (2, 3)],
+                                     2: [(0, 1, 2, 3)]})
+        assert len(halfspace_system_of(x).system.star_pairs) == 2
+        """
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True)
 
 
 @settings(max_examples=60, deadline=None)

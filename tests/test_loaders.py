@@ -142,6 +142,31 @@ def test_integral_floats_load_as_integers(argv, payload, original):
     assert run_json(argv, payload) == run_json(argv, original)
 
 
+@pytest.mark.parametrize("alias", ["01", " 1", "+1"])
+def test_keys_naming_one_dimension_exit_2_naming_both(alias):
+    # each key parses as dimension 1: the later listing replaced the
+    # earlier, so edge (0, 1) vanished and the complex was "disconnected"
+    payload = {"vertices": [0, 1, 2], "cubes": {"1": [[0, 1]], alias: [[1, 2]]}}
+    code, out = run_json(COMPLEX, payload)
+    cert = json.loads(out)["certificate"]
+    assert code == 2 and cert["error"] == "input_format" and cert["keys"] == ["1", alias]
+
+
+def test_numeric_node_ids_take_their_labels_by_string_form():
+    # JSON keys are strings, so {"2": 1} never matched node 2 and every
+    # numeric-id tree failed with "leaf 2 has no label"
+    data = json.loads((Path(__file__).parent / "fixtures" / "tree_numeric_ids.json").read_text())
+    code, out = run_json(TREE, data)
+    assert code == 0 and json.loads(out)["stats"]["clusters"] == [[2, 3]]
+    named = {**data, "root": "0", "nodes": [str(v) for v in data["nodes"]],
+             "edges": [[str(p), str(c), l] for p, c, l in data["edges"]]}
+    assert run_json(TREE, named) == (code, out)
+    mixed = {**named, "nodes": [0, *named["nodes"]]}  # 0 and "0"
+    code, out = run_json(TREE, mixed)
+    cert = json.loads(out)["certificate"]
+    assert code == 2 and cert["error"] == "input_format" and cert["ids"] == [0, "0"]
+
+
 def test_huge_leaf_count_is_rejected_without_allocating():
     code, out = run_json(TREE, {**GOOD_TREE, "n": 10 ** 12})
     assert code == 2
