@@ -9,20 +9,24 @@ vertex span an n-cube, and the edges are the 1-cubes: single flips.
 
 ``build_system`` takes the order as the transitive closure of the
 generators and their star images; being star-closed, it is order-reversed
-by the involution. Systems of sets ordered by inclusion are transitive as
-they stand and need no closure: ``system_of_sides`` orders sets given as
-bitsets, and ``_system_of_crossings`` orders them from per-point rows of
-crossed walls, for the Coxeter truncations and for the Roller test of
-``complexes``. ``_validated`` checks every order, however it was made.
+by the involution. Every cover of the closed order is a generator, so the
+closure sweep hands over the cover relation (``covers``) as well. Systems
+of sets ordered by inclusion are transitive as they stand and need no
+closure: ``system_of_sides`` orders sets given as bitsets, and
+``_system_of_crossings`` orders them from per-point rows of crossed walls,
+for the Coxeter truncations and for the Roller test of ``complexes``; they
+have no generators, and their covers are found from ``above`` on first
+use. ``_validated`` checks every order, however it was made.
 ``_flip_walk`` is the one search over minimal flips: ``dual_complex``
 assembles its cubes on the walk, and the Roller test compares the walk
 with a 1-skeleton.
 
-Halfspaces are interned at build time: hyperplane i is the i-th star pair
-in id order, and its halfspaces sit at positions 2i and 2i + 1, so the
-complement of position p is p ^ 1. Sets of positions are int bitsets: the
-order is one ``above`` mask per position, and an orientation is the mask
-of its chosen positions. Ids are kept for I/O and witnesses only.
+Halfspaces are interned at build time: the ids are sorted once and ranked,
+hyperplane i is the i-th star pair in id order, and its halfspaces sit at
+positions 2i and 2i + 1, so the complement of position p is p ^ 1. Sets of
+positions are int bitsets: the order is one ``above`` mask per position,
+and an orientation is the mask of its chosen positions. Ids are kept for
+I/O and witnesses only.
 
 Everything is immutable; dual_complex is a pure function with deterministic
 output (hyperplanes processed in id order, vertices numbered in BFS order).
@@ -50,7 +54,7 @@ from .errors import (
     SelfPairedError,
 )
 from .graphs import cliques
-from .util import check_ids, parse_list, skey, ssorted
+from .util import check_ids, parse_list, ssorted
 
 
 def _bits(m: int):
@@ -76,9 +80,10 @@ class HalfspaceSystem:
     bitset of the positions strictly above p in the closed order. Derived:
     ``below[p]`` is ``above[p ^ 1]`` with the two bits of every hyperplane
     swapped, since q < p iff p* < q*; ``covers[p]`` holds the positions
-    above p with nothing strictly between; ``leq`` is the order as a
-    frozenset of id pairs (a, b) meaning a < b, built only on request:
-    ``lt`` reads one pair off ``above``."""
+    above p with nothing strictly between (``build_system`` seeds it from
+    its closure sweep, and set systems find it from ``above``); ``leq`` is
+    the order as a frozenset of id pairs (a, b) meaning a < b, built only
+    on request: ``lt`` reads one pair off ``above``."""
 
     halfspaces: tuple
     star_pairs: tuple
@@ -112,9 +117,12 @@ class HalfspaceSystem:
 
     @cached_property
     def covers(self) -> tuple:
-        """The positions above p with nothing strictly between. A position
-        already in ``between`` lies above one visited before, so by
-        transitivity its row adds nothing, and it is skipped."""
+        """The positions above p with nothing strictly between. Systems
+        from ``build_system`` hold these already, read off the closure
+        sweep; this skip loop serves the systems of sets, which have no
+        generators. A position already in ``between`` lies above one
+        visited before, so by transitivity its row adds nothing, and it is
+        skipped."""
         above = self.above
         out = []
         for m in above:
@@ -166,9 +174,10 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
     The order is given by generators. With each generator a <= b comes its
     star image b* <= a*, so the transitive closure is star-closed. The
     builder checks the involution, antisymmetry, the nesting condition and
-    incomparability of complements, in that order.
+    incomparability of complements, in that order. The closure sweep also
+    yields the cover relation, which seeds the cached ``covers``.
     """
-    ids, pairs = _star_layout(halfspaces, star_pairs)
+    ids, ranked, pairs = _star_layout(halfspaces, star_pairs)
     pos = {h: p for p, h in enumerate(h for pair in pairs for h in pair)}
     succ = [0] * len(pos)
     for a, b in leq_pairs:
@@ -178,15 +187,18 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
             p, q = pos[a], pos[b]
             succ[p] |= 1 << q
             succ[q ^ 1] |= 1 << (p ^ 1)
-    return _validated(HalfspaceSystem(
-        halfspaces=tuple(ssorted(ids)), star_pairs=tuple(pairs),
-        above=tuple(_closure(succ))), ids)
+    above, covers = _closure(succ)
+    s = HalfspaceSystem(halfspaces=tuple(ranked), star_pairs=tuple(pairs),
+                        above=tuple(above))
+    s.__dict__["covers"] = tuple(covers)  # the cached property, off the sweep
+    return _validated(s, ids)
 
 
-def _star_layout(halfspaces, star_pairs) -> tuple[list, list]:
-    """The ids in input order and the star pairs in hyperplane order, each
-    pair in id order, after checking that the pairs form an involution of
-    the ids."""
+def _star_layout(halfspaces, star_pairs) -> tuple[list, list, list]:
+    """The ids in input order, the ids in ``skey`` order, and the star pairs
+    in hyperplane order, after checking that the pairs form an involution of
+    the ids. The ids are sorted once and ranked: a pair is listed at the
+    rank of its first id, the lesser of its two."""
     ids = list(halfspaces)
     idset = set(ids)
     if len(idset) != len(ids):
@@ -204,9 +216,11 @@ def _star_layout(halfspaces, star_pairs) -> tuple[list, list]:
     unpaired = [h for h in ids if h not in star]
     if unpaired:
         raise NotInvolutionError("unpaired halfspaces", halfspaces=ssorted(unpaired))
-    pairs = sorted({tuple(ssorted((a, b))) for a, b in star.items()},
-                   key=lambda p: (skey(p[0]), skey(p[1])))
-    return ids, pairs
+    ranked = ssorted(ids)
+    rank = {h: i for i, h in enumerate(ranked)}
+    pairs = sorted(((a, b) for a, b in star.items() if rank[a] < rank[b]),
+                   key=lambda pair: rank[pair[0]])
+    return ids, ranked, pairs
 
 
 def _validated(s: HalfspaceSystem, ids) -> HalfspaceSystem:
@@ -255,7 +269,7 @@ def system_of_sides(ids, sides) -> HalfspaceSystem:
     hyperplane i, ``sides[p]`` is side p as an int bitset, and side p lies
     in side q iff it misses side q ^ 1, the complement of q. Inclusion is
     transitive and complements reverse it, so the rows need no closure."""
-    ids, pairs = _star_layout(ids, zip(ids[::2], ids[1::2]))
+    ids, ranked, pairs = _star_layout(ids, zip(ids[::2], ids[1::2]))
     pos = {h: p for p, h in enumerate(h for pair in pairs for h in pair)}
     at = [pos[h] for h in ids]  # input index -> position
     above = [0] * len(ids)
@@ -263,7 +277,7 @@ def system_of_sides(ids, sides) -> HalfspaceSystem:
         above[at[p]] = sum(1 << at[q] for q in range(len(sides))
                            if q != p and not side & sides[q ^ 1])
     return _validated(HalfspaceSystem(
-        halfspaces=tuple(ssorted(ids)), star_pairs=tuple(pairs), above=tuple(above)), ids)
+        halfspaces=tuple(ranked), star_pairs=tuple(pairs), above=tuple(above)), ids)
 
 
 def _hid(i: int, sign: str) -> str:
@@ -348,14 +362,22 @@ def _system_of_crossings(crossed, count: int) -> HalfspaceSystem:
         halfspaces=tuple(sorted(ids)), star_pairs=tuple(pairs), above=tuple(above)), ids)
 
 
-def _closure(succ: list) -> list:
+def _closure(succ: list) -> tuple[list, list]:
     """Strict transitive closure of the relation p -> q for q in succ[p],
-    on int bitsets. Each position takes its successors and everything above
-    them, in depth-first post-order. A successor still on the stack when a
+    on int bitsets, and its cover relation, as (above, covers). Each
+    position takes its successors and ``between``, the OR of their rows,
+    in depth-first post-order. A successor still on the stack when a
     position is pushed closes a cycle. With none (a loop p -> p at a root
     is not looked for: it adds nothing to one sweep), the post-order is a
     reverse topological order and one sweep closes the relation; otherwise
-    sweeps repeat until nothing changes, which closes the cycles too."""
+    sweeps repeat until nothing changes, which closes the cycles too.
+
+    Without a cycle, q covers p iff q is a successor of p and not in
+    ``between``, so ``covers[p]`` costs one AND (Aho, Garey & Ullman 1972):
+    a path of two or more steps from p to q passes a position strictly
+    between them, and any position above p lies at or above a successor.
+    With a cycle the covers mean nothing, and ``_validated`` rejects the
+    order."""
     order = []
     seen = 0
     on_stack = 0
@@ -382,17 +404,20 @@ def _closure(succ: list) -> list:
                 on_stack ^= 1 << top[0]
                 order.append(top[0])
     above = [0] * len(succ)
+    covers = [0] * len(succ)
     changed = True
     while changed:
         changed = False
         for p in order:
-            reach = succ[p]
+            between = 0
             for q in _bits(succ[p]):
-                reach |= above[q]
+                between |= above[q]
+            covers[p] = succ[p] & ~between
+            reach = succ[p] | between
             if reach != above[p]:
                 above[p] = reach
                 changed = cyclic  # else one sweep has closed the relation
-    return above
+    return above, covers
 
 
 def load_system(data: dict) -> HalfspaceSystem:

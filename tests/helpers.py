@@ -948,6 +948,22 @@ def _check_star(ids, star_pairs) -> dict:
     return star
 
 
+def _skey_pairs(star: dict) -> list:
+    """The star pairs in hyperplane order, keyed per pair: the set of
+    ``ssorted`` pairs, sorted by ``(skey(a), skey(b))``."""
+    return sorted({tuple(ssorted((a, b))) for a, b in star.items()},
+                  key=lambda p: (skey(p[0]), skey(p[1])))
+
+
+def skey_star_layout(halfspaces, star_pairs) -> tuple[list, list, list]:
+    """Oracle for ``pocsets._star_layout``, which ranks the ids once: the
+    same checks, then the pairs by ``_skey_pairs`` and the ids sorted
+    again by ``skey``."""
+    ids = list(halfspaces)
+    star = _check_star(ids, star_pairs)
+    return ids, ssorted(ids), _skey_pairs(star)
+
+
 def pair_build_system(halfspaces, star_pairs, leq_pairs) -> PairSystem:
     """Oracle for ``pocsets.build_system``: the closure as a set of id
     pairs, one reachability pass per halfspace, and every check on the
@@ -974,8 +990,7 @@ def pair_build_system(halfspaces, star_pairs, leq_pairs) -> PairSystem:
             b = next(b for b in ids if b != a and (a, b) in strict and (b, a) in strict)
             raise CyclicOrderError(f"{a!r} and {b!r} are mutually below each other",
                                    pair=(a, b))
-    pairs = sorted({tuple(ssorted((a, b))) for a, b in star.items()},
-                   key=lambda p: (skey(p[0]), skey(p[1])))
+    pairs = _skey_pairs(star)
     for (a, _), (c, _) in itertools.combinations(pairs, 2):
         b, d = star[a], star[c]
         rels = [r for r in ((a, c), (a, d), (b, c), (b, d)) if r in strict]
@@ -1219,8 +1234,7 @@ def fixpoint_build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
         if a not in star or b not in star:
             raise InputFormatError(f"leq pair ({a!r},{b!r}) uses unknown ids")
     strict = fixpoint_closure(star, leq_pairs)
-    pairs = sorted({tuple(ssorted((a, b))) for a, b in star.items()},
-                   key=lambda p: (skey(p[0]), skey(p[1])))
+    pairs = _skey_pairs(star)
     for (a, _), (c, _) in itertools.combinations(pairs, 2):
         b, d = star[a], star[c]
         if sum(r in strict for r in ((a, c), (a, d), (b, c), (b, d))) > 1:

@@ -20,6 +20,7 @@ from helpers import (
     pair_seed_vertex,
     path_complex,
     scan_maximal_cubes,
+    skey_star_layout,
     tree_product,
 )
 from hypothesis import example, given, settings
@@ -56,9 +57,11 @@ from cubical.errors import (
 from cubical.graphs import cliques
 from cubical.pocsets import (
     DualComplex,
+    HalfspaceSystem,
     _bits,
     _chosen,
     _dual_cubes,
+    _star_layout,
     system_of_sides,
 )
 from cubical.util import skey
@@ -147,15 +150,15 @@ def test_cyclic_order_rejected():
 
 
 def _labels(draw, count):
-    """``count`` distinct ids drawn from 0-99: all ints, all strs, or a mix."""
-    style = draw(st.sampled_from(["int", "str", "mixed"]))
+    """``count`` distinct ids drawn from 0-99: all ints, all strs, all
+    floats (n + 0.5, equal to no int), or a mix."""
+    forms = {"int": int, "str": "h{}".format, "float": lambda n: n + 0.5}
+    style = draw(st.sampled_from([*forms, "mixed"]))
     nums = draw(st.lists(st.integers(0, 99), min_size=count, max_size=count,
                          unique=True))
-    if style == "int":
-        return nums
-    if style == "str":
-        return [f"h{n}" for n in nums]
-    return [n if draw(st.booleans()) else f"h{n}" for n in nums]
+    if style != "mixed":
+        return [forms[style](n) for n in nums]
+    return [forms[draw(st.sampled_from(sorted(forms)))](n) for n in nums]
 
 
 @st.composite
@@ -186,8 +189,8 @@ def valid_generator_sets(draw, max_hyperplanes=6):
 @st.composite
 def generator_sets(draw):
     """(halfspaces, star pairs, leq generators) on 1-5 hyperplanes, with
-    int, str or mixed ids listed in a random order. Valid systems, valid
-    systems with extra pairs, arbitrary pairs (so cycles, nesting
+    int, str, float or mixed ids listed in a random order. Valid systems,
+    valid systems with extra pairs, arbitrary pairs (so cycles, nesting
     violations and comparable complements all occur), and broken id lists
     and star maps."""
     kind = draw(st.sampled_from(["valid", "extra", "random", "broken"]))
@@ -245,10 +248,14 @@ _PAIRS4 = (["a+", "a-", "b+", "b-", "c+", "c-", "d+", "d-"],
 @given(generator_sets())
 # cycles, and an acyclic order whose paths one post-order sweep must close;
 # in the third, positions 0-7 in id order, no root before b- (3) reaches
-# the cycle c+ < d+ < c+ (4, 6), so the search enters it from root 3
+# the cycle c+ < d+ < c+ (4, 6), so the search enters it from root 3; the
+# fourth is tests/fixtures/cyclic_order.json, and in the fifth the first
+# root's path runs into a cycle
 @example((*_PAIRS4, [("a+", "b+"), ("b+", "a+")]))
 @example((*_PAIRS4, [("b+", "c+"), ("c+", "d+"), ("d+", "b+")]))
 @example((*_PAIRS4, [("b-", "c+"), ("c+", "d+"), ("d+", "c+")]))
+@example((*_PAIRS4, [("a+", "b+"), ("b+", "c+"), ("c+", "a+"), ("c+", "d+")]))
+@example((*_PAIRS4, [("a+", "b+"), ("b+", "c+"), ("c+", "d+"), ("d+", "c+")]))
 @example((*_PAIRS4, [("a+", "d-"), ("b+", "c+"), ("c+", "d+"), ("d+", "b+")]))
 @example((*_PAIRS4, [("d+", "c+"), ("c+", "b+"), ("b+", "a+"), ("a-", "d+")]))
 def test_build_system_matches_fixpoint_closure(system):
@@ -317,6 +324,18 @@ def test_build_errors_match_pair_oracle():
                                    "relations": [(0, 2), (0, 3)]}),
         ("ComparableComplementsError", {"halfspace": "a"}),
     ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(generator_sets())
+def test_star_layout_matches_skey_oracle(system):
+    # ranking the ids once lays out the same pairs and sorted ids as
+    # sorting each pair and then the pairs by skey; broken id lists and
+    # star maps raise the same error, message and details
+    ids, star, _ = system
+    got, expected = _outcome(_star_layout, ids, star), _outcome(skey_star_layout, ids, star)
+    assert got == expected
+    assert repr(got) == repr(expected)  # the same objects: 1 and 1.0 print apart
 
 
 @settings(max_examples=150, deadline=None)
@@ -619,6 +638,16 @@ def _assert_covers_by_definition(s):
         assert {labels[q] for q in range(len(labels)) if s.covers[p] >> q & 1} == covering
 
 
+def _assert_covers(s, seeded):
+    # build_system seeds covers off its closure sweep; the systems of sets,
+    # which have no generators, find them by the skip loop on first use.
+    # Both must equal the skip loop's on the same order, and the definition
+    assert ("covers" in s.__dict__) is seeded
+    if seeded:
+        assert s.covers == HalfspaceSystem(s.halfspaces, s.star_pairs, s.above).covers
+    _assert_covers_by_definition(s)
+
+
 # the oracle assembles every cube at each of its corners: a 12-cube has
 # 3^12 - 2^12 of them, so larger duals are compared by their cap errors
 ORACLE_CAP = 100
@@ -630,7 +659,7 @@ def test_covers_and_dual_match_oracles(system):
     # the dual's minimal sets are updated through covers, found once per
     # vertex; the pair-set BFS recomputes them at every vertex
     s = build_system(*system)
-    _assert_covers_by_definition(s)
+    _assert_covers(s, seeded=True)
     seed = seed_vertex(s)
     assert (_outcome(dual_complex, s, seed, ORACLE_CAP)
             == _outcome(all_corners_dual_complex, s, seed, ORACLE_CAP))
@@ -639,10 +668,11 @@ def test_covers_and_dual_match_oracles(system):
 def test_covers_and_dual_match_oracles_on_deep_systems():
     trees = ([(0, 1), (1, 2), (1, 3), (3, 4)], [(0, 1), (0, 2), (0, 3)],
              [(0, 1), (1, 2), (2, 3), (2, 4)])
-    systems = [chain_system(40), halfspace_system_of(tree_product(*trees)).system,
-               *_cubulated_systems()]
-    for s in systems:
-        _assert_covers_by_definition(s)
+    systems = [(chain_system(40), True),  # "-" sides in id order run down the chain
+               (halfspace_system_of(tree_product(*trees)).system, False),  # system_of_sides
+               *((s, False) for s in _cubulated_systems())]  # _system_of_crossings
+    for s, seeded in systems:
+        _assert_covers(s, seeded)
         seed = seed_vertex(s)
         assert dual_complex(s, seed) == all_corners_dual_complex(s, seed)
 
