@@ -802,8 +802,8 @@ def _roller_halfspaces(x: CubeComplex) -> list[int] | None:
                 return None
     if len(order) < n or len(set(row)) < n:  # connected, (b)
         return None
-    walk = _flip_walk(_system_of_crossings(row, len(classes)),
-                      _evens(2 * len(classes)), n)
+    positions = [(p, p + 1) for p in range(0, 2 * len(classes), 2)]  # as ids
+    walk = _flip_walk(_system_of_crossings(row, positions), _evens(2 * len(classes)), n)
     if walk is None or sum(map(int.bit_count, walk[2])) != 2 * len(x.edges):  # (c)
         return None
 
@@ -1058,9 +1058,14 @@ def halfspace_system_of(x: CubeComplex) -> HalfspaceDecomposition:
     """The halfspaces that the median stage of ``is_cat0`` finds, ordered
     by inclusion, with complementation as the involution: x is the dual of
     this system. They are read back from ``x._roller``, so the Roller test
-    runs once. ``h{i}+`` and ``h{i}-`` are the smaller and the larger
-    side of square class i, as ``halfspaces_of`` orders them."""
-    from .pocsets import system_of_sides
+    runs once. Hyperplane i is square class i, and ``h{i}+`` and ``h{i}-``
+    are its smaller and its larger side, as ``halfspaces_of`` orders them.
+
+    ``pocsets._system_of_crossings`` orders the sides from the crossing
+    rows off rank 0, which puts the side holding rank 0 at position 2i;
+    the two bits of every class whose smaller side does not hold rank 0
+    are then swapped, in each row and between the rows."""
+    from .pocsets import HalfspaceSystem, _columns, _system_of_crossings
 
     cat0 = is_cat0(x)
     if not cat0.ok:
@@ -1068,5 +1073,15 @@ def halfspace_system_of(x: CubeComplex) -> HalfspaceDecomposition:
                            certificate=cat0.certificate())
     sides = x._roller
     ids = [f"h{p >> 1}{'+-'[p & 1]}" for p in range(len(sides))]
+    pairs = list(zip(ids[::2], ids[1::2]))
+    away = [sides[p + (sides[p] & 1)] for p in range(0, len(sides), 2)]  # off rank 0
+    s = _system_of_crossings(_columns(away, len(x.labels)), pairs)
+    swap = sum(1 << p for p in range(0, len(sides), 2) if not sides[p] & 1)
+    above = []
+    for m in s.above:
+        t = (m ^ m >> 1) & swap
+        above.append(m ^ t ^ t << 1)
+    s = HalfspaceSystem(star_pairs=s.star_pairs,
+                        above=tuple(above[p ^ (swap >> (p & ~1) & 1)] for p in range(len(above))))
     members = {h: frozenset(x.named(_positions(m))) for h, m in zip(ids, sides)}
-    return HalfspaceDecomposition(system=system_of_sides(ids, sides), members=members)
+    return HalfspaceDecomposition(system=s, members=members)

@@ -39,8 +39,9 @@ from .pocsets import (
     HalfspaceSystem,
     Orientation,
     _bits,
-    _hid,
+    _evens,
     _orientation,
+    _spread,
     _system_of_crossings,
     dual_complex,
     is_vertex,
@@ -441,18 +442,24 @@ def halfspace(ball: CayleyBall, u: Word, v: Word) -> Root:
 # truncated halfspace systems and cubulation
 
 
+def _hid(i: int, sign: str) -> str:
+    return f"w{i:03d}{sign}"
+
+
 @dataclass(frozen=True)
 class TruncatedHalfspaces:
     """Halfspace system of the truncated roots, with the data needed to
     interpret it: selected walls, the walls each ball element lies across,
-    the member set of every halfspace id, and a trust report."""
+    the member set of every halfspace id, and a trust report. Hyperplane i
+    of the system is wall i, its "+" and "-" sides ``_hid(i, "+")`` and
+    ``_hid(i, "-")`` at positions 2i and 2i + 1; the ids serve I/O and
+    witnesses only."""
 
     ball: CayleyBall
     margin: int
     system: HalfspaceSystem
     walls: tuple
     defining_edges: tuple  # per wall, the (u, v) edge with u on the "+" side
-    wall_ids: tuple  # per wall, its ("+", "-") halfspace ids
     crossed: tuple  # per ball element: bitset of the selected walls it lies across
 
     @cached_property
@@ -467,35 +474,29 @@ class TruncatedHalfspaces:
         sphere iff some sphere element lies across wall i, and the "+" side
         iff some sphere element does not."""
         s = self.system
-        across, everywhere = 0, (1 << len(self.walls)) - 1
+        full = (1 << len(self.walls)) - 1
+        across, everywhere = 0, full
         for g, c in zip(self.ball.elements, self.crossed):
             if len(g) == self.ball.radius:
                 across |= c
                 everywhere &= c
-        touch = 0  # positions of the sides that reach the sphere
-        for i, (plus, minus) in enumerate(self.wall_ids):
-            if not everywhere >> i & 1:
-                touch |= 1 << s.position[plus]
-            if across >> i & 1:
-                touch |= 1 << s.position[minus]
+        # the positions of the sides that reach the sphere
+        touch = _spread(full & ~everywhere) | _spread(across) << 1
+        labels = s.labels
         out = []
-        for i, sides in enumerate(self.wall_ids):
+        for i in range(len(self.walls)):
             quarters: dict[int, list] = {}  # wall j -> its empty quarters with i
-            for h in sides:
-                p = s.position[h]
-                if not touch >> p & 1:
-                    continue
+            for p in _bits(touch & 3 << 2 * i):
                 for q in _bits(s.below[p ^ 1] & touch):
-                    j = int(s.labels[q][1:-1])  # ids look like "w003+"
-                    if j > i:
-                        quarters.setdefault(j, []).append((h, s.labels[q]))
+                    if q >> 1 > i:
+                        quarters.setdefault(q >> 1, []).append((labels[p], labels[q]))
             out += [(i, j, tuple(quarters[j])) for j in sorted(quarters)]
         return tuple(out)
 
     @cached_property
     def members(self) -> dict:  # halfspace id -> frozenset of ball elements
         out = {}
-        for i, (plus, minus) in enumerate(self.wall_ids):
+        for i, (plus, minus) in enumerate(self.system.star_pairs):
             out[minus] = frozenset(g for g, c in zip(self.ball.elements, self.crossed)
                                    if c >> i & 1)
             out[plus] = self.ball.element_set - out[minus]
@@ -505,18 +506,13 @@ class TruncatedHalfspaces:
         """Principal orientation: per wall, the side containing g, which
         need not lie in the ball; "+" is the identity's side."""
         crossed = _crossed_walls(self.ball.system, g)
-        choices = [None] * len(self.walls)
-        for i, w in enumerate(self.walls):
-            choices[self.hyperplane_of_wall(i)] = self.wall_ids[i][w.reflection in crossed]
-        return Orientation(choices=tuple(choices))
-
-    def hyperplane_of_wall(self, wall_index: int) -> int:
-        return self.system.hyperplane_of[self.wall_ids[wall_index][0]]
+        return Orientation(choices=tuple(
+            pair[w.reflection in crossed] for pair, w in zip(self.system.star_pairs, self.walls)))
 
     def side_containing(self, wall_index: int, g: Word):
         """Halfspace id of the side of wall_index containing g, which need
         not lie in the ball; "+" is the identity's side."""
-        return self.orientation_of(g).choices[self.hyperplane_of_wall(wall_index)]
+        return self.orientation_of(g).choices[wall_index]
 
 
 def _crossed_walls(sys_: CoxeterSystem, g: Word) -> frozenset:
@@ -540,6 +536,7 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     the sides from these rows alone: per wall i, the AND and the OR of the
     rows on its "-" side say which sides contain it. Inclusion of sets is
     transitive and reversed by complements, so no closure is needed.
+    Hyperplane i is wall i, whatever order its ids sort in.
 
     Validation errors propagate and signal that the margin is too small.
     The trust report, ``untrusted_pairs``, is worked out on first use.
@@ -553,10 +550,10 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     for g in ball.elements[1:]:
         crossed[g] = crossed[g[:-1]] | bit_of.get((g[:-1], g), 0)
     rows = tuple(crossed.values())
+    pairs = [(_hid(i, "+"), _hid(i, "-")) for i in range(len(selected))]
     return TruncatedHalfspaces(
-        ball=ball, margin=margin, system=_system_of_crossings(rows, len(selected)),
+        ball=ball, margin=margin, system=_system_of_crossings(rows, pairs),
         walls=tuple(selected), defining_edges=tuple(w.edges[0] for w in selected),
-        wall_ids=tuple((_hid(i, "+"), _hid(i, "-")) for i in range(len(selected))),
         crossed=rows)
 
 
@@ -593,9 +590,8 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
     """
     th = halfspace_system(ball, margin)
     dual = dual_complex(th.system, th.orientation_of(seed_element), cap=cap)
-    position = th.system.position
-    identity = sum(1 << position[plus] for plus, _ in th.wall_ids)
-    flips = [3 << (position[plus] & ~1) for plus, _ in th.wall_ids]
+    identity = _evens(2 * len(th.walls))  # every "+" side: wall i is hyperplane i
+    flips = [3 << 2 * i for i in range(len(th.walls))]
     nu = {}
     for g, crossed in zip(ball.elements, th.crossed):
         mask = identity ^ sum(flips[i] for i in _bits(crossed))
@@ -637,10 +633,9 @@ def act_on_halfspace(th: TruncatedHalfspaces, w: Word, halfspace_id: str):
     """Left action g.H(u,v) = H(gu, gv) on selected halfspaces; None when
     the image wall was truncated away."""
     sys_ = th.ball.system
-    i = int(halfspace_id[1:-1])  # ids look like "w003+"
-    sign = halfspace_id[-1]
-    u, v = th.defining_edges[i]
-    if sign == "-":
+    p = th.system.position[halfspace_id]  # wall p >> 1, its "-" side if p is odd
+    u, v = th.defining_edges[p >> 1]
+    if p & 1:
         u, v = v, u
     wu = reduce_word(sys_, tuple(w) + u)
     wv = reduce_word(sys_, tuple(w) + v)

@@ -10,26 +10,28 @@ vertex span an n-cube, and the edges are the 1-cubes: single flips.
 ``build_system`` takes the order as the transitive closure of the
 generators and their star images; being star-closed, it is order-reversed
 by the involution. Every cover of the closed order is a generator, so the
-closure sweep hands over the cover relation (``covers``) as well. Systems
-of sets ordered by inclusion are transitive as they stand and need no
-closure: ``system_of_sides`` orders sets given as bitsets, and
-``_system_of_crossings`` orders them from per-point rows of crossed walls,
-for the Coxeter truncations and for the Roller test of ``complexes``; they
-have no generators, and their covers are found from ``above`` on first
-use. ``_validated`` checks every order, however it was made.
+closure sweep hands over the cover relation (``covers``) as well.
+``_system_of_crossings`` is the one builder of systems of sets ordered by
+inclusion: it orders the sides of walls from per-point rows of crossed
+walls, for the Coxeter truncations, the Roller test of ``complexes`` and
+``halfspace_system_of``. Inclusion is transitive as it stands, so it needs
+no closure; it has no generators, and its covers are found from ``above``
+on first use. ``_validated`` checks every order, however it was made.
 ``_flip_walk`` is the one search over minimal flips: ``dual_complex``
 assembles its cubes on the walk, and the Roller test compares the walk
 with a 1-skeleton.
 
-Halfspaces are interned at build time: the ids are sorted once and ranked,
-hyperplane i is the i-th star pair in id order, and its halfspaces sit at
-positions 2i and 2i + 1, so the complement of position p is p ^ 1. Sets of
+Halfspaces live at positions: hyperplane i holds positions 2i and 2i + 1,
+so the complement of position p is p ^ 1. ``build_system`` sorts the ids
+once and ranks them, so its hyperplane i is the i-th star pair in id order;
+a system of sets takes its caller's wall or class order. Sets of
 positions are int bitsets: the order is one ``above`` mask per position,
 and an orientation is the mask of its chosen positions. Ids are kept for
 I/O and witnesses only.
 
 Everything is immutable; dual_complex is a pure function with deterministic
-output (hyperplanes processed in id order, vertices numbered in BFS order).
+output (hyperplanes processed in position order, vertices numbered in BFS
+order).
 """
 
 from __future__ import annotations
@@ -74,20 +76,24 @@ def _evens(size: int) -> int:
 class HalfspaceSystem:
     """Validated halfspace system on interned positions.
 
-    ``star_pairs`` lists the hyperplanes in id order, each pair in id
-    order; hyperplane i holds the halfspaces at positions 2i and 2i + 1
-    (``labels`` maps a position back to its id). ``above[p]`` is the int
-    bitset of the positions strictly above p in the closed order. Derived:
-    ``below[p]`` is ``above[p ^ 1]`` with the two bits of every hyperplane
-    swapped, since q < p iff p* < q*; ``covers[p]`` holds the positions
-    above p with nothing strictly between (``build_system`` seeds it from
-    its closure sweep, and set systems find it from ``above``); ``leq`` is
-    the order as a frozenset of id pairs (a, b) meaning a < b, built only
-    on request: ``lt`` reads one pair off ``above``."""
+    ``star_pairs`` lists the hyperplanes, each pair in id order: in id
+    order from ``build_system``, in wall or class order from
+    ``_system_of_crossings``. Hyperplane i holds the halfspaces at
+    positions 2i and 2i + 1 (``labels`` maps a position back to its id).
+    ``above[p]`` is the int bitset of the positions strictly above p in
+    the closed order. Derived: ``halfspaces``, the ids in ``skey`` order,
+    for I/O (``build_system`` seeds it); ``below[p]`` is ``above[p ^ 1]``
+    with the two bits of every hyperplane swapped, since q < p iff
+    p* < q*; ``covers[p]`` holds the positions above p with nothing
+    strictly between (``build_system`` seeds it from its closure sweep,
+    and set systems find it from ``above``)."""
 
-    halfspaces: tuple
     star_pairs: tuple
     above: tuple  # position -> bitset of the positions strictly above it
+
+    @cached_property
+    def halfspaces(self) -> tuple:
+        return tuple(ssorted(self.labels))
 
     @cached_property
     def labels(self) -> tuple:
@@ -136,12 +142,6 @@ class HalfspaceSystem:
         return tuple(out)
 
     @cached_property
-    def leq(self) -> frozenset:
-        labels = self.labels
-        return frozenset((labels[p], labels[q])
-                         for p, m in enumerate(self.above) for q in _bits(m))
-
-    @cached_property
     def transversal_masks(self) -> tuple:
         """Hyperplane index i -> the bitset of the even positions 2j of the
         hyperplanes j transversal to i: those with no order relation
@@ -161,12 +161,6 @@ class HalfspaceSystem:
         return {i: frozenset(q >> 1 for q in _bits(free))
                 for i, free in enumerate(self.transversal_masks)}
 
-    def lt(self, a, b) -> bool:
-        """a < b in the closed order, read off ``above``; False if either
-        id is unknown."""
-        p, q = self.position.get(a), self.position.get(b)
-        return p is not None and q is not None and bool(self.above[p] >> q & 1)
-
 
 def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
     """Validate and close a raw system.
@@ -175,7 +169,8 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
     star image b* <= a*, so the transitive closure is star-closed. The
     builder checks the involution, antisymmetry, the nesting condition and
     incomparability of complements, in that order. The closure sweep also
-    yields the cover relation, which seeds the cached ``covers``.
+    yields the cover relation, which seeds the cached ``covers``, and the
+    ids' one sort seeds ``halfspaces``.
     """
     ids, ranked, pairs = _star_layout(halfspaces, star_pairs)
     pos = {h: p for p, h in enumerate(h for pair in pairs for h in pair)}
@@ -188,9 +183,9 @@ def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
             succ[p] |= 1 << q
             succ[q ^ 1] |= 1 << (p ^ 1)
     above, covers = _closure(succ)
-    s = HalfspaceSystem(halfspaces=tuple(ranked), star_pairs=tuple(pairs),
-                        above=tuple(above))
-    s.__dict__["covers"] = tuple(covers)  # the cached property, off the sweep
+    s = HalfspaceSystem(star_pairs=tuple(pairs), above=tuple(above))
+    s.__dict__["covers"] = tuple(covers)  # the cached properties, off the sweep
+    s.__dict__["halfspaces"] = tuple(ranked)  # and off the layout's sort
     return _validated(s, ids)
 
 
@@ -263,27 +258,6 @@ def _validated(s: HalfspaceSystem, ids) -> HalfspaceSystem:
     return s
 
 
-def system_of_sides(ids, sides) -> HalfspaceSystem:
-    """The system of distinct sets ordered by inclusion, with complements
-    as the involution: ``ids[2i]`` and ``ids[2i + 1]`` name the sides of
-    hyperplane i, ``sides[p]`` is side p as an int bitset, and side p lies
-    in side q iff it misses side q ^ 1, the complement of q. Inclusion is
-    transitive and complements reverse it, so the rows need no closure."""
-    ids, ranked, pairs = _star_layout(ids, zip(ids[::2], ids[1::2]))
-    pos = {h: p for p, h in enumerate(h for pair in pairs for h in pair)}
-    at = [pos[h] for h in ids]  # input index -> position
-    above = [0] * len(ids)
-    for p, side in enumerate(sides):
-        above[at[p]] = sum(1 << at[q] for q in range(len(sides))
-                           if q != p and not side & sides[q ^ 1])
-    return _validated(HalfspaceSystem(
-        halfspaces=tuple(ranked), star_pairs=tuple(pairs), above=tuple(above)), ids)
-
-
-def _hid(i: int, sign: str) -> str:
-    return f"w{i:03d}{sign}"
-
-
 def _spread(x: int) -> int:
     """x with its bit k moved to bit 2k."""
     return int("0".join(bin(x)[2:]), 2)
@@ -298,11 +272,12 @@ def _columns(rows, count: int, gap: str = "") -> list[int]:
     return [int(gap.join(col), 2) for col in digits][::-1]
 
 
-def _system_of_crossings(crossed, count: int) -> HalfspaceSystem:
-    """The sides of ``count`` walls ordered by inclusion, with complements
-    as the involution, given per point k the bitset ``crossed[k]`` of the
-    walls whose "-" side holds it. Point 0 lies on every "+" side. Wall i
-    has the ids ``_hid(i, "+")`` and ``_hid(i, "-")``.
+def _system_of_crossings(crossed, star_pairs) -> HalfspaceSystem:
+    """The sides of walls ordered by inclusion, with complements as the
+    involution, given per point k the bitset ``crossed[k]`` of the walls
+    whose "-" side holds it. Point 0 lies on every "+" side. Wall i is
+    hyperplane i: ``star_pairs[i]`` names its "+" and its "-" side, at
+    positions 2i and 2i + 1. The ids serve I/O and witnesses only.
 
     Let AND[i] and OR[i] be the AND and the OR of the rows with bit i set,
     those of the points of wall i's "-" side (AND[i] is every wall when
@@ -319,47 +294,39 @@ def _system_of_crossings(crossed, count: int) -> HalfspaceSystem:
 
     Walls i and j have identical sides iff AND[i] == AND[j]: AND[i] holds
     bit i, so equal rows make each side lie in the other. That raises
-    NestingViolationError, naming the first such j and its least i. Two
-    points per wall i that differ in bit i alone, such as the ends of an
-    edge of wall i in a Cayley ball or a 1-skeleton, rule it out."""
+    NestingViolationError, naming the first such j and its least i by
+    their "+" ids. Two points per wall i that differ in bit i alone, such
+    as the ends of an edge of wall i in a Cayley ball or a 1-skeleton,
+    rule it out."""
+    count = len(star_pairs)
     full = (1 << count) - 1
-    ids = [_hid(i, sign) for i in range(count) for sign in "+-"]
-    # the layout of build_system: the ids are strings, so their sort key is
-    # their own order, and "+" sorts before "-"; past w999 it is not wall order
-    pairs = sorted(zip(ids[::2], ids[1::2]))
-    rank = [0] * count  # wall -> hyperplane
-    for h, (plus, _) in enumerate(pairs):
-        rank[int(plus[1:-1])] = h
-    permuted = rank != list(range(count))
-    meet = [full] * count  # per hyperplane, on hyperplane bits
+    meet = [full] * count
     join = [0] * count
     for c in crossed:
-        if permuted:
-            c = sum(1 << rank[i] for i in _bits(c))
         rest = c
         while rest:
             low = rest & -rest
             rest ^= low
-            h = low.bit_length() - 1
-            meet[h] &= c
-            join[h] |= c
+            i = low.bit_length() - 1
+            meet[i] &= c
+            join[i] |= c
 
     first: dict[int, int] = {}
-    for j, h in enumerate(rank):
-        i = first.setdefault(meet[h], j)
+    for j, m in enumerate(meet):
+        i = first.setdefault(m, j)
         if i != j:
-            a, b = ids[2 * i], ids[2 * j]
+            a, b = star_pairs[i][0], star_pairs[j][0]
             raise NestingViolationError(
                 f"walls {a} and {b} have identical truncated sides; "
                 "increase the radius or margin", pair=(a, b))
 
-    plus = _columns(meet, count, "0")  # column h of AND, spread
+    plus = _columns(meet, count, "0")  # column i of AND, spread
     above = []
-    for h in range(count):
-        above.append(plus[h] & ~(1 << 2 * h))
-        above.append(_spread(meet[h] & ~(1 << h)) << 1 | _spread(full & ~join[h]))
-    return _validated(HalfspaceSystem(
-        halfspaces=tuple(sorted(ids)), star_pairs=tuple(pairs), above=tuple(above)), ids)
+    for i in range(count):
+        above.append(plus[i] & ~(1 << 2 * i))
+        above.append(_spread(meet[i] & ~(1 << i)) << 1 | _spread(full & ~join[i]))
+    s = HalfspaceSystem(star_pairs=tuple(star_pairs), above=tuple(above))
+    return _validated(s, s.labels)
 
 
 def _closure(succ: list) -> tuple[list, list]:
@@ -427,14 +394,24 @@ def load_system(data: dict) -> HalfspaceSystem:
     star, leq = ([tuple(parse_list(p, f"a '{key}' pair", 2))
                   for p in parse_list(data.get(key, []), f"'{key}'")]
                  for key in ("star", "leq"))
-    check_ids(ids + [h for p in star + leq for h in p], "halfspace ids")
+    named = ids + [h for p in star + leq for h in p]
+    check_ids(named, "halfspace ids")
+    spelling: dict = {}  # one id spelt two ways, 1 and 1.0, would merge in the builder
+    for v in named:
+        u = spelling.setdefault(v, v)
+        # equal ids of one type print alike, but for 0.0 and -0.0
+        if u is not v and (type(u) is not type(v) or type(v) is float and repr(u) != repr(v)):
+            raise InputFormatError(
+                f"halfspace id {u!r} is also spelt {v!r}", ids=[u, v])
     return build_system(ids, star, leq)
 
 
 def dump_system(s: HalfspaceSystem) -> dict:
-    """The system as JSON, its ``leq`` pairs (a, b) in (skey(a), skey(b))
-    order. ``halfspaces`` is in ``skey`` order with no ties, as duplicate
-    ids are rejected, so the pairs are sorted by their indices there."""
+    """The system as JSON, whatever its position order: ``halfspaces`` in
+    ``skey`` order, with no ties, as duplicate ids are rejected; the star
+    pairs by the index there of their first id, and the ``leq`` pairs
+    (a, b) by the indices of a and b, that is in (skey(a), skey(b))
+    order."""
     hs = s.halfspaces
     n = len(hs)
     index = {h: i for i, h in enumerate(hs)}
@@ -442,7 +419,7 @@ def dump_system(s: HalfspaceSystem) -> dict:
     keys = sorted(rank[p] * n + rank[q] for p, m in enumerate(s.above) for q in _bits(m))
     return {
         "halfspaces": list(hs),
-        "star": [list(p) for p in s.star_pairs],
+        "star": [list(pair) for pair in sorted(s.star_pairs, key=lambda pair: index[pair[0]])],
         "leq": [[hs[k // n], hs[k % n]] for k in keys],
     }
 

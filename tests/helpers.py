@@ -863,11 +863,26 @@ def pairwise_from_orthant(o: Orthant) -> PhyloTree:
 # halfspace systems on id pairs (oracles for the bitset code in pocsets)
 
 
+def leq(s: HalfspaceSystem) -> frozenset:
+    """The closed order of ``s`` as a frozenset of id pairs (a, b) meaning
+    a < b, read off ``above``."""
+    labels = s.labels
+    return frozenset((labels[p], labels[q])
+                     for p, m in enumerate(s.above) for q in range(len(labels)) if m >> q & 1)
+
+
+def lt(s: HalfspaceSystem, a, b) -> bool:
+    """a < b in the closed order of ``s``, read off ``above``; False if
+    either id is unknown."""
+    p, q = s.position.get(a), s.position.get(b)
+    return p is not None and q is not None and bool(s.above[p] >> q & 1)
+
+
 @dataclass(frozen=True)
 class PairSystem:
     """Oracle for ``pocsets.HalfspaceSystem``: the order as a frozenset of
     strict id pairs (a, b), a < b, with every derived table read off the
-    pairs and the hyperplanes sorted again from the star map."""
+    pairs. The hyperplanes are the star pairs in the order given."""
 
     halfspaces: tuple
     star_pairs: tuple
@@ -875,7 +890,7 @@ class PairSystem:
 
     @classmethod
     def of(cls, s: HalfspaceSystem) -> PairSystem:
-        return cls(halfspaces=s.halfspaces, star_pairs=s.star_pairs, leq=s.leq)
+        return cls(halfspaces=s.halfspaces, star_pairs=s.star_pairs, leq=leq(s))
 
     @cached_property
     def star(self) -> dict:
@@ -885,10 +900,9 @@ class PairSystem:
             out[b] = a
         return out
 
-    @cached_property
+    @property
     def hyperplanes(self) -> tuple:
-        pairs = [tuple(ssorted((a, b))) for a, b in self.star_pairs]
-        return tuple(sorted(pairs, key=lambda p: (skey(p[0]), skey(p[1]))))
+        return self.star_pairs
 
     @cached_property
     def hyperplane_of(self) -> dict:
@@ -915,7 +929,7 @@ class PairSystem:
         return (a, b) in self.leq
 
 
-def system_of_pairs(halfspaces, star_pairs, strict) -> HalfspaceSystem:
+def system_of_pairs(star_pairs, strict) -> HalfspaceSystem:
     """A ``HalfspaceSystem`` with the closed order ``strict`` (id pairs),
     written into the ``above`` bitsets one pair at a time."""
     labels = [h for pair in star_pairs for h in pair]
@@ -923,8 +937,18 @@ def system_of_pairs(halfspaces, star_pairs, strict) -> HalfspaceSystem:
     above = [0] * len(labels)
     for a, b in strict:
         above[position[a]] |= 1 << position[b]
-    return HalfspaceSystem(halfspaces=tuple(halfspaces), star_pairs=tuple(star_pairs),
-                           above=tuple(above))
+    return HalfspaceSystem(star_pairs=tuple(star_pairs), above=tuple(above))
+
+
+def system_of_sides(ids, sides) -> HalfspaceSystem:
+    """Oracle for ``pocsets._system_of_crossings`` and
+    ``complexes.halfspace_system_of``: the sets ``sides`` (int bitsets)
+    ordered by inclusion, one pair of them at a time, with no validation.
+    Positions are in input order: ``ids[p]`` names ``sides[p]``, and
+    ``ids[2i]`` and ``ids[2i + 1]`` are the sides of hyperplane i."""
+    above = [sum(1 << q for q, other in enumerate(sides) if q != p and not side & ~other)
+             for p, side in enumerate(sides)]
+    return HalfspaceSystem(star_pairs=tuple(zip(ids[::2], ids[1::2])), above=tuple(above))
 
 
 def _check_star(ids, star_pairs) -> dict:
@@ -1244,7 +1268,7 @@ def fixpoint_build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
         if (h, star[h]) in strict or (star[h], h) in strict:
             raise ComparableComplementsError(
                 f"halfspace {h!r} comparable with its complement", halfspace=h)
-    return system_of_pairs(ssorted(ids), pairs, strict)
+    return system_of_pairs(pairs, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -1418,7 +1442,7 @@ def frozenset_trust_report(th: TruncatedHalfspaces) -> tuple:
 
 
 def frozenset_leq(th: TruncatedHalfspaces) -> frozenset:
-    """Oracle for ``th.system.leq``: the proper inclusions of the member
+    """Oracle for ``leq(th.system)``: the proper inclusions of the member
     frozensets, closed by the pair-set builder."""
     ids = [_hid(i, sign) for i in range(len(th.walls)) for sign in "+-"]
     leq = [(a, b) for a in ids for b in ids if a != b and th.members[a] < th.members[b]]
@@ -1435,10 +1459,8 @@ def distance_side(th: TruncatedHalfspaces, wall_index: int, g) -> str:
 
 def distance_orientation(th: TruncatedHalfspaces, g) -> tuple:
     """Oracle for ``TruncatedHalfspaces.orientation_of``: the choices, per
-    hyperplane, from ``distance_side``."""
-    by_hyperplane = {th.hyperplane_of_wall(i): distance_side(th, i, g)
-                     for i in range(len(th.walls))}
-    return tuple(by_hyperplane[i] for i in range(len(by_hyperplane)))
+    wall, from ``distance_side``."""
+    return tuple(distance_side(th, i, g) for i in range(len(th.walls)))
 
 
 def walked_crossings(th: TruncatedHalfspaces) -> tuple:

@@ -31,6 +31,7 @@ from helpers import (
     hollow_square,
     label_build_complex,
     label_median_violation,
+    leq,
     lexmin_cube,
     matrix_median,
     named,
@@ -44,6 +45,7 @@ from helpers import (
     star_complex,
     swapped_torus,
     symmetry_maps,
+    system_of_sides,
     torus,
     torus_3x3,
     tree_complex,
@@ -963,7 +965,7 @@ def test_halfspace_system_of_runs_the_roller_test_once(make):
     fresh = make()  # a second complex, so nothing is read back from x
     if is_cat0(fresh).ok:
         oracle = frozenset_halfspace_system_of(fresh)
-        assert dec.system.leq == oracle.system.leq and dec.members == oracle.members
+        assert leq(dec.system) == leq(oracle.system) and dec.members == oracle.members
     else:
         assert dec == is_cat0(fresh).certificate()
 
@@ -1221,11 +1223,18 @@ def test_halfspace_system_rejects_torus():
 
 
 def _assert_same_decomposition(x):
+    # hyperplane i is square class i, whose ids the oracle lays out in id
+    # order: h10 comes before h2. The order is the inclusion of the
+    # oracle's members, pair by pair
     dec, oracle = halfspace_system_of(x), frozenset_halfspace_system_of(x)
-    assert dec.system.star_pairs == oracle.system.star_pairs
+    ids = [f"h{i}{sign}" for i in range(len(oracle.system.star_pairs)) for sign in "+-"]
+    assert dec.system.star_pairs == tuple(zip(ids[::2], ids[1::2]))
     assert dec.system.halfspaces == oracle.system.halfspaces
-    assert dec.system.leq == oracle.system.leq
+    assert leq(dec.system) == leq(oracle.system)
     assert dec.members == oracle.members
+    index = x.vertex_index
+    sides = [sum(1 << index[v] for v in oracle.members[h]) for h in ids]
+    assert dec.system == system_of_sides(ids, sides)
 
 
 def test_halfspace_system_of_matches_frozenset_oracle_on_corpus():

@@ -18,8 +18,10 @@ from helpers import (
     distance_side,
     frozenset_leq,
     frozenset_trust_report,
+    leq,
     oracle_shortlex_forms,
     reflection_word_walls,
+    system_of_sides,
     two_pass_cayley_ball,
     walked_crossings,
 )
@@ -58,7 +60,6 @@ from cubical.errors import (
     NestingViolationError,
     NotSymmetricError,
 )
-from cubical.pocsets import system_of_sides
 
 
 def dihedral(m):
@@ -522,9 +523,10 @@ def test_trust_report_and_order_match_frozensets(matrix, radius, margin):
     # and empty quarters
     ball = cayley_ball(parse_system(matrix), radius)
     th = halfspace_system(ball, margin)
-    assert th.wall_ids == tuple((_hid(i, "+"), _hid(i, "-")) for i in range(len(th.walls)))
+    assert th.system.star_pairs == tuple((_hid(i, "+"), _hid(i, "-"))
+                                         for i in range(len(th.walls)))
     assert th.untrusted_pairs == frozenset_trust_report(th)
-    assert th.system.leq == frozenset_leq(th)
+    assert leq(th.system) == frozenset_leq(th)
     if matrix == PGL2Z and margin == 2:
         assert len(th.walls) == 59 and th.untrusted_pairs
 
@@ -536,7 +538,7 @@ def test_trust_report_and_order_match_frozensets_on_landmarks(name):
         for margin in range(3):
             th = halfspace_system(ball, margin)
             assert th.untrusted_pairs == frozenset_trust_report(th)
-            assert th.system.leq == frozenset_leq(th)
+            assert leq(th.system) == frozenset_leq(th)
 
 
 def _sides_of_rows(rows, count) -> list:
@@ -552,13 +554,13 @@ def _sides_of_rows(rows, count) -> list:
 def test_crossing_rows_match_sides_past_wall_999():
     # a 1001 x 3 grid: the walls of each factor nest, and walls of
     # different factors are transversal. The ids of 1002 walls sort out of
-    # wall order, so the rows are laid out on a permutation of the walls.
+    # wall order, but hyperplane i is wall i all the same.
     rows = [(1 << a) - 1 | ((1 << b) - 1) << 1000 for a in range(1001) for b in range(3)]
     count = 1002
-    system = _system_of_crossings(rows, count)
-    assert ([int(plus[1:-1]) for plus, _ in system.star_pairs[99:104]]
-            == [99, 100, 1000, 1001, 101])
     ids = [_hid(i, sign) for i in range(count) for sign in "+-"]
+    pairs = list(zip(ids[::2], ids[1::2]))
+    system = _system_of_crossings(rows, pairs)
+    assert system.star_pairs[99:104] == tuple(pairs[99:104])  # walls 99 to 103
     assert system == system_of_sides(ids, _sides_of_rows(rows, count))
 
 
@@ -566,15 +568,16 @@ def test_identical_crossing_rows_raise_nesting_violation():
     # walls 0 and 2 agree on every point, and so do walls 1 and 3: the
     # error names the first wall j with an earlier twin, and its least twin i
     rows = [0b0000, 0b0101, 0b1010, 0b1111, 0b0101]
+    ids = [_hid(i, sign) for i in range(4) for sign in "+-"]
+    pairs = list(zip(ids[::2], ids[1::2]))
     with pytest.raises(NestingViolationError) as err:
-        _system_of_crossings(rows, 4)
+        _system_of_crossings(rows, pairs)
     assert err.value.message == ("walls w000+ and w002+ have identical truncated "
                                  "sides; increase the radius or margin")
     assert err.value.details == {"pair": ("w000+", "w002+")}
     # walls that differ on one point are ordered as the pair path orders them
     rows[-1] = 0b1001
-    ids = [_hid(i, sign) for i in range(4) for sign in "+-"]
-    assert _system_of_crossings(rows, 4) == system_of_sides(ids, _sides_of_rows(rows, 4))
+    assert _system_of_crossings(rows, pairs) == system_of_sides(ids, _sides_of_rows(rows, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -662,13 +665,12 @@ def test_cubulate_tests_consistency_only_on_a_miss(monkeypatch):
         if not original(system, Orientation(tuple(choices))).ok:
             break
     bad = Orientation(tuple(choices))
-    wall = next(j for j in range(len(th.walls)) if th.hyperplane_of_wall(j) == i)
     truncate = cox.halfspace_system
 
     def flipped(*args, **kwargs):
         t = truncate(*args, **kwargs)
         return dataclasses.replace(
-            t, crossed=t.crossed[:-1] + (t.crossed[-1] ^ 1 << wall,))
+            t, crossed=t.crossed[:-1] + (t.crossed[-1] ^ 1 << i,))  # wall i is hyperplane i
 
     monkeypatch.setattr(cox, "halfspace_system", flipped)
     with pytest.raises(CubicalError, match="is not a vertex"):

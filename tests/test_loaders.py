@@ -167,6 +167,20 @@ def test_numeric_node_ids_take_their_labels_by_string_form():
     assert code == 2 and cert["error"] == "input_format" and cert["ids"] == [0, "0"]
 
 
+@pytest.mark.parametrize("argv,leq", [
+    (["pocset", "validate", "{}"], [[1, "y"], [1, 2]]),
+    (["pocset", "dual", "{}"], [[1, "y"]]),
+])
+def test_one_halfspace_spelt_two_ways_exits_2_naming_both(argv, leq):
+    # 1 and 1.0 are one id to the builder: validate named a nesting witness
+    # spelt 1.0, which the halfspaces list does not use, and dual went on
+    payload = {"halfspaces": [1, "x", 2, "y"], "star": [[1.0, "x"], ["y", 2]], "leq": leq}
+    code, out = run_json(argv, payload)
+    cert = json.loads(out)["certificate"]
+    assert code == 2 and cert["error"] == "input_format" and cert["ids"] == [1, 1.0]
+    assert json.dumps(cert["ids"]) == "[1, 1.0]"
+
+
 def test_huge_leaf_count_is_rejected_without_allocating():
     code, out = run_json(TREE, {**GOOD_TREE, "n": 10 ** 12})
     assert code == 2

@@ -13,6 +13,8 @@ from helpers import (
     bfs_distances,
     fixpoint_build_system,
     grid_complex,
+    leq,
+    lt,
     pair_build_system,
     pair_dual_complex,
     pair_is_vertex,
@@ -62,7 +64,7 @@ from cubical.pocsets import (
     _chosen,
     _dual_cubes,
     _star_layout,
-    system_of_sides,
+    _system_of_crossings,
 )
 from cubical.util import skey
 
@@ -125,8 +127,8 @@ def test_nesting_violation():
 
 def test_nested_pair_closure():
     s = pairs_system(2, [("a0+", "a1+")])
-    assert s.lt("a0+", "a1+")
-    assert s.lt("a1-", "a0-")  # forced by star-reversal
+    assert lt(s, "a0+", "a1+")
+    assert lt(s, "a1-", "a0-")  # forced by star-reversal
 
 
 def test_self_paired_rejected():
@@ -290,7 +292,7 @@ def test_build_system_matches_pair_oracle(system):
     if isinstance(expected, tuple):  # same error class, message and details
         assert got == expected
         return
-    assert (got.halfspaces, got.star_pairs, got.leq) == (
+    assert (got.halfspaces, got.star_pairs, leq(got)) == (
         expected.halfspaces, expected.star_pairs, expected.leq)
     assert got.hyperplanes == expected.hyperplanes
     position = got.position
@@ -379,7 +381,7 @@ def test_seed_vertex_ignores_clause_order(system, rng):
     # the 2-SAT clauses of the closed order, added in any order, give the
     # seed that position order gives
     s = build_system(*system)
-    clauses = sorted(s.leq, key=lambda r: (skey(r[0]), skey(r[1])))
+    clauses = sorted(leq(s), key=lambda r: (skey(r[0]), skey(r[1])))
     rng.shuffle(clauses)
     assert pair_seed_vertex(PairSystem.of(s), clauses) == seed_vertex(s)
 
@@ -391,7 +393,7 @@ def test_dump_load_round_trip():
 
 
 def _skey_sorted_leq(s):
-    return sorted(([a, b] for a, b in s.leq), key=lambda p: (skey(p[0]), skey(p[1])))
+    return sorted(([a, b] for a, b in leq(s)), key=lambda p: (skey(p[0]), skey(p[1])))
 
 
 def test_dump_system_sorts_leq_by_skey_on_mixed_ids():
@@ -410,6 +412,23 @@ def test_dump_system_sorts_leq_by_skey_on_mixed_ids():
 def test_dump_system_sorts_leq_by_skey(system):
     s = build_system(*system)
     assert dump_system(s)["leq"] == _skey_sorted_leq(s)
+
+
+def test_dump_system_ignores_position_order():
+    # the sides of a 7 x 7 grid's 12 walls, named w0+ ... w11- unpadded:
+    # wall order puts w2 before w10, id order after it. The dump lists the
+    # star pairs and the order in id order either way
+    rows = [(1 << a) - 1 | ((1 << b) - 1) << 6 for a in range(7) for b in range(7)]
+    pairs = [(f"w{i}+", f"w{i}-") for i in range(12)]
+    s = _system_of_crossings(rows, pairs)
+    assert s.star_pairs == tuple(pairs)
+    rebuilt = build_system(s.labels, s.star_pairs, leq(s))
+    assert rebuilt.star_pairs != s.star_pairs and leq(rebuilt) == leq(s)
+    dumped = dump_system(s)
+    assert dumped == dump_system(rebuilt)
+    assert dumped["star"][:4] == [["w0+", "w0-"], ["w1+", "w1-"], ["w10+", "w10-"],
+                                  ["w11+", "w11-"]]
+    assert len(dumped["leq"]) == 2 * 15 * 2  # 2 factors, 15 nested wall pairs each, 2 relations a pair
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +617,6 @@ def test_dual_assembles_each_cube_once(monkeypatch):
         assert d == all_corners_dual_complex(s, seed)
 
 
-def test_system_of_sides_names_equal_sides_as_a_cycle():
-    # inclusion in both directions, with no closure run: the first side in
-    # input order with a twin, and its first twin
-    ids = ["b+", "b-", "a+", "a-", "c+", "c-"]
-    with pytest.raises(CyclicOrderError) as err:
-        system_of_sides(ids, [0b011, 0b100, 0b001, 0b110, 0b011, 0b100])
-    assert err.value.details == {"pair": ("b+", "c+")}
-
-
 def test_cube_walk_keeps_the_clique_pre_order():
     # the mask walk lists the families of graphs.cliques in its order, so a
     # duplicate cube is named as before; corner k flips fam[pos] for the
@@ -633,8 +643,8 @@ def _assert_covers_by_definition(s):
     # b covers a: a < b with nothing strictly between, on ids
     labels = s.labels
     for p, a in enumerate(labels):
-        covering = {b for b in labels if s.lt(a, b)
-                    and not any(s.lt(a, c) and s.lt(c, b) for c in labels)}
+        covering = {b for b in labels if lt(s, a, b)
+                    and not any(lt(s, a, c) and lt(s, c, b) for c in labels)}
         assert {labels[q] for q in range(len(labels)) if s.covers[p] >> q & 1} == covering
 
 
@@ -644,7 +654,7 @@ def _assert_covers(s, seeded):
     # Both must equal the skip loop's on the same order, and the definition
     assert ("covers" in s.__dict__) is seeded
     if seeded:
-        assert s.covers == HalfspaceSystem(s.halfspaces, s.star_pairs, s.above).covers
+        assert s.covers == HalfspaceSystem(s.star_pairs, s.above).covers
     _assert_covers_by_definition(s)
 
 
@@ -669,8 +679,8 @@ def test_covers_and_dual_match_oracles_on_deep_systems():
     trees = ([(0, 1), (1, 2), (1, 3), (3, 4)], [(0, 1), (0, 2), (0, 3)],
              [(0, 1), (1, 2), (2, 3), (2, 4)])
     systems = [(chain_system(40), True),  # "-" sides in id order run down the chain
-               (halfspace_system_of(tree_product(*trees)).system, False),  # system_of_sides
-               *((s, False) for s in _cubulated_systems())]  # _system_of_crossings
+               (halfspace_system_of(tree_product(*trees)).system, False),
+               *((s, False) for s in _cubulated_systems())]  # all three _system_of_crossings
     for s, seeded in systems:
         _assert_covers(s, seeded)
         seed = seed_vertex(s)
@@ -715,21 +725,8 @@ def test_dual_cubes_pass_the_builder_checks(monkeypatch, error, mangle):
 def test_seed_vertex_matches_twosat_on_truncations():
     # the closed form against the 2-SAT oracle on Coxeter truncations
     for s in _cubulated_systems():
-        clauses = sorted(s.leq, key=lambda r: (skey(r[0]), skey(r[1])))
+        clauses = sorted(leq(s), key=lambda r: (skey(r[0]), skey(r[1])))
         assert seed_vertex(s) == pair_seed_vertex(PairSystem.of(s), clauses)
-
-
-def test_lt_reads_above_without_building_leq():
-    from helpers import cat0_corpus
-
-    systems = [pairs_system(3), chain_system(5), *_cubulated_systems()]
-    systems += [halfspace_system_of(x).system for _, x in cat0_corpus()]
-    for s in systems:
-        labels = s.labels
-        got = {(a, b) for a in labels for b in labels if s.lt(a, b)}
-        assert not s.lt(labels[0], "ghost") and not s.lt("ghost", labels[0])
-        assert "leq" not in s.__dict__
-        assert got == s.leq
 
 
 def test_maximal_cubes_match_face_scan_on_corpus():
