@@ -166,7 +166,12 @@ class _Tits:
 
     def __init__(self, matrix):
         self.rank = rank = len(matrix)
-        n = 2 * math.lcm(*(m for row in matrix for m in row if 4 <= m < math.inf))
+        lcm = math.lcm(*(m for row in matrix for m in row if 4 <= m < math.inf))
+        if lcm > 4 * MAX_DEGREE ** 2:  # D >= sqrt(lcm) / 2 > MAX_DEGREE: skip factoring
+            raise CapExceededError(f"Tits' representation needs more than {MAX_DEGREE} "
+                                   f"ints per number: the lcm {lcm} of the entries is "
+                                   f"above {4 * MAX_DEGREE ** 2}", cap=MAX_DEGREE, lcm=lcm)
+        n = 2 * lcm
         primes = _primes(n)
         self.degree = d = max(1, n // math.prod(primes) * math.prod(p - 1 for p in primes) // 2)
         if d > MAX_DEGREE:
@@ -418,7 +423,8 @@ class Root:
 
 def halfspace(ball: CayleyBall, u: Word, v: Word) -> Root:
     """{w in ball : d(w,u) < d(w,v)} for adjacent u, v; asserted equal to
-    the even-crossing-parity root through u."""
+    the even-crossing-parity root through u. The edge need not lie in the
+    ball: a wall with no edge there comes with ``edges=()``."""
     sys_ = ball.system
     u = reduce_word(sys_, u)
     v = reduce_word(sys_, v)
@@ -426,7 +432,8 @@ def halfspace(ball: CayleyBall, u: Word, v: Word) -> Root:
         raise NotAdjacentError("u and v are not adjacent", u=u, v=v)
     s = reduce_word(sys_, _inv(u) + v)[0]
     refl = reflection_of_edge(sys_, u, s)
-    wall = next(w for w in walls(ball) if w.reflection == refl)
+    wall = next((w for w in walls(ball) if w.reflection == refl),
+                Wall(reflection=refl, edges=()))
     side = frozenset(w for w in ball.elements
                      if distance(sys_, w, u) < distance(sys_, w, v))
     parity_side = frozenset(w for w in ball.elements
@@ -682,13 +689,15 @@ def ends_profile(sys_: CoxeterSystem, radius: int,
 
     The verdict is read at r = radius // 2: annuli thinner than that shatter
     even in one-ended groups (a bare sphere has no internal edges), so
-    counts at large r are reported as evidence but not trusted.
+    counts at large r are reported as evidence but not trusted. Below
+    radius 2 there is no annulus to count, which is an input error.
     """
+    if radius < 2:
+        raise InputFormatError(f"ends needs radius >= 2, got {radius}")
     ball = cayley_ball(sys_, radius, cap=cap)
-    counts = {r: _annulus_components(ball, r)
-              for r in range(1, radius) if r < radius}
-    verdict_r = max(1, radius // 2)
-    count = counts.get(verdict_r, 0)
+    counts = {r: _annulus_components(ball, r) for r in range(1, radius)}
+    verdict_r = radius // 2
+    count = counts[verdict_r]
     verdict = str(count) if count <= 2 else "infinity"
     return EndsReport(radius=radius, counts=counts,
                       verdict_r=verdict_r, verdict=verdict)

@@ -39,13 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import CubeComplex, _complex_of_ranks, _disagreement, canonical_cube
+from .complexes import CubeComplex, _complex_of_ranks, _disagreement, _scan_listing, canonical_cube
 from .errors import (
     CapExceededError,
     ComparableComplementsError,
     CubicalError,
     CyclicOrderError,
-    DuplicateCubeError,
     InputFormatError,
     NestingViolationError,
     NotAVertexError,
@@ -538,14 +537,14 @@ def flip(s: HalfspaceSystem, v: Orientation, i: int) -> Orientation:
 @dataclass(frozen=True)
 class DualComplex:
     """One connected component of the dual complex, with the orientation
-    behind every vertex id and the hyperplane family behind every cube.
-    Vertices are kept as bitsets of chosen positions, the seed's first."""
+    behind every vertex id, kept as bitsets of chosen positions, the
+    seed's first. The rest is derived: a cube's hyperplane family is
+    ``differing(c[0], c[-1])``, where its opposite corners choose apart."""
 
     system: HalfspaceSystem
     seed: Orientation
     complex: CubeComplex
     masks: tuple                 # vertex id -> bitset of chosen positions
-    cube_families: dict          # canonical cube tuple -> tuple of hyperplane idxs
 
     @cached_property
     def orientations(self) -> tuple:  # vertex id -> Orientation, on first use
@@ -582,13 +581,14 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     result keeps as its ``masks``, and their minimal positions. More than
     ``cap`` vertices, the seed included, raise ``CapExceededError``.
     ``_dual_cubes`` walks the families of each vertex on bitsets, building
-    each cube's corners from its parent family's. The walked cubes are
-    canonicalized a dimension at a time, and each family recorded with its
-    cube; a set of fewer cubes than were walked means one was assembled
-    twice, and only then does a second walk name the first repeat.
+    each cube's corners from its parent family's, and yields the corner
+    ids alone. The walked cubes are canonicalized a dimension at a time; a
+    set of fewer cubes than were walked means one was assembled twice, and
+    only then does ``_scan_listing``, the ordered scan of
+    ``build_complex``, name that dimension's first repeat in walk order.
     ``_complex_of_ranks`` then checks faces and gluing on the ids 0..n-1,
-    which are their own ranks. A cube's corners flip distinct sets
-    of hyperplanes, so they are distinct vertices."""
+    which are their own ranks. A cube's corners flip distinct sets of
+    hyperplanes, so they are distinct vertices."""
     res = is_vertex(s, seed)
     if not res.ok:
         raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
@@ -597,22 +597,19 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
         raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
     order, ids, minimal_at = walk
 
-    walked: dict[int, list] = {}
+    walked: dict[int, list] = {}  # corner count -> the cubes in walk order
     for cube in _dual_cubes(s, order, minimal_at, ids):
-        walked.setdefault(len(cube[0]), []).append(cube)
+        walked.setdefault(len(cube), []).append(cube)
     listed: dict[int, set] = {}
-    families = {}
-    for k, cubes in walked.items():
-        fams, ranked = zip(*cubes)
-        canon = list(map(canonical_cube, ranked))
-        listed[k] = set(canon)
-        if len(listed[k]) != len(canon):
-            _first_duplicate(_dual_cubes(s, order, minimal_at, ids))
-        families.update(zip(canon, fams))
+    for size, cubes in walked.items():
+        k = size.bit_length() - 1
+        listed[k] = set(map(canonical_cube, cubes))
+        if len(listed[k]) != len(cubes):
+            _scan_listing(cubes, k, range(len(order)), set())
+            raise _disagreement("listing")
 
     complex_ = _complex_of_ranks(tuple(range(len(order))), listed)
-    return DualComplex(system=s, seed=seed, complex=complex_,
-                       masks=tuple(order), cube_families=families)
+    return DualComplex(system=s, seed=seed, complex=complex_, masks=tuple(order))
 
 
 def _flip_walk(s: HalfspaceSystem, start: int, cap: int):
@@ -666,62 +663,49 @@ def _flip_walk(s: HalfspaceSystem, start: int, cap: int):
     return order, ids, minimal_at
 
 
-def _first_duplicate(walk) -> None:
-    """Raise DuplicateCubeError for the first cube of ``walk``, the (family,
-    corner ids) pairs of ``_dual_cubes``, that an earlier one repeats up
-    to symmetry."""
-    seen = set()
-    for fam, ranked in walk:
-        cube = canonical_cube(ranked)
-        if cube in seen:
-            raise DuplicateCubeError(
-                "cube listed twice (up to symmetry)", cube=ranked, dim=len(fam))
-        seen.add(cube)
-    raise _disagreement("duplicate")
-
-
 def _dual_cubes(s: HalfspaceSystem, order: list, minimal_at: list, ids: dict):
-    """Yield (family, corner ids) for each cube of the dual at the vertex
-    that chooses the first halfspace of each of its hyperplanes, vertices
-    in ``order``. At vertex v the families are the cliques of the
-    transversal graph on the hyperplanes whose first halfspace is minimal
-    at v, walked on bitsets of even positions in the pre-order of
-    ``graphs.cliques``: each family before its extensions, extensions by
-    earlier hyperplanes first. A family's corners are its parent's, then
-    the parent's flipped on the added hyperplane, so corner k flips
-    ``fam[pos]`` for the bits pos of k."""
+    """Yield the corner ids of each cube of the dual at the vertex that
+    chooses the first halfspace of each of its hyperplanes, vertices in
+    ``order``. At vertex v the families are the cliques of the transversal
+    graph on the hyperplanes whose first halfspace is minimal at v, walked
+    on bitsets of even positions in the pre-order of ``graphs.cliques``:
+    each family before its extensions, extensions by earlier hyperplanes
+    first. A family's corners are its parent's, then the parent's flipped
+    on the added hyperplane, so corner i flips the j-th hyperplane added
+    for the bits j of i, and the last corner flips the whole family: no
+    family is kept, as the two corners' masks give it back."""
     transversal = s.transversal_masks
     even = _evens(2 * len(s.star_pairs))
     for n, (v, minimal) in enumerate(zip(order, minimal_at)):
         rest = minimal & even  # the candidates left at the current family
         stack = []  # the families it extends, each with its candidates left
-        fam, corners, ranked = (), [v], (n,)
+        corners, ranked = [v], (n,)
         while True:
             if rest:
                 low = rest & -rest
                 rest ^= low
                 p = low.bit_length() - 1
                 flipped = [c ^ (3 << p) for c in corners]
-                child = fam + (p >> 1,)
-                child_ranked = ranked + tuple([ids[c] for c in flipped])
-                yield child, child_ranked
+                child = ranked + tuple([ids[c] for c in flipped])
+                yield child
                 later = rest & transversal[p >> 1]
                 if later:  # walk the child's extensions before its siblings
-                    stack.append((fam, corners, ranked, rest))
-                    fam, corners, ranked, rest = (child, corners + flipped,
-                                                  child_ranked, later)
+                    stack.append((corners, ranked, rest))
+                    corners, ranked, rest = corners + flipped, child, later
             elif stack:
-                fam, corners, ranked, rest = stack.pop()
+                corners, ranked, rest = stack.pop()
             else:
                 break
 
 
 def maximal_cubes(dual: DualComplex) -> list[tuple]:
     """Maximal cubes of the component with their defining hyperplane
-    families, as ``dual_complex`` recorded them; verifies the cube <->
-    maximal-transversal-family bijection."""
+    families, read off the masks of the opposite corners c[0] and c[-1];
+    verifies the cube <-> maximal-transversal-family bijection."""
     s = dual.system
-    result = [(c, dual.cube_families[c])
+    masks = dual.masks
+    even = _evens(2 * len(s.star_pairs))
+    result = [(c, tuple(p >> 1 for p in _bits((masks[c[0]] ^ masks[c[-1]]) & even)))
               for c in sorted(dual.complex.maximal, key=lambda t: (len(t), t))]
 
     fams = [fam for _, fam in result]

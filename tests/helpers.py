@@ -239,11 +239,14 @@ def label_build_complex(vertices, cubes_by_dim: dict) -> LabelComplex:
 
 def scan_maximal_cubes(dual: DualComplex) -> list[tuple]:
     """Oracle for ``pocsets.maximal_cubes``: the cubes that are no face of
-    a larger one, by ``faces_of_larger``, with their families, ordered by
-    (size, corners)."""
+    a larger one, by ``faces_of_larger``, ordered by (size, corners), each
+    with its family read off its axis edges: the hyperplane that corners 0
+    and 2^i differ on, for each axis i, in increasing order. This does not
+    rely on the diagonal law that ``maximal_cubes`` reads."""
     x = dual.complex
     covered = faces_of_larger(x.cubes)
-    return [(c, dual.cube_families[c])
+    return [(c, tuple(sorted(h for i in range(cube_dim(c))
+                             for h in dual.differing(c[0], c[1 << i]))))
             for c in sorted(x.cubes, key=lambda t: (len(t), t)) if c not in covered]
 
 
@@ -1165,7 +1168,8 @@ def pair_dual_complex(s: PairSystem, seed: Orientation, cap: int = 100_000,
     ``Orientation`` tuples, and each cube assembled at the one corner that
     chooses the first halfspace of each of its hyperplanes, or, with
     ``all_corners``, at each of its 2^k corners. Returns the orientations
-    in BFS order, the complex and the cube families."""
+    in BFS order, the complex and the cube families, each the clique it was
+    assembled from."""
     res = pair_is_vertex(s, seed)
     if not res.ok:
         raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
@@ -1206,12 +1210,23 @@ def pair_dual_complex(s: PairSystem, seed: Orientation, cap: int = 100_000,
 def all_corners_dual_complex(s: HalfspaceSystem, seed, cap: int = 100_000) -> DualComplex:
     """Oracle for ``pocsets.dual_complex``: the pair-set BFS over flips,
     with every cube assembled at each of its 2^k corners, from every family
-    of pairwise-transversal minimal hyperplanes there."""
+    of pairwise-transversal minimal hyperplanes there. Asserts that each
+    family is the mask difference of its cube's opposite corners, which is
+    all the dual keeps of it."""
     order, complex_, families = pair_dual_complex(PairSystem.of(s), seed, cap,
                                                   all_corners=True)
-    return DualComplex(system=s, seed=seed, complex=complex_,
-                       masks=tuple(_chosen(s, o) for o in order),
-                       cube_families=families)
+    dual = DualComplex(system=s, seed=seed, complex=complex_,
+                       masks=tuple(_chosen(s, o) for o in order))
+    assert_families_on_diagonals(dual, families)
+    return dual
+
+
+def assert_families_on_diagonals(dual: DualComplex, families: dict) -> None:
+    """Each cube's family, as an oracle assembled it, is the set of
+    hyperplanes on which its opposite corners' masks differ."""
+    assert families.keys() == dual.complex.cubes
+    for c, fam in families.items():
+        assert list(fam) == dual.differing(c[0], c[-1])
 
 
 def fixpoint_closure(star: dict, leq_pairs) -> set:

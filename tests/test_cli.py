@@ -226,6 +226,16 @@ def test_coxeter_walls_root_edge_without_dot(capsys, tmp_path, a2t_file):
     assert "cayley" in dot.read_text()
 
 
+def test_coxeter_walls_root_edge_off_the_ball(capsys):
+    # the wall of (12, 121) has no edge in the radius-1 ball of the infinite
+    # dihedral group; the root is still defined, and holds the whole ball
+    path = str(Path(__file__).resolve().parent / "fixtures" / "infdihedral.json")
+    code, verdict = run_cli(capsys, "coxeter", "walls", "--matrix", path,
+                            "--radius", "1", "--root-edge", "12,121")
+    assert code == 0
+    assert verdict["stats"]["root_side_size"] == 3
+
+
 def test_coxeter_reduce(capsys, a2t_file):
     code, verdict = run_cli(capsys, "coxeter", "reduce", "--matrix", a2t_file,
                             "--word", "1 1 2 1")
@@ -248,6 +258,16 @@ def test_coxeter_ends(capsys, tmp_path):
                             "--radius", "6")
     assert code == 0
     assert verdict["certificate"]["verdict"] == "2"
+
+
+def test_coxeter_ends_below_radius_2_is_an_input_error(capsys, pgl_file):
+    # no annulus is counted there, so no verdict may be read
+    for radius in ("0", "1"):
+        code, verdict = run_cli(capsys, "coxeter", "ends", "--matrix", pgl_file,
+                                "--radius", radius)
+        assert code == 2
+        assert verdict["certificate"] == {"error": "input_format",
+                                          "message": f"ends needs radius >= 2, got {radius}"}
 
 
 def test_tree_commands(capsys, tmp_path):

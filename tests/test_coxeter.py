@@ -57,6 +57,7 @@ from cubical.errors import (
     BadDiagonalError,
     CubicalError,
     EntryBelowTwoError,
+    InputFormatError,
     NestingViolationError,
     NotSymmetricError,
 )
@@ -261,6 +262,18 @@ def test_degree_ceiling_checked_before_tables(monkeypatch, tmp_path, capsys):
     assert main(["coxeter", "reduce", "--matrix", str(path), "--word", " ".join("123" * 7)]) == 2
     certificate = json.loads(capsys.readouterr().out)["certificate"]
     assert certificate["error"] == "cap_exceeded" and certificate["degree"] == 4224
+    # past lcm 4 * 128^2, D = phi(2 lcm) / 2 >= sqrt(lcm) / 2 is over the cap
+    # without factoring: a 21-digit prime entry would stall trial division
+    monkeypatch.setattr(cox, "_primes", None)
+    for m in (4 * 128 ** 2 + 1, 100000000000000000039):
+        with pytest.raises(CapExceededError) as err:
+            parse_system([[1, m], [m, 1]]).tits
+        assert err.value.details == {"cap": 128, "lcm": m}
+    path.write_text(json.dumps({"rank": 2, "m": [[1, 100000000000000000039],
+                                                 [100000000000000000039, 1]]}))
+    assert main(["coxeter", "reduce", "--matrix", str(path), "--word", "1 2"]) == 2
+    certificate = json.loads(capsys.readouterr().out)["certificate"]
+    assert certificate["error"] == "cap_exceeded" and certificate["lcm"] == 100000000000000000039
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +452,16 @@ def test_roots_match_parity_everywhere():
         for u, v, _ in ball.edges:
             root = halfspace(ball, u, v)
             assert u in root.side and v in root.complement
+
+
+def test_root_of_an_edge_whose_wall_misses_the_ball():
+    # H(U, V) is defined by distances for any adjacent U and V: the wall of
+    # (12, 121) in the infinite dihedral group has no edge in the radius-1
+    # ball, which lies wholly on the side of 12
+    ball = cayley_ball(parse_system([[1, 0], [0, 1]]), 1)
+    root = halfspace(ball, (0, 1), (0, 1, 0))
+    assert root.wall.reflection == (0, 1, 0, 1, 0) and root.wall.edges == ()
+    assert root.side == set(ball.elements) and not root.complement
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +797,15 @@ def test_ends_finite_group_zero():
 
 def test_ends_estimate_single_pair():
     assert ends_profile(parse_system([[1, 0], [0, 1]]), 5).counts[2] == 2
+
+
+def test_ends_need_an_annulus():
+    # below radius 2 there is no annulus, so no count to read a verdict from
+    for radius in (0, 1):
+        with pytest.raises(InputFormatError):
+            ends_profile(parse_system(PGL2Z), radius)
+    rep = ends_profile(parse_system(PGL2Z), 2)
+    assert rep.verdict_r == 1 and rep.counts == {1: 5}
 
 
 def test_ends_verdicts_in_hopf_range():

@@ -9,6 +9,7 @@ from helpers import (
     PairSystem,
     TwoSat,
     all_corners_dual_complex,
+    assert_families_on_diagonals,
     assert_sageev_isomorphism,
     bfs_distances,
     fixpoint_build_system,
@@ -43,7 +44,7 @@ from cubical import (
     seed_vertex,
     transversal,
 )
-from cubical.complexes import cube_dim
+from cubical.complexes import canonical_cube, cube_dim
 from cubical.errors import (
     ComparableComplementsError,
     CubicalError,
@@ -359,7 +360,7 @@ def test_vertices_seed_and_dual_match_pair_oracle(system):
     order, complex_, families = pair_dual_complex(ps, seed)
     assert d.orientations == order
     assert d.complex.cubes == complex_.cubes
-    assert d.cube_families == families
+    assert_families_on_diagonals(d, families)
     masks = tuple(_chosen(s, o) for o in order)
     assert d.masks == masks
     for v, o in enumerate(order):  # bits and differences from the choice tuples
@@ -367,8 +368,7 @@ def test_vertices_seed_and_dual_match_pair_oracle(system):
         assert d.differing(v, 0) == d.differing(0, v) == diff
         assert d.bitmap(v) == "".join("1" if i in diff else "0"
                                       for i in range(len(s.hyperplanes)))
-    oracle = DualComplex(system=ps, seed=seed, complex=complex_, masks=masks,
-                         cube_families=families)
+    oracle = DualComplex(system=ps, seed=seed, complex=complex_, masks=masks)
     assert maximal_cubes(d) == maximal_cubes(oracle) == scan_maximal_cubes(d)
     for cap in (0, len(order) - 1):
         assert _outcome(dual_complex, s, seed, cap) == _outcome(pair_dual_complex, ps, seed, cap)
@@ -559,17 +559,32 @@ def test_flip_involution_everywhere():
                 assert flip(s, w, i) == v
 
 
+def _assert_diagonal_law(s):
+    # the corner opposite the base differs on exactly the cube's family, the
+    # hyperplanes of its axis edges, each of which flips one of them
+    d = dual_complex(s, seed_vertex(s))
+    for cube in d.complex.cubes:
+        k = cube_dim(cube)
+        axes = [d.differing(cube[0], cube[1 << i]) for i in range(k)]
+        assert all(len(flips) == 1 for flips in axes)
+        fam = {flips[0] for flips in axes}
+        base = d.orientations[cube[0]]
+        opposite = d.orientations[cube[(1 << k) - 1]]
+        differing = {i for i in range(len(s.hyperplanes))
+                     if base.choices[i] != opposite.choices[i]}
+        assert differing == fam and len(fam) == k
+
+
 def test_diagonal_vertex_law():
-    # the corner opposite the base differs on exactly the cube's family
-    for s in [pairs_system(3), halfspace_system_of(grid_complex(2, 2)).system]:
-        d = dual_complex(s, seed_vertex(s))
-        for cube, fam in d.cube_families.items():
-            k = cube_dim(cube)
-            base = d.orientations[cube[0]]
-            opposite = d.orientations[cube[(1 << k) - 1]]
-            differing = {i for i in range(len(s.hyperplanes))
-                         if base.choices[i] != opposite.choices[i]}
-            assert differing == set(fam)
+    for s in [pairs_system(3), halfspace_system_of(grid_complex(2, 2)).system,
+              *_cubulated_systems()]:
+        _assert_diagonal_law(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_generator_sets())
+def test_diagonal_vertex_law_on_drawn_systems(system):
+    _assert_diagonal_law(build_system(*system))
 
 
 def test_d1_coherence():
@@ -620,7 +635,7 @@ def test_dual_assembles_each_cube_once(monkeypatch):
 def test_cube_walk_keeps_the_clique_pre_order():
     # the mask walk lists the families of graphs.cliques in its order, so a
     # duplicate cube is named as before; corner k flips fam[pos] for the
-    # bits pos of k
+    # bits pos of k, and the family is the diagonal's mask difference
     systems = [pairs_system(4), chain_system(6),
                halfspace_system_of(grid_complex(2, 3, 1)).system, *_cubulated_systems()]
     for s in systems:
@@ -635,7 +650,9 @@ def test_cube_walk_keeps_the_clique_pre_order():
                 for i in fam:
                     corners += [c ^ (3 << 2 * i) for c in corners]
                 if fam:
-                    expected.append((fam, tuple(ids[c] for c in corners)))
+                    ranked = tuple(ids[c] for c in corners)
+                    assert d.differing(ranked[0], ranked[-1]) == list(fam)
+                    expected.append(ranked)
         assert list(_dual_cubes(s, order, minimal_at, ids)) == expected
 
 
@@ -689,20 +706,30 @@ def test_covers_and_dual_match_oracles_on_deep_systems():
 
 def _relisted(cubes):
     # each cube again, reflected along its first axis: corner j goes to j ^ 1
-    for fam, ranked in cubes:
-        yield fam, ranked
-        yield fam, tuple(ranked[j ^ 1] for j in range(len(ranked)))
+    for ranked in cubes:
+        yield ranked
+        yield tuple(ranked[j ^ 1] for j in range(len(ranked)))
+
+
+def _squares_twice(cubes):
+    # each square again, as it stands, after edges that are all sound
+    for ranked in cubes:
+        yield ranked
+        if len(ranked) == 4:
+            yield ranked
 
 
 @pytest.mark.parametrize("error,mangle", [
     (DuplicateCubeError, lambda cubes: (c for cube in cubes for c in (cube, cube))),
     (DuplicateCubeError, _relisted),
-    (MissingFaceError, lambda cubes: (c for c in cubes if len(c[0]) != 1)),
+    (DuplicateCubeError, _squares_twice),
+    (MissingFaceError, lambda cubes: (c for c in cubes if len(c) != 2)),
 ])
 def test_dual_cubes_pass_the_builder_checks(monkeypatch, error, mangle):
-    # each cube assembled twice, as it stands or under a symmetry, or the
-    # edges left out, on a 3-cube; a duplicate is named at its first repeat
-    # in walk order
+    # each cube or each square assembled twice, as it stands or under a
+    # symmetry, or the edges left out, on a 3-cube; a duplicate is named at
+    # its first repeat in walk order, the first cube that repeats the one
+    # walked before it
     import cubical.pocsets
 
     original = cubical.pocsets._dual_cubes
@@ -718,8 +745,9 @@ def test_dual_cubes_pass_the_builder_checks(monkeypatch, error, mangle):
     with pytest.raises(error) as info:
         dual_complex(s, seed_vertex(s))
     if error is DuplicateCubeError:
-        fam, ranked = walked[1]  # the first cube again
-        assert info.value.details == {"cube": ranked, "dim": len(fam)}
+        repeat = next(b for a, b in zip(walked, walked[1:])
+                      if canonical_cube(a) == canonical_cube(b))
+        assert info.value.details == {"cube": repeat, "dim": cube_dim(repeat)}
 
 
 def test_seed_vertex_matches_twosat_on_truncations():
