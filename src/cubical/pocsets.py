@@ -17,9 +17,9 @@ walls, for the Coxeter truncations, the Roller test of ``complexes`` and
 ``halfspace_system_of``. Inclusion is transitive as it stands, so it needs
 no closure; it has no generators, and its covers are found from ``above``
 on first use. ``_validated`` checks every order, however it was made.
-``_flip_walk`` is the one search over minimal flips: ``dual_complex``
-assembles its cubes on the walk, and the Roller test compares the walk
-with a 1-skeleton.
+``_flip_walk`` is the one search over minimal flips: ``_dual_listing``
+assembles the cubes on the walk, for ``dual_complex`` and tree space, and
+the Roller test compares the walk with a 1-skeleton.
 
 Halfspaces live at positions: hyperplane i holds positions 2i and 2i + 1,
 so the complement of position p is p ^ 1. ``build_system`` sorts the ids
@@ -570,39 +570,17 @@ class DualComplex:
 
 def dual_complex(s: HalfspaceSystem, seed: Orientation,
                  cap: int = 100_000) -> DualComplex:
-    """BFS over flips from the seed; cubes, edges included, are assembled
-    from families of pairwise-transversal minimal halfspaces. Every
-    hyperplane of a cube is minimal at each of its corners, and exactly one
-    corner chooses the first halfspace of each of them, so a cube is
-    assembled once: at that corner, from the minimal hyperplanes whose
-    first halfspace it chooses.
-
-    ``_flip_walk`` finds the vertices, bitsets of chosen positions that the
-    result keeps as its ``masks``, and their minimal positions. More than
-    ``cap`` vertices, the seed included, raise ``CapExceededError``.
-    ``_dual_cubes`` walks the families of each vertex on bitsets, building
-    each cube's corners from its parent family's, and yields the corner
-    ids alone. The walked cubes are canonicalized a dimension at a time; a
-    set of fewer cubes than were walked means one was assembled twice, and
-    only then does ``_scan_listing``, the ordered scan of
-    ``build_complex``, name that dimension's first repeat in walk order.
-    ``_complex_of_ranks`` then checks faces and gluing on the ids 0..n-1,
-    which are their own ranks. A cube's corners flip distinct sets of
-    hyperplanes, so they are distinct vertices."""
-    res = is_vertex(s, seed)
-    if not res.ok:
-        raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
-    walk = _flip_walk(s, _chosen(s, seed), cap)
-    if walk is None:
-        raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
-    order, ids, minimal_at = walk
-
-    walked: dict[int, list] = {}  # corner count -> the cubes in walk order
-    for cube in _dual_cubes(s, order, minimal_at, ids):
-        walked.setdefault(len(cube), []).append(cube)
+    """BFS over flips from the seed, with the cubes, edges included, that
+    ``_dual_listing`` assembles on it; more than ``cap`` vertices, the seed
+    included, raise ``CapExceededError``. The cubes are canonicalized a
+    dimension at a time; a set of fewer cubes than were walked means one
+    was assembled twice, and only then does ``_scan_listing``, the ordered
+    scan of ``build_complex``, name that dimension's first repeat in walk
+    order. ``_complex_of_ranks`` then checks faces and gluing on the ids
+    0..n-1, which are their own ranks."""
+    order, walked = _dual_listing(s, seed, cap)
     listed: dict[int, set] = {}
-    for size, cubes in walked.items():
-        k = size.bit_length() - 1
+    for k, cubes in walked.items():
         listed[k] = set(map(canonical_cube, cubes))
         if len(listed[k]) != len(cubes):
             _scan_listing(cubes, k, range(len(order)), set())
@@ -610,6 +588,30 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
 
     complex_ = _complex_of_ranks(tuple(range(len(order))), listed)
     return DualComplex(system=s, seed=seed, complex=complex_, masks=tuple(order))
+
+
+def _dual_listing(s: HalfspaceSystem, seed: Orientation, cap: int,
+                  what: str = "dual component") -> tuple[list, dict]:
+    """The seed's component of the dual, unvalidated: the vertices, bitsets
+    of chosen positions in walk order, and each dimension's cubes as tuples
+    of corner ids, in walk order. Every hyperplane of a cube is minimal at
+    each of its corners, and exactly one corner chooses the first halfspace
+    of each, so a cube is assembled once: at that corner, from the minimal
+    hyperplanes whose first halfspace it chooses. A cube's corners flip
+    distinct sets of hyperplanes, so they are distinct vertices. More than
+    ``cap`` vertices, the seed included, raise ``CapExceededError``, whose
+    message names the count as ``what``."""
+    res = is_vertex(s, seed)
+    if not res.ok:
+        raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
+    walk = _flip_walk(s, _chosen(s, seed), cap)
+    if walk is None:
+        raise CapExceededError(f"{what} exceeds cap {cap}", cap=cap)
+    order, ids, minimal_at = walk
+    walked: dict[int, list] = {}  # corner count -> the cubes in walk order
+    for cube in _dual_cubes(s, order, minimal_at, ids):
+        walked.setdefault(len(cube), []).append(cube)
+    return order, {size.bit_length() - 1: cubes for size, cubes in walked.items()}
 
 
 def _flip_walk(s: HalfspaceSystem, start: int, cap: int):

@@ -4,8 +4,9 @@ A tree with n labeled leaves is coordinatized by its clusters: the leaf
 sets below interior edges, with positive lengths. Cluster sets that are
 pairwise nested-or-disjoint index orthants; binary topologies have the
 maximal n-2 clusters. The space of all topologies glues the orthants
-along shared faces; its unit truncation is a cube complex whose CAT(0)
-certificate is checked combinatorially.
+along shared faces; its unit truncation, the Sageev dual of the cluster
+pocset, is a cube complex whose CAT(0) certificate is checked
+combinatorially.
 
 Leaf-edge and root-edge lengths are outside the model: inputs carrying
 them are accepted and the lengths ignored with a note. Zero-length
@@ -32,10 +33,12 @@ from .errors import (
     UnlabeledLeafError,
 )
 from .graphs import cliques, girth, is_regular
+from .pocsets import Orientation, _bits, _dual_listing, _evens, build_system
 from .util import check_ids, parse_float, parse_int, parse_list, string_forms
 
 DEFAULT_TOPOLOGY_CAP = 200_000
 MAX_COMPLEX_N = 6  # cell counts of treespace_complex explode past it
+MAX_LINK_N = 8  # link_of_origin(9) would list 12,818,911 simplices
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,6 +362,8 @@ def enumerate_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP) -> list[frozen
                     raise CapExceededError(
                         f"topology enumeration exceeds cap {cap}", cap=cap)
         tops = nxt
+    if len(tops) > cap:  # n = 2 inserts nothing: its one topology meets no check above
+        raise CapExceededError(f"topology enumeration exceeds cap {cap}", cap=cap)
     return tops
 
 
@@ -376,16 +381,23 @@ def all_clusters(n: int) -> list[frozenset]:
 
 def link_of_origin(n: int) -> SimplicialComplex:
     """Flag complex of the cluster-compatibility graph: vertices are
-    clusters, simplices are pairwise-compatible sets (orthant faces)."""
+    clusters, simplices are pairwise-compatible sets (orthant faces): the
+    vertex link of ``treespace_complex(n)`` at the origin. Their number
+    explodes with n, which is bounded before any enumeration."""
     if n < 3:
         raise InputFormatError("need n >= 3")
+    if n > MAX_LINK_N:
+        raise CapExceededError(
+            f"n = {n} exceeds the configured bound {MAX_LINK_N}", cap=MAX_LINK_N)
     clusters = all_clusters(n)
     cname = {c: _cluster_name(c) for c in clusters}
+    adj = {c: {d for d in clusters if d != c and compatible(c, d)}
+           for c in clusters}
     # every clique is a simplex: pairwise compatibility makes the set an
     # orthant face. The cliques are closed under subsets, so the family
     # needs no downward closure.
-    simplices = frozenset(frozenset(cname[c] for c in c_set)
-                          for c_set in _compatible_sets(clusters, limit=None) if c_set)
+    simplices = frozenset(frozenset(cname[c] for c in clique)
+                          for clique in cliques(adj, clusters) if clique)
     return SimplicialComplex(vertices=frozenset(cname.values()), simplices=simplices)
 
 
@@ -412,51 +424,36 @@ def _cluster_name(c: frozenset) -> str:
     return ".".join(str(x) for x in sorted(c))
 
 
-def _compatible_sets(clusters: list[frozenset], limit: int | None):
-    """Every pairwise-compatible subset (the empty one included): the
-    cliques of the compatibility graph, in clique order."""
-    adj = {c: {d for d in clusters if d != c and compatible(c, d)}
-           for c in clusters}
-    out = []
-    for clique in cliques(adj, clusters):
-        out.append(frozenset(clique))
-        if limit is not None and len(out) > limit:
-            raise CapExceededError(
-                f"compatible-set enumeration exceeds cap {limit}", cap=limit)
-    return out
-
-
-def _set_name(s: frozenset) -> str:
-    if not s:
-        return "*"
-    return "|".join(sorted((_cluster_name(c) for c in s)))
-
-
 def treespace_complex(n: int, cap: int = 100_000) -> CubeComplex:
-    """Unit truncation of tree space as a cube complex: one k-cube per pair
-    (frozen clusters O, free clusters F) with O and F jointly compatible and
-    |F| = k; vertex ids name the cluster set held at length 1."""
+    """Unit truncation of tree space: the dual of the cluster pocset, where
+    ``c+ <= d-`` (c present, d absent) whenever c and d are incompatible,
+    seeded at the origin, where every cluster is absent. A vertex is a
+    compatible cluster set held at length 1; a k-cube frees k of them. The
+    ids sort ``+`` and ``-`` below ``.`` and every digit, so hyperplane i
+    is the i-th cluster by name, and a vertex's present clusters joined in
+    position order make its sorted name (``*`` for the origin).
+    ``build_complex`` validates the named listing once. More than ``cap``
+    vertices, the origin included, raise ``CapExceededError``."""
     if n < 3:
         raise InputFormatError("need n >= 3")
     if n > MAX_COMPLEX_N:
         raise CapExceededError(
             f"n = {n} exceeds the configured bound {MAX_COMPLEX_N}", cap=MAX_COMPLEX_N)
     clusters = all_clusters(n)
-    vertex_sets = _compatible_sets(clusters, limit=cap)
-    names = {s: _set_name(s) for s in vertex_sets}
-    cubes: dict[int, list] = {}
-    for u in vertex_sets:
-        members = sorted(u, key=_ckey)
-        for size in range(1, len(members) + 1):
-            for free in itertools.combinations(members, size):
-                base = u - frozenset(free)
-                corners = []
-                for bits in range(1 << size):
-                    present = base | {free[i] for i in range(size)
-                                      if (bits >> i) & 1}
-                    corners.append(names[present])
-                cubes.setdefault(size, []).append(tuple(corners))
-    return build_complex([names[s] for s in vertex_sets], cubes)
+    cname = {c: _cluster_name(c) for c in clusters}
+    ids = [cname[c] + side for c in clusters for side in "+-"]
+    leq = [(cname[c] + "+", cname[d] + "-")
+           for c, d in itertools.combinations(clusters, 2) if not compatible(c, d)]
+    s = build_system(ids, zip(ids[::2], ids[1::2]), leq)
+    origin = Orientation(choices=tuple(absent for _, absent in s.star_pairs))
+    order, walked = _dual_listing(s, origin, cap, "compatible-set enumeration")
+    names_of = [present[:-1] for present, _ in s.star_pairs]
+    even = _evens(len(s.above))
+    names = ["|".join([names_of[p >> 1] for p in _bits(m & even)]) or "*"
+             for m in order]
+    at = names.__getitem__  # popped as named: walked and named cubes never all live
+    return build_complex(names, {k: [tuple(map(at, c)) for c in walked.pop(k)]
+                                 for k in list(walked)})
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,14 @@ from cubical.pocsets import (
     _chosen,
     build_system,
 )
-from cubical.treespace import Orthant, PhyloTree, _ckey, compatible
+from cubical.treespace import (
+    Orthant,
+    PhyloTree,
+    _ckey,
+    _cluster_name,
+    all_clusters,
+    compatible,
+)
 from cubical.util import skey, ssorted
 
 
@@ -712,6 +719,38 @@ def pairwise_make_orthant(n: int, coords: dict) -> Orthant:
         raise IncompatibleClustersError(
             f"{len(items)} clusters exceed the maximum n-2 = {n - 2}")
     return Orthant(n=n, coords=items)
+
+
+def corner_treespace_complex(n: int, cap: int = 100_000) -> CubeComplex:
+    """Oracle for ``treespace.treespace_complex``, with no halfspace system:
+    one k-cube per pair (frozen clusters O, free clusters F) with O and F
+    jointly compatible and |F| = k, its 2^k corners listed directly. The
+    vertices are the cliques of the compatibility graph, counted with the
+    empty one against ``cap``, and each is named by its sorted cluster
+    names."""
+    clusters = all_clusters(n)
+    adj = {c: {d for d in clusters if d != c and compatible(c, d)}
+           for c in clusters}
+    vertex_sets = []
+    for clique in cliques(adj, clusters):
+        vertex_sets.append(frozenset(clique))
+        if len(vertex_sets) > cap:
+            raise CapExceededError(
+                f"compatible-set enumeration exceeds cap {cap}", cap=cap)
+    names = {s: "|".join(sorted(map(_cluster_name, s))) or "*" for s in vertex_sets}
+    cubes: dict[int, list] = {}
+    for u in vertex_sets:
+        members = sorted(u, key=_ckey)
+        for size in range(1, len(members) + 1):
+            for free in itertools.combinations(members, size):
+                base = u - frozenset(free)
+                corners = []
+                for bits in range(1 << size):
+                    present = base | {free[i] for i in range(size)
+                                      if (bits >> i) & 1}
+                    corners.append(names[present])
+                cubes.setdefault(size, []).append(tuple(corners))
+    return build_complex([names[s] for s in vertex_sets], cubes)
 
 
 def scan_hyperplanes_cross(x: CubeComplex, h1, h2) -> bool:

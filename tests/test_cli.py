@@ -296,6 +296,35 @@ def test_tree_complex_n6(capsys):
     assert verdict["certificate"] == {"cat0": {"ok": True}}
 
 
+def test_tree_link_n_is_bounded_before_enumeration(capsys, monkeypatch):
+    # the link lists every compatible set, 12,818,911 of them at n = 9, so
+    # n is refused before a single cluster is listed
+    def unreachable(n):
+        raise AssertionError(f"the clusters of n = {n} were listed")
+
+    monkeypatch.setattr(cubical.treespace, "all_clusters", unreachable)
+    for n in ("9", "1000000000"):
+        code, verdict = run_cli(capsys, "tree", "link", "-n", n)
+        assert code == 2
+        assert verdict["certificate"] == {
+            "cap": 8, "error": "cap_exceeded",
+            "message": f"n = {n} exceeds the configured bound 8"}
+
+
+def test_tree_enumerate_cap_counts_every_topology(capsys):
+    # n = 2 inserts no leaf, and its one topology exceeds cap 0 all the same
+    for n, cap, expected in ((2, 0, 2), (2, 1, 0), (3, 2, 2), (3, 3, 0)):
+        code, verdict = run_cli(capsys, "tree", "enumerate", "-n", str(n),
+                                "--cap", str(cap))
+        assert code == expected
+        if expected == 2:
+            assert verdict["certificate"] == {
+                "cap": cap, "error": "cap_exceeded",
+                "message": f"topology enumeration exceeds cap {cap}"}
+        else:
+            assert verdict["stats"]["enumerated"] == cap
+
+
 @pytest.mark.parametrize("command, name, witness", [
     (("complex", "check"), "two_diagonals",
      {"error": "double_gluing", "cube_a": ["A", "C"], "cube_b": ["A", "B", "D", "C"]}),

@@ -10,6 +10,7 @@ import random
 import pytest
 from helpers import (
     assert_link_is_petersen,
+    corner_treespace_complex,
     named,
     pairwise_from_orthant,
     pairwise_make_orthant,
@@ -30,8 +31,10 @@ from cubical import (
     treespace_complex,
     validate_tree,
 )
+from cubical.complexes import dump_complex, vertex_link
 from cubical.errors import (
     BadRootValencyError,
+    CapExceededError,
     CyclicError,
     IncompatibleClustersError,
     InteriorValencyTwoError,
@@ -43,6 +46,7 @@ from cubical.graphs import girth, is_regular
 from cubical.treespace import (
     Orthant,
     _ckey,
+    all_clusters,
     compatible,
     dump_orthant,
     dump_tree,
@@ -326,6 +330,58 @@ def test_treespace_5_is_cat0():
     x = treespace_complex(5)
     assert len(x.by_dim[3]) == count_binary(5)
     assert is_cat0(x).ok
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_treespace_complex_matches_corner_oracle(n):
+    # the dual of the cluster pocset against the direct listing of every
+    # (frozen, free) pair of compatible cluster sets
+    x, y = treespace_complex(n), corner_treespace_complex(n)
+    assert x.labels == y.labels
+    assert x.cubes == y.cubes
+    assert x.maximal == y.maximal
+    assert dump_complex(x) == dump_complex(y)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_treespace_vertex_names_are_sorted_joins(n):
+    clusters = {".".join(map(str, sorted(c))): c for c in all_clusters(n)}
+    for name in treespace_complex(n).labels:
+        parts = [] if name == "*" else name.split("|")
+        assert parts == sorted(parts) and len(set(parts)) == len(parts)
+        assert all(compatible(clusters[a], clusters[b])
+                   for a, b in itertools.combinations(parts, 2))
+
+
+@pytest.mark.parametrize("n, vertices", [(4, 26), (5, 236)])
+def test_treespace_cap_matches_corner_oracle(n, vertices):
+    # the walk counts vertices and the oracle counts compatible sets, each
+    # with the origin, and both raise once the count passes the cap
+    for cap in (-1, 0, 1, vertices - 2, vertices - 1, vertices, vertices + 1):
+        outcomes = []
+        for build in (treespace_complex, corner_treespace_complex):
+            try:
+                outcomes.append(dump_complex(build(n, cap)))
+            except CapExceededError as e:
+                outcomes.append(e.certificate())
+        assert outcomes[0] == outcomes[1]
+        assert ("error" in outcomes[0]) == (cap < vertices)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_link_of_origin_is_vertex_link_at_origin(n):
+    # link vertex (*, c) is the cluster c: the vertex named c sits at
+    # length 1 on c's axis, one edge from the origin
+    x = treespace_complex(n)
+    origin = x.vertex_index["*"]
+    link = vertex_link(x, "*")
+    assert all(origin in e for e in link.vertices)
+    cluster = {e: x.labels[e[0] if e[1] == origin else e[1]] for e in link.vertices}
+    expected = link_of_origin(n)
+    assert len(set(cluster.values())) == len(cluster)
+    assert set(cluster.values()) == expected.vertices
+    assert {frozenset(map(cluster.__getitem__, s)) for s in link.simplices} \
+        == expected.simplices
 
 
 # ---------------------------------------------------------------------------
