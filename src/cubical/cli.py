@@ -8,7 +8,7 @@ caller layers on top.
 ``COMMANDS`` is the one list of commands. Each takes exactly the flags its
 handler reads, plus --seed and --pretty:
 
-    complex check FILE [--cap --dot], links FILE [--vertex],
+    complex check FILE [--dot], links FILE [--vertex],
         hyperplanes FILE [--dot], export FILE [--dot --out]
     pocset validate FILE, dual FILE [--cap --dot --out], cubes FILE [--cap]
     coxeter --matrix M --radius R: ball [--cap --dot], walls [--cap --dot
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -35,7 +34,6 @@ from .complexes import (
     dump_complex,
     halfspaces_of,
     hyperplanes,
-    hyperplanes_cross,
     is_cat0,
     is_flag,
     load_complex,
@@ -125,7 +123,7 @@ def _dumps(verdict: dict, pretty: bool) -> str:
 def _complex_check(run):
     x = load_complex(_read_json(run.args.file))
     run.stats = x.counts()
-    verdict = is_cat0(x, cap=run.args.cap)  # scans the links first
+    verdict = is_cat0(x)  # scans the links first
     cert = verdict.certificate()
     if verdict.reason == "link":
         run.certificate["locally_cat0"] = {
@@ -168,10 +166,7 @@ def _complex_hyperplanes(run):
         counts = {h.index: 2 for h in hps}
     else:
         counts = {h.index: len(halfspaces_of(x, h)) for h in hps}
-    crossing = sorted(
-        (h1.index, h2.index)
-        for h1, h2 in itertools.combinations(hps, 2)
-        if hyperplanes_cross(x, h1, h2))
+    crossing = [(h.index, j) for h in hps for j in sorted(h.crosses) if j > h.index]
     run.stats = {
         **x.counts(),
         "hyperplanes": len(hps),
@@ -457,7 +452,7 @@ GROUPS = {"complex": "cubical complexes", "pocset": "halfspace systems",
 # dispatches through it.
 COMMANDS = {
     ("complex", "check"): (_complex_check, "link condition, medians, CAT(0) verdict",
-                           "file --cap --dot"),
+                           "file --dot"),
     ("complex", "links"): (_complex_links, "vertex links and flag verdicts",
                            "file --vertex"),
     ("complex", "hyperplanes"): (_complex_hyperplanes,

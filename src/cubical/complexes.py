@@ -36,7 +36,8 @@ gives a simplex, each square a link edge, and the cliques of those edges
 are taken level by level, so the least empty simplex comes first. The
 median test is Sageev-Roller duality: the 1-skeleton is median iff it is
 the dual of the pocset of its square classes' sides (Roller 1998). One
-union-find finds the classes and one breadth-first pass labels each
+union-find finds the classes, as a cached property of the complex that
+``hyperplanes`` reads too, and one breadth-first pass labels each
 vertex with its crossing row, one bit per class; each edge must flip its
 own class's bit alone, and the rows must be distinct. ``pocsets`` then
 orders the sides from the rows and walks their dual from rank 0's
@@ -45,6 +46,9 @@ have x's vertices and edges. Halfspaces are int bitsets, with no
 distance matrix and no size limit; only a failure scans geodesic
 intervals, to name the least bad triple. On success the complex keeps those
 halfspaces, and ``halfspace_system_of`` builds the pocset from them.
+
+Two classes cross iff some square has an edge of each at its origin
+(Sageev 1995); ``hyperplanes`` reads them in one pass over the squares.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs; concurrent reads are safe.
@@ -223,6 +227,35 @@ class CubeComplex:
         return len(components(self.vertices, self.adjacency)) <= 1
 
     @cached_property
+    def _square_classes(self) -> list[list[tuple]]:
+        """Square-equivalence classes of edges (opposite edges of every
+        2-cube identified), in the order of their least edge, each in
+        sorted order. One union-find over the sorted edges, each class's
+        root its least; ``hyperplanes`` and the Roller test both read it."""
+        edges = sorted(self.edges)
+        index = {e: k for k, e in enumerate(edges)}
+        root = list(range(len(edges)))
+
+        def find(k):
+            while root[k] != k:
+                root[k] = root[root[k]]
+                k = root[k]
+            return k
+
+        for c00, c10, c01, c11 in self.squares:
+            # the edges at the origin c00 of a canonical square are canonical
+            for e, (a, b) in (((c00, c10), (c01, c11)), ((c00, c01), (c10, c11))):
+                r, s = find(index[e]), find(index[(a, b) if a < b else (b, a)])
+                if r < s:
+                    root[s] = r
+                elif s < r:
+                    root[r] = s
+        classes = {}  # root -> its class, first met at the root, its least edge
+        for k, e in enumerate(edges):
+            classes.setdefault(find(k), []).append(e)
+        return list(classes.values())
+
+    @cached_property
     def _roller(self) -> tuple | None:
         """``_roller_halfspaces`` of this complex, run once: the median
         stage of ``is_cat0`` and ``halfspace_system_of`` both read it."""
@@ -294,12 +327,13 @@ def build_simplicial(vertices, simplices) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Square-equivalence class of edges plus every cube it crosses, as
-    rank tuples."""
+    """Square class of edges, as rank pairs, and the indices of the
+    classes it crosses: its own among them iff one of its squares has both
+    axes in it."""
 
     index: int
     edges: frozenset
-    crossed_cubes: frozenset
+    crosses: frozenset
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +818,7 @@ def _roller_halfspaces(x: CubeComplex) -> list[int] | None:
     n = len(x.labels)
     if not n:
         return []
-    classes = _square_classes(x)
+    classes = x._square_classes
     nbrs = [[] for _ in range(n)]  # vertex -> (neighbour, its class's bit)
     for i, edges in enumerate(classes):
         for a, b in edges:
@@ -908,49 +942,18 @@ def is_cat0(x: CubeComplex, cap: int = DEFAULT_MEDIAN_CAP) -> Cat0Result:
 # hyperplanes
 
 
-def _square_classes(x: CubeComplex) -> list[list[tuple]]:
-    """Square-equivalence classes of edges (opposite edges of every 2-cube
-    identified), in the order of their least edge, each in sorted order.
-    One union-find over the sorted edges, each class's root its least."""
-    edges = sorted(x.edges)
-    index = {e: k for k, e in enumerate(edges)}
-    root = list(range(len(edges)))
-
-    def find(k):
-        while root[k] != k:
-            root[k] = root[root[k]]
-            k = root[k]
-        return k
-
-    for c00, c10, c01, c11 in x.squares:
-        # the edges at the origin c00 of a canonical square are canonical
-        for e, (a, b) in (((c00, c10), (c01, c11)), ((c00, c01), (c10, c11))):
-            r, s = find(index[e]), find(index[(a, b) if a < b else (b, a)])
-            if r < s:
-                root[s] = r
-            elif s < r:
-                root[r] = s
-    classes = {}  # root -> its class, first met at the root, its least edge
-    for k, e in enumerate(edges):
-        classes.setdefault(find(k), []).append(e)
-    return list(classes.values())
-
-
 def hyperplanes(x: CubeComplex) -> list[Hyperplane]:
-    """Square-equivalence classes of edges (opposite edges of every 2-cube
-    identified), each with the set of cubes containing a class edge.
-    Classes are indexed in the order of their least edge."""
-    classes = _square_classes(x)
+    """``x._square_classes``, in the order of their least edge, each with
+    the classes it crosses, read in one pass over the squares: a square's
+    two edges at its origin are canonical and lie on its two axes."""
+    classes = x._square_classes
     class_of = {e: i for i, cls in enumerate(classes) for e in cls}
-    # the edges of a cube along one axis are opposite in its square faces,
-    # which build_complex requires to be listed: one edge per axis, the one
-    # at the cube's origin, suffices
-    crossed = [set() for _ in classes]
-    for c in x.cubes:
-        for axis in range(cube_dim(c)):
-            crossed[class_of[c[0], c[1 << axis]]].add(c)
-    return [Hyperplane(index=i, edges=frozenset(cls),
-                       crossed_cubes=frozenset(crossed[i]))
+    crosses = [set() for _ in classes]
+    for c00, c10, c01, _ in x.squares:
+        i, j = class_of[c00, c10], class_of[c00, c01]
+        crosses[i].add(j)
+        crosses[j].add(i)
+    return [Hyperplane(index=i, edges=frozenset(cls), crosses=frozenset(crosses[i]))
             for i, cls in enumerate(classes)]
 
 
@@ -970,18 +973,10 @@ def halfspaces_of(x: CubeComplex, h: Hyperplane) -> list[frozenset]:
 
 
 def hyperplanes_cross(x: CubeComplex, h1: Hyperplane, h2: Hyperplane) -> bool:
-    """True iff the two edge classes meet a common 2-cube in crossing
-    directions.
-
-    Two distinct classes do so iff some cube is crossed by both: each
-    crosses it along its own axes, and the square face on one axis of each
-    is listed. A class crosses itself iff one of its squares has both axes
-    in it; the first corner of a listed square is its least, so the square's
-    two edges at that corner are listed as they stand."""
-    if h1.index != h2.index:
-        return not h1.crossed_cubes.isdisjoint(h2.crossed_cubes)
-    return any(len(c) == 4 and (c[0], c[1]) in h1.edges and (c[0], c[2]) in h1.edges
-               for c in h1.crossed_cubes)
+    """True iff some square has one axis in each class (both in the class
+    when h1 is h2), as ``hyperplanes`` read them off the squares. ``x`` is
+    not read; it is kept for callers."""
+    return h2.index in h1.crosses
 
 
 @dataclass(frozen=True)
@@ -1001,7 +996,10 @@ def helly_check(x: CubeComplex, family: list[Hyperplane],
                 cat0: Cat0Result | None = None) -> HellyResult:
     """For a pairwise-crossing family on a CAT(0) complex: a common crossed
     cube must exist and the family size is bounded by the dimension. The
-    common cube is the least such, as a rank tuple."""
+    common cube is the least by (size, ranks) that every class of the
+    family crosses, by holding one of its edges at its origin. No
+    hyperplane of a CAT(0) complex crosses itself, so the classes are
+    distinct and the cube's dimension is at least the family size."""
     if cat0 is None:
         cat0 = is_cat0(x)
     if not cat0.ok:
@@ -1015,13 +1013,13 @@ def helly_check(x: CubeComplex, family: list[Hyperplane],
     if len(family) > x.dim:
         return HellyResult(ok=False, family=idxs, common_cube=None,
                            detail=f"family of size {len(family)} exceeds dimension {x.dim}")
-    crossed_sets = [h.crossed_cubes for h in family]
-    common = set.intersection(*(set(s) for s in crossed_sets)) if crossed_sets else set(x.cubes)
-    common = [c for c in common if cube_dim(c) >= len(family)]
-    if not common:
+    best = min((c for c in x.cubes
+                if all(any((c[0], c[a]) in h.edges for a in _AXES[len(c)])
+                       for h in family)),
+               key=lambda c: (len(c), c), default=None)
+    if best is None:
         return HellyResult(ok=False, family=idxs, common_cube=None,
                            detail="no common crossed cube")
-    best = min(common, key=lambda c: (len(c), c))
     return HellyResult(ok=True, family=idxs, common_cube=best)
 
 

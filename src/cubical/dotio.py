@@ -73,16 +73,15 @@ def ball_dot(ball, wall_list=None, root=None) -> str:
 
 
 def simple_graph_dot(adjacency: dict, name: str = "g") -> str:
+    """Each edge once, from its earlier end in node order."""
     lines = [f"graph {name} {{"]
     nodes = sorted(adjacency, key=skey)
+    at = {v: i for i, v in enumerate(nodes)}
     for v in nodes:
         lines.append(f"  {_q(v)};")
-    seen = set()
-    for v in nodes:
+    for i, v in enumerate(nodes):
         for w in sorted(adjacency[v], key=skey):
-            if (skey(w), skey(v)) in seen:
-                continue
-            seen.add((skey(v), skey(w)))
-            lines.append(f"  {_q(v)} -- {_q(w)};")
+            if at[w] > i:
+                lines.append(f"  {_q(v)} -- {_q(w)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

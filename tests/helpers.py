@@ -769,6 +769,19 @@ def scan_hyperplanes_cross(x: CubeComplex, h1, h2) -> bool:
     return False
 
 
+def crossed_cube_sets(x: CubeComplex) -> list[frozenset]:
+    """Oracle for ``complexes.helly_check``: per square class of
+    ``hyperplanes(x)``, the set of cubes with one of its edges, read off
+    every edge of every cube rather than the edges at the origin."""
+    class_of = {e: h.index for h in hyperplanes(x) for e in h.edges}
+    crossed = [set() for _ in set(class_of.values())]
+    for c in x.cubes:
+        for p in range(len(c)):
+            for axis in range(cube_dim(c)):
+                crossed[class_of[canonical_cube((c[p], c[p ^ (1 << axis)]))]].add(c)
+    return [frozenset(s) for s in crossed]
+
+
 
 def frozenset_halfspace_system_of(x: CubeComplex) -> HalfspaceDecomposition:
     """Oracle for ``complexes.halfspace_system_of``: a second pass over the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from helpers import torus_3x3
+from helpers import glue_hexagon, grid_complex, torus_3x3
 
 import cubical
 from cubical.cli import main
@@ -285,6 +286,16 @@ def test_tree_commands(capsys, tmp_path):
     assert code == 0 and verdict["certificate"]["cat0"]["ok"] is True
 
 
+def test_tree_link_dot_lists_each_edge_once(capsys, tmp_path):
+    # the Petersen graph's 15 edges, each once from its earlier end
+    dot = tmp_path / "link.dot"
+    code, _ = run_cli(capsys, "tree", "link", "-n", "4", "--dot", str(dot))
+    assert code == 0
+    assert dot.read_text().count(" -- ") == 15
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == (
+        "2a75edcdff185a92ba03baafdc26747047e1854a6a9e4fd4c70d8d60e076d312")
+
+
 def test_tree_complex_n6(capsys):
     # 2752 cluster sets (Schroeder's fourth problem, OEIS A000311) and one
     # 4-cube per binary topology, (2n-3)!! = 945
@@ -502,4 +513,49 @@ def test_complex_check_scans_links_once(capsys, monkeypatch, request, fixture):
                             request.getfixturevalue(fixture))
     assert len(calls) == 1
     assert verdict["certificate"]["locally_cat0"] == {"ok": True}
+    assert code == (0 if fixture == "square_file" else 1)
+
+
+def test_complex_check_stops_before_the_median_scan_above_its_cap(capsys, monkeypatch,
+                                                                   tmp_path):
+    import cubical.complexes
+
+    def unreachable(nbrs):
+        raise AssertionError("the triple scan ran above the median cap")
+
+    # a non-median complex of 681 vertices: the scan that names its triple
+    # would keep 681^2 interval bitsets, so the run stops at
+    # DEFAULT_MEDIAN_CAP, and no flag lifts that bound
+    monkeypatch.setattr(cubical.complexes, "_first_bad_triple", unreachable)
+    path = tmp_path / "hexed.json"
+    path.write_text(json.dumps(dump_complex(glue_hexagon(grid_complex(25, 25), (0, 0)))))
+    code, verdict = run_cli(capsys, "complex", "check", str(path))
+    assert code == 2
+    assert verdict["certificate"] == {
+        "cap": 600, "error": "cap_exceeded",
+        "message": "median check over 681 vertices exceeds cap 600"}
+    code, verdict = run_cli(capsys, "complex", "check", str(path), "--cap", "100000")
+    assert code == 2 and verdict["certificate"]["error"] == "input_format"
+
+
+@pytest.mark.parametrize("fixture", ["square_file", "torus_file"])
+def test_complex_hyperplanes_runs_one_union_find(capsys, monkeypatch, request, fixture):
+    from functools import cached_property
+
+    from cubical.complexes import CubeComplex
+
+    calls = []
+    original = CubeComplex.__dict__["_square_classes"].func
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    # the hyperplanes and the median stage both read the square classes
+    counted = cached_property(counting)
+    counted.__set_name__(CubeComplex, "_square_classes")
+    monkeypatch.setattr(CubeComplex, "_square_classes", counted)
+    code, verdict = run_cli(capsys, "complex", "hyperplanes",
+                            request.getfixturevalue(fixture))
+    assert len(calls) == 1
     assert code == (0 if fixture == "square_file" else 1)

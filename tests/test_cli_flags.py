@@ -138,8 +138,8 @@ def test_help_and_version_still_exit_0(capsys, argv):
 
 
 def test_every_command_takes_seed_and_pretty_and_its_own_flags():
-    # 19 commands, 69 optional flag slots beyond the required ones
+    # 19 commands, 68 optional flag slots beyond the required ones
     optional = [name for key in COMMANDS for name in _declared(key)
                 if name.startswith("--") and not cli.FLAGS[name].get("required")]
     assert len(COMMANDS) == 19
-    assert len(optional) == 69
+    assert len(optional) == 68

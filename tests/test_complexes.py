@@ -19,6 +19,7 @@ from helpers import (
     bfs_distances,
     cat0_corpus,
     component_roller_halfspaces,
+    crossed_cube_sets,
     cube_boundary_3,
     cube_double_cover,
     dense_median_violation,
@@ -1093,7 +1094,7 @@ def test_torus_hyperplanes():
     assert len(hps) == 6
     for h in hps:
         assert len(h.edges) == 3
-        assert len([c for c in h.crossed_cubes if len(c) == 4]) == 3
+        assert len(h.crosses) == 3  # the other direction's classes, one square each
         assert len(halfspaces_of(x, h)) == 1  # self-parallel
 
 
@@ -1122,7 +1123,11 @@ def test_crossing_in_square_and_strip():
     assert not hyperplanes_cross(strip, vertical[0], vertical[1])
 
 
-def test_hyperplanes_cross_matches_square_scan():
+def test_hyperplanes_cross_matches_square_scan(capsys, tmp_path):
+    import json
+
+    from cubical.cli import main
+
     # every ordered pair, a hyperplane with itself included
     xs = [x for _, x in cat0_corpus()]
     xs += [torus(4, 5), torus_3x3(), cube_boundary_3(), swapped_torus(10, 5)]
@@ -1133,9 +1138,23 @@ def test_hyperplanes_cross_matches_square_scan():
             answer = hyperplanes_cross(x, h1, h2)
             assert answer == scan_hyperplanes_cross(x, h1, h2)
             answers.append((answer, h1 is h2))
+        for h in hps:
+            assert h.crosses == {j for j, h2 in enumerate(hps)
+                                 if scan_hyperplanes_cross(x, h, h2)}
     assert len(answers) > 1500
     # crossings, non-crossings and self-crossings (the swapped torus) all occur
     assert {(True, False), (False, False), (True, True), (False, True)} <= set(answers)
+
+    # the CLI lists each crossing of distinct classes once, and no self-crossing
+    x = swapped_torus(10, 5)
+    hps = hyperplanes(x)
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(dump_complex(x)))
+    main(["complex", "hyperplanes", str(path)])
+    listed = json.loads(capsys.readouterr().out)["stats"]["crossing_pairs"]
+    assert listed == [[i, j] for i, j in itertools.combinations(range(len(hps)), 2)
+                      if scan_hyperplanes_cross(x, hps[i], hps[j])]
+    assert any(scan_hyperplanes_cross(x, h, h) for h in hps)
 
 
 def test_helly_on_cube():
@@ -1163,9 +1182,15 @@ def test_helly_corpus_with_dimension_bound():
             if hyperplanes_cross(x, h1, h2)}
         # every pairwise-crossing family admits a common cube
         families = _crossing_cliques(len(hps), crossing)
+        crossed = crossed_cube_sets(x)
         for fam in families:
             res = helly_check(x, [hps[i] for i in fam], cat0=cat0)
             assert res.ok, (name, fam)
+            # the least common crossed cube of dimension >= |F|
+            common = frozenset.intersection(*(crossed[i] for i in fam))
+            assert res.common_cube == min(
+                (c for c in common if cube_dim(c) >= len(fam)),
+                key=lambda c: (len(c), c)), (name, fam)
         # the largest family realizes the dimension exactly
         top = max((len(f) for f in families), default=1 if hps else 0)
         if hps:
