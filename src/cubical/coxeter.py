@@ -11,10 +11,11 @@ exact dict keys and signs are exact. ``reduce_word`` reads the normal form
 off w.rho, ``cayley_ball`` keys each element w by w^-1 rho, and ``walls``
 keys the edge (u, us) by t.rho, t = u s u^-1.
 
-Walls are edge classes of one reflection each; roots are the two
-crossing-parity sides of a wall; truncated roots over a finite ball give
-a halfspace system that feeds the dual-complex construction. Inside the
-ball, element sides come from the wall of each element's parent edge.
+Walls are edge classes of one reflection each; roots are the two sides of
+a wall; truncated roots over a finite ball give a halfspace system that
+feeds the dual-complex construction. Inside the ball, element sides come
+from the wall of each element's parent edge; any other side is one sign
+test on a point, ``_sign`` (Humphreys 5.4-5.7), and no word is walked.
 """
 
 from __future__ import annotations
@@ -260,13 +261,18 @@ class _Tits:
         return tuple(out)
 
 
-def reduce_word(sys_: CoxeterSystem, word) -> Word:
-    """ShortLex-least reduced word equal to ``word`` in the group."""
+def _point(sys_: CoxeterSystem, word) -> tuple:
+    """word.rho, once its letters are checked: ``_Tits.point`` checks none."""
     w = tuple(word)
     if w and not 0 <= min(w) <= max(w) < sys_.rank:
         s = next(s for s in w if not 0 <= s < sys_.rank)
         raise InputFormatError(f"letter {s} out of range for rank {sys_.rank}")
-    return sys_.tits.normal_form(sys_.tits.point(w))
+    return sys_.tits.point(w)
+
+
+def reduce_word(sys_: CoxeterSystem, word) -> Word:
+    """ShortLex-least reduced word equal to ``word`` in the group."""
+    return sys_.tits.normal_form(_point(sys_, word))
 
 
 def words_equal(sys_: CoxeterSystem, w1, w2) -> bool:
@@ -369,10 +375,6 @@ class Wall:
     edges: tuple  # (u, v) pairs, shorter endpoint first
 
 
-def reflection_of_edge(sys_: CoxeterSystem, u: Word, s: int) -> Word:
-    return reduce_word(sys_, tuple(u) + (s,) + _inv(u))
-
-
 def walls(ball: CayleyBall) -> list[Wall]:
     """Group the ball's edges (u, us) by t.rho = u (us)^-1 rho, t = u s u^-1,
     into walls sorted by the normal forms of their reflections t."""
@@ -386,30 +388,22 @@ def walls(ball: CayleyBall) -> list[Wall]:
                   key=lambda w: (len(w.reflection), w.reflection))
 
 
-def crossing_parity(sys_: CoxeterSystem, x: Word, y: Word, wall: Wall,
-                    via: Word | None = None) -> int:
-    """Parity of crossings of the wall along a path from x to y.
-
-    With ``via`` the path follows those letters (x * via must equal y);
-    otherwise it follows the canonical word of x^-1 y. Well-definedness of
-    the result over path choice is a theorem, exercised in the tests.
-    """
-    x = reduce_word(sys_, x)
-    y = reduce_word(sys_, y)
-    letters = tuple(via) if via is not None else reduce_word(sys_, _inv(x) + y)
-    if reduce_word(sys_, x + letters) != y:
-        raise InputFormatError("path does not reach the target element")
-    return wall_crossings_on_path(sys_, x, letters).count(wall.reflection) % 2
+def _sign(sys_: CoxeterSystem, u: Word, s: int, p: tuple) -> int:
+    """1 if the element g with p = g.rho lies on u's side of the wall of the
+    edge (u, us), else -1: the sign of coordinate s of u^-1 g rho, which
+    pairs rho with the root g^-1 u(alpha_s)."""
+    return sys_.tits.sign(sys_.tits.point(_inv(u), p), s)
 
 
-def wall_crossings_on_path(sys_: CoxeterSystem, x: Word, letters) -> list[Word]:
-    """Reflections crossed along the path x, xs1, xs1s2, ..."""
-    cur = reduce_word(sys_, x)
-    out = []
-    for s in letters:
-        out.append(reflection_of_edge(sys_, cur, s))
-        cur = reduce_word(sys_, cur + (s,))
-    return out
+def crossing_parity(sys_: CoxeterSystem, x: Word, y: Word, wall: Wall) -> int:
+    """Parity of crossings of the wall along any path from x to y, which
+    the tests check by walking: two sign tests on the wall's first edge,
+    which a wall with ``edges=()`` lacks."""
+    if not wall.edges:
+        raise InputFormatError("the wall has no edge to test sides against")
+    u, v = wall.edges[0]
+    s = reduce_word(sys_, _inv(u) + v)[0]  # v = us
+    return int(_sign(sys_, u, s, _point(sys_, x)) != _sign(sys_, u, s, _point(sys_, y)))
 
 
 @dataclass(frozen=True)
@@ -423,26 +417,25 @@ class Root:
 
 def halfspace(ball: CayleyBall, u: Word, v: Word) -> Root:
     """{w in ball : d(w,u) < d(w,v)} for adjacent u, v; asserted equal to
-    the even-crossing-parity root through u. The edge need not lie in the
-    ball: a wall with no edge there comes with ``edges=()``."""
+    u's side of the wall by sign tests. The wall's edges are the ball edges
+    the side splits; an edge (u, v) whose wall misses the ball gives a wall
+    with ``edges=()``."""
     sys_ = ball.system
     u = reduce_word(sys_, u)
     v = reduce_word(sys_, v)
-    if distance(sys_, u, v) != 1:
+    step = reduce_word(sys_, _inv(u) + v)
+    if len(step) != 1:
         raise NotAdjacentError("u and v are not adjacent", u=u, v=v)
-    s = reduce_word(sys_, _inv(u) + v)[0]
-    refl = reflection_of_edge(sys_, u, s)
-    wall = next((w for w in walls(ball) if w.reflection == refl),
-                Wall(reflection=refl, edges=()))
     side = frozenset(w for w in ball.elements
                      if distance(sys_, w, u) < distance(sys_, w, v))
-    parity_side = frozenset(w for w in ball.elements
-                            if crossing_parity(sys_, u, w, wall) == 0)
-    if side != parity_side:
+    if side != frozenset(w for w in ball.elements
+                         if _sign(sys_, u, step[0], sys_.tits.point(w)) > 0):
         raise CubicalError("halfspace does not match the parity-0 root",
                            u=u, v=v)
-    return Root(wall=wall, side=side,
-                complement=frozenset(ball.elements) - side)
+    wall = Wall(reflection=reduce_word(sys_, u + step + _inv(u)),
+                edges=tuple(sorted((a, b) for a, b, _ in ball.edges
+                                   if (a in side) != (b in side))))
+    return Root(wall=wall, side=side, complement=ball.element_set - side)
 
 
 # ---------------------------------------------------------------------------
@@ -509,23 +502,29 @@ class TruncatedHalfspaces:
             out[plus] = self.ball.element_set - out[minus]
         return out
 
+    @cached_property
+    def _first_edges(self) -> tuple:  # per wall, (u, s) of its first edge (u, us)
+        sys_ = self.ball.system
+        return tuple((u, reduce_word(sys_, _inv(u) + v)[0]) for u, v in self.defining_edges)
+
+    def _side(self, wall_index: int, p: tuple):
+        """Halfspace id of the side of wall_index holding the g with p = g.rho."""
+        u, s = self._first_edges[wall_index]
+        return self.system.star_pairs[wall_index][_sign(self.ball.system, u, s, p) < 0]
+
     def orientation_of(self, g: Word) -> Orientation:
         """Principal orientation: per wall, the side containing g, which
-        need not lie in the ball; "+" is the identity's side."""
-        crossed = _crossed_walls(self.ball.system, g)
-        return Orientation(choices=tuple(
-            pair[w.reflection in crossed] for pair, w in zip(self.system.star_pairs, self.walls)))
+        need not lie in the ball; "+" is the identity's side, so the empty
+        word makes no sign test."""
+        if not g:
+            return Orientation(choices=tuple(plus for plus, _ in self.system.star_pairs))
+        p = _point(self.ball.system, g)
+        return Orientation(choices=tuple(self._side(i, p) for i in range(len(self.walls))))
 
     def side_containing(self, wall_index: int, g: Word):
         """Halfspace id of the side of wall_index containing g, which need
         not lie in the ball; "+" is the identity's side."""
-        return self.orientation_of(g).choices[wall_index]
-
-
-def _crossed_walls(sys_: CoxeterSystem, g: Word) -> frozenset:
-    """Reflections of the walls a geodesic from the identity to g crosses:
-    once each, and exactly the walls that separate g from the identity."""
-    return frozenset(wall_crossings_on_path(sys_, (), reduce_word(sys_, g)))
+        return self._side(wall_index, _point(self.ball.system, g))
 
 
 def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
@@ -637,21 +636,16 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
 
 
 def act_on_halfspace(th: TruncatedHalfspaces, w: Word, halfspace_id: str):
-    """Left action g.H(u,v) = H(gu, gv) on selected halfspaces; None when
-    the image wall was truncated away."""
+    """Left action w.H(u,v) = H(wu, wv) on selected halfspaces; None when
+    the image wall was truncated away. The image wall is that of w t w^-1,
+    t the reflection of H's wall, and the image is its side holding wu."""
     sys_ = th.ball.system
+    w = tuple(w)
     p = th.system.position[halfspace_id]  # wall p >> 1, its "-" side if p is odd
-    u, v = th.defining_edges[p >> 1]
-    if p & 1:
-        u, v = v, u
-    wu = reduce_word(sys_, tuple(w) + u)
-    wv = reduce_word(sys_, tuple(w) + v)
-    s = reduce_word(sys_, _inv(wu) + wv)[0]
-    refl = reflection_of_edge(sys_, wu, s)
-    for j, wall in enumerate(th.walls):
-        if wall.reflection == refl:
-            return th.side_containing(j, wu)
-    return None
+    end = th.defining_edges[p >> 1][p & 1]  # the end of the edge on that side
+    refl = reduce_word(sys_, w + th.walls[p >> 1].reflection + _inv(w))
+    j = next((j for j, wall in enumerate(th.walls) if wall.reflection == refl), None)
+    return None if j is None else th._side(j, sys_.tits.point(w + end))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .util import check_ids, parse_float, parse_int, parse_list, string_forms
 DEFAULT_TOPOLOGY_CAP = 200_000
 MAX_COMPLEX_N = 6  # cell counts of treespace_complex explode past it
 MAX_LINK_N = 8  # link_of_origin(9) would list 12,818,911 simplices
+MAX_COUNT_N = 20_000  # (2n-3)!! and its decimal text grow quadratically past it
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,10 +333,10 @@ def count_binary(n: int) -> int:
     """(2n-3)!! rooted binary topologies on n labeled leaves."""
     if n < 2:
         raise InputFormatError("need n >= 2")
-    out = 1
-    for k in range(3, 2 * n - 2, 2):
-        out *= k
-    return out
+    if n > MAX_COUNT_N:
+        raise CapExceededError(
+            f"n = {n} exceeds the configured bound {MAX_COUNT_N}", cap=MAX_COUNT_N)
+    return math.prod(range(3, 2 * n - 2, 2))
 
 
 def enumerate_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP) -> list[frozenset]:

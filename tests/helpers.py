@@ -39,9 +39,9 @@ from cubical.coxeter import (
     CayleyBall,
     TruncatedHalfspaces,
     Wall,
-    _crossed_walls,
     _hid,
     distance,
+    reduce_word,
     walls,
 )
 from cubical.errors import (
@@ -1471,7 +1471,36 @@ def two_pass_cayley_ball(sys_, radius: int, cap: int = 100_000) -> CayleyBall:
 
 
 # ---------------------------------------------------------------------------
-# Coxeter wall sides (oracles for the inversion-set rule in coxeter)
+# Coxeter wall sides (oracles for the sign tests in coxeter)
+
+
+def reflection_of_edge(sys_, u, s: int) -> tuple:
+    """The reflection u s u^-1 of the wall of the edge (u, us)."""
+    return reduce_word(sys_, tuple(u) + (s,) + tuple(reversed(u)))
+
+
+def wall_crossings_on_path(sys_, x, letters) -> list:
+    """Reflections crossed along the path x, xs1, xs1s2, ..., walked letter
+    by letter with two reductions per letter."""
+    cur = reduce_word(sys_, x)
+    out = []
+    for s in letters:
+        out.append(reflection_of_edge(sys_, cur, s))
+        cur = reduce_word(sys_, cur + (s,))
+    return out
+
+
+def crossed_walls(sys_, g) -> frozenset:
+    """Reflections of the walls a geodesic from the identity to g crosses:
+    once each, and exactly the walls that separate g from the identity."""
+    return frozenset(wall_crossings_on_path(sys_, (), reduce_word(sys_, g)))
+
+
+def walked_parity(sys_, x, y, wall: Wall) -> int:
+    """Oracle for ``coxeter.crossing_parity``: how often the walk of the
+    normal form of x^-1 y from x crosses the wall, mod 2."""
+    path = reduce_word(sys_, tuple(reversed(reduce_word(sys_, x))) + tuple(y))
+    return wall_crossings_on_path(sys_, x, path).count(wall.reflection) % 2
 
 
 def distance_members(ball, margin: int) -> dict:
@@ -1532,11 +1561,11 @@ def distance_orientation(th: TruncatedHalfspaces, g) -> tuple:
 
 def walked_crossings(th: TruncatedHalfspaces) -> tuple:
     """Oracle for ``TruncatedHalfspaces.crossed``: per ball element, the
-    bitset of the selected walls whose reflections ``_crossed_walls``
+    bitset of the selected walls whose reflections ``crossed_walls``
     meets on the walk of the element's normal form from the identity."""
     sys_ = th.ball.system
     wall_of = {w.reflection: i for i, w in enumerate(th.walls)}
-    return tuple(sum(1 << wall_of[r] for r in _crossed_walls(sys_, g) if r in wall_of)
+    return tuple(sum(1 << wall_of[r] for r in crossed_walls(sys_, g) if r in wall_of)
                  for g in th.ball.elements)
 
 

@@ -22,6 +22,7 @@ from helpers import (
     path_complex,
     torus_3x3,
     tree_complex,
+    wall_crossings_on_path,
 )
 
 from cubical import (
@@ -49,7 +50,7 @@ from cubical import (
     walls,
 )
 from cubical.cli import main
-from cubical.coxeter import act_on_halfspace, distance, wall_crossings_on_path
+from cubical.coxeter import act_on_halfspace, distance
 from cubical.graphs import girth, is_regular
 from cubical.pocsets import build_system, seed_vertex
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -320,6 +321,20 @@ def test_tree_link_n_is_bounded_before_enumeration(capsys, monkeypatch):
         assert verdict["certificate"] == {
             "cap": 8, "error": "cap_exceeded",
             "message": f"n = {n} exceeds the configured bound 8"}
+
+
+def test_tree_count_n_is_bounded_before_multiplying(capsys):
+    # the (2n-3)!! product and its decimal text grow quadratically in n, so
+    # n past the bound is refused at once, and the bound itself is counted:
+    # its 83,351 digits are read off the text, as json.loads caps int digits
+    assert main(["tree", "count", "-n", "20000"]) == 0
+    assert len(re.search(r'"binary_topologies":(\d+)', capsys.readouterr().out)[1]) == 83351
+    for n in ("20001", "1000000000"):
+        code, verdict = run_cli(capsys, "tree", "count", "-n", n)
+        assert code == 2
+        assert verdict["certificate"] == {
+            "cap": 20000, "error": "cap_exceeded",
+            "message": f"n = {n} exceeds the configured bound 20000"}
 
 
 def test_tree_enumerate_cap_counts_every_topology(capsys):

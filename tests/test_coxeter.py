@@ -13,6 +13,7 @@ from helpers import (
     DihedralOracle,
     PGL2ZOracle,
     braid_reduce_word,
+    crossed_walls,
     distance_members,
     distance_orientation,
     distance_side,
@@ -20,10 +21,13 @@ from helpers import (
     frozenset_trust_report,
     leq,
     oracle_shortlex_forms,
+    reflection_of_edge,
     reflection_word_walls,
     system_of_sides,
     two_pass_cayley_ball,
+    wall_crossings_on_path,
     walked_crossings,
+    walked_parity,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,11 +51,10 @@ from cubical import (
     words_equal,
 )
 from cubical.coxeter import (
+    Wall,
     _hid,
     _system_of_crossings,
     act_on_halfspace,
-    reflection_of_edge,
-    wall_crossings_on_path,
 )
 from cubical.errors import (
     BadDiagonalError,
@@ -419,6 +422,7 @@ def test_minimal_paths_cross_walls_at_most_once():
 
 
 def test_parity_path_independent_sampled():
+    # the sign tests give the parity of crossings along any walked path
     rng = random.Random(5)
     for matrix, radius in (([[1, 3], [3, 1]], 3), (A2_TILDE, 3)):
         sys_ = parse_system(matrix)
@@ -434,7 +438,25 @@ def test_parity_path_independent_sampled():
                                for _ in range(rng.randrange(0, 5)))
                 via = detour + reduce_word(
                     sys_, tuple(reversed(reduce_word(sys_, x + detour))) + y)
-                assert crossing_parity(sys_, x, y, wall, via=via) == reference
+                crossings = wall_crossings_on_path(sys_, x, via)
+                assert crossings.count(wall.reflection) % 2 == reference
+
+
+@pytest.mark.parametrize("name", ["I2(5)", "A2~", "PGL(2,Z)", "(2,3,7)", "(3,3,4)"])
+def test_parity_outside_the_ball_matches_walked_parity(name):
+    # x and y of up to 12 letters lie mostly outside the radius-3 ball; the
+    # walk of x^-1 y from x crosses a wall an odd number of times iff the
+    # two sign tests differ
+    sys_ = parse_system(LANDMARKS[name])
+    ws = walls(cayley_ball(sys_, 3))
+    rng = random.Random(name)
+    for _ in range(60):
+        x, y = (tuple(rng.randrange(sys_.rank) for _ in range(rng.randrange(4, 13)))
+                for _ in range(2))
+        wall = rng.choice(ws)
+        assert crossing_parity(sys_, x, y, wall) == walked_parity(sys_, x, y, wall)
+    with pytest.raises(InputFormatError, match="no edge"):
+        crossing_parity(sys_, (), (0,), Wall(reflection=(0,), edges=()))
 
 
 def test_root_h_of_identity_and_s():
@@ -446,12 +468,15 @@ def test_root_h_of_identity_and_s():
 
 
 def test_roots_match_parity_everywhere():
-    # the halfspace function itself asserts root == parity-0 side
-    for matrix, radius in (([[1, 3], [3, 1]], 3), (A2_TILDE, 3)):
+    # the halfspace function itself asserts root == parity-0 side; the
+    # edges the side splits are the wall of the edge in the wall table
+    for matrix, radius in (([[1, 3], [3, 1]], 3), (A2_TILDE, 3), (PGL2Z, 4)):
         ball = cayley_ball(parse_system(matrix), radius)
+        ws = walls(ball)
         for u, v, _ in ball.edges:
             root = halfspace(ball, u, v)
             assert u in root.side and v in root.complement
+            assert root.wall in ws and (u, v) in root.wall.edges
 
 
 def test_root_of_an_edge_whose_wall_misses_the_ball():
@@ -522,6 +547,46 @@ def test_wall_sides_match_distance_sides(matrix, radius, margin):
         for i in range(len(th.walls)):
             assert th.side_containing(i, g) == distance_side(th, i, g)
         assert th.orientation_of(g).choices == distance_orientation(th, g)
+
+
+@pytest.mark.parametrize("name", ["I2(5)", "A2~", "PGL(2,Z)", "(2,3,7)", "(3,3,4)"])
+def test_sides_of_long_words_match_walked_crossings(name):
+    # words of up to 24 letters, far outside the ball: g lies on the "-"
+    # side of a wall iff a geodesic from the identity to g crosses it
+    ball = cayley_ball(parse_system(LANDMARKS[name]), 5)
+    sys_ = ball.system
+    th = halfspace_system(ball, 1)
+    rng = random.Random(name)
+    for length in list(range(25)) * 4:
+        g = tuple(rng.randrange(sys_.rank) for _ in range(length))
+        crossed = crossed_walls(sys_, g)
+        expected = tuple(pair[w.reflection in crossed]
+                         for pair, w in zip(th.system.star_pairs, th.walls))
+        assert th.orientation_of(g).choices == expected
+        i = rng.randrange(len(th.walls))
+        assert th.side_containing(i, g) == expected[i]
+
+
+@pytest.mark.parametrize("name", ["I2(5)", "A2~", "PGL(2,Z)", "(2,3,7)", "(3,3,4)"])
+def test_act_on_halfspace_matches_distance_sides(name):
+    # w.H(u, v) is H(wu, wv), the ball elements nearer to wu than to wv: the
+    # selected halfspace with those members, or None when no selected wall
+    # has them (a wall's edges tell its sides apart from every other wall's)
+    ball = cayley_ball(parse_system(LANDMARKS[name]), 4)
+    sys_ = ball.system
+    th = halfspace_system(ball, 1)
+    by_members = {m: h for h, m in th.members.items()}
+    rng = random.Random(name)
+    for _ in range(40):
+        w = tuple(rng.randrange(sys_.rank) for _ in range(rng.randrange(9)))
+        h = rng.choice(th.system.labels)
+        u, v = th.defining_edges[th.system.position[h] >> 1]
+        if h.endswith("-"):
+            u, v = v, u
+        wu, wv = reduce_word(sys_, w + u), reduce_word(sys_, w + v)
+        side = frozenset(g for g in ball.elements
+                         if distance(sys_, g, wu) < distance(sys_, g, wv))
+        assert act_on_halfspace(th, w, h) == by_members.get(side)
 
 
 @pytest.mark.parametrize("name", ["I2(5)", "A2~", "PGL(2,Z)", "(2,3,7)", "(3,3,4)"])
@@ -699,6 +764,20 @@ def test_cubulate_tests_consistency_only_on_a_miss(monkeypatch):
     with pytest.raises(CubicalError, match="is not a vertex"):
         cubulate(ball, 2)
     assert calls[-1] == bad  # the miss tests the orientation the table gives
+
+
+def test_cubulate_default_seed_makes_no_sign_test(monkeypatch):
+    # the identity lies on every "+" side, so its orientation needs no test
+    import cubical.coxeter as cox
+
+    ball = cayley_ball(parse_system(PGL2Z), 6)
+    tests = []
+    sign = cox._sign
+    monkeypatch.setattr(cox, "_sign", lambda *args: tests.append(args) or sign(*args))
+    seeded = cubulate(ball, 2)
+    assert not tests
+    assert cubulate(ball, 2, seed_element=(0, 0)).nu == seeded.nu
+    assert len(tests) == len(seeded.truncated.walls)  # one test per wall
 
 
 def test_cubulate_rejects_an_inconsistent_seed():
