@@ -32,8 +32,8 @@ every 4-cycle of the 1-skeleton bounds a listed square, and the
 1-skeleton is a median graph (Chepoi 2000). Failures come with explicit
 certificates. The link test makes one pass per vertex over its
 incidences, on int bitmasks over the vertex's neighbours: each incidence
-gives a simplex, each square a link edge, and the cliques of those edges
-are taken level by level, so the least empty simplex comes first. The
+gives a simplex, each square a link edge, and ``graphs.cliques`` lists
+those edges' cliques by size, so the least empty simplex comes first. The
 median test is Sageev-Roller duality: the 1-skeleton is median iff it is
 the dual of the pocset of its square classes' sides (Roller 1998). One
 union-find finds the classes, as a cached property of the complex that
@@ -76,7 +76,7 @@ from .errors import (
     SelfGluingError,
     UnknownVertexError,
 )
-from .graphs import components
+from .graphs import bits, cliques, components
 from .util import check_ids, parse_int, parse_list, ssorted, string_forms
 
 DEFAULT_MEDIAN_CAP = 600
@@ -609,32 +609,14 @@ def vertex_link(x: CubeComplex, v) -> SimplicialComplex:
 def _least_empty_simplex(adj: list, simplices: set) -> int:
     """The least clique of size >= 3 not in ``simplices``, by (size,
     positions), as the bitmask of its positions 0..d-1; 0 if there is
-    none. ``adj[i]`` is the mask of i's neighbours.
-
-    Each level lists the cliques of one size in lexicographic order: a
-    clique grows by each later common neighbour, least first. So the first
-    clique missing at the first level that has one is the least, and a
-    minimal empty simplex, since its faces are smaller cliques. Only
-    simplices grow, as any other clique ends the scan."""
-    level = [(1 << i, adj[i] >> (i + 1) << (i + 1)) for i in range(len(adj))]
-    size = 1
-    while level:
-        size += 1
-        longer = []
-        for clique, cands in level:
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                grown = clique | low
-                if size >= 3 and grown not in simplices:
-                    return grown
-                longer.append((grown, cands & adj[low.bit_length() - 1]))
-        level = longer
+    none. ``adj[i]`` is the mask of i's neighbours. ``graphs.cliques``
+    lists the cliques in that order, so the first one missing is the
+    least, and a minimal empty simplex, since its faces are smaller
+    cliques."""
+    for c in cliques(adj):
+        if c not in simplices and c.bit_count() >= 3:
+            return c
     return 0
-
-
-def _positions(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -664,7 +646,7 @@ def is_flag(link: SimplicialComplex) -> FlagResult:
             adj[b] |= 1 << a
     empty = _least_empty_simplex(adj, simplices)
     if empty:
-        return FlagResult(ok=False, witness=tuple(order[i] for i in _positions(empty)))
+        return FlagResult(ok=False, witness=tuple(order[i] for i in bits(empty)))
     return FlagResult(ok=True)
 
 
@@ -709,7 +691,7 @@ def is_locally_cat0(x: CubeComplex) -> LocalCat0Result:
         empty = _least_empty_simplex(adj, simplices)
         if empty:
             edges = ((u, r) if u < r else (r, u)
-                     for u in map(nbrs.__getitem__, _positions(empty)))
+                     for u in map(nbrs.__getitem__, bits(empty)))
             return LocalCat0Result(ok=False, vertex=x.labels[r],
                                    witness=tuple(map(x.named, edges)))
     return LocalCat0Result(ok=True)
@@ -762,7 +744,7 @@ def median(x: CubeComplex, a, b, c):
     return hits[0]
 
 
-def _median_violation(x: CubeComplex, cap: int):
+def _median_violation(x: CubeComplex):
     """Exact unique-median check over all vertex triples of a connected
     complex whose 4-cycles all bound listed squares. Returns None or a
     witness dict, by ids: the first triple (a, b, c) of ranks a < b < c,
@@ -771,10 +753,11 @@ def _median_violation(x: CubeComplex, cap: int):
 
     ``_roller_halfspaces`` decides at any size, run once per complex
     through ``CubeComplex._roller``. Only a failure runs
-    ``_first_bad_triple``, and above ``cap`` raises CapExceededError."""
+    ``_first_bad_triple``, and above ``DEFAULT_MEDIAN_CAP`` vertices raises
+    CapExceededError before that scan allocates its n^2 interval bitsets."""
     if x._roller is not None:
         return None
-    n = len(x.labels)
+    n, cap = len(x.labels), DEFAULT_MEDIAN_CAP
     if n > cap:
         raise CapExceededError(
             f"median check over {n} vertices exceeds cap {cap}", cap=cap)
@@ -916,12 +899,12 @@ class Cat0Result:
         return cert
 
 
-def is_cat0(x: CubeComplex, cap: int = DEFAULT_MEDIAN_CAP) -> Cat0Result:
+def is_cat0(x: CubeComplex) -> Cat0Result:
     """Decide CAT(0) exactly: flag links + connected + every 4-cycle bounds
     a square + median 1-skeleton. Witnesses name the first failure; a
     non-flag link is one even on a disconnected complex. The verdict has
-    no size limit: ``cap`` bounds only the scan that names a median
-    failure's triple, which raises CapExceededError above it."""
+    no size limit: ``DEFAULT_MEDIAN_CAP`` bounds only the scan that names a
+    median failure's triple, which raises CapExceededError above it."""
     local = is_locally_cat0(x)
     if not local.ok:
         return Cat0Result(ok=False, reason="link",
@@ -932,7 +915,7 @@ def is_cat0(x: CubeComplex, cap: int = DEFAULT_MEDIAN_CAP) -> Cat0Result:
     hole = _unfilled_square(x)
     if hole is not None:
         return Cat0Result(ok=False, reason="square", witness=hole)
-    violation = _median_violation(x, cap)
+    violation = _median_violation(x)
     if violation is not None:
         return Cat0Result(ok=False, reason="median", witness=violation)
     return Cat0Result(ok=True)
@@ -1081,5 +1064,5 @@ def halfspace_system_of(x: CubeComplex) -> HalfspaceDecomposition:
         above.append(m ^ t ^ t << 1)
     s = HalfspaceSystem(star_pairs=s.star_pairs,
                         above=tuple(above[p ^ (swap >> (p & ~1) & 1)] for p in range(len(above))))
-    members = {h: frozenset(x.named(_positions(m))) for h, m in zip(ids, sides)}
+    members = {h: frozenset(x.named(bits(m))) for h, m in zip(ids, sides)}
     return HalfspaceDecomposition(system=s, members=members)

@@ -34,12 +34,11 @@ from .errors import (
     NotAdjacentError,
     NotSymmetricError,
 )
-from .graphs import components
+from .graphs import bits, components
 from .pocsets import (
     DualComplex,
     HalfspaceSystem,
     Orientation,
-    _bits,
     _evens,
     _orientation,
     _spread,
@@ -486,8 +485,8 @@ class TruncatedHalfspaces:
         out = []
         for i in range(len(self.walls)):
             quarters: dict[int, list] = {}  # wall j -> its empty quarters with i
-            for p in _bits(touch & 3 << 2 * i):
-                for q in _bits(s.below[p ^ 1] & touch):
+            for p in bits(touch & 3 << 2 * i):
+                for q in bits(s.below[p ^ 1] & touch):
                     if q >> 1 > i:
                         quarters.setdefault(q >> 1, []).append((labels[p], labels[q]))
             out += [(i, j, tuple(quarters[j])) for j in sorted(quarters)]
@@ -600,7 +599,7 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
     flips = [3 << 2 * i for i in range(len(th.walls))]
     nu = {}
     for g, crossed in zip(ball.elements, th.crossed):
-        mask = identity ^ sum(flips[i] for i in _bits(crossed))
+        mask = identity ^ sum(flips[i] for i in bits(crossed))
         vid = dual.vertex_of.get(mask)
         if vid is None:  # every dual vertex is consistent: test only a miss
             res = is_vertex(th.system, _orientation(th.system, mask))

@@ -1,13 +1,15 @@
-"""Plain-graph utilities: cliques, connected components, girth,
-regularity.
+"""Plain-graph utilities: cliques, set bits, connected components,
+girth, regularity.
 
-``cliques`` and ``components`` are the general clique enumerator and the
-one component finder of the package: the cubes of a dual complex, maximal
-transversal families and the link of the BHV origin are clique
-enumerations; hyperplanes, halfspaces and annuli are components. Both are
-iterative, so deep or large inputs hit no recursion limit. The link
-condition alone takes its cliques level by level on int bitmasks, in
-``complexes``, so that the least empty simplex comes first.
+``cliques`` and ``components`` are the one clique walk and the one
+component finder of the package. The link condition, the link of the BHV
+origin and the maximal transversal families are clique enumerations;
+hyperplanes, halfspaces and annuli are components. Both are iterative, so
+deep or large inputs hit no recursion limit. ``cliques`` works on int
+bitmasks and lists the cliques by size, so the least empty simplex of a
+link comes first. The cubes of a dual complex are cliques too, but
+``pocsets._dual_cubes`` walks them itself, as it builds each cube's
+corners from its parent family's.
 
 There is no isomorphism search. ``girth`` and ``is_regular`` recognise
 the one named graph, the Petersen graph (``treespace.petersen_checks``),
@@ -17,21 +19,31 @@ and the tests check each isomorphism they assert through its explicit map.
 from __future__ import annotations
 
 
-def cliques(adj, order):
-    """Yield every clique of the graph induced on ``order``, the empty one
-    included, as a tuple listed in ``order``. Cliques come in
-    lexicographic pre-order of their positions: each clique before its
-    extensions, extensions by earlier vertices first. ``adj`` maps a
-    vertex to a container of its neighbours; neighbours outside ``order``
-    are ignored."""
-    stack = [((), list(order))]
-    while stack:
-        clique, cands = stack.pop()
-        yield clique
-        for i in range(len(cands) - 1, -1, -1):
-            v = cands[i]
-            nbrs = adj[v]
-            stack.append((clique + (v,), [w for w in cands[i + 1:] if w in nbrs]))
+def cliques(adj: list):
+    """Yield every nonempty clique of the graph on 0..n-1 whose vertex i
+    has the neighbour mask ``adj[i]``, as the bitmask of its vertices: by
+    size, and in lexicographic order of the sorted vertices within a size.
+    A clique grows by each later common neighbour, least first, and the
+    cliques of one size are grown in their own order, so the next size
+    comes out in order too."""
+    level = [(1 << i, adj[i] >> (i + 1) << (i + 1)) for i in range(len(adj))]
+    while level:
+        longer = []
+        for clique, cands in level:
+            yield clique
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                longer.append((clique | low, cands & adj[low.bit_length() - 1]))
+        level = longer
+
+
+def bits(mask: int):
+    """The positions of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def components(order, adj) -> list[list]:

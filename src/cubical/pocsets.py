@@ -26,8 +26,12 @@ so the complement of position p is p ^ 1. ``build_system`` sorts the ids
 once and ranks them, so its hyperplane i is the i-th star pair in id order;
 a system of sets takes its caller's wall or class order. Sets of
 positions are int bitsets: the order is one ``above`` mask per position,
-and an orientation is the mask of its chosen positions. Ids are kept for
-I/O and witnesses only.
+and an orientation is the mask of its chosen positions. Transversality
+is one mask per hyperplane, ``transversal_masks``: ``transversal`` reads
+it, ``_dual_cubes`` walks its cliques at each vertex of the dual, and
+``maximal_cubes`` checks its maximal cliques, listed by
+``graphs.cliques``, against the maximal cubes. Ids are kept for I/O and
+witnesses only.
 
 Everything is immutable; dual_complex is a pure function with deterministic
 output (hyperplanes processed in position order, vertices numbered in BFS
@@ -37,7 +41,8 @@ order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 from .complexes import CubeComplex, _complex_of_ranks, _disagreement, _scan_listing, canonical_cube
 from .errors import (
@@ -54,16 +59,8 @@ from .errors import (
     SameHyperplaneError,
     SelfPairedError,
 )
-from .graphs import cliques
+from .graphs import bits, cliques
 from .util import check_ids, parse_list, ssorted
-
-
-def _bits(m: int):
-    """The positions of the set bits of ``m``, in increasing order."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def _evens(size: int) -> int:
@@ -153,12 +150,6 @@ class HalfspaceSystem:
             rel = above[2 * i] | above[2 * i + 1]
             out.append(~(rel | rel >> 1) & even & ~(1 << 2 * i))
         return tuple(out)
-
-    @cached_property
-    def transversal_adjacency(self) -> dict:
-        """Hyperplane index -> indices of the hyperplanes transversal to it."""
-        return {i: frozenset(q >> 1 for q in _bits(free))
-                for i, free in enumerate(self.transversal_masks)}
 
 
 def build_system(halfspaces, star_pairs, leq_pairs) -> HalfspaceSystem:
@@ -376,7 +367,7 @@ def _closure(succ: list) -> tuple[list, list]:
         changed = False
         for p in order:
             between = 0
-            for q in _bits(succ[p]):
+            for q in bits(succ[p]):
                 between |= above[q]
             covers[p] = succ[p] & ~between
             reach = succ[p] | between
@@ -415,7 +406,7 @@ def dump_system(s: HalfspaceSystem) -> dict:
     n = len(hs)
     index = {h: i for i, h in enumerate(hs)}
     rank = [index[h] for h in s.labels]  # position -> index in halfspaces
-    keys = sorted(rank[p] * n + rank[q] for p, m in enumerate(s.above) for q in _bits(m))
+    keys = sorted(rank[p] * n + rank[q] for p, m in enumerate(s.above) for q in bits(m))
     return {
         "halfspaces": list(hs),
         "star": [list(pair) for pair in sorted(s.star_pairs, key=lambda pair: index[pair[0]])],
@@ -430,7 +421,7 @@ def transversal(s: HalfspaceSystem, h, k) -> bool:
     if i == j:
         raise SameHyperplaneError("halfspaces lie in the same hyperplane pair",
                                   pair=(h, k))
-    return j in s.transversal_adjacency[i]
+    return bool(s.transversal_masks[i] >> 2 * j & 1)
 
 
 @dataclass(frozen=True)
@@ -466,7 +457,7 @@ def _chosen(s: HalfspaceSystem, o: Orientation) -> int:
 
 def _orientation(s: HalfspaceSystem, chosen: int) -> Orientation:
     """The orientation choosing the positions of the bitset ``chosen``."""
-    return Orientation(choices=tuple(s.labels[p] for p in _bits(chosen)))
+    return Orientation(choices=tuple(s.labels[p] for p in bits(chosen)))
 
 
 def is_vertex(s: HalfspaceSystem, o: Orientation) -> VertexResult:
@@ -477,7 +468,7 @@ def is_vertex(s: HalfspaceSystem, o: Orientation) -> VertexResult:
     choice with an unchosen halfspace b* above it, b the first such.
     Since a < b* iff b < a*, no earlier choice has a bad partner."""
     chosen = _chosen(s, o)
-    for p in _bits(chosen):
+    for p in bits(chosen):
         bad = s.above[p] & ~chosen
         if bad:
             q = (bad & -bad).bit_length() - 1
@@ -518,7 +509,7 @@ def _minimal_unchecked(s: HalfspaceSystem, chosen: int) -> list:
     """Indices of the hyperplanes whose chosen position in the bitset
     ``chosen`` has no chosen position below it, in increasing order."""
     below = s.below
-    return [p >> 1 for p in _bits(chosen) if not below[p] & chosen]
+    return [p >> 1 for p in bits(chosen) if not below[p] & chosen]
 
 
 def flip(s: HalfspaceSystem, v: Orientation, i: int) -> Orientation:
@@ -558,7 +549,7 @@ class DualComplex:
         """The hyperplanes on which vertices u and v choose differently,
         in increasing order."""
         diff = (self.masks[u] ^ self.masks[v]) & _evens(2 * len(self.system.star_pairs))
-        return [p >> 1 for p in _bits(diff)]
+        return [p >> 1 for p in bits(diff)]
 
     def bitmap(self, vertex_id: int) -> str:
         """Per-hyperplane bits, 1 where the orientation differs from seed."""
@@ -670,12 +661,15 @@ def _dual_cubes(s: HalfspaceSystem, order: list, minimal_at: list, ids: dict):
     chooses the first halfspace of each of its hyperplanes, vertices in
     ``order``. At vertex v the families are the cliques of the transversal
     graph on the hyperplanes whose first halfspace is minimal at v, walked
-    on bitsets of even positions in the pre-order of ``graphs.cliques``:
-    each family before its extensions, extensions by earlier hyperplanes
-    first. A family's corners are its parent's, then the parent's flipped
-    on the added hyperplane, so corner i flips the j-th hyperplane added
-    for the bits j of i, and the last corner flips the whole family: no
-    family is kept, as the two corners' masks give it back."""
+    on bitsets of even positions in lexicographic pre-order: each family
+    before its extensions, extensions by earlier hyperplanes first. A
+    family's corners are its parent's, then the parent's flipped on the
+    added hyperplane, so corner i flips the j-th hyperplane added for the
+    bits j of i, and the last corner flips the whole family: no family is
+    kept, as the two corners' masks give it back. The walk is its own,
+    not ``graphs.cliques``: it grows each family's corners from its
+    parent's as it goes, which the size-ordered walk there, keeping no
+    parent, would have to branch for."""
     transversal = s.transversal_masks
     even = _evens(2 * len(s.star_pairs))
     for n, (v, minimal) in enumerate(zip(order, minimal_at)):
@@ -707,18 +701,18 @@ def maximal_cubes(dual: DualComplex) -> list[tuple]:
     s = dual.system
     masks = dual.masks
     even = _evens(2 * len(s.star_pairs))
-    result = [(c, tuple(p >> 1 for p in _bits((masks[c[0]] ^ masks[c[-1]]) & even)))
+    result = [(c, tuple(p >> 1 for p in bits((masks[c[0]] ^ masks[c[-1]]) & even)))
               for c in sorted(dual.complex.maximal, key=lambda t: (len(t), t))]
 
     fams = [fam for _, fam in result]
     if len(set(fams)) != len(fams):
         raise CubicalError("two maximal cubes share a hyperplane family")
-    cross = s.transversal_adjacency
-    everything = frozenset(cross)
+    # hyperplane i's transversal ones at bits j, not at the positions 2j
+    cross = [sum(1 << (p >> 1) for p in bits(m)) for m in s.transversal_masks]
     # a family is maximal when no hyperplane is transversal to all of it
-    maximal_fams = {fam for fam in cliques(cross, sorted(cross))
-                    if not everything.intersection(*(cross[i] for i in fam))}
-    if everything and maximal_fams != set(fams):
+    maximal_fams = {fam for fam in map(tuple, map(bits, cliques(cross)))
+                    if not reduce(and_, map(cross.__getitem__, fam))}
+    if cross and maximal_fams != set(fams):
         raise CubicalError(
             "maximal cubes do not match maximal transversal families",
             cubes=sorted(fams), families=sorted(maximal_fams))

@@ -32,8 +32,8 @@ from .errors import (
     NonPositiveLengthError,
     UnlabeledLeafError,
 )
-from .graphs import cliques, girth, is_regular
-from .pocsets import Orientation, _bits, _dual_listing, _evens, build_system
+from .graphs import bits, cliques, girth, is_regular
+from .pocsets import Orientation, _dual_listing, _evens, build_system
 from .util import check_ids, parse_float, parse_int, parse_list, string_forms
 
 DEFAULT_TOPOLOGY_CAP = 200_000
@@ -391,15 +391,15 @@ def link_of_origin(n: int) -> SimplicialComplex:
         raise CapExceededError(
             f"n = {n} exceeds the configured bound {MAX_LINK_N}", cap=MAX_LINK_N)
     clusters = all_clusters(n)
-    cname = {c: _cluster_name(c) for c in clusters}
-    adj = {c: {d for d in clusters if d != c and compatible(c, d)}
-           for c in clusters}
+    names = [_cluster_name(c) for c in clusters]
+    adj = [sum(1 << j for j, d in enumerate(clusters) if j != i and compatible(c, d))
+           for i, c in enumerate(clusters)]
     # every clique is a simplex: pairwise compatibility makes the set an
     # orthant face. The cliques are closed under subsets, so the family
     # needs no downward closure.
-    simplices = frozenset(frozenset(cname[c] for c in clique)
-                          for clique in cliques(adj, clusters) if clique)
-    return SimplicialComplex(vertices=frozenset(cname.values()), simplices=simplices)
+    simplices = frozenset(frozenset(map(names.__getitem__, bits(clique)))
+                          for clique in cliques(adj))
+    return SimplicialComplex(vertices=frozenset(names), simplices=simplices)
 
 
 def petersen_checks(adj: dict) -> dict:
@@ -450,7 +450,7 @@ def treespace_complex(n: int, cap: int = 100_000) -> CubeComplex:
     order, walked = _dual_listing(s, origin, cap, "compatible-set enumeration")
     names_of = [present[:-1] for present, _ in s.star_pairs]
     even = _evens(len(s.above))
-    names = ["|".join([names_of[p >> 1] for p in _bits(m & even)]) or "*"
+    names = ["|".join([names_of[p >> 1] for p in bits(m & even)]) or "*"
              for m in order]
     at = names.__getitem__  # popped as named: walked and named cubes never all live
     return build_complex(names, {k: [tuple(map(at, c)) for c in walked.pop(k)]

@@ -66,7 +66,6 @@ from cubical.errors import (
     SelfPairedError,
     UnknownVertexError,
 )
-from cubical.graphs import cliques
 from cubical.pocsets import (
     DualComplex,
     HalfspaceSystem,
@@ -84,6 +83,28 @@ from cubical.treespace import (
     compatible,
 )
 from cubical.util import skey, ssorted
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+def preorder_cliques(adj, order):
+    """Oracle for the clique walks of ``graphs.cliques`` and
+    ``pocsets._dual_cubes``: every clique of the graph induced on
+    ``order``, the empty one included, as a tuple listed in ``order``, in
+    lexicographic pre-order of their positions: each clique before its
+    extensions, extensions by earlier vertices first. ``adj`` maps a
+    vertex to a container of its neighbours; neighbours outside ``order``
+    are ignored."""
+    stack = [((), list(order))]
+    while stack:
+        clique, cands = stack.pop()
+        yield clique
+        for i in range(len(cands) - 1, -1, -1):
+            v = cands[i]
+            nbrs = adj[v]
+            stack.append((clique + (v,), [w for w in cands[i + 1:] if w in nbrs]))
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +685,12 @@ def scan_vertex_link(x: CubeComplex, v):
 def scan_is_locally_cat0(x: CubeComplex) -> LocalCat0Result:
     """Oracle for ``complexes.is_locally_cat0``: each vertex link built as
     a ``SimplicialComplex`` by ``vertex_link``, every clique of its
-    1-skeleton listed by ``graphs.cliques`` in ``ssorted`` order, and the
+    1-skeleton listed by ``preorder_cliques`` in ``ssorted`` order, and the
     least one of size >= 3 missing from the simplices, by (size, sorted
     ids), as the witness of the first vertex that has one."""
     for v in x.labels:
         link = vertex_link(x, v)
-        failures = [c for c in cliques(link.adjacency, ssorted(link.vertices))
+        failures = [c for c in preorder_cliques(link.adjacency, ssorted(link.vertices))
                     if len(c) >= 3 and frozenset(c) not in link.simplices]
         if failures:
             least = min(failures, key=lambda t: (len(t), [skey(u) for u in t]))
@@ -732,7 +753,7 @@ def corner_treespace_complex(n: int, cap: int = 100_000) -> CubeComplex:
     adj = {c: {d for d in clusters if d != c and compatible(c, d)}
            for c in clusters}
     vertex_sets = []
-    for clique in cliques(adj, clusters):
+    for clique in preorder_cliques(adj, clusters):
         vertex_sets.append(frozenset(clique))
         if len(vertex_sets) > cap:
             raise CapExceededError(
@@ -972,6 +993,13 @@ class PairSystem:
             adj[i].discard(j)
             adj[j].discard(i)
         return {i: frozenset(js) for i, js in adj.items()}
+
+    @cached_property
+    def transversal_masks(self) -> tuple:
+        """Hyperplane i -> bit 2j for each hyperplane j transversal to it,
+        as ``HalfspaceSystem.transversal_masks`` lists them."""
+        adj = self.transversal_adjacency
+        return tuple(sum(1 << 2 * j for j in adj[i]) for i in range(len(adj)))
 
     @cached_property
     def strictly_below(self) -> dict:
@@ -1245,7 +1273,7 @@ def pair_dual_complex(s: PairSystem, seed: Orientation, cap: int = 100_000,
     for v, minimal in zip(order, minimal_at):
         if not all_corners:
             minimal = [i for i in minimal if v.choices[i] == s.hyperplanes[i][0]]
-        for fam in cliques(s.transversal_adjacency, minimal):
+        for fam in preorder_cliques(s.transversal_adjacency, minimal):
             if not fam:
                 continue
             corners = tuple(

@@ -73,6 +73,7 @@ from cubical.complexes import (
     CubeComplex,
     _bfs,
     _first_bad_triple,
+    _least_empty_simplex,
     _median_violation,
     _roller_halfspaces,
     _unfilled_square,
@@ -571,6 +572,15 @@ def test_flag_witness_is_least_empty_simplex(n, data):
         assert res.witness == min(empty, key=lambda t: (len(t), t))
 
 
+def test_least_empty_simplex_tests_no_vertex_or_edge():
+    # a link's vertices and edges are simplices as built, so only cliques of
+    # size >= 3 are looked up: here the triangle, though its edges are not
+    # listed, and nothing once it is
+    triangle = [0b110, 0b101, 0b011]
+    assert _least_empty_simplex(triangle, set()) == 0b111
+    assert _least_empty_simplex(triangle, {0b111}) == 0
+
+
 def test_flag_octahedron():
     # link of a vertex in the standard cubing of R^3: all triangles filled
     verts = ["x+", "x-", "y+", "y-", "z+", "z-"]
@@ -684,8 +694,9 @@ def test_random_trees_are_cat0_with_unique_medians(n, rng):
 
 
 def _oracle_is_cat0(x, oracle):
-    """is_cat0 with its median stage replaced by an oracle."""
-    with mock.patch.object(complexes, "_median_violation", oracle):
+    """is_cat0 with its median stage replaced by an oracle, at the same cap."""
+    with mock.patch.object(complexes, "_median_violation",
+                           lambda y: oracle(y, complexes.DEFAULT_MEDIAN_CAP)):
         return is_cat0(x)
 
 
@@ -856,14 +867,14 @@ def test_median_stage_branches_match_dense_oracle():
     # a box is its own halfspaces' dual
     box = tree_product(_path(3), _path(4))
     assert _roller_halfspaces(box) is not None
-    assert _median_violation(box, 600) is None
+    assert _median_violation(box) is None
     assert label_median_violation(box, 600) is dense_median_violation(box, 600) is None
     # a glued hexagon: deleting one of its edges leaves one component (a)
     hexed = glue_hexagon(box, (0, 0))
     assert _roller_halfspaces(hexed) is None
     witness = dense_median_violation(hexed, 600)
     assert witness is not None
-    assert _median_violation(hexed, 600) == label_median_violation(hexed, 600) == witness
+    assert _median_violation(hexed) == label_median_violation(hexed, 600) == witness
     # the 3-cube without corner 7 (its link at corner 0 is an empty
     # triangle, so is_cat0 never gets this far): its three classes cut it
     # in two with distinct labels, but they cross pairwise, so their dual
@@ -873,7 +884,7 @@ def test_median_stage_branches_match_dense_oracle():
     witness = {"triple": (3, 5, 6), "medians": []}
     assert dense_median_violation(cut, 600) == witness
     assert label_median_violation(cut, 600) == witness
-    assert _median_violation(cut, 600) == witness
+    assert _median_violation(cut) == witness
 
 
 @settings(max_examples=60, deadline=None)
@@ -977,7 +988,7 @@ def test_majority_miss_on_hexagon_labels_any_width():
     # 0, 2, 4 have no median
     hexagon = build_complex(range(6), {1: [(i, (i + 1) % 6) for i in range(6)]})
     assert dense_median_violation(hexagon, 600) == {"triple": (0, 2, 4), "medians": []}
-    assert _median_violation(hexagon, 600) == {"triple": (0, 2, 4), "medians": []}
+    assert _median_violation(hexagon) == {"triple": (0, 2, 4), "medians": []}
     labels = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0],
                        [1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
     for pad in (0, 61, 130):  # one, two and three packed words
@@ -1001,15 +1012,18 @@ def test_first_bad_triple_matches_dense_oracle(n, rng, data):
     assert witness == dense_median_violation(x, n)
 
 
-def test_median_verdict_has_no_cap():
+def test_median_verdict_has_no_cap(monkeypatch):
     # the cap bounds only the witness scan of a failure
     x = grid_complex(30, 30)
     assert len(x.vertices) > 600 and is_cat0(x).ok
-    assert _median_violation(grid_complex(3, 3), 5) is None
+    monkeypatch.setattr("cubical.complexes.DEFAULT_MEDIAN_CAP", 5)
+    assert _median_violation(grid_complex(3, 3)) is None
     hexed = glue_hexagon(grid_complex(3, 3), (0, 0))
-    assert _median_violation(hexed, 21) == dense_median_violation(hexed, 21)
+    monkeypatch.setattr("cubical.complexes.DEFAULT_MEDIAN_CAP", 21)
+    assert _median_violation(hexed) == dense_median_violation(hexed, 21)
+    monkeypatch.setattr("cubical.complexes.DEFAULT_MEDIAN_CAP", 20)
     with pytest.raises(CapExceededError):
-        _median_violation(hexed, 20)
+        _median_violation(hexed)
 
 
 def test_median_check_memory_is_quadratic():
@@ -1017,7 +1031,7 @@ def test_median_check_memory_is_quadratic():
     n = len(x.vertices)
     tracemalloc.start()
     try:
-        assert _median_violation(x, 600) is None
+        assert _median_violation(x) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,14 +1,16 @@
-"""The shared clique enumerator and component finder, against brute force."""
+"""The shared clique walk, bit iterator and component finder, against
+brute force."""
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
 
+from helpers import preorder_cliques
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubical.graphs import cliques, components
+from cubical.graphs import bits, cliques, components
 
 
 @st.composite
@@ -28,18 +30,24 @@ def graphs(draw):
 @given(graphs())
 def test_cliques_match_all_subsets(graph):
     order, adj = graph
-    found = list(cliques(adj, order))
-    assert len(found) == len(set(found))
-    expected = {
+    # every vertex subset, by size and lexicographically within a size
+    expected = [
         subset
-        for size in range(len(order) + 1)
-        for subset in itertools.combinations(order, size)
+        for size in range(1, len(order) + 1)
+        for subset in itertools.combinations(range(len(order)), size)
         if all(b in adj[a] for a, b in itertools.combinations(subset, 2))
-    }
-    assert set(found) == expected  # tuples listed in ``order``
-    # each clique comes before its extensions
+    ]
+    found = list(cliques([sum(1 << w for w in adj[v]) for v in range(len(order))]))
+    assert [tuple(bits(c)) for c in found] == expected
+    assert found == [sum(1 << v for v in c) for c in expected]
+    # the pre-order oracle: the same cliques and the empty one, as tuples
+    # listed in ``order``, each once and before its extensions
+    walked = list(preorder_cliques(adj, order))
+    rank = {v: i for i, v in enumerate(order)}
+    assert sorted(tuple(sorted(c)) for c in walked) == sorted([(), *expected])
+    assert all(list(c) == sorted(c, key=rank.get) for c in walked)
     seen = set()
-    for c in found:
+    for c in walked:
         assert c[:-1] in seen or not c
         seen.add(c)
 
@@ -50,7 +58,7 @@ def test_cliques_and_components_ignore_vertices_outside_order(graph, data):
     order, adj = graph
     sub = [v for v in order if data.draw(st.booleans())]
     inside = set(sub)
-    assert all(set(c) <= inside for c in cliques(adj, sub))
+    assert all(set(c) <= inside for c in preorder_cliques(adj, sub))
     assert all(set(c) <= inside for c in components(sub, adj))
 
 
@@ -78,5 +86,7 @@ def test_components_match_bfs(graph):
 
 
 def test_cliques_of_the_empty_graph():
-    assert list(cliques({}, [])) == [()]
+    assert list(cliques([])) == []
+    assert list(preorder_cliques({}, [])) == [()]
+    assert list(bits(0)) == []
     assert components([], {}) == []

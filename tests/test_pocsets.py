@@ -22,6 +22,7 @@ from helpers import (
     pair_minimal,
     pair_seed_vertex,
     path_complex,
+    preorder_cliques,
     scan_maximal_cubes,
     skey_star_layout,
     tree_product,
@@ -57,11 +58,10 @@ from cubical.errors import (
     SameHyperplaneError,
     SelfPairedError,
 )
-from cubical.graphs import cliques
+from cubical.graphs import bits
 from cubical.pocsets import (
     DualComplex,
     HalfspaceSystem,
-    _bits,
     _chosen,
     _dual_cubes,
     _star_layout,
@@ -300,7 +300,7 @@ def test_build_system_matches_pair_oracle(system):
     for p, h in enumerate(got.labels):
         assert got.below[p] == sum(1 << position[a] for a in expected.strictly_below[h])
         assert got.star[h] == expected.star[h]
-    assert got.transversal_adjacency == expected.transversal_adjacency
+    assert got.transversal_masks == expected.transversal_masks
 
 
 def test_build_errors_match_pair_oracle():
@@ -633,7 +633,7 @@ def test_dual_assembles_each_cube_once(monkeypatch):
 
 
 def test_cube_walk_keeps_the_clique_pre_order():
-    # the mask walk lists the families of graphs.cliques in its order, so a
+    # the mask walk lists the families in the pre-order of the oracle, so a
     # duplicate cube is named as before; corner k flips fam[pos] for the
     # bits pos of k, and the family is the diagonal's mask difference
     systems = [pairs_system(4), chain_system(6),
@@ -641,11 +641,11 @@ def test_cube_walk_keeps_the_clique_pre_order():
     for s in systems:
         d = dual_complex(s, seed_vertex(s))
         order, ids = list(d.masks), d.vertex_of
-        minimal_at = [sum(1 << p for p in _bits(v) if not s.below[p] & v) for v in order]
+        minimal_at = [sum(1 << p for p in bits(v) if not s.below[p] & v) for v in order]
         expected = []
         for v in order:
-            first = [p >> 1 for p in _bits(v) if not s.below[p] & v and not p & 1]
-            for fam in cliques(s.transversal_adjacency, first):
+            first = [p >> 1 for p in bits(v) if not s.below[p] & v and not p & 1]
+            for fam in preorder_cliques(PairSystem.of(s).transversal_adjacency, first):
                 corners = [v]
                 for i in fam:
                     corners += [c ^ (3 << 2 * i) for c in corners]
@@ -799,14 +799,14 @@ def test_cube_criterion_brute_force():
                     assert corners_exist == pairwise
 
 
-def test_transversal_adjacency_matches_transversal():
+def test_transversal_masks_match_transversal():
     systems = [pairs_system(3), chain_system(4),
                halfspace_system_of(grid_complex(2, 2)).system,
                halfspace_system_of(path_complex(3)).system]
     for s in systems:
-        adj = s.transversal_adjacency
+        masks, adj = s.transversal_masks, PairSystem.of(s).transversal_adjacency
         for i, j in itertools.permutations(range(len(s.hyperplanes)), 2):
-            assert (j in adj[i]) == transversal(
+            assert bool(masks[i] >> 2 * j & 1) == (j in adj[i]) == transversal(
                 s, s.hyperplanes[i][0], s.hyperplanes[j][1])
 
 
