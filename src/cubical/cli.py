@@ -387,7 +387,7 @@ def _tree_link(run):
     run.stats = {
         "n": run.args.n,
         **link.counts(),
-        "edges": len(link.edges),
+        "edges": sum(map(int.bit_count, link.neighbours)) // 2,
         "girth": girth(adj),
     }
     if run.args.n == 4:

@@ -30,12 +30,14 @@ The CAT(0) oracle is fully combinatorial: a finite complex is CAT(0) iff
 it is connected, all vertex links are flag (the Gromov link condition),
 every 4-cycle of the 1-skeleton bounds a listed square, and the
 1-skeleton is a median graph (Chepoi 2000). Failures come with explicit
-certificates. The link test makes one pass per vertex over its
-incidences, on int bitmasks over the vertex's neighbours: each incidence
-gives a simplex, each square a link edge, and ``graphs.cliques`` lists
-those edges' cliques by size, so the least empty simplex comes first. The
-median test is Sageev-Roller duality: the 1-skeleton is median iff it is
-the dual of the pocset of its square classes' sides (Roller 1998). One
+certificates. One builder, ``_link_masks``, makes a vertex link in one
+pass over its incidences, on int bitmasks over the vertex's neighbours:
+each incidence gives a simplex, each square a link edge. The link test
+reads the masks, ``vertex_link`` keeps them as a ``SimplicialComplex``,
+and ``graphs.cliques`` lists a link's cliques by size, so the least empty
+simplex comes first. The median test is Sageev-Roller duality: the
+1-skeleton is median iff it is the dual of the pocset of its square
+classes' sides (Roller 1998). One
 union-find finds the classes, as a cached property of the complex that
 ``hyperplanes`` reads too, and one breadth-first pass labels each
 vertex with its crossing row, one bit per class; each edge must flip its
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -278,51 +281,64 @@ class CubeComplex:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Abstract simplicial complex: a downward-closed family of nonempty
-    vertex subsets (singletons included)."""
+    """Abstract simplicial complex: ``labels`` holds the vertex ids in
+    ``skey`` order, and ``masks`` the downward-closed family of simplices,
+    each the bitmask of its vertices' positions there. The id views below
+    are derived when read, from the masks and the cached neighbour masks."""
 
-    vertices: frozenset
-    simplices: frozenset
+    labels: tuple
+    masks: frozenset
+
+    @cached_property
+    def neighbours(self) -> tuple:
+        adj = [0] * len(self.labels)
+        for m in self.masks:
+            if m.bit_count() == 2:
+                for i in bits(m):
+                    adj[i] |= m ^ 1 << i
+        return tuple(adj)
+
+    @property
+    def vertices(self) -> frozenset:
+        return frozenset(self.labels)
+
+    @property
+    def simplices(self) -> frozenset:
+        at = self.labels.__getitem__
+        return frozenset(frozenset(map(at, bits(m))) for m in self.masks)
 
     @property
     def edges(self) -> frozenset:
-        return frozenset(s for s in self.simplices if len(s) == 2)
+        return frozenset(frozenset((v, w)) for v, ws in self.adjacency.items() for w in ws)
 
     @cached_property
     def adjacency(self) -> dict:
-        adj = {v: set() for v in self.vertices}
-        for e in self.edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        return {v: frozenset(ns) for v, ns in adj.items()}
+        at = self.labels.__getitem__
+        return {at(i): frozenset(map(at, bits(nbrs))) for i, nbrs in enumerate(self.neighbours)}
 
     def counts(self) -> dict:
-        sizes: dict[int, int] = {}
-        for s in self.simplices:
-            sizes[len(s)] = sizes.get(len(s), 0) + 1
-        return {"vertices": len(self.vertices),
+        sizes = Counter(map(int.bit_count, self.masks))
+        return {"vertices": len(self.labels),
                 "simplices": {str(k): sizes[k] for k in sorted(sizes)}}
 
 
 def build_simplicial(vertices, simplices) -> SimplicialComplex:
-    """Close the given family downward and validate endpoints."""
-    vertices = frozenset(vertices)
-    closed: set[frozenset] = set()
-    stack = [frozenset(s) for s in simplices]
-    for s in stack:
+    """Intern the ids in ``skey`` order, validate the simplices' vertices and
+    close the family downward: a simplex not in yet adds all its submasks."""
+    labels = tuple(ssorted(frozenset(vertices)))
+    bit = {v: 1 << i for i, v in enumerate(labels)}
+    closed = set()
+    for s in simplices:
+        top = 0
         for v in s:
-            if v not in vertices:
+            if v not in bit:
                 raise UnknownVertexError(f"simplex uses unknown vertex {v!r}", vertex=v)
-    while stack:
-        s = stack.pop()
-        if s in closed or not s:
-            continue
-        closed.add(s)
-        if len(s) > 1:
-            for v in s:
-                stack.append(s - {v})
-    return SimplicialComplex(vertices=vertices, simplices=frozenset(closed))
+            top |= bit[v]
+        sub = 0 if top in closed else top
+        while sub:
+            closed.add(sub)
+            sub = (sub - 1) & top
+    return SimplicialComplex(labels=labels, masks=frozenset(closed))
 
 
 @dataclass(frozen=True)
@@ -584,26 +600,38 @@ def dump_complex(x: CubeComplex) -> dict:
 # links and the flag condition
 
 
+def _link_masks(x: CubeComplex, r: int) -> tuple[list, list, set]:
+    """r's neighbours in rank order, which give the link vertices their
+    positions; the link's neighbour masks, an edge per square at r; and its
+    simplex masks, one per incidence, closed downward as every face is listed."""
+    nbrs = sorted(x.adjacency[r])
+    bit = {u: 1 << i for i, u in enumerate(nbrs)}
+    adj = [0] * len(nbrs)
+    simplices = set()
+    for c, pos in x.incidence[r]:
+        mask = 0
+        for axis in _AXES[len(c)]:
+            mask |= bit[c[pos ^ axis]]
+        simplices.add(mask)
+        if len(c) == 4:
+            a, b = bit[c[pos ^ 1]], bit[c[pos ^ 2]]
+            adj[a.bit_length() - 1] |= b
+            adj[b.bit_length() - 1] |= a
+    return nbrs, adj, simplices
+
+
 def vertex_link(x: CubeComplex, v) -> SimplicialComplex:
     """Link of the vertex with id v: one link vertex per edge at v, one
     (k-1)-simplex per (k-cube, corner-at-v) incidence, spanned by that
-    cube's edges at v. Link vertices are edges of x, as x stores them:
-    rank pairs, least rank first."""
+    cube's edges at v, from ``_link_masks``. Link vertices are edges of x:
+    rank pairs, least rank first, which sort as their other ends do."""
     r = x.vertex_index.get(v)
     if r is None:
         raise UnknownVertexError(f"unknown vertex {v!r}", vertex=v)
-    link_vertices: set[tuple] = set()
-    simplices: set[frozenset] = set()
-    for c, pos in x.incidence[r]:
-        nbrs = (c[pos ^ (1 << axis)] for axis in range(cube_dim(c)))
-        dirs = [(r, u) if r < u else (u, r) for u in nbrs]
-        link_vertices.update(dirs)
-        simplices.add(frozenset(dirs))
-    # closed downward as it stands: build_complex lists every face of every
-    # cube, so each face through v of a cube at v is a listed cube at v, and
-    # those faces give every nonempty subset of the cube's dirs
-    return SimplicialComplex(vertices=frozenset(link_vertices),
-                             simplices=frozenset(simplices))
+    nbrs, adj, simplices = _link_masks(x, r)
+    link = SimplicialComplex(tuple((u, r) if u < r else (r, u) for u in nbrs), frozenset(simplices))
+    link.__dict__["neighbours"] = tuple(adj)  # the cached property, already built
+    return link
 
 
 def _least_empty_simplex(adj: list, simplices: set) -> int:
@@ -633,20 +661,11 @@ class FlagResult:
 def is_flag(link: SimplicialComplex) -> FlagResult:
     """Every clique of the 1-skeleton must span a listed simplex. On failure
     the witness is the least empty simplex by (size, sorted ids): a minimal
-    one, since all its proper faces are smaller cliques."""
-    order = ssorted(link.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    adj = [0] * len(order)
-    simplices = set()
-    for s in link.simplices:
-        simplices.add(sum(1 << index[v] for v in s))
-        if len(s) == 2:
-            a, b = map(index.__getitem__, s)
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    empty = _least_empty_simplex(adj, simplices)
+    one, since all its proper faces are smaller cliques. Positions are in
+    ``skey`` order: it is the least by (size, positions)."""
+    empty = _least_empty_simplex(link.neighbours, link.masks)
     if empty:
-        return FlagResult(ok=False, witness=tuple(order[i] for i in bits(empty)))
+        return FlagResult(ok=False, witness=tuple(map(link.labels.__getitem__, bits(empty))))
     return FlagResult(ok=True)
 
 
@@ -667,27 +686,10 @@ def is_locally_cat0(x: CubeComplex) -> LocalCat0Result:
     """Gromov link test: every vertex link must be flag. The witness names
     the vertex and the edges of its empty simplex by their ids.
 
-    Each vertex r is one pass over its incidences, with no link built: r's
-    neighbours get the positions 0..d-1 in rank order, each incidence gives
-    a simplex mask and each square a link edge. The witness is that of
-    ``is_flag(vertex_link(x, v))``: that link's vertices, rank pairs, sort
-    in ``skey`` order as (u, r) for u < r, then (r, u) for u > r, each group
-    by u, which is neighbour rank order. So the least by (size, sorted ids)
-    is the least by (size, positions)."""
-    for r, incident in enumerate(x.incidence):
-        nbrs = sorted(x.adjacency[r])
-        bit = {u: 1 << i for i, u in enumerate(nbrs)}
-        adj = [0] * len(nbrs)
-        simplices = set()
-        for c, pos in incident:
-            mask = 0
-            for axis in _AXES[len(c)]:
-                mask |= bit[c[pos ^ axis]]
-            simplices.add(mask)
-            if len(c) == 4:
-                a, b = bit[c[pos ^ 1]], bit[c[pos ^ 2]]
-                adj[a.bit_length() - 1] |= b
-                adj[b.bit_length() - 1] |= a
+    Each vertex is ``_link_masks``, with no ``SimplicialComplex`` built;
+    the witness is that of ``is_flag(vertex_link(x, v))``."""
+    for r in x.vertices:
+        nbrs, adj, simplices = _link_masks(x, r)
         empty = _least_empty_simplex(adj, simplices)
         if empty:
             edges = ((u, r) if u < r else (r, u)

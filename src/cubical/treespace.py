@@ -390,16 +390,14 @@ def link_of_origin(n: int) -> SimplicialComplex:
     if n > MAX_LINK_N:
         raise CapExceededError(
             f"n = {n} exceeds the configured bound {MAX_LINK_N}", cap=MAX_LINK_N)
-    clusters = all_clusters(n)
-    names = [_cluster_name(c) for c in clusters]
+    clusters = sorted(all_clusters(n), key=_cluster_name)  # skey order of the names
     adj = [sum(1 << j for j, d in enumerate(clusters) if j != i and compatible(c, d))
            for i, c in enumerate(clusters)]
     # every clique is a simplex: pairwise compatibility makes the set an
-    # orthant face. The cliques are closed under subsets, so the family
-    # needs no downward closure.
-    simplices = frozenset(frozenset(map(names.__getitem__, bits(clique)))
-                          for clique in cliques(adj))
-    return SimplicialComplex(vertices=frozenset(names), simplices=simplices)
+    # orthant face. The cliques are closed under subsets, as a family must be.
+    link = SimplicialComplex(tuple(map(_cluster_name, clusters)), frozenset(cliques(adj)))
+    link.__dict__["neighbours"] = tuple(adj)  # the cached property, already built
+    return link
 
 
 def petersen_checks(adj: dict) -> dict:

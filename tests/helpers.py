@@ -24,8 +24,10 @@ import numpy as np
 from cubical import build_complex
 from cubical.complexes import (
     CubeComplex,
+    FlagResult,
     HalfspaceDecomposition,
     LocalCat0Result,
+    _least_empty_simplex,
     build_simplicial,
     canonical_cube,
     cube_dim,
@@ -680,6 +682,78 @@ def scan_vertex_link(x: CubeComplex, v):
             link_vertices.update(dirs)
             simplices.append(frozenset(dirs))
     return build_simplicial(link_vertices, simplices)
+
+
+@dataclass(frozen=True)
+class SetSimplicialComplex:
+    """Oracle for ``complexes.SimplicialComplex``: the family kept as
+    frozensets of ids, with every view read off them."""
+
+    vertices: frozenset
+    simplices: frozenset
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(s for s in self.simplices if len(s) == 2)
+
+    @cached_property
+    def adjacency(self) -> dict:
+        adj = {v: set() for v in self.vertices}
+        for e in self.edges:
+            a, b = tuple(e)
+            adj[a].add(b)
+            adj[b].add(a)
+        return {v: frozenset(ns) for v, ns in adj.items()}
+
+    def counts(self) -> dict:
+        sizes: dict[int, int] = {}
+        for s in self.simplices:
+            sizes[len(s)] = sizes.get(len(s), 0) + 1
+        return {"vertices": len(self.vertices),
+                "simplices": {str(k): sizes[k] for k in sorted(sizes)}}
+
+
+def set_build_simplicial(vertices, simplices) -> SetSimplicialComplex:
+    """Oracle for ``complexes.build_simplicial``: the downward closure on
+    frozensets of ids, one vertex dropped at a time."""
+    vertices = frozenset(vertices)
+    closed: set[frozenset] = set()
+    stack = [frozenset(s) for s in simplices]
+    for s in stack:
+        for v in s:
+            if v not in vertices:
+                raise UnknownVertexError(f"simplex uses unknown vertex {v!r}", vertex=v)
+    while stack:
+        s = stack.pop()
+        if s in closed or not s:
+            continue
+        closed.add(s)
+        if len(s) > 1:
+            for v in s:
+                stack.append(s - {v})
+    return SetSimplicialComplex(vertices=vertices, simplices=frozenset(closed))
+
+
+def sorted_is_flag(link) -> FlagResult:
+    """Oracle for ``complexes.is_flag`` on any complex that lists its
+    ``vertices`` and ``simplices`` by id: the ids sorted with ``ssorted``
+    and indexed, each simplex rewritten as a mask, and the least empty
+    simplex by (size, positions) named by its ids."""
+    order = ssorted(link.vertices)
+    index = {v: i for i, v in enumerate(order)}
+    adj = [0] * len(order)
+    simplices = set()
+    for s in link.simplices:
+        simplices.add(sum(1 << index[v] for v in s))
+        if len(s) == 2:
+            a, b = map(index.__getitem__, s)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    empty = _least_empty_simplex(adj, simplices)
+    if empty:
+        return FlagResult(ok=False, witness=tuple(order[i] for i in range(len(order))
+                                                  if empty >> i & 1))
+    return FlagResult(ok=True)
 
 
 def scan_is_locally_cat0(x: CubeComplex) -> LocalCat0Result:

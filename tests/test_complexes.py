@@ -42,7 +42,9 @@ from helpers import (
     scan_hyperplanes_cross,
     scan_is_locally_cat0,
     scan_vertex_link,
+    set_build_simplicial,
     skey_canonical_cube,
+    sorted_is_flag,
     star_complex,
     swapped_torus,
     symmetry_maps,
@@ -71,6 +73,8 @@ from cubical import (
 )
 from cubical.complexes import (
     CubeComplex,
+    LocalCat0Result,
+    SimplicialComplex,
     _bfs,
     _first_bad_triple,
     _least_empty_simplex,
@@ -601,6 +605,54 @@ def test_locally_cat0():
     assert not res.ok and res.witness is not None
     assert is_locally_cat0(path_complex(4)).ok
     assert is_locally_cat0(star_complex(5)).ok
+
+
+_mixed_ids = st.lists(st.one_of(st.integers(-3, 12), st.text("abxy", min_size=1, max_size=2)),
+                      min_size=1, max_size=7, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_ids, st.data())
+def test_mask_closure_matches_frozenset_oracle(ids, data):
+    """``build_simplicial`` closes on masks over the ids in ``skey`` order;
+    the frozenset closure and the label-sorting flag test must agree on
+    every view, the counts and the witness."""
+    pick = st.sampled_from(ids)
+    family = data.draw(st.lists(st.lists(pick, min_size=2, max_size=2), max_size=10))
+    family += data.draw(st.lists(st.lists(pick, max_size=5), max_size=4))
+    sc = build_simplicial(ids, family)
+    oracle = set_build_simplicial(ids, family)
+    assert sc.labels == tuple(ssorted(ids))
+    assert sc.vertices == oracle.vertices
+    assert sc.simplices == oracle.simplices
+    assert sc.edges == oracle.edges
+    assert sc.adjacency == oracle.adjacency
+    assert sc.counts() == oracle.counts()
+    assert is_flag(sc) == sorted_is_flag(oracle)
+
+
+def test_link_test_is_vertex_link_and_is_flag():
+    # is_locally_cat0 reads the link masks with no link built: its verdict
+    # is the first non-flag vertex of vertex_link and is_flag, whose
+    # witness the label-sorting oracle names too
+    xs = [x for _, x in cat0_corpus()]
+    xs += [folded_cube(5), cube_double_cover(), swapped_torus(10, 5)]
+    verdicts = []
+    for x in xs:
+        expected = LocalCat0Result(ok=True)
+        for v in x.labels:
+            link = vertex_link(x, v)
+            res = is_flag(link)
+            assert res == sorted_is_flag(link)
+            # the neighbour masks handed over are those the masks give
+            assert link.neighbours == SimplicialComplex(link.labels, link.masks).neighbours
+            if not res.ok:
+                expected = LocalCat0Result(ok=False, vertex=v,
+                                           witness=tuple(map(x.named, res.witness)))
+                break
+        assert is_locally_cat0(x) == expected
+        verdicts.append(expected.ok)
+    assert not all(verdicts)
 
 
 # ---------------------------------------------------------------------------

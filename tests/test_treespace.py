@@ -9,11 +9,13 @@ import random
 
 import pytest
 from helpers import (
+    SetSimplicialComplex,
     assert_link_is_petersen,
     corner_treespace_complex,
     named,
     pairwise_from_orthant,
     pairwise_make_orthant,
+    preorder_cliques,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ from cubical import (
     treespace_complex,
     validate_tree,
 )
-from cubical.complexes import dump_complex, vertex_link
+from cubical.complexes import SimplicialComplex, dump_complex, is_flag, vertex_link
 from cubical.errors import (
     BadRootValencyError,
     CapExceededError,
@@ -302,6 +304,27 @@ def test_link_n5_simplices_reach_dimension():
     link = link_of_origin(5)
     assert max(len(s) for s in link.simplices) == 3
     assert len([s for s in link.simplices if len(s) == 3]) == count_binary(5)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_link_of_origin_matches_frozenset_cliques(n):
+    # the frozenset construction: every clique of the compatibility graph
+    # on the cluster names, from the pre-order oracle walk
+    names = {c: ".".join(map(str, sorted(c))) for c in all_clusters(n)}
+    adj = {names[c]: {names[d] for d in names if d != c and compatible(c, d)}
+           for c in names}
+    expected = SetSimplicialComplex(
+        vertices=frozenset(adj),
+        simplices=frozenset(frozenset(s) for s in preorder_cliques(adj, sorted(adj)) if s))
+    link = link_of_origin(n)
+    assert link.labels == tuple(sorted(adj))
+    assert link.simplices == expected.simplices
+    assert link.edges == expected.edges
+    assert link.adjacency == expected.adjacency
+    assert link.counts() == expected.counts()
+    # the neighbour masks handed over are those the masks give
+    assert link.neighbours == SimplicialComplex(link.labels, link.masks).neighbours
+    assert is_flag(link).ok
 
 
 # ---------------------------------------------------------------------------
