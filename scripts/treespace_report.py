@@ -14,7 +14,7 @@ from cubical import (
     link_of_origin,
     treespace_complex,
 )
-from cubical.graphs import girth, is_regular
+from cubical.graphs import bits, girth, is_regular
 from cubical.treespace import petersen_checks
 
 
@@ -31,11 +31,11 @@ def main():
         print(f"n={n}: (2n-3)!! = {formula}, enumerated {enumerated}  [{tag}]")
 
     link = link_of_origin(4)
-    adj = link.adjacency
+    nbrs = [list(bits(m)) for m in link.neighbours]
     print(f"\nlink of origin, n=4: {len(link.vertices)} vertices, "
-          f"{len(link.edges)} edges, 3-regular={is_regular(adj, 3)}, "
-          f"girth={girth(adj)}, "
-          f"petersen={petersen_checks(adj)['isomorphic_to_petersen']}")
+          f"{len(link.edges)} edges, 3-regular={is_regular(nbrs, 3)}, "
+          f"girth={girth(nbrs)}, "
+          f"petersen={petersen_checks(nbrs)['isomorphic_to_petersen']}")
 
     for n in range(3, args.cat0_max_n + 1):
         x = treespace_complex(n)

@@ -51,7 +51,7 @@ from .coxeter import (
 from .coxeter import halfspace as cox_halfspace
 from .dotio import ball_dot, crossing_graph_dot, simple_graph_dot, skeleton_dot
 from .errors import CubicalError, InputFormatError
-from .graphs import girth
+from .graphs import bits, girth
 from .pocsets import dual_complex, dump_system, load_system, maximal_cubes, seed_vertex
 from .treespace import (
     cone_distance,
@@ -383,20 +383,20 @@ def _tree_enumerate(run):
 
 def _tree_link(run):
     link = link_of_origin(run.args.n)
-    adj = link.adjacency
+    nbrs = [list(bits(m)) for m in link.neighbours]
     run.stats = {
         "n": run.args.n,
         **link.counts(),
-        "edges": sum(map(int.bit_count, link.neighbours)) // 2,
-        "girth": girth(adj),
+        "edges": sum(map(len, nbrs)) // 2,
+        "girth": girth(nbrs),
     }
     if run.args.n == 4:
-        cert = petersen_checks(adj)
+        cert = petersen_checks(nbrs)
         run.certificate["is_petersen"] = all(cert.values())
         run.certificate["petersen_checks"] = cert
         run.ok = all(cert.values())
     if run.args.dot:
-        _write(run.args.dot, simple_graph_dot(adj, "link"))
+        _write(run.args.dot, simple_graph_dot(link.labels, nbrs, "link"))
 
 
 def _tree_complex(run):

@@ -79,7 +79,7 @@ from .errors import (
     SelfGluingError,
     UnknownVertexError,
 )
-from .graphs import bits, cliques, components
+from .graphs import bfs, bits, cliques, components
 from .util import check_ids, parse_int, parse_list, ssorted, string_forms
 
 DEFAULT_MEDIAN_CAP = 600
@@ -703,20 +703,6 @@ def is_locally_cat0(x: CubeComplex) -> LocalCat0Result:
 # medians and the global CAT(0) test
 
 
-def _bfs(nbrs, root: int) -> tuple[list[int], list[int]]:
-    """Distances from ``root`` over int adjacency lists (-1 where
-    unreachable), and the vertices reached, in breadth-first order."""
-    dist = [-1] * len(nbrs)
-    dist[root] = 0
-    order = [root]
-    for v in order:  # order grows while it is read: a breadth-first queue
-        for w in nbrs[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                order.append(w)
-    return dist, order
-
-
 def median(x: CubeComplex, a, b, c):
     """The unique vertex in all three pairwise geodesic intervals, given
     and returned by id.
@@ -730,7 +716,7 @@ def median(x: CubeComplex, a, b, c):
     if not x.is_connected():
         raise DisconnectedError("median requires a connected complex")
     ia, ib, ic = (x.vertex_index[v] for v in (a, b, c))
-    da, db, dc = (_bfs(x.adjacency, i)[0] for i in (ia, ib, ic))
+    da, db, dc = (bfs(x.adjacency, i)[0] for i in (ia, ib, ic))
     hits = [
         x.labels[m]
         for m in x.vertices
@@ -792,7 +778,9 @@ def _roller_halfspaces(x: CubeComplex) -> list[int] | None:
     ``pocsets._system_of_crossings`` orders the sides from the rows, and
     ``pocsets._flip_walk`` walks the dual from rank 0's orientation (every
     "+" side), giving up past n vertices, as the dual can be exponentially
-    larger. Its vertices' minimal sides count its edges twice.
+    larger. Its vertices' minimal sides count its edges twice. The pass
+    keeps its own queue, not ``graphs.bfs``, as it labels each vertex by
+    the edge that reaches it and checks (a) on each edge it reads.
 
     Halfspaces 2i and 2i + 1 of the result are the smaller and the larger
     side of class i, the one holding rank 0 first on a tie, as
@@ -845,7 +833,7 @@ def _first_bad_triple(nbrs):
 
     def intervals(a):
         if rows[a] is None:
-            dist, order = _bfs(nbrs, a)
+            dist, order = bfs(nbrs, a)
             row = [0] * n
             for z in order:
                 row[z] = 1 << z

@@ -298,7 +298,8 @@ def distance(sys_: CoxeterSystem, g: Word, h: Word) -> int:
 @dataclass(frozen=True)
 class CayleyBall:
     """Exact ball of the Cayley graph: canonical elements by length, edges
-    (u, us) stored once with the shorter endpoint first."""
+    (u, us) stored once with the shorter endpoint first, and by position in
+    ``neighbours``."""
 
     system: CoxeterSystem
     radius: int
@@ -318,12 +319,13 @@ class CayleyBall:
         return out
 
     @cached_property
-    def adjacency(self) -> dict:
-        adj: dict[Word, set] = {w: set() for w in self.elements}
+    def neighbours(self) -> list[list[int]]:
+        at = {w: i for i, w in enumerate(self.elements)}
+        nbrs = [[] for _ in self.elements]
         for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+            nbrs[at[u]].append(at[v])
+            nbrs[at[v]].append(at[u])
+        return nbrs
 
     def sphere(self, r: int) -> list:
         return self.levels.get(r, [])
@@ -335,7 +337,8 @@ def cayley_ball(sys_: CoxeterSystem, radius: int,
     than w iff its coordinate s is positive, and then (w, ws, s) is an edge
     and (ws)^-1 rho = s w^-1 rho. Levels are walked in element order and s
     ascending, so the first word to reach a point is its normal form, and
-    the edges come in that order; the last level has no edge up."""
+    the edges come in that order; the last level has no edge up. It keeps
+    its own queue, not ``graphs.bfs``, as it builds the graph it walks."""
     if radius < 0:
         raise InputFormatError("radius must be >= 0")
     tits = sys_.tits
@@ -668,11 +671,11 @@ class EndsReport:
 
 def _annulus_components(ball: CayleyBall, r: int) -> int:
     """Number of components of the annulus r < l(g) <= radius that contain
-    an element of length exactly radius."""
-    annulus = [w for w in ball.elements if r < len(w)]
-    sphere = frozenset(ball.sphere(ball.radius))
-    return sum(1 for comp in components(annulus, ball.adjacency)
-               if not sphere.isdisjoint(comp))
+    an element of length exactly radius: elements come by length, so both
+    are suffixes of the positions."""
+    n, inner = len(ball.elements), sum(len(ball.sphere(k)) for k in range(r + 1))
+    outer = n - len(ball.sphere(ball.radius))
+    return sum(max(comp) >= outer for comp in components(range(inner, n), ball.neighbours))
 
 
 def ends_profile(sys_: CoxeterSystem, radius: int,

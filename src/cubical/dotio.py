@@ -1,9 +1,8 @@
 """DOT (graphviz) emission for 1-skeletons, crossing graphs, Cayley balls,
-and link graphs. Output is deterministic: nodes and edges are sorted."""
+and link graphs. Output is deterministic: nodes and edges are sorted, or
+listed in the order of the positions given."""
 
 from __future__ import annotations
-
-from .util import skey
 
 
 def _color(i: int) -> str:
@@ -72,16 +71,12 @@ def ball_dot(ball, wall_list=None, root=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def simple_graph_dot(adjacency: dict, name: str = "g") -> str:
-    """Each edge once, from its earlier end in node order."""
-    lines = [f"graph {name} {{"]
-    nodes = sorted(adjacency, key=skey)
-    at = {v: i for i, v in enumerate(nodes)}
-    for v in nodes:
-        lines.append(f"  {_q(v)};")
-    for i, v in enumerate(nodes):
-        for w in sorted(adjacency[v], key=skey):
-            if at[w] > i:
-                lines.append(f"  {_q(v)} -- {_q(w)};")
+def simple_graph_dot(labels, nbrs, name: str = "g") -> str:
+    """The graph on positions whose vertex i has the neighbours ``nbrs[i]``,
+    in increasing order, and the name ``labels[i]``: the nodes in position
+    order, then each edge once, from its earlier end. Nothing is sorted."""
+    lines = [f"graph {name} {{"] + [f"  {_q(v)};" for v in labels]
+    lines += [f"  {_q(v)} -- {_q(labels[j])};"
+              for i, v in enumerate(labels) for j in nbrs[i] if j > i]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,15 +1,19 @@
-"""Plain-graph utilities: cliques, set bits, connected components,
-girth, regularity.
+"""Plain-graph utilities on positions 0..n-1: cliques, set bits,
+breadth-first search, connected components, girth, regularity. A graph
+is one entry per vertex: an int neighbour mask for ``cliques``, neighbour
+positions for the rest; ids stay with the callers.
 
-``cliques`` and ``components`` are the one clique walk and the one
-component finder of the package. The link condition, the link of the BHV
-origin and the maximal transversal families are clique enumerations;
-hyperplanes, halfspaces and annuli are components. Both are iterative, so
-deep or large inputs hit no recursion limit. ``cliques`` works on int
-bitmasks and lists the cliques by size, so the least empty simplex of a
-link comes first. The cubes of a dual complex are cliques too, but
-``pocsets._dual_cubes`` walks them itself, as it builds each cube's
-corners from its parent family's.
+``cliques`` is the one clique walk of the package and ``bfs`` its one
+breadth-first search over a given adjacency, both iterative, so deep or
+large inputs hit no recursion limit. Links, the link of the BHV origin
+and maximal transversal families are clique enumerations, by size, so the
+least empty simplex of a link comes first. ``components`` (halfspaces,
+annuli, connectedness), ``girth`` and the medians of ``complexes`` run
+``bfs``. Walks that build or label their graph as they go keep their
+own loop: the Roller row labelling of ``complexes``,
+``pocsets._flip_walk``, ``coxeter.cayley_ball``, and the cube walk
+``pocsets._dual_cubes``, which builds each cube's corners from its
+parent family's.
 
 There is no isomorphism search. ``girth`` and ``is_regular`` recognise
 the one named graph, the Petersen graph (``treespace.petersen_checks``),
@@ -46,47 +50,52 @@ def bits(mask: int):
         mask ^= low
 
 
-def components(order, adj) -> list[list]:
+def bfs(nbrs, root: int, dist: list | None = None) -> tuple[list[int], list[int]]:
+    """Distances from ``root`` (-1 where unreachable) and the vertices
+    reached, in breadth-first order. A given ``dist`` is filled in place,
+    and its vertices at >= 0 count as reached already."""
+    if dist is None:
+        dist = [-1] * len(nbrs)
+    dist[root] = 0
+    order = [root]
+    for v in order:  # order grows while it is read: a breadth-first queue
+        for w in nbrs[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return dist, order
+
+
+def components(order, nbrs) -> list[list[int]]:
     """Connected components of the graph induced on ``order``, in the order
-    of their first vertex. Each component is listed in breadth-first order
-    from that vertex, following each vertex's neighbours in ``adj`` order;
-    neighbours outside ``order`` are ignored."""
-    members = set(order)
-    seen = set()
-    out = []
-    for root in order:
-        if root in seen:
-            continue
-        seen.add(root)
-        comp = [root]
-        for v in comp:  # comp grows while it is read: a breadth-first queue
-            for w in adj[v]:
-                if w in members and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        out.append(comp)
-    return out
+    of their first vertex, each in breadth-first order from it; neighbours
+    outside ``order`` are ignored."""
+    dist = [0] * len(nbrs)
+    for v in order:
+        dist[v] = -1
+    return [bfs(nbrs, root, dist)[1] for root in order if dist[root] < 0]
 
 
-def girth(adj: dict) -> int | None:
-    """Length of a shortest cycle, None for forests."""
+def girth(nbrs) -> int | None:
+    """Length of a shortest cycle, None for forests. From a root on one,
+    an edge inside level d closes a cycle of 2d + 1, or a vertex at level d
+    has two neighbours at level d - 1 and closes one of 2d. Each root's
+    levels are read until 2d reaches the best; 3 ends the search."""
     best = None
-    for root in adj:
-        dist = {root: 0}
-        parent = {root: None}
-        order = [root]
-        for v in order:  # order grows while it is read: a breadth-first queue
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    order.append(w)
-                elif parent[v] != w:
-                    cycle = dist[v] + dist[w] + 1
-                    if best is None or cycle < best:
-                        best = cycle
+    for root in range(len(nbrs)):
+        dist, order = bfs(nbrs, root)
+        for v in order:
+            d = dist[v]
+            if best is not None and 2 * d >= best:
+                break
+            if any(dist[w] == d for w in nbrs[v]):
+                best = 2 * d + 1
+            if sum(dist[w] == d - 1 for w in nbrs[v]) > 1:
+                best = 2 * d
+        if best == 3:
+            return best
     return best
 
 
-def is_regular(adj: dict, degree: int) -> bool:
-    return all(len(ns) == degree for ns in adj.values())
+def is_regular(nbrs, degree: int) -> bool:
+    return all(len(ns) == degree for ns in nbrs)

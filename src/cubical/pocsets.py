@@ -623,7 +623,8 @@ def _flip_walk(s: HalfspaceSystem, start: int, cap: int):
     q < r. And r becomes minimal only if p was the one chosen position
     below it at v; any s with p < s < r is chosen at v by consistency, so
     r covers p. (The test on below[r] alone decides; covers[p] only narrows
-    the candidates.)"""
+    the candidates.) It keeps its own queue, not ``graphs.bfs``, as it
+    finds the graph it walks."""
     if cap < 1:
         return None
     above, below, covers = s.above, s.below, s.covers

@@ -400,19 +400,19 @@ def link_of_origin(n: int) -> SimplicialComplex:
     return link
 
 
-def petersen_checks(adj: dict) -> dict:
-    """The checks that the graph with adjacency ``adj`` is the Petersen
-    graph, as ``tree link -n 4`` reports them. The last follows from the
-    others with no search: in a 3-regular graph of girth 5, a vertex, its
+def petersen_checks(nbrs) -> dict:
+    """The checks that the graph on positions with neighbours ``nbrs`` is the
+    Petersen graph, as ``tree link -n 4`` reports them. The last follows from
+    the others with no search: in a 3-regular graph of girth 5, a vertex, its
     3 neighbours and their 6 further neighbours are distinct, so it has at
     least 1 + 3 + 6 = 10 vertices (the Moore bound), and at exactly 10 it
     is the Petersen graph, the unique (3,5)-cage (Hoffman & Singleton, "On
     Moore graphs with diameters 2 and 3", IBM J. Res. Dev. 1960)."""
     checks = {
-        "vertices": len(adj) == 10,
-        "edges": sum(map(len, adj.values())) // 2 == 15,
-        "three_regular": is_regular(adj, 3),
-        "girth_five": girth(adj) == 5,
+        "vertices": len(nbrs) == 10,
+        "edges": sum(map(len, nbrs)) // 2 == 15,
+        "three_regular": is_regular(nbrs, 3),
+        "girth_five": girth(nbrs) == 5,
     }
     checks["isomorphic_to_petersen"] = (
         checks["vertices"] and checks["three_regular"] and checks["girth_five"])

@@ -109,6 +109,61 @@ def preorder_cliques(adj, order):
             stack.append((clique + (v,), [w for w in cands[i + 1:] if w in nbrs]))
 
 
+def set_components(order, adj) -> list[list]:
+    """Oracle for ``graphs.components``: the components of the graph induced
+    on ``order``, each in breadth-first order from its first vertex, found
+    with sets of vertices rather than positions."""
+    members = set(order)
+    seen = set()
+    out = []
+    for root in order:
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for v in comp:  # comp grows while it is read: a breadth-first queue
+            for w in adj[v]:
+                if w in members and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        out.append(comp)
+    return out
+
+
+def dict_girth(adj: dict) -> int | None:
+    """Oracle for ``graphs.girth``: a full breadth-first search from every
+    vertex of a dict adjacency, each non-tree edge closing a walk of length
+    dist[v] + dist[w] + 1; the least is the girth, None for forests."""
+    best = None
+    for root in adj:
+        dist = {root: 0}
+        parent = {root: None}
+        order = [root]
+        for v in order:  # order grows while it is read: a breadth-first queue
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    parent[w] = v
+                    order.append(w)
+                elif parent[v] != w:
+                    cycle = dist[v] + dist[w] + 1
+                    if best is None or cycle < best:
+                        best = cycle
+    return best
+
+
+def neighbour_lists(edges) -> list[list[int]]:
+    """The graph of ``edges`` on positions: its vertices sorted and numbered
+    0..n-1, and each one's neighbours as a sorted list of positions."""
+    labels = sorted({v for e in edges for v in e})
+    at = {v: i for i, v in enumerate(labels)}
+    nbrs: list[set] = [set() for _ in labels]
+    for a, b in edges:
+        nbrs[at[a]].add(at[b])
+        nbrs[at[b]].add(at[a])
+    return [sorted(ns) for ns in nbrs]
+
+
 # ---------------------------------------------------------------------------
 # cube symmetries (oracle for canonical_cube)
 
@@ -1589,6 +1644,24 @@ def wall_crossings_on_path(sys_, x, letters) -> list:
     for s in letters:
         out.append(reflection_of_edge(sys_, cur, s))
         cur = reduce_word(sys_, cur + (s,))
+    return out
+
+
+def point_wall_crossings(tits, start, letters, keys: dict) -> list:
+    """The walls crossed along the path from the element g with
+    g^-1 rho = ``start`` by ``letters``, walked on points with one act per
+    letter: (gs)^-1 rho = s g^-1 rho. The wall of the edge (g, gs) is keyed
+    by t.rho, t = g s g^-1, as ``walls`` keys it: g applied to (gs)^-1 rho,
+    g's word read off ``start`` by one normal form. ``keys`` keeps each
+    (point, letter)'s key for the next walk."""
+    q = start
+    out = []
+    for s in letters:
+        after = tits.act(s, q)
+        if (q, s) not in keys:
+            keys[q, s] = tits.point(tuple(reversed(tits.normal_form(q))), after)
+        out.append(keys[q, s])
+        q = after
     return out
 
 

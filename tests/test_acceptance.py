@@ -20,6 +20,7 @@ from helpers import (
     grid_complex,
     oracle_shortlex_forms,
     path_complex,
+    point_wall_crossings,
     torus_3x3,
     tree_complex,
     wall_crossings_on_path,
@@ -51,7 +52,7 @@ from cubical import (
 )
 from cubical.cli import main
 from cubical.coxeter import act_on_halfspace, distance
-from cubical.graphs import girth, is_regular
+from cubical.graphs import bits, girth, is_regular
 from cubical.pocsets import build_system, seed_vertex
 
 A2_TILDE = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
@@ -199,22 +200,32 @@ def test_criterion_5_coxeter_wall_laws():
                     assert abs(distance(sys_, x, u) - distance(sys_, x, v)) == 1
 
             # crossing parity is path-independent: for every ordered pair
-            # and every wall, 100 sampled paths agree with the canonical one
+            # and every wall, 100 sampled paths agree with the canonical one.
+            # Paths are walked on points, each crossed wall keyed by t.rho as
+            # walls() keys it; the canonical paths' keys are those of the
+            # reflections that the letter-by-letter word walk names
+            tits = sys_.tits
             rng = random.Random(2024)
             reflections = [w.reflection for w in ws]
+            wall_keys = [tits.point(refl) for refl in reflections]
+            keys: dict = {}
             pairs = [(x, y) for x in ball.elements for y in ball.elements]
             for x, y in pairs:
                 canonical = reduce_word(sys_, tuple(reversed(x)) + y)
-                reference = Counter(wall_crossings_on_path(sys_, x, canonical))
+                start, target = tits.point(tuple(reversed(x))), tits.point(canonical)
+                walked = point_wall_crossings(tits, start, canonical, keys)
+                assert walked == [tits.point(refl) for refl
+                                  in wall_crossings_on_path(sys_, x, canonical)]
+                reference = Counter(walked)
                 for _ in range(100):
                     detour = tuple(rng.randrange(sys_.rank)
                                    for _ in range(rng.randrange(0, 5)))
-                    mid = reduce_word(sys_, x + detour)
-                    back = reduce_word(sys_, tuple(reversed(mid)) + y)
+                    # back is the normal form of (x detour)^-1 y
+                    back = tits.normal_form(tits.point(tuple(reversed(detour)), target))
                     crossings = Counter(
-                        wall_crossings_on_path(sys_, x, detour + back))
-                    for refl in reflections:
-                        assert crossings[refl] % 2 == reference[refl] % 2, (x, y, refl)
+                        point_wall_crossings(tits, start, detour + back, keys))
+                    for refl, key in zip(reflections, wall_keys):
+                        assert crossings[key] % 2 == reference[key] % 2, (x, y, refl)
 
             # H(u, v) equals the parity-0 root through u (asserted inside
             # halfspace as well)
@@ -282,9 +293,9 @@ def test_criterion_8_tree_space():
             assert len(enumerate_topologies(n)) == count_binary(n)
 
         link = link_of_origin(4)
-        adj = link.adjacency
+        nbrs = [list(bits(m)) for m in link.neighbours]
         assert len(link.vertices) == 10 and len(link.edges) == 15
-        assert is_regular(adj, 3) and girth(adj) == 5
+        assert is_regular(nbrs, 3) and girth(nbrs) == 5
         assert_link_is_petersen(link)
 
         for n in (3, 4, 5):

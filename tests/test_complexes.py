@@ -75,7 +75,6 @@ from cubical.complexes import (
     CubeComplex,
     LocalCat0Result,
     SimplicialComplex,
-    _bfs,
     _first_bad_triple,
     _least_empty_simplex,
     _median_violation,
@@ -100,6 +99,7 @@ from cubical.errors import (
     SelfGluingError,
     UnknownVertexError,
 )
+from cubical.graphs import bfs
 from cubical.treespace import treespace_complex
 from cubical.util import skey, ssorted
 
@@ -1128,7 +1128,7 @@ def test_distance_matrix_matches_bfs(n, name, data):
     matrix = distance_matrix(x)
     assert matrix.shape == (n, n)
     for i, u in enumerate(x.labels):
-        dist, order = _bfs(x.adjacency, i)
+        dist, order = bfs(x.adjacency, i)
         assert dist == [expected.get((u, v), -1) for v in x.labels]
         assert dist == matrix[i].tolist()
         assert sorted(order) == [j for j, d in enumerate(dist) if d >= 0]

@@ -13,6 +13,7 @@ from helpers import (
     assert_link_is_petersen,
     corner_treespace_complex,
     named,
+    neighbour_lists,
     pairwise_from_orthant,
     pairwise_make_orthant,
     preorder_cliques,
@@ -44,7 +45,7 @@ from cubical.errors import (
     NonPositiveLengthError,
     UnlabeledLeafError,
 )
-from cubical.graphs import girth, is_regular
+from cubical.graphs import bits, girth, is_regular
 from cubical.treespace import (
     Orthant,
     _ckey,
@@ -265,31 +266,24 @@ def test_link_n3_is_three_points():
 
 def test_link_n4_is_petersen():
     link = link_of_origin(4)
-    adj = link.adjacency
+    nbrs = [list(bits(m)) for m in link.neighbours]
     assert len(link.vertices) == 10
     assert len(link.edges) == 15
-    assert is_regular(adj, 3)
-    assert girth(adj) == 5
+    assert is_regular(nbrs, 3)
+    assert girth(nbrs) == 5
     assert_link_is_petersen(link)
     # maximal simplices have size n - 2 = 2
     assert max(len(s) for s in link.simplices) == 2
 
 
-def _adjacency(edges):
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return adj
-
-
 def test_petersen_checks_need_ten_vertices_and_girth_five():
-    assert all(petersen_checks(link_of_origin(4).adjacency).values())
-    prism = _adjacency([(i, (i + 1) % 5) for i in range(5)]
-                       + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-                       + [(i, 5 + i) for i in range(5)])
-    cube3 = _adjacency([(v, v ^ bit) for v in range(8) for bit in (1, 2, 4)])
-    k33 = _adjacency([(a, b) for a in "abc" for b in "xyz"])
+    link = link_of_origin(4)
+    assert all(petersen_checks([list(bits(m)) for m in link.neighbours]).values())
+    prism = neighbour_lists([(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+                            + [(i, 5 + i) for i in range(5)])
+    cube3 = neighbour_lists([(v, v ^ bit) for v in range(8) for bit in (1, 2, 4)])
+    k33 = neighbour_lists([(a, b) for a in "abc" for b in "xyz"])
     for adj in (prism, cube3, k33):
         checks = petersen_checks(adj)
         assert checks["three_regular"] and not checks["girth_five"]
