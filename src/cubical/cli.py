@@ -123,7 +123,7 @@ def _dumps(verdict: dict, pretty: bool) -> str:
 def _complex_check(run):
     x = load_complex(_read_json(run.args.file))
     run.stats = x.counts()
-    verdict = is_cat0(x)  # scans the links first
+    verdict = is_cat0(x)  # a CAT(0) input scans no link; the others scan them first
     cert = verdict.certificate()
     if verdict.reason == "link":
         run.certificate["locally_cat0"] = {

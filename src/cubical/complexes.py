@@ -29,25 +29,33 @@ depend on set iteration order.
 The CAT(0) oracle is fully combinatorial: a finite complex is CAT(0) iff
 it is connected, all vertex links are flag (the Gromov link condition),
 every 4-cycle of the 1-skeleton bounds a listed square, and the
-1-skeleton is a median graph (Chepoi 2000). Failures come with explicit
-certificates. One builder, ``_link_masks``, makes a vertex link in one
+1-skeleton is a median graph (Chepoi 2000). Equivalently, it is the cube
+complex dual to the pocset of its own halfspaces (Sageev 1995; Roller
+1998), and ``is_cat0`` answers yes by that one comparison: once the
+Roller test below passes, every listed cube is a cube of the dual, so x
+is the dual iff the dual has as many cells as x, which ``pocsets``
+counts without listing them. A complex that fails the comparison goes
+through the four stages in order, and its certificate names the first
+that fails. One builder, ``_link_masks``, makes a vertex link in one
 pass over its incidences, on int bitmasks over the vertex's neighbours:
 each incidence gives a simplex, each square a link edge. The link test
 reads the masks, ``vertex_link`` keeps them as a ``SimplicialComplex``,
 and ``graphs.cliques`` lists a link's cliques by size, so the least empty
 simplex comes first. The median test is Sageev-Roller duality: the
 1-skeleton is median iff it is the dual of the pocset of its square
-classes' sides (Roller 1998). One
-union-find finds the classes, as a cached property of the complex that
-``hyperplanes`` reads too, and one breadth-first pass labels each
-vertex with its crossing row, one bit per class; each edge must flip its
-own class's bit alone, and the rows must be distinct. ``pocsets`` then
-orders the sides from the rows and walks their dual from rank 0's
-orientation, with the flip walk of ``dual_complex``, and the dual must
-have x's vertices and edges. Halfspaces are int bitsets, with no
-distance matrix and no size limit; only a failure scans geodesic
-intervals, to name the least bad triple. On success the complex keeps those
-halfspaces, and ``halfspace_system_of`` builds the pocset from them.
+classes' sides (Roller 1998). This Roller test runs once per complex,
+as its cached ``_roller``. One union-find finds the classes, as a cached
+property of the complex that ``hyperplanes`` reads too, and one
+breadth-first pass labels each vertex with its crossing row, one bit per
+class; each edge must flip its own class's bit alone, and the rows must
+be distinct. ``pocsets`` then orders the sides from the rows and walks
+their dual from rank 0's orientation, with the flip walk of
+``dual_complex``, and the dual must have x's vertices and edges. The
+complex keeps the rows, the ordered sides and the walk: the cell count
+of the comparison runs on that walk, and ``halfspace_system_of`` reads
+the halfspaces and their order back. Halfspaces are int bitsets, with
+no distance matrix and no size limit; only a failure scans geodesic
+intervals, to name the least bad triple.
 
 Two classes cross iff some square has an edge of each at its origin
 (Sageev 1995); ``hyperplanes`` reads them in one pass over the squares.
@@ -260,10 +268,12 @@ class CubeComplex:
 
     @cached_property
     def _roller(self) -> tuple | None:
-        """``_roller_halfspaces`` of this complex, run once: the median
-        stage of ``is_cat0`` and ``halfspace_system_of`` both read it."""
-        sides = _roller_halfspaces(self)
-        return None if sides is None else tuple(sides)
+        """``_roller_test`` of this complex, run once: the crossing rows,
+        the system of their sides and its flip walk, or None. The Sageev
+        comparison and the median stage of ``is_cat0``,
+        ``_roller_halfspaces``, ``halfspace_system_of`` and ``complex
+        hyperplanes`` all read it."""
+        return _roller_test(self)
 
     def euler_characteristic(self) -> int:
         chi = len(self.labels)
@@ -739,11 +749,11 @@ def _median_violation(x: CubeComplex):
     in lexicographic order, whose pairwise geodesic intervals do not meet
     in exactly one vertex, and the vertices they meet in.
 
-    ``_roller_halfspaces`` decides at any size, run once per complex
-    through ``CubeComplex._roller``. Only a failure runs
+    ``_roller_halfspaces`` decides at any size, from the Roller test that
+    ``CubeComplex._roller`` runs once per complex. Only a failure runs
     ``_first_bad_triple``, and above ``DEFAULT_MEDIAN_CAP`` vertices raises
     CapExceededError before that scan allocates its n^2 interval bitsets."""
-    if x._roller is not None:
+    if _roller_halfspaces(x) is not None:
         return None
     n, cap = len(x.labels), DEFAULT_MEDIAN_CAP
     if n > cap:
@@ -756,15 +766,15 @@ def _median_violation(x: CubeComplex):
     return {"triple": x.named(triple), "medians": [x.labels[m] for m in medians]}
 
 
-def _roller_halfspaces(x: CubeComplex) -> list[int] | None:
-    """The halfspaces of x as vertex bitsets if the 1-skeleton of x,
+def _roller_test(x: CubeComplex) -> tuple | None:
+    """The Roller test of x: (rows, system, walk) if the 1-skeleton of x,
     connected with every 4-cycle bounding a listed square, is median, and
     None if not. It is median iff it is the dual of the pocset of its
     square classes' sides (Roller 1998, Chepoi 2000).
 
     One breadth-first pass from rank 0 labels each vertex with its
-    crossing row: bit i for each class i that its search tree path from
-    rank 0 crosses an odd number of times. Then x is median iff
+    crossing row, ``rows[r]``: bit i for each class i that its search tree
+    path from rank 0 crosses an odd number of times. Then x is median iff
     (a) every edge of class i changes bit i of the row and no other;
     (b) the rows are pairwise distinct;
     (c) the dual of the sides has x's vertices and edges.
@@ -775,23 +785,21 @@ def _roller_halfspaces(x: CubeComplex) -> list[int] | None:
     dual's component thus holds all n rows. It is exactly them iff it has
     n vertices, and its edges are then x's iff there are as many. A median
     graph passes all three, as its square classes are its convex splits.
-    ``pocsets._system_of_crossings`` orders the sides from the rows, and
-    ``pocsets._flip_walk`` walks the dual from rank 0's orientation (every
-    "+" side), giving up past n vertices, as the dual can be exponentially
-    larger. Its vertices' minimal sides count its edges twice. The pass
-    keeps its own queue, not ``graphs.bfs``, as it labels each vertex by
-    the edge that reaches it and checks (a) on each edge it reads.
-
-    Halfspaces 2i and 2i + 1 of the result are the smaller and the larger
-    side of class i, the one holding rank 0 first on a tie, as
-    ``halfspaces_of`` orders them by (size, least vertex); so halfspace
-    p ^ 1 is the complement of halfspace p, as in ``pocsets``."""
-    from .pocsets import _columns, _evens, _flip_walk, _system_of_crossings
+    ``pocsets._system_of_crossings`` orders the sides from the rows into
+    ``system``, with class i at hyperplane i, and ``pocsets._flip_walk``
+    walks the dual from rank 0's orientation (every "+" side), giving up
+    past n vertices, as the dual can be exponentially larger; ``walk`` is
+    its (order, ids, minimal_at). Its vertices' minimal sides count its
+    edges twice. The pass keeps its own queue, not ``graphs.bfs``, as it
+    labels each vertex by the edge that reaches it and checks (a) on each
+    edge it reads."""
+    from .pocsets import _evens, _flip_walk, _system_of_crossings
 
     n = len(x.labels)
-    if not n:
-        return []
     classes = x._square_classes
+    positions = [(p, p + 1) for p in range(0, 2 * len(classes), 2)]  # as ids
+    if not n:
+        return [], _system_of_crossings([], positions), ([], {}, [])
     nbrs = [[] for _ in range(n)]  # vertex -> (neighbour, its class's bit)
     for i, edges in enumerate(classes):
         for a, b in edges:
@@ -809,16 +817,53 @@ def _roller_halfspaces(x: CubeComplex) -> list[int] | None:
                 return None
     if len(order) < n or len(set(row)) < n:  # connected, (b)
         return None
-    positions = [(p, p + 1) for p in range(0, 2 * len(classes), 2)]  # as ids
-    walk = _flip_walk(_system_of_crossings(row, positions), _evens(2 * len(classes)), n)
+    system = _system_of_crossings(row, positions)
+    walk = _flip_walk(system, _evens(2 * len(classes)), n)
     if walk is None or sum(map(int.bit_count, walk[2])) != 2 * len(x.edges):  # (c)
         return None
+    return row, system, walk
 
+
+def _roller_halfspaces(x: CubeComplex) -> list[int] | None:
+    """The halfspaces of x as vertex bitsets if x passes the Roller test
+    of ``x._roller``, and None if not: class i's far side from rank 0 is
+    column i of the crossing rows. Halfspaces 2i and 2i + 1 are the
+    smaller and the larger side of class i, the one holding rank 0 first
+    on a tie, as ``halfspaces_of`` orders them by (size, least vertex); so
+    halfspace p ^ 1 is the complement of halfspace p, as in ``pocsets``."""
+    from .pocsets import _columns
+
+    if x._roller is None:
+        return None
+    rows = x._roller[0]
+    n = len(rows)
     halfspaces = []  # each class's smaller side first
     full = (1 << n) - 1
-    for away in _columns(row, len(classes)):  # class i -> its far side
+    for away in _columns(rows, len(x._square_classes)):  # class i -> its far side
         halfspaces += [away, full ^ away] if 2 * away.bit_count() < n else [full ^ away, away]
     return halfspaces
+
+
+def _is_own_dual(x: CubeComplex) -> bool:
+    """True iff x is the cube complex dual to its own halfspaces, which
+    decides that x is CAT(0) (Sageev 1995; Roller 1998).
+
+    Say x passes the Roller test of ``x._roller``. Then a listed k-cube's
+    corners have the rows of one corner XOR the subsets of k distinct
+    class bits, as two axes in one class would give two corners one row;
+    so it is a k-cube of the dual, and distinct cubes give distinct ones.
+    Hence x is the dual iff the dual has exactly as many cells as x, the
+    vertices included. ``pocsets._dual_cell_count`` counts them on the
+    Roller test's walk without listing them, and gives up one past that
+    count, as the dual can be exponentially larger. A CAT(0) complex is
+    its own dual, so this answers every positive case."""
+    from .pocsets import _dual_cell_count
+
+    if x._roller is None:
+        return False
+    _, system, (_, _, minimal_at) = x._roller
+    cells = len(x.labels) + len(x.cubes)
+    return _dual_cell_count(system, minimal_at, cells) == cells
 
 
 def _first_bad_triple(nbrs):
@@ -891,10 +936,15 @@ class Cat0Result:
 
 def is_cat0(x: CubeComplex) -> Cat0Result:
     """Decide CAT(0) exactly: flag links + connected + every 4-cycle bounds
-    a square + median 1-skeleton. Witnesses name the first failure; a
-    non-flag link is one even on a disconnected complex. The verdict has
-    no size limit: ``DEFAULT_MEDIAN_CAP`` bounds only the scan that names a
-    median failure's triple, which raises CapExceededError above it."""
+    a square + median 1-skeleton. A positive answer is ``_is_own_dual``'s
+    one comparison of x with the dual of its halfspaces, with no link or
+    4-cycle scanned. Any other complex goes through those stages in that
+    order, and the witness names its first failure; a non-flag link is one
+    even on a disconnected complex. The verdict has no size limit:
+    ``DEFAULT_MEDIAN_CAP`` bounds only the scan that names a median
+    failure's triple, which raises CapExceededError above it."""
+    if _is_own_dual(x):
+        return Cat0Result(ok=True)
     local = is_locally_cat0(x)
     if not local.ok:
         return Cat0Result(ok=False, reason="link",
@@ -1026,33 +1076,29 @@ class HalfspaceDecomposition:
 
 
 def halfspace_system_of(x: CubeComplex) -> HalfspaceDecomposition:
-    """The halfspaces that the median stage of ``is_cat0`` finds, ordered
+    """The halfspaces that the Roller test of ``is_cat0`` finds, ordered
     by inclusion, with complementation as the involution: x is the dual of
-    this system. They are read back from ``x._roller``, so the Roller test
+    this system. Both are read back from ``x._roller``, so the Roller test
     runs once. Hyperplane i is square class i, and ``h{i}+`` and ``h{i}-``
     are its smaller and its larger side, as ``halfspaces_of`` orders them.
 
-    ``pocsets._system_of_crossings`` orders the sides from the crossing
-    rows off rank 0, which puts the side holding rank 0 at position 2i;
+    The Roller test's system puts the side holding rank 0 at position 2i;
     the two bits of every class whose smaller side does not hold rank 0
-    are then swapped, in each row and between the rows."""
-    from .pocsets import HalfspaceSystem, _columns, _system_of_crossings
+    are swapped, in each row of its order and between the rows."""
+    from .pocsets import HalfspaceSystem
 
     cat0 = is_cat0(x)
     if not cat0.ok:
         raise NotCat0Error("halfspace_system_of requires a CAT(0) complex",
                            certificate=cat0.certificate())
-    sides = x._roller
+    sides = _roller_halfspaces(x)
     ids = [f"h{p >> 1}{'+-'[p & 1]}" for p in range(len(sides))]
-    pairs = list(zip(ids[::2], ids[1::2]))
-    away = [sides[p + (sides[p] & 1)] for p in range(0, len(sides), 2)]  # off rank 0
-    s = _system_of_crossings(_columns(away, len(x.labels)), pairs)
     swap = sum(1 << p for p in range(0, len(sides), 2) if not sides[p] & 1)
     above = []
-    for m in s.above:
+    for m in x._roller[1].above:
         t = (m ^ m >> 1) & swap
         above.append(m ^ t ^ t << 1)
-    s = HalfspaceSystem(star_pairs=s.star_pairs,
+    s = HalfspaceSystem(star_pairs=tuple(zip(ids[::2], ids[1::2])),
                         above=tuple(above[p ^ (swap >> (p & ~1) & 1)] for p in range(len(above))))
     members = {h: frozenset(x.named(bits(m))) for h, m in zip(ids, sides)}
     return HalfspaceDecomposition(system=s, members=members)

@@ -18,8 +18,9 @@ walls, for the Coxeter truncations, the Roller test of ``complexes`` and
 no closure; it has no generators, and its covers are found from ``above``
 on first use. ``_validated`` checks every order, however it was made.
 ``_flip_walk`` is the one search over minimal flips: ``_dual_listing``
-assembles the cubes on the walk, for ``dual_complex`` and tree space, and
-the Roller test compares the walk with a 1-skeleton.
+assembles the cubes on the walk, for ``dual_complex`` and tree space, the
+Roller test compares the walk with a 1-skeleton, and ``_dual_cell_count``
+counts the cells on it, for the CAT(0) test of ``complexes``.
 
 Halfspaces live at positions: hyperplane i holds positions 2i and 2i + 1,
 so the complement of position p is p ^ 1. ``build_system`` sorts the ids
@@ -28,10 +29,10 @@ a system of sets takes its caller's wall or class order. Sets of
 positions are int bitsets: the order is one ``above`` mask per position,
 and an orientation is the mask of its chosen positions. Transversality
 is one mask per hyperplane, ``transversal_masks``: ``transversal`` reads
-it, ``_dual_cubes`` walks its cliques at each vertex of the dual, and
-``maximal_cubes`` checks its maximal cliques, listed by
-``graphs.cliques``, against the maximal cubes. Ids are kept for I/O and
-witnesses only.
+it, ``_dual_cubes`` walks its cliques at each vertex of the dual and
+``_dual_cell_count`` counts them there, and ``maximal_cubes`` checks its
+maximal cliques, listed by ``graphs.cliques``, against the maximal cubes.
+Ids are kept for I/O and witnesses only.
 
 Everything is immutable; dual_complex is a pure function with deterministic
 output (hyperplanes processed in position order, vertices numbered in BFS
@@ -693,6 +694,30 @@ def _dual_cubes(s: HalfspaceSystem, order: list, minimal_at: list, ids: dict):
                 corners, ranked, rest = stack.pop()
             else:
                 break
+
+
+def _dual_cell_count(s: HalfspaceSystem, minimal_at: list, budget: int) -> int:
+    """The number of cells of the dual, its vertices included, counted on
+    the walk whose vertices' minimal positions are ``minimal_at``, without
+    listing them; ``budget + 1`` once the count passes ``budget``, so no
+    more than that many families are visited. As in ``_dual_cubes``, each
+    cell is a clique of the transversal graph on the hyperplanes whose
+    first halfspace is minimal at the vertex that chooses it, the empty
+    family standing for the vertex. A family is held as the candidates
+    that extend it: those after its last hyperplane and transversal to
+    all of it."""
+    transversal = s.transversal_masks
+    even = _evens(2 * len(s.star_pairs))
+    stack = [minimal & even for minimal in minimal_at]
+    count = 0
+    while stack and count <= budget:
+        count += 1
+        rest = stack.pop()
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            stack.append(rest & transversal[low.bit_length() >> 1])
+    return count
 
 
 def maximal_cubes(dual: DualComplex) -> list[tuple]:

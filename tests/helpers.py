@@ -23,11 +23,14 @@ import numpy as np
 
 from cubical import build_complex
 from cubical.complexes import (
+    Cat0Result,
     CubeComplex,
     FlagResult,
     HalfspaceDecomposition,
     LocalCat0Result,
     _least_empty_simplex,
+    _median_violation,
+    _unfilled_square,
     build_simplicial,
     canonical_cube,
     cube_dim,
@@ -35,6 +38,7 @@ from cubical.complexes import (
     halfspaces_of,
     hyperplanes,
     is_cat0,
+    is_locally_cat0,
     vertex_link,
 )
 from cubical.coxeter import (
@@ -845,6 +849,27 @@ def all_pairs_unfilled_square(x: CubeComplex):
                 if skey_canonical_cube((a, v, w, b)) not in y.squares:
                     return {"cycle": (a, v, b, w)}
     return None
+
+
+def ordered_is_cat0(x: CubeComplex) -> Cat0Result:
+    """Oracle for ``complexes.is_cat0``: its stages one after another, with
+    no comparison against the dual, so every verdict, positive ones
+    included, comes from the link test, the connectivity test, the 4-cycle
+    scan and the median stage, in that order."""
+    local = is_locally_cat0(x)
+    if not local.ok:
+        return Cat0Result(ok=False, reason="link",
+                          witness={"vertex": local.vertex,
+                                   "empty_simplex": local.witness})
+    if not x.is_connected():
+        raise DisconnectedError("is_cat0 requires a connected complex")
+    hole = _unfilled_square(x)
+    if hole is not None:
+        return Cat0Result(ok=False, reason="square", witness=hole)
+    violation = _median_violation(x)
+    if violation is not None:
+        return Cat0Result(ok=False, reason="median", witness=violation)
+    return Cat0Result(ok=True)
 
 
 def pairwise_make_orthant(n: int, coords: dict) -> Orthant:

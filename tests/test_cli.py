@@ -526,9 +526,25 @@ def test_complex_check_scans_links_once(capsys, monkeypatch, request, fixture):
     monkeypatch.setattr(cubical.complexes, "is_locally_cat0", counting)
     code, verdict = run_cli(capsys, "complex", "check",
                             request.getfixturevalue(fixture))
-    assert len(calls) == 1
+    # the square is its own halfspaces' dual, which decides it with no link
+    # scanned; the torus fails that comparison and runs the ordered stages
+    assert len(calls) == (0 if fixture == "square_file" else 1)
     assert verdict["certificate"]["locally_cat0"] == {"ok": True}
     assert code == (0 if fixture == "square_file" else 1)
+
+
+def test_positive_verdicts_scan_no_link_and_no_four_cycle(capsys, monkeypatch, square_file):
+    import cubical.complexes
+
+    def unreachable(x):
+        raise AssertionError("a CAT(0) complex was scanned")
+
+    monkeypatch.setattr(cubical.complexes, "is_locally_cat0", unreachable)
+    monkeypatch.setattr(cubical.complexes, "_unfilled_square", unreachable)
+    code, verdict = run_cli(capsys, "complex", "check", square_file)
+    assert code == 0 and verdict["certificate"]["cat0"] == {"ok": True}
+    code, verdict = run_cli(capsys, "tree", "complex", "-n", "5")
+    assert code == 0 and verdict["certificate"]["cat0"] == {"ok": True}
 
 
 def test_complex_check_stops_before_the_median_scan_above_its_cap(capsys, monkeypatch,

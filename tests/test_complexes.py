@@ -36,6 +36,7 @@ from helpers import (
     lexmin_cube,
     matrix_median,
     named,
+    ordered_is_cat0,
     pairwise_double_gluing,
     path_complex,
     relabel,
@@ -72,6 +73,7 @@ from cubical import (
     vertex_link,
 )
 from cubical.complexes import (
+    Cat0Result,
     CubeComplex,
     LocalCat0Result,
     SimplicialComplex,
@@ -1032,6 +1034,131 @@ def test_halfspace_system_of_runs_the_roller_test_once(make):
         assert leq(dec.system) == leq(oracle.system) and dec.members == oracle.members
     else:
         assert dec == is_cat0(fresh).certificate()
+
+
+# ---------------------------------------------------------------------------
+# the Sageev comparison against the ordered stages
+
+
+def _outcome(fn, x):
+    try:
+        return fn(x)
+    except CubicalError as exc:
+        return type(exc), exc.certificate()
+
+
+def _assert_matches_ordered_stages(x) -> bool:
+    """``is_cat0(x)`` equals the ordered stages' verdict, or raises the same
+    error, and the comparison with the dual accepts x iff x is CAT(0).
+    Returns whether it did."""
+    verdict = _outcome(is_cat0, x)
+    assert verdict == _outcome(ordered_is_cat0, x)
+    own_dual = complexes._is_own_dual(x)
+    assert own_dual == (verdict == Cat0Result(ok=True))
+    return own_dual
+
+
+@st.composite
+def built_glued_complexes(draw):
+    """A ``glued_complexes`` draft as a complex, or None if
+    ``build_complex`` refuses it."""
+    vertices, cubes = draw(glued_complexes())
+    by_dim: dict = {}
+    for c in cubes:
+        by_dim.setdefault(cube_dim(c), []).append(c)
+    try:
+        return build_complex(vertices, by_dim)
+    except CubicalError:
+        return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(median_test_complexes(), products_less_a_cube(),
+                 products_less_an_edge(), built_glued_complexes()))
+def test_is_cat0_matches_ordered_stages(x):
+    if x is not None:
+        _assert_matches_ordered_stages(x)
+
+
+def test_is_cat0_matches_ordered_stages_on_named_complexes():
+    box = tree_product(_path(3), _path(4))
+    positive = [x for _, x in cat0_corpus()] + [
+        treespace_complex(4), treespace_complex(5), build_complex(["v"], {}),
+        build_complex([], {})]
+    negative = [
+        folded_cube(5), cube_double_cover(), swapped_torus(10, 5), _cut_cube(),
+        _cube_less_an_edge(), cube_boundary_3(), torus_3x3(), hollow_square(),
+        glue_hexagon(box, (0, 0)), glue_cube_boundary(box, (1, 1)),
+        build_complex([0, 1], {}),
+    ] + [_low_weight_cube(k) for k in range(3, 13)]
+    assert all(map(_assert_matches_ordered_stages, positive))
+    assert not any(map(_assert_matches_ordered_stages, negative))
+
+
+def _two_skeleton_of_cube(k: int) -> CubeComplex:
+    """The vertices, edges and squares of the k-cube, corners numbered by
+    their bits."""
+    axes = [1 << i for i in range(k)]
+    return build_complex(range(1 << k), {
+        1: [(v, v | a) for a in axes for v in range(1 << k) if not v & a],
+        2: [(v, v | a, v | b, v | a | b) for a, b in itertools.combinations(axes, 2)
+            for v in range(1 << k) if not v & (a | b)]})
+
+
+def test_cell_count_stops_one_past_the_complex():
+    # the 2-skeleton of the 10-cube has a median 1-skeleton, so it passes
+    # the Roller test, but its dual is the whole 10-cube, 3^10 cells: the
+    # count gives up one family past the complex's own cells, and the link
+    # test names the empty triangle at vertex 0
+    x = _two_skeleton_of_cube(10)
+    cells = len(x.labels) + len(x.cubes)
+    assert (len(x.labels), len(x.edges), len(x.squares)) == (1024, 5120, 11520)
+    counts = []
+    real = pocsets._dual_cell_count
+
+    def record(s, minimal_at, budget):
+        counts.append((budget, real(s, minimal_at, budget)))
+        return counts[-1][1]
+
+    with mock.patch.object(pocsets, "_dual_cell_count", record):
+        verdict = is_cat0(x)
+    assert verdict == Cat0Result(ok=False, reason="link", witness={
+        "vertex": 0, "empty_simplex": ((0, 1), (0, 2), (0, 4))})
+    assert counts == [(cells, cells + 1)]
+    assert verdict == ordered_is_cat0(_two_skeleton_of_cube(10))
+    # the whole 10-cube is its own dual, and is counted to the last cell
+    assert real(x._roller[1], x._roller[2][2], 3 ** 10) == 3 ** 10
+    assert real(x._roller[1], x._roller[2][2], 3 ** 10 - 1) == 3 ** 10
+
+
+@pytest.mark.parametrize("make", [lambda: grid_complex(2, 3), torus_3x3, cube_boundary_3])
+def test_one_roller_labelling_walk_and_system_per_complex(make):
+    x = make()
+    calls = {name: 0 for name in ("_roller_test", "_flip_walk", "_system_of_crossings",
+                                  "_dual_cell_count")}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return mock.patch.object(module, name, wrapper)
+
+    with counted(complexes, "_roller_test"), counted(pocsets, "_flip_walk"), \
+            counted(pocsets, "_system_of_crossings"), counted(pocsets, "_dual_cell_count"):
+        try:
+            halfspace_system_of(x)
+        except NotCat0Error:
+            pass
+        is_cat0(x)
+        hyperplanes(x)
+    # a complex that passes the Roller test builds one system and walks it
+    # once (the torus fails at its labels, before either), and each
+    # is_cat0 call counts the dual's cells once
+    walked = int(x._roller is not None)
+    assert calls == {"_roller_test": 1, "_flip_walk": walked, "_system_of_crossings": walked,
+                     "_dual_cell_count": 2 * walked}
 
 
 def test_majority_miss_on_hexagon_labels_any_width():
