@@ -377,7 +377,7 @@ def _tree_enumerate(run):
     if not run.ok:
         run.certificate["count_mismatch"] = run.stats
     if run.args.out:
-        payload = sorted(sorted(sorted(c) for c in t) for t in tops)
+        payload = sorted(sorted(list(bits(c)) for c in t) for t in tops)
         _write(run.args.out, json.dumps(payload, indent=2))
 
 

@@ -109,7 +109,8 @@ def canonical_cube(corners: tuple) -> tuple:
     ordered by the neighbour across each one. For d <= 2 that is spelled
     out: an edge is its sorted pair, and a square with origin o keeps the
     smaller of its neighbours o ^ 1, o ^ 2 at position 1, with o ^ 3
-    opposite.
+    opposite. Larger cubes are read by one cached ``itemgetter`` per
+    (origin, axis order).
 
     Hence the faces of a canonical cube through its origin (eps = 0 in
     ``cube_faces``) are canonical as they stand: each holds the least
@@ -123,13 +124,12 @@ def canonical_cube(corners: tuple) -> tuple:
         a, b = corners[o ^ 1], corners[o ^ 2]
         return (corners[o], a, b, corners[o ^ 3]) if a < b else (
             corners[o], b, a, corners[o ^ 3])
+    if k == 1:
+        return (corners[0],)  # an itemgetter of one index returns it bare
     origin = corners.index(min(corners))
-    index = [origin]
     # the corners are distinct, so the pairs are ordered by the neighbour
-    for _, a in sorted([(corners[origin ^ (1 << i)], 1 << i)
-                        for i in range(k.bit_length() - 1)]):
-        index += [j ^ a for j in index]
-    return tuple([corners[j] for j in index])
+    axes = tuple([a for _, a in sorted([(corners[origin ^ a], a) for a in _AXES[k]])])
+    return _corner_picker(origin, axes)(corners)
 
 
 def cube_dim(corners: tuple) -> int:
@@ -138,6 +138,17 @@ def cube_dim(corners: tuple) -> int:
 
 # corner count 2^k -> the position offsets 1 << axis of a k-cube's axes
 _AXES = {1 << k: tuple(1 << axis for axis in range(k)) for k in range(63)}
+
+
+@functools.lru_cache(maxsize=8192)  # every (origin, axis order) of a cube up to dimension 5
+def _corner_picker(origin: int, axes: tuple) -> itemgetter:
+    """The corners of a cube read from ``origin``: position 0 holds the
+    corner at ``origin``, and position 2^i its neighbour across the offset
+    ``axes[i]``."""
+    index = [origin]
+    for a in axes:
+        index += [j ^ a for j in index]
+    return itemgetter(*index)
 
 
 @functools.cache
@@ -566,6 +577,17 @@ def _check_double_gluing(walk: list[tuple], labels: tuple) -> None:
                     shared=[labels[r] for r in sorted(set(a) & set(c))])
 
 
+class _Corners:
+    """The corners of every cube of a listing, walked afresh by each
+    ``iter``: ``check_ids`` can walk them twice without a list of them all."""
+
+    def __init__(self, cubes: dict):
+        self.cubes = cubes
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(itertools.chain.from_iterable(self.cubes.values()))
+
+
 def load_complex(data: dict) -> CubeComplex:
     """Ingest the JSON form {"vertices": [...], "cubes": {"1": [[..]..], ...}}.
 
@@ -589,7 +611,7 @@ def load_complex(data: dict) -> CubeComplex:
                 keys=[key_of[d], k])
         cubes[d] = [tuple(parse_list(c, "a cube")) for c in parse_list(cs, f"cubes[{k!r}]")]
     check_ids(vertices, "vertex ids")
-    check_ids((v for cs in cubes.values() for c in cs for v in c), "cube corners")
+    check_ids(_Corners(cubes), "cube corners")
     string_forms(vertices, "vertex ids")
     return build_complex(vertices, cubes)
 

@@ -340,28 +340,31 @@ def count_binary(n: int) -> int:
 
 
 def enumerate_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP) -> list[frozenset]:
-    """All binary topologies, by recursive leaf insertion: leaf k can be
-    attached above any cluster, above any leaf, or above the old root."""
+    """All binary topologies on leaves 1..n, each the frozenset of its n - 2
+    clusters as int leaf masks, bit j for leaf j (``graphs.bits`` lists a
+    cluster's leaves). By recursive leaf insertion: leaf k can be attached
+    above any cluster, above any leaf, or above the old root.
+
+    Level k holds exactly 2k - 3 topologies per topology of level k - 1,
+    so each level is sized against ``cap`` before it is built: more than
+    ``cap`` topologies raise ``CapExceededError`` with nothing of that
+    level allocated."""
     if n < 2:
         raise InputFormatError("need n >= 2")
     tops: list[frozenset] = [frozenset()]
     for k in range(3, n + 1):
+        if len(tops) * (2 * k - 3) > cap:
+            raise CapExceededError(f"topology enumeration exceeds cap {cap}", cap=cap)
         nxt = []
-        everything = frozenset(range(1, k))
+        leaf = 1 << k
+        singles = [1 << j for j in range(1, k)]
         for t in tops:
             # 2k-3 insertion sites: every cluster edge, every leaf edge, and
             # a fresh root; clusters strictly above the site absorb leaf k
-            sites = list(t) + [frozenset({j}) for j in range(1, k)] + [everything]
-            for site in sites:
-                grown = {(c | {k}) if site < c else c for c in t}
-                if site == everything:
-                    grown.add(everything)
-                else:
-                    grown.add(site | {k})
-                nxt.append(frozenset(grown))
-                if len(nxt) > cap:
-                    raise CapExceededError(
-                        f"topology enumeration exceeds cap {cap}", cap=cap)
+            for site in [*t, *singles]:
+                nxt.append(frozenset([c | leaf if c & site == site and c != site else c
+                                      for c in t] + [site | leaf]))
+            nxt.append(t | {leaf - 2})
         tops = nxt
     if len(tops) > cap:  # n = 2 inserts nothing: its one topology meets no check above
         raise CapExceededError(f"topology enumeration exceeds cap {cap}", cap=cap)

@@ -33,11 +33,19 @@ def ssorted(xs):
 # ---------------------------------------------------------------------------
 # JSON loader checks: malformed input raises InputFormatError (exit 2)
 
+_PLAIN_IDS = frozenset({int, str})  # exact types: a bool takes the per-id loop
+
 
 def check_ids(ids, what: str) -> None:
     """Ids read from JSON must be finite numbers or strings. Python's json
     reads NaN and Infinity as floats, which no JSON output can print back,
-    and true and false as bools, which equal 1 and 0."""
+    and true and false as bools, which equal 1 and 0.
+
+    One pass over the ids' types decides the common case, ints and strings
+    alone. Any other type walks ``ids`` again to name the first bad id, so
+    ``ids`` must iterate afresh each time: a collection, not a generator."""
+    if set(map(type, ids)) <= _PLAIN_IDS:
+        return
     for v in ids:
         if isinstance(v, bool) or not (isinstance(v, (int, str)) or (
                 isinstance(v, float) and math.isfinite(v))):

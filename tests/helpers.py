@@ -72,6 +72,7 @@ from cubical.errors import (
     SelfPairedError,
     UnknownVertexError,
 )
+from cubical.graphs import bits
 from cubical.pocsets import (
     DualComplex,
     HalfspaceSystem,
@@ -81,6 +82,7 @@ from cubical.pocsets import (
     build_system,
 )
 from cubical.treespace import (
+    DEFAULT_TOPOLOGY_CAP,
     Orthant,
     PhyloTree,
     _ckey,
@@ -926,6 +928,42 @@ def corner_treespace_complex(n: int, cap: int = 100_000) -> CubeComplex:
                     corners.append(names[present])
                 cubes.setdefault(size, []).append(tuple(corners))
     return build_complex([names[s] for s in vertex_sets], cubes)
+
+
+def leaf_sets(topology: frozenset) -> frozenset:
+    """A topology of ``treespace.enumerate_topologies``, whose clusters are
+    int leaf masks, as the frozenset of its clusters' leaf sets."""
+    return frozenset(frozenset(bits(c)) for c in topology)
+
+
+def frozenset_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP) -> list[frozenset]:
+    """Oracle for ``treespace.enumerate_topologies``: the same leaf
+    insertion with each cluster a frozenset of leaves, checked against
+    ``cap`` as each topology is added."""
+    if n < 2:
+        raise InputFormatError("need n >= 2")
+    tops: list[frozenset] = [frozenset()]
+    for k in range(3, n + 1):
+        nxt = []
+        everything = frozenset(range(1, k))
+        for t in tops:
+            # 2k-3 insertion sites: every cluster edge, every leaf edge, and
+            # a fresh root; clusters strictly above the site absorb leaf k
+            sites = list(t) + [frozenset({j}) for j in range(1, k)] + [everything]
+            for site in sites:
+                grown = {(c | {k}) if site < c else c for c in t}
+                if site == everything:
+                    grown.add(everything)
+                else:
+                    grown.add(site | {k})
+                nxt.append(frozenset(grown))
+                if len(nxt) > cap:
+                    raise CapExceededError(
+                        f"topology enumeration exceeds cap {cap}", cap=cap)
+        tops = nxt
+    if len(tops) > cap:
+        raise CapExceededError(f"topology enumeration exceeds cap {cap}", cap=cap)
+    return tops
 
 
 def scan_hyperplanes_cross(x: CubeComplex, h1, h2) -> bool:

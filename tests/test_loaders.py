@@ -7,6 +7,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -15,8 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cubical.cli import main
+from cubical.complexes import load_complex
 from cubical.errors import CubicalError, InputFormatError
 from cubical.treespace import load_orthant
+from cubical.util import check_ids
 
 
 def run_json(argv, *payloads):
@@ -114,6 +117,26 @@ def test_non_finite_and_boolean_values_exit_2(argv, payloads):
     code, out = run_json(argv, *payloads)
     assert code == 2
     assert json.loads(out)["certificate"]["error"] == "input_format"
+
+
+@pytest.mark.parametrize("bad", [True, False, math.nan, math.inf, -math.inf, None, [1]])
+def test_check_ids_names_the_first_bad_id(bad):
+    # a finite float passes the per-id loop, and the later bad ids are not named
+    for ids in ([1, "a", 2.5, bad, None, True], ("a", bad, math.nan)):
+        with pytest.raises(InputFormatError) as info:
+            check_ids(ids, "ids")
+        assert info.value.message == f"ids must be finite numbers or strings, got {bad!r}"
+    check_ids([1, "a", 2.5, -0.0], "ids")
+
+
+def test_bad_corner_is_named_in_listing_order():
+    # the corners are walked twice, dimension by dimension: once for their
+    # types, then to name the first bad one
+    data = {"vertices": [0, 1, 2, 3],
+            "cubes": {"1": [[0, 1], [1, 3], [2, math.inf]], "2": [[0, 1, 2, None]]}}
+    with pytest.raises(InputFormatError) as info:
+        load_complex(data)
+    assert info.value.message == "cube corners must be finite numbers or strings, got inf"
 
 
 REDUCE = ["coxeter", "reduce", "--matrix", "{}", "--word", "1 2 1 2 1 2 1"]

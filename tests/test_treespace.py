@@ -6,12 +6,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 from helpers import (
     SetSimplicialComplex,
     assert_link_is_petersen,
     corner_treespace_complex,
+    frozenset_topologies,
+    leaf_sets,
     named,
     neighbour_lists,
     pairwise_from_orthant,
@@ -153,7 +157,7 @@ def test_cycle_rejected():
 
 def test_orthant_round_trip_all_binary_4():
     rng = random.Random(3)
-    for topology in enumerate_topologies(4):
+    for topology in map(leaf_sets, enumerate_topologies(4)):
         coords = {c: rng.uniform(0.1, 2.0) for c in topology}
         o = make_orthant(4, coords)
         assert to_orthant(from_orthant(o)) == o
@@ -228,7 +232,7 @@ def test_tree_json_round_trip():
 
 
 def test_interior_edge_bound():
-    for topology in enumerate_topologies(5):
+    for topology in map(leaf_sets, enumerate_topologies(5)):
         assert len(topology) == 3  # n - 2, binary
     o = make_orthant(5, {frozenset({1, 2}): 1.0})
     t = from_orthant(o)
@@ -245,13 +249,51 @@ def test_schroeder_counts():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_enumeration_matches_formula(n):
-    tops = enumerate_topologies(n)
+    # on masks compatible(a, b) would hold vacuously, as ints always
+    # compare with <=; the leaf sets are what it tests
+    tops = list(map(leaf_sets, enumerate_topologies(n)))
     assert len(tops) == count_binary(n)
     assert len(set(tops)) == len(tops)
     for t in tops:
         assert len(t) == max(n - 2, 0)
+        for c in t:
+            assert 2 <= len(c) <= n - 1 and c <= set(range(1, n + 1))
         for a, b in itertools.combinations(t, 2):
             assert compatible(a, b)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_enumeration_matches_frozenset_oracle(n):
+    assert set(map(leaf_sets, enumerate_topologies(n))) == set(frozenset_topologies(n))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_enumeration_cap_matches_frozenset_oracle(n):
+    levels = [count_binary(k) for k in range(2, n + 1)]
+    for cap in sorted({0, *levels, *(c - 1 for c in levels), levels[-1] + 1}):
+        try:
+            expected = len(frozenset_topologies(n, cap))
+        except CapExceededError as exc:
+            with pytest.raises(CapExceededError) as info:
+                enumerate_topologies(n, cap)
+            assert (info.value.message, info.value.details) == (exc.message, exc.details)
+        else:
+            assert len(enumerate_topologies(n, cap)) == expected
+
+
+def test_enumeration_past_its_cap_allocates_no_level():
+    # tree enumerate's default cap, 100,000, lies between level 7 (10,395
+    # topologies) and level 8 (135,135): level 8 is sized, not built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError) as info:
+            enumerate_topologies(8, cap=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.message == "topology enumeration exceeds cap 100000"
+    # level 7 alone takes a few MB; level 8 would take thirteen times more
+    assert peak < 2 * sum(map(sys.getsizeof, enumerate_topologies(7)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +500,7 @@ def test_leaf_count_mismatch():
 
 def test_upper_bound_dominates_exact_on_shared_topologies():
     rng = random.Random(9)
-    for topology in enumerate_topologies(4)[:6]:
+    for topology in map(leaf_sets, enumerate_topologies(4)[:6]):
         p = make_orthant(4, {c: rng.uniform(0.5, 2) for c in topology})
         q = make_orthant(4, {c: rng.uniform(0.5, 2) for c in topology})
         exact = cone_distance(from_orthant(p), from_orthant(q))
@@ -470,7 +512,7 @@ def test_upper_bound_dominates_exact_on_shared_topologies():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_metric_axioms_sampled(data):
-    topology = min(enumerate_topologies(4),
+    topology = min(map(leaf_sets, enumerate_topologies(4)),
                    key=lambda t: sorted(sorted(c) for c in t))
     lengths = st.floats(0.1, 5.0, allow_nan=False)
     coords = {c: data.draw(lengths) for c in topology}
@@ -508,7 +550,7 @@ def test_treespace_bound_enforced():
 def test_binary_trees_have_binary_valencies():
     # |clusters| = n - 2 exactly when the root has 2 children and every
     # other interior node has 2 children (valency 3)
-    for topology in enumerate_topologies(5):
+    for topology in map(leaf_sets, enumerate_topologies(5)):
         t = from_orthant(make_orthant(5, {c: 1.0 for c in topology}))
         assert len(t.children[t.root]) == 2
         for node, kids in t.children.items():
