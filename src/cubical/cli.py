@@ -64,6 +64,7 @@ from .treespace import (
     treespace_complex,
     validate_tree,
 )
+from .util import DEFAULT_CAP
 
 
 def _read_json(path: str):
@@ -436,7 +437,7 @@ FLAGS = {
                     "color the DOT vertices by the root H(U,V)"},
     "--seed-element": {"help": "1-based word seeding the dual enumeration"},
     "--vertex": {"help": "restrict to one vertex id"},
-    "--cap": {"type": int, "default": 100_000, "help": "size cap for enumerations"},
+    "--cap": {"type": int, "default": DEFAULT_CAP, "help": "size cap for enumerations"},
     "--dot": {"metavar": "PATH", "help": "write a DOT rendering here"},
     "--out": {"metavar": "PATH", "help": "write the primary JSON payload here"},
     # every command takes these two: Run.emit and main read them

@@ -15,7 +15,8 @@ either form.
 A k-cube is stored as a tuple of 2^k corner ranks indexed by binary
 coordinate vectors: position b encodes corner b of [0,1]^k (bit i of the
 index is coordinate i). Cubes are canonicalized up to the symmetry group
-of the cube, so cube identity is a set-membership test.
+of the cube, so cube identity is a set-membership test. A complex stores
+each cube once, in the frozenset of its dimension that the build made.
 
 A valid complex lists every face of every cube, and any two cubes meet in
 at most one common face. Given the faces, the second condition holds iff
@@ -44,18 +45,19 @@ and ``graphs.cliques`` lists a link's cliques by size, so the least empty
 simplex comes first. The median test is Sageev-Roller duality: the
 1-skeleton is median iff it is the dual of the pocset of its square
 classes' sides (Roller 1998). This Roller test runs once per complex,
-as its cached ``_roller``. One union-find finds the classes, as a cached
-property of the complex that ``hyperplanes`` reads too, and one
-breadth-first pass labels each vertex with its crossing row, one bit per
-class; each edge must flip its own class's bit alone, and the rows must
-be distinct. ``pocsets`` then orders the sides from the rows and walks
-their dual from rank 0's orientation, with the flip walk of
-``dual_complex``, and the dual must have x's vertices and edges. The
-complex keeps the rows, the ordered sides and the walk: the cell count
-of the comparison runs on that walk, and ``halfspace_system_of`` reads
-the halfspaces and their order back. Halfspaces are int bitsets, with
-no distance matrix and no size limit; only a failure scans geodesic
-intervals, to name the least bad triple.
+as its cached ``_roller``. The classes are the components of the graph
+on the edges that joins opposite sides of squares, found by
+``graphs.components`` as a cached property of the complex that
+``hyperplanes`` reads too, and one breadth-first pass labels each vertex
+with its crossing row, one bit per class; each edge must flip its own
+class's bit alone, and the rows must be distinct. ``pocsets`` then
+orders the sides from the rows and walks their dual from rank 0's
+orientation, with the flip walk of ``dual_complex``, and the dual must
+have x's vertices and edges. The complex keeps the rows, the ordered
+sides and the walk: the cell count of the comparison runs on that walk,
+and ``halfspace_system_of`` reads the halfspaces and their order back.
+Halfspaces are int bitsets, with no distance matrix and no size limit;
+only a failure scans geodesic intervals, to name the least bad triple.
 
 Two classes cross iff some square has an edge of each at its origin
 (Sageev 1995); ``hyperplanes`` reads them in one pass over the squares.
@@ -69,7 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -184,14 +186,15 @@ class CubeComplex:
     """Validated cubical complex on ranked vertices.
 
     ``labels[r]`` is the id of the vertex of rank r, in ``skey`` order;
-    the vertices are the ranks ``range(len(labels))``. ``cubes`` holds
-    the canonical rank tuples of every positive dimension. ``maximal``
-    holds those that are a face of no larger cube, as the face pass of
+    the vertices are the ranks ``range(len(labels))``. ``by_dim`` maps
+    each nonempty dimension k >= 1 to the frozenset of its canonical rank
+    tuples, as the builder made it: each cell is stored once. ``maximal``
+    holds the cubes that are a face of no larger cube, as the face pass of
     ``_complex_of_ranks`` records them. Adjacency and incidence are indexed
     by rank."""
 
     labels: tuple
-    cubes: frozenset
+    by_dim: dict = field(hash=False)  # a dict: the hash reads the other two
     maximal: frozenset
 
     @property
@@ -208,11 +211,10 @@ class CubeComplex:
         return _named(self.labels, cell)
 
     @cached_property
-    def by_dim(self) -> dict[int, frozenset]:
-        out: dict[int, set] = {}
-        for c in self.cubes:
-            out.setdefault(cube_dim(c), set()).add(c)
-        return {k: frozenset(v) for k, v in out.items()}
+    def cubes(self) -> frozenset:
+        """Every cube of positive dimension, the union of ``by_dim``. No
+        operation of the package reads it."""
+        return frozenset().union(*self.by_dim.values())
 
     @property
     def dim(self) -> int:
@@ -240,7 +242,7 @@ class CubeComplex:
         """Rank -> the (cube, position) pairs with that vertex at that
         corner position."""
         out = [[] for _ in self.labels]
-        for c in self.cubes:
+        for c in itertools.chain.from_iterable(self.by_dim.values()):
             for pos, r in enumerate(c):
                 out[r].append((c, pos))
         return tuple(tuple(ps) for ps in out)
@@ -250,32 +252,22 @@ class CubeComplex:
 
     @cached_property
     def _square_classes(self) -> list[list[tuple]]:
-        """Square-equivalence classes of edges (opposite edges of every
-        2-cube identified), in the order of their least edge, each in
-        sorted order. One union-find over the sorted edges, each class's
-        root its least; ``hyperplanes`` and the Roller test both read it."""
+        """Square-equivalence classes of edges, the hyperplanes: the
+        components of the graph on the sorted edges that joins the opposite
+        edges of every square. ``graphs.components`` lists them in the
+        order of their least edge, each in breadth-first order from it;
+        ``hyperplanes`` and the Roller test both read them, and neither
+        depends on the order inside a class."""
         edges = sorted(self.edges)
         index = {e: k for k, e in enumerate(edges)}
-        root = list(range(len(edges)))
-
-        def find(k):
-            while root[k] != k:
-                root[k] = root[root[k]]
-                k = root[k]
-            return k
-
+        nbrs = [[] for _ in edges]
         for c00, c10, c01, c11 in self.squares:
             # the edges at the origin c00 of a canonical square are canonical
             for e, (a, b) in (((c00, c10), (c01, c11)), ((c00, c01), (c10, c11))):
-                r, s = find(index[e]), find(index[(a, b) if a < b else (b, a)])
-                if r < s:
-                    root[s] = r
-                elif s < r:
-                    root[r] = s
-        classes = {}  # root -> its class, first met at the root, its least edge
-        for k, e in enumerate(edges):
-            classes.setdefault(find(k), []).append(e)
-        return list(classes.values())
+                i, j = index[e], index[(a, b) if a < b else (b, a)]
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+        return [[edges[k] for k in cls] for cls in components(range(len(edges)), nbrs)]
 
     @cached_property
     def _roller(self) -> tuple | None:
@@ -397,24 +389,24 @@ def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
         raise DuplicateCubeError("duplicate vertex id", dim=0)
     labels = tuple(ssorted(vertex_list))
     rank = {v: r for r, v in enumerate(labels)}
-    listed: dict[int, set] = {}
+    listed: dict[int, frozenset] = {}
     for dim_key, raw_cubes in cubes_by_dim.items():
         k = int(dim_key)
         if k < 1:
             raise InputFormatError(f"cube dimension must be >= 1, got {k}")
         if k > 62:  # 2^k corners could not be listed
             raise InputFormatError(f"cube dimension {k} is too large")
-        seen = listed.setdefault(k, set())
+        seen = listed.get(k, frozenset())
         raw = list(map(tuple, raw_cubes))
         new = _canonical_set(raw, rank, 1 << k)
         if new is None or not seen.isdisjoint(new):
-            _scan_listing(raw, k, rank, seen)
+            _scan_listing(raw, k, rank, set(seen))
             raise _disagreement("listing")
-        seen |= new
+        listed[k] = seen | new if seen else new
     return _complex_of_ranks(labels, listed)
 
 
-def _canonical_set(raw: list, rank: dict, size: int) -> set | None:
+def _canonical_set(raw: list, rank: dict, size: int) -> frozenset | None:
     """The set of canonical rank tuples of the cubes in ``raw``, or None
     unless each has ``size`` corners, all of them distinct listed vertices,
     and no two are one cube. ``canonical_cube`` permutes a tuple's
@@ -427,7 +419,7 @@ def _canonical_set(raw: list, rank: dict, size: int) -> set | None:
     except KeyError:
         return None
     canon = list(map(canonical_cube, ranked))
-    distinct = set(canon)
+    distinct = frozenset(canon)
     if len(distinct) != len(canon) or not set(map(len, map(set, canon))) <= {size}:
         return None
     return distinct
@@ -466,8 +458,8 @@ def _disagreement(check: str) -> CubicalError:
 
 def _complex_of_ranks(labels: tuple, listed: dict) -> CubeComplex:
     """The validating core of ``build_complex``, on ranks: ``listed`` maps
-    each dimension k >= 1 to the set of its canonical rank tuples, distinct
-    and each free of repeated corners, and ``labels`` names the ranks.
+    each dimension k >= 1 to the frozenset of its canonical rank tuples,
+    each free of repeated corners, and ``labels`` names the ranks.
 
     Set passes decide. Per dimension, the set of canonical codimension-1
     faces must lie in the dimension below; only the faces off the origin
@@ -476,7 +468,8 @@ def _complex_of_ranks(labels: tuple, listed: dict) -> CubeComplex:
     double gluing (see ``_check_double_gluing``). Only a failed pass walks
     the cubes in order, to name the witness: it raises MissingFaceError or
     DoubleGluingError, naming cells by their labels. The nonempty
-    dimensions of ``listed`` become ``by_dim``."""
+    dimensions of ``listed`` become ``by_dim``, their frozensets kept as
+    they are."""
     maximal = set()
     for k in sorted(listed):
         if k + 1 not in listed:  # no larger cube has a k-face
@@ -484,7 +477,7 @@ def _complex_of_ranks(labels: tuple, listed: dict) -> CubeComplex:
         if k == 1:
             continue  # an edge's faces are its corners, which are ranks
         faces = _face_set(k, listed[k])
-        below = listed.get(k - 1, set())
+        below = listed.get(k - 1, frozenset())
         if not faces <= below:
             _scan_faces(labels, listed)
             raise _disagreement("face")
@@ -508,13 +501,10 @@ def _complex_of_ranks(labels: tuple, listed: dict) -> CubeComplex:
         _check_double_gluing([c for k in sorted(listed) for c in sorted(listed[k])],
                              labels)
         raise _disagreement("diagonal")
-    del diagonals  # before the frozensets below are built
+    del diagonals  # before the frozenset of maximal cubes is built
 
-    by_dim = {k: frozenset(cs) for k, cs in listed.items() if cs}
-    cubes = frozenset().union(*by_dim.values())
-    x = CubeComplex(labels=labels, cubes=cubes, maximal=frozenset(maximal))
-    x.__dict__["by_dim"] = by_dim  # the cached property, already bucketed
-    return x
+    return CubeComplex(labels=labels, by_dim={k: cs for k, cs in listed.items() if cs},
+                       maximal=frozenset(maximal))
 
 
 def _face_set(k: int, cubes) -> set:
@@ -660,10 +650,8 @@ def vertex_link(x: CubeComplex, v) -> SimplicialComplex:
     r = x.vertex_index.get(v)
     if r is None:
         raise UnknownVertexError(f"unknown vertex {v!r}", vertex=v)
-    nbrs, adj, simplices = _link_masks(x, r)
-    link = SimplicialComplex(tuple((u, r) if u < r else (r, u) for u in nbrs), frozenset(simplices))
-    link.__dict__["neighbours"] = tuple(adj)  # the cached property, already built
-    return link
+    nbrs, _, simplices = _link_masks(x, r)
+    return SimplicialComplex(tuple((u, r) if u < r else (r, u) for u in nbrs), frozenset(simplices))
 
 
 def _least_empty_simplex(adj: list, simplices: set) -> int:
@@ -884,7 +872,7 @@ def _is_own_dual(x: CubeComplex) -> bool:
     if x._roller is None:
         return False
     _, system, (_, _, minimal_at) = x._roller
-    cells = len(x.labels) + len(x.cubes)
+    cells = len(x.labels) + sum(map(len, x.by_dim.values()))
     return _dual_cell_count(system, minimal_at, cells) == cells
 
 
@@ -980,7 +968,10 @@ def is_cat0(x: CubeComplex) -> Cat0Result:
     violation = _median_violation(x)
     if violation is not None:
         return Cat0Result(ok=False, reason="median", witness=violation)
-    return Cat0Result(ok=True)
+    # Chepoi: a connected complex with flag links, every 4-cycle filled and
+    # a median 1-skeleton is its own dual, so some stage above must fail
+    raise CubicalError("the Sageev comparison found a defect that the "
+                       "ordered stages do not name")
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1049,7 @@ def helly_check(x: CubeComplex, family: list[Hyperplane],
     if len(family) > x.dim:
         return HellyResult(ok=False, family=idxs, common_cube=None,
                            detail=f"family of size {len(family)} exceeds dimension {x.dim}")
-    best = min((c for c in x.cubes
+    best = min((c for c in itertools.chain.from_iterable(x.by_dim.values())
                 if all(any((c[0], c[a]) in h.edges for a in _AXES[len(c)])
                        for h in family)),
                key=lambda c: (len(c), c), default=None)

@@ -46,11 +46,10 @@ from .pocsets import (
     dual_complex,
     is_vertex,
 )
-from .util import parse_int, parse_list
+from .util import DEFAULT_CAP, parse_int, parse_list
 
 Word = tuple  # tuple of generator indices
 
-DEFAULT_BALL_CAP = 100_000
 MAX_DEGREE = 128  # ceiling on D, the ints per number of Tits' representation
 
 
@@ -332,7 +331,7 @@ class CayleyBall:
 
 
 def cayley_ball(sys_: CoxeterSystem, radius: int,
-                cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
+                cap: int = DEFAULT_CAP) -> CayleyBall:
     """BFS by right multiplication, keyed by the point w^-1 rho: ws is longer
     than w iff its coordinate s is positive, and then (w, ws, s) is an edge
     and (ws)^-1 rho = s w^-1 rho. Levels are walked in element order and s
@@ -582,7 +581,7 @@ class Cubulation:
         return {len(fam) for _, fam in maximal_cubes(self.dual)} or {0}
 
 
-def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_BALL_CAP,
+def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_CAP,
              seed_element: Word = ()) -> Cubulation:
     """Build the dual complex and embed the ball into it vertex by vertex.
 
@@ -679,7 +678,7 @@ def _annulus_components(ball: CayleyBall, r: int) -> int:
 
 
 def ends_profile(sys_: CoxeterSystem, radius: int,
-                 cap: int = DEFAULT_BALL_CAP) -> EndsReport:
+                 cap: int = DEFAULT_CAP) -> EndsReport:
     """Component counts for every r in 1..radius-1 plus the Hopf-style
     verdict.
 

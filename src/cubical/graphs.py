@@ -7,10 +7,10 @@ positions for the rest; ids stay with the callers.
 breadth-first search over a given adjacency, both iterative, so deep or
 large inputs hit no recursion limit. Links, the link of the BHV origin
 and maximal transversal families are clique enumerations, by size, so the
-least empty simplex of a link comes first. ``components`` (halfspaces,
-annuli, connectedness), ``girth`` and the medians of ``complexes`` run
-``bfs``. Walks that build or label their graph as they go keep their
-own loop: the Roller row labelling of ``complexes``,
+least empty simplex of a link comes first. ``components`` (square
+classes, halfspaces, annuli, connectedness), ``girth`` and the medians of
+``complexes`` run ``bfs``. Walks that build or label their graph as they
+go keep their own loop: the Roller row labelling of ``complexes``,
 ``pocsets._flip_walk``, ``coxeter.cayley_ball``, and the cube walk
 ``pocsets._dual_cubes``, which builds each cube's corners from its
 parent family's.

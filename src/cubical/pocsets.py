@@ -61,7 +61,7 @@ from .errors import (
     SelfPairedError,
 )
 from .graphs import bits, cliques
-from .util import check_ids, parse_list, ssorted
+from .util import DEFAULT_CAP, check_ids, parse_list, ssorted
 
 
 def _evens(size: int) -> int:
@@ -561,7 +561,7 @@ class DualComplex:
 
 
 def dual_complex(s: HalfspaceSystem, seed: Orientation,
-                 cap: int = 100_000) -> DualComplex:
+                 cap: int = DEFAULT_CAP) -> DualComplex:
     """BFS over flips from the seed, with the cubes, edges included, that
     ``_dual_listing`` assembles on it; more than ``cap`` vertices, the seed
     included, raise ``CapExceededError``. The cubes are canonicalized a
@@ -569,11 +569,12 @@ def dual_complex(s: HalfspaceSystem, seed: Orientation,
     was assembled twice, and only then does ``_scan_listing``, the ordered
     scan of ``build_complex``, name that dimension's first repeat in walk
     order. ``_complex_of_ranks`` then checks faces and gluing on the ids
-    0..n-1, which are their own ranks."""
+    0..n-1, which are their own ranks, and keeps the frozensets as the
+    complex's cells."""
     order, walked = _dual_listing(s, seed, cap)
-    listed: dict[int, set] = {}
+    listed: dict[int, frozenset] = {}
     for k, cubes in walked.items():
-        listed[k] = set(map(canonical_cube, cubes))
+        listed[k] = frozenset(map(canonical_cube, cubes))
         if len(listed[k]) != len(cubes):
             _scan_listing(cubes, k, range(len(order)), set())
             raise _disagreement("listing")

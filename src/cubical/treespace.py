@@ -34,9 +34,8 @@ from .errors import (
 )
 from .graphs import bits, cliques, girth, is_regular
 from .pocsets import Orientation, _dual_listing, _evens, build_system
-from .util import check_ids, parse_float, parse_int, parse_list, string_forms
+from .util import DEFAULT_CAP, check_ids, parse_float, parse_int, parse_list, string_forms
 
-DEFAULT_TOPOLOGY_CAP = 200_000
 MAX_COMPLEX_N = 6  # cell counts of treespace_complex explode past it
 MAX_LINK_N = 8  # link_of_origin(9) would list 12,818,911 simplices
 MAX_COUNT_N = 20_000  # (2n-3)!! and its decimal text grow quadratically past it
@@ -339,7 +338,7 @@ def count_binary(n: int) -> int:
     return math.prod(range(3, 2 * n - 2, 2))
 
 
-def enumerate_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP) -> list[frozenset]:
+def enumerate_topologies(n: int, cap: int = DEFAULT_CAP) -> list[frozenset]:
     """All binary topologies on leaves 1..n, each the frozenset of its n - 2
     clusters as int leaf masks, bit j for leaf j (``graphs.bits`` lists a
     cluster's leaves). By recursive leaf insertion: leaf k can be attached
@@ -426,7 +425,7 @@ def _cluster_name(c: frozenset) -> str:
     return ".".join(str(x) for x in sorted(c))
 
 
-def treespace_complex(n: int, cap: int = 100_000) -> CubeComplex:
+def treespace_complex(n: int, cap: int = DEFAULT_CAP) -> CubeComplex:
     """Unit truncation of tree space: the dual of the cluster pocset, where
     ``c+ <= d-`` (c present, d absent) whenever c and d are incompatible,
     seeded at the origin, where every cluster is absent. A vertex is a

@@ -1,11 +1,13 @@
-"""Small shared helpers: total ordering over mixed vertex ids, and the
-type checks of the JSON loaders."""
+"""Small shared helpers: the one default size cap, total ordering over
+mixed vertex ids, and the type checks of the JSON loaders."""
 
 from __future__ import annotations
 
 import math
 
 from .errors import InputFormatError
+
+DEFAULT_CAP = 100_000  # --cap's default and every library enumeration's
 
 
 def skey(x):

@@ -82,7 +82,6 @@ from cubical.pocsets import (
     build_system,
 )
 from cubical.treespace import (
-    DEFAULT_TOPOLOGY_CAP,
     Orthant,
     PhyloTree,
     _ckey,
@@ -90,7 +89,7 @@ from cubical.treespace import (
     all_clusters,
     compatible,
 )
-from cubical.util import skey, ssorted
+from cubical.util import DEFAULT_CAP, skey, ssorted
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +935,7 @@ def leaf_sets(topology: frozenset) -> frozenset:
     return frozenset(frozenset(bits(c)) for c in topology)
 
 
-def frozenset_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP) -> list[frozenset]:
+def frozenset_topologies(n: int, cap: int = DEFAULT_CAP) -> list[frozenset]:
     """Oracle for ``treespace.enumerate_topologies``: the same leaf
     insertion with each cluster a frozenset of leaves, checked against
     ``cap`` as each topology is added."""
@@ -964,6 +963,35 @@ def frozenset_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP) -> list[frozen
     if len(tops) > cap:
         raise CapExceededError(f"topology enumeration exceeds cap {cap}", cap=cap)
     return tops
+
+
+def union_find_square_classes(x: CubeComplex) -> list[list[tuple]]:
+    """Oracle for ``CubeComplex._square_classes``: one union-find over the
+    sorted edges that merges the opposite edges of every square, each
+    class's root its least edge; the classes in the order of their least
+    edge, each sorted."""
+    edges = sorted(x.edges)
+    index = {e: k for k, e in enumerate(edges)}
+    root = list(range(len(edges)))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    for c00, c10, c01, c11 in x.squares:
+        # the edges at the origin c00 of a canonical square are canonical
+        for e, (a, b) in (((c00, c10), (c01, c11)), ((c00, c01), (c10, c11))):
+            r, s = find(index[e]), find(index[(a, b) if a < b else (b, a)])
+            if r < s:
+                root[s] = r
+            elif s < r:
+                root[r] = s
+    classes = {}  # root -> its class, first met at the root, its least edge
+    for k, e in enumerate(edges):
+        classes.setdefault(find(k), []).append(e)
+    return list(classes.values())
 
 
 def scan_hyperplanes_cross(x: CubeComplex, h1, h2) -> bool:

@@ -570,7 +570,8 @@ def test_complex_check_stops_before_the_median_scan_above_its_cap(capsys, monkey
 
 
 @pytest.mark.parametrize("fixture", ["square_file", "torus_file"])
-def test_complex_hyperplanes_runs_one_union_find(capsys, monkeypatch, request, fixture):
+def test_complex_hyperplanes_finds_the_square_classes_once(capsys, monkeypatch, request,
+                                                          fixture):
     from functools import cached_property
 
     from cubical.complexes import CubeComplex

@@ -143,3 +143,22 @@ def test_every_command_takes_seed_and_pretty_and_its_own_flags():
                 if name.startswith("--") and not cli.FLAGS[name].get("required")]
     assert len(COMMANDS) == 19
     assert len(optional) == 68
+
+
+def test_every_cap_default_is_the_cli_default():
+    import inspect
+
+    from cubical import (
+        cayley_ball,
+        cubulate,
+        dual_complex,
+        ends_profile,
+        enumerate_topologies,
+        treespace_complex,
+    )
+
+    default = cli.FLAGS["--cap"]["default"]
+    assert default == 100_000
+    for f in (cayley_ball, cubulate, dual_complex, ends_profile,
+              enumerate_topologies, treespace_complex):
+        assert inspect.signature(f).parameters["cap"].default == default, f.__name__

@@ -54,6 +54,7 @@ from helpers import (
     torus_3x3,
     tree_complex,
     tree_product,
+    union_find_square_classes,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,7 @@ from cubical.complexes import (
     CubeComplex,
     LocalCat0Result,
     SimplicialComplex,
+    _complex_of_ranks,
     _first_bad_triple,
     _least_empty_simplex,
     _median_violation,
@@ -178,6 +180,21 @@ def test_by_dim_is_the_listed_cubes_by_dimension():
         for c in y.cubes:
             bucketed.setdefault(cube_dim(c), set()).add(c)
         assert y.by_dim == bucketed
+
+
+def test_cells_are_stored_once():
+    for x in [x for _, x in cat0_corpus()] + [torus(3, 3), treespace_complex(4)]:
+        assert x.cubes == frozenset().union(*x.by_dim.values())
+    # the builder's frozensets become the complex's cells, uncopied
+    listed = {1: frozenset({(0, 1), (1, 2)}), 2: frozenset()}
+    x = _complex_of_ranks(("a", "b", "c"), listed)
+    assert x.by_dim == {1: listed[1]} and x.by_dim[1] is listed[1]
+    # no step of the verdict or the counts builds the union
+    box = grid_complex(3, 3)
+    assert is_cat0(box).ok
+    box.counts()
+    assert "cubes" not in vars(box)
+    assert hash(box) == hash(grid_complex(3, 3))  # the dict of cells is not hashed
 
 
 def test_torus_counts():
@@ -1191,6 +1208,18 @@ def test_first_bad_triple_matches_dense_oracle(n, rng, data):
     assert witness == dense_median_violation(x, n)
 
 
+def test_is_cat0_names_no_silent_yes(monkeypatch):
+    # a complex that is not its own dual fails some ordered stage (Chepoi);
+    # if none names a defect, is_cat0 raises rather than answer yes
+    hexed = glue_hexagon(grid_complex(3, 3), (0, 0))
+    assert is_cat0(hexed).reason == "median"
+    monkeypatch.setattr(complexes, "_median_violation", lambda x: None)
+    with pytest.raises(CubicalError) as info:
+        is_cat0(hexed)
+    assert type(info.value) is CubicalError
+    assert "ordered stages" in info.value.message
+
+
 def test_median_verdict_has_no_cap(monkeypatch):
     # the cap bounds only the witness scan of a failure
     x = grid_complex(30, 30)
@@ -1265,6 +1294,23 @@ def test_distance_matrix_matches_bfs(n, name, data):
 
 # ---------------------------------------------------------------------------
 # hyperplanes
+
+
+def _classes_sorted(x):
+    return [sorted(cls) for cls in x._square_classes]
+
+
+def test_square_classes_match_union_find_oracle():
+    fixed = [x for _, x in cat0_corpus()] + [
+        torus(3, 3), folded_cube(5), cube_double_cover(), swapped_torus(10, 5)]
+    for x in fixed:
+        assert _classes_sorted(x) == union_find_square_classes(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(median_test_complexes())
+def test_square_classes_match_union_find_oracle_on_median_draws(x):
+    assert _classes_sorted(x) == union_find_square_classes(x)
 
 
 def test_square_has_two_hyperplanes():

@@ -282,12 +282,13 @@ def test_enumeration_cap_matches_frozenset_oracle(n):
 
 
 def test_enumeration_past_its_cap_allocates_no_level():
-    # tree enumerate's default cap, 100,000, lies between level 7 (10,395
-    # topologies) and level 8 (135,135): level 8 is sized, not built
+    # the default cap, 100,000, that of tree enumerate too, lies between
+    # level 7 (10,395 topologies) and level 8 (135,135): level 8 is sized,
+    # not built
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError) as info:
-            enumerate_topologies(8, cap=100_000)
+            enumerate_topologies(8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
