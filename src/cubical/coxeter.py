@@ -398,13 +398,12 @@ def _sign(sys_: CoxeterSystem, u: Word, s: int, p: tuple) -> int:
 
 def crossing_parity(sys_: CoxeterSystem, x: Word, y: Word, wall: Wall) -> int:
     """Parity of crossings of the wall along any path from x to y, which
-    the tests check by walking: two sign tests on the wall's first edge,
-    which a wall with ``edges=()`` lacks."""
-    if not wall.edges:
-        raise InputFormatError("the wall has no edge to test sides against")
-    u, v = wall.edges[0]
-    s = reduce_word(sys_, _inv(u) + v)[0]  # v = us
-    return int(_sign(sys_, u, s, _point(sys_, x)) != _sign(sys_, u, s, _point(sys_, y)))
+    the tests check by walking: the wall of the reflection t separates x
+    from 1 iff l(tx) < l(x) (Björner & Brenti, "Combinatorics of Coxeter
+    Groups", 2005, ch. 1), so no edge of the wall is needed."""
+    t = wall.reflection
+    past = [word_length(sys_, (*t, *w)) < word_length(sys_, w) for w in (x, y)]
+    return int(past[0] != past[1])
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ walls, for the Coxeter truncations, the Roller test of ``complexes`` and
 ``halfspace_system_of``. Inclusion is transitive as it stands, so it needs
 no closure; it has no generators, and its covers are found from ``above``
 on first use. ``_validated`` checks every order, however it was made.
-``_flip_walk`` is the one search over minimal flips: ``_dual_listing``
-assembles the cubes on the walk, for ``dual_complex`` and tree space, the
-Roller test compares the walk with a 1-skeleton, and ``_dual_cell_count``
-counts the cells on it, for the CAT(0) test of ``complexes``.
+``_flip_walk`` is the one search over minimal flips: ``_dual_cells``
+assembles every dual complex on it, ``dual_complex``'s and tree space's,
+on the vertex ranks each caller chooses, the Roller test compares it with
+a 1-skeleton, and ``_dual_cell_count`` counts the cells on it, for the
+CAT(0) test of ``complexes``.
 
 Halfspaces live at positions: hyperplane i holds positions 2i and 2i + 1,
 so the complement of position p is p ^ 1. ``build_system`` sorts the ids
@@ -563,48 +564,42 @@ class DualComplex:
 def dual_complex(s: HalfspaceSystem, seed: Orientation,
                  cap: int = DEFAULT_CAP) -> DualComplex:
     """BFS over flips from the seed, with the cubes, edges included, that
-    ``_dual_listing`` assembles on it; more than ``cap`` vertices, the seed
-    included, raise ``CapExceededError``. The cubes are canonicalized a
-    dimension at a time; a set of fewer cubes than were walked means one
-    was assembled twice, and only then does ``_scan_listing``, the ordered
-    scan of ``build_complex``, name that dimension's first repeat in walk
-    order. ``_complex_of_ranks`` then checks faces and gluing on the ids
-    0..n-1, which are their own ranks, and keeps the frozensets as the
-    complex's cells."""
-    order, walked = _dual_listing(s, seed, cap)
-    listed: dict[int, frozenset] = {}
-    for k, cubes in walked.items():
-        listed[k] = frozenset(map(canonical_cube, cubes))
-        if len(listed[k]) != len(cubes):
-            _scan_listing(cubes, k, range(len(order)), set())
-            raise _disagreement("listing")
-
-    complex_ = _complex_of_ranks(tuple(range(len(order))), listed)
-    return DualComplex(system=s, seed=seed, complex=complex_, masks=tuple(order))
-
-
-def _dual_listing(s: HalfspaceSystem, seed: Orientation, cap: int,
-                  what: str = "dual component") -> tuple[list, dict]:
-    """The seed's component of the dual, unvalidated: the vertices, bitsets
-    of chosen positions in walk order, and each dimension's cubes as tuples
-    of corner ids, in walk order. Every hyperplane of a cube is minimal at
-    each of its corners, and exactly one corner chooses the first halfspace
-    of each, so a cube is assembled once: at that corner, from the minimal
-    hyperplanes whose first halfspace it chooses. A cube's corners flip
-    distinct sets of hyperplanes, so they are distinct vertices. More than
-    ``cap`` vertices, the seed included, raise ``CapExceededError``, whose
-    message names the count as ``what``."""
+    ``_dual_cells`` assembles on it; more than ``cap`` vertices, the seed
+    included, raise ``CapExceededError``. The vertices are named by their
+    walk ids 0..n-1, which are their own ranks."""
     res = is_vertex(s, seed)
     if not res.ok:
         raise NotAVertexError("seed orientation is not a vertex", witness=res.witness)
     walk = _flip_walk(s, _chosen(s, seed), cap)
     if walk is None:
-        raise CapExceededError(f"{what} exceeds cap {cap}", cap=cap)
+        raise CapExceededError(f"dual component exceeds cap {cap}", cap=cap)
     order, ids, minimal_at = walk
+    complex_ = _dual_cells(s, order, minimal_at, ids, tuple(range(len(order))))
+    return DualComplex(system=s, seed=seed, complex=complex_, masks=tuple(order))
+
+
+def _dual_cells(s: HalfspaceSystem, order: list, minimal_at: list, ids: dict,
+                labels: tuple) -> CubeComplex:
+    """The complex of the dual walked in ``order``, the vertex ``mask``
+    named ``labels[ids[mask]]``, with the cubes of ``_dual_cubes``. Each
+    dimension is canonicalized at once; only a set of fewer cubes than were
+    walked, one assembled twice, runs ``_scan_listing``, the ordered scan
+    of ``build_complex``, to name the first repeat in walk order by its
+    labels.
+    ``_complex_of_ranks`` checks faces and gluing and keeps the frozensets
+    as the complex's cells."""
     walked: dict[int, list] = {}  # corner count -> the cubes in walk order
     for cube in _dual_cubes(s, order, minimal_at, ids):
         walked.setdefault(len(cube), []).append(cube)
-    return order, {size.bit_length() - 1: cubes for size, cubes in walked.items()}
+    listed: dict[int, frozenset] = {}
+    for size, cubes in walked.items():
+        k = size.bit_length() - 1
+        listed[k] = frozenset(map(canonical_cube, cubes))
+        if len(listed[k]) != len(cubes):
+            named = [tuple(map(labels.__getitem__, c)) for c in cubes]
+            _scan_listing(named, k, {v: r for r, v in enumerate(labels)}, set())
+            raise _disagreement("listing")
+    return _complex_of_ranks(labels, listed)
 
 
 def _flip_walk(s: HalfspaceSystem, start: int, cap: int):
@@ -660,9 +655,9 @@ def _flip_walk(s: HalfspaceSystem, start: int, cap: int):
 
 
 def _dual_cubes(s: HalfspaceSystem, order: list, minimal_at: list, ids: dict):
-    """Yield the corner ids of each cube of the dual at the vertex that
-    chooses the first halfspace of each of its hyperplanes, vertices in
-    ``order``. At vertex v the families are the cliques of the transversal
+    """Yield each cube of the dual as its corners' ranks ``ids[mask]``,
+    once: at the one corner that chooses the first halfspace of each of its
+    hyperplanes, all minimal there, vertices in ``order``. At vertex v the families are the cliques of the transversal
     graph on the hyperplanes whose first halfspace is minimal at v, walked
     on bitsets of even positions in lexicographic pre-order: each family
     before its extensions, extensions by earlier hyperplanes first. A
@@ -675,10 +670,10 @@ def _dual_cubes(s: HalfspaceSystem, order: list, minimal_at: list, ids: dict):
     parent, would have to branch for."""
     transversal = s.transversal_masks
     even = _evens(2 * len(s.star_pairs))
-    for n, (v, minimal) in enumerate(zip(order, minimal_at)):
+    for v, minimal in zip(order, minimal_at):
         rest = minimal & even  # the candidates left at the current family
         stack = []  # the families it extends, each with its candidates left
-        corners, ranked = [v], (n,)
+        corners, ranked = [v], (ids[v],)
         while True:
             if rest:
                 low = rest & -rest

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import CubeComplex, SimplicialComplex, build_complex
+from .complexes import CubeComplex, SimplicialComplex
 from .errors import (
     BadRootValencyError,
     CapExceededError,
@@ -33,7 +33,7 @@ from .errors import (
     UnlabeledLeafError,
 )
 from .graphs import bits, cliques, girth, is_regular
-from .pocsets import Orientation, _dual_listing, _evens, build_system
+from .pocsets import _dual_cells, _evens, _flip_walk, build_system
 from .util import DEFAULT_CAP, check_ids, parse_float, parse_int, parse_list, string_forms
 
 MAX_COMPLEX_N = 6  # cell counts of treespace_complex explode past it
@@ -338,11 +338,11 @@ def count_binary(n: int) -> int:
     return math.prod(range(3, 2 * n - 2, 2))
 
 
-def enumerate_topologies(n: int, cap: int = DEFAULT_CAP) -> list[frozenset]:
-    """All binary topologies on leaves 1..n, each the frozenset of its n - 2
-    clusters as int leaf masks, bit j for leaf j (``graphs.bits`` lists a
-    cluster's leaves). By recursive leaf insertion: leaf k can be attached
-    above any cluster, above any leaf, or above the old root.
+def enumerate_topologies(n: int, cap: int = DEFAULT_CAP) -> list[tuple]:
+    """All binary topologies on leaves 1..n, each the increasing tuple of
+    its n - 2 clusters as int leaf masks, bit j for leaf j (``graphs.bits``
+    lists a cluster's leaves). By recursive leaf insertion: leaf k can be
+    attached above any cluster, above any leaf, or above the old root.
 
     Level k holds exactly 2k - 3 topologies per topology of level k - 1,
     so each level is sized against ``cap`` before it is built: more than
@@ -350,7 +350,7 @@ def enumerate_topologies(n: int, cap: int = DEFAULT_CAP) -> list[frozenset]:
     level allocated."""
     if n < 2:
         raise InputFormatError("need n >= 2")
-    tops: list[frozenset] = [frozenset()]
+    tops: list[tuple] = [()]
     for k in range(3, n + 1):
         if len(tops) * (2 * k - 3) > cap:
             raise CapExceededError(f"topology enumeration exceeds cap {cap}", cap=cap)
@@ -361,9 +361,9 @@ def enumerate_topologies(n: int, cap: int = DEFAULT_CAP) -> list[frozenset]:
             # 2k-3 insertion sites: every cluster edge, every leaf edge, and
             # a fresh root; clusters strictly above the site absorb leaf k
             for site in [*t, *singles]:
-                nxt.append(frozenset([c | leaf if c & site == site and c != site else c
-                                      for c in t] + [site | leaf]))
-            nxt.append(t | {leaf - 2})
+                nxt.append(tuple(sorted([c | leaf if c & site == site and c != site else c
+                                         for c in t] + [site | leaf])))
+            nxt.append((*t, leaf - 2))  # leaves 1..k-1, above every old cluster
         tops = nxt
     if len(tops) > cap:  # n = 2 inserts nothing: its one topology meets no check above
         raise CapExceededError(f"topology enumeration exceeds cap {cap}", cap=cap)
@@ -428,13 +428,15 @@ def _cluster_name(c: frozenset) -> str:
 def treespace_complex(n: int, cap: int = DEFAULT_CAP) -> CubeComplex:
     """Unit truncation of tree space: the dual of the cluster pocset, where
     ``c+ <= d-`` (c present, d absent) whenever c and d are incompatible,
-    seeded at the origin, where every cluster is absent. A vertex is a
-    compatible cluster set held at length 1; a k-cube frees k of them. The
-    ids sort ``+`` and ``-`` below ``.`` and every digit, so hyperplane i
-    is the i-th cluster by name, and a vertex's present clusters joined in
-    position order make its sorted name (``*`` for the origin).
-    ``build_complex`` validates the named listing once. More than ``cap``
-    vertices, the origin included, raise ``CapExceededError``."""
+    walked from the origin, every cluster absent: the odd positions. A
+    vertex is a compatible cluster set held at length 1; a k-cube frees k
+    of them. The ids sort ``+`` and ``-`` below ``.`` and every digit, so
+    hyperplane i is the i-th cluster by name, and a vertex's present
+    clusters joined in position order make its sorted name (``*`` for the
+    origin). Each mask is ranked by its name in string order, which is
+    ``skey`` order, for ``pocsets._dual_cells``, the assembler of every
+    dual. More than ``cap`` vertices, the origin included, raise
+    ``CapExceededError``."""
     if n < 3:
         raise InputFormatError("need n >= 3")
     if n > MAX_COMPLEX_N:
@@ -446,15 +448,17 @@ def treespace_complex(n: int, cap: int = DEFAULT_CAP) -> CubeComplex:
     leq = [(cname[c] + "+", cname[d] + "-")
            for c, d in itertools.combinations(clusters, 2) if not compatible(c, d)]
     s = build_system(ids, zip(ids[::2], ids[1::2]), leq)
-    origin = Orientation(choices=tuple(absent for _, absent in s.star_pairs))
-    order, walked = _dual_listing(s, origin, cap, "compatible-set enumeration")
-    names_of = [present[:-1] for present, _ in s.star_pairs]
     even = _evens(len(s.above))
+    walk = _flip_walk(s, even << 1, cap)
+    if walk is None:
+        raise CapExceededError(f"compatible-set enumeration exceeds cap {cap}", cap=cap)
+    order, rank, minimal_at = walk
+    names_of = [present[:-1] for present, _ in s.star_pairs]
     names = ["|".join([names_of[p >> 1] for p in bits(m & even)]) or "*"
              for m in order]
-    at = names.__getitem__  # popped as named: walked and named cubes never all live
-    return build_complex(names, {k: [tuple(map(at, c)) for c in walked.pop(k)]
-                                 for k in list(walked)})
+    by_name = sorted(range(len(order)), key=names.__getitem__)
+    rank.update((order[i], r) for r, i in enumerate(by_name))  # walk ids -> name ranks
+    return _dual_cells(s, order, minimal_at, rank, tuple(map(names.__getitem__, by_name)))
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,11 @@ from cubical.pocsets import (
     Orientation,
     VertexResult,
     _chosen,
+    _dual_cubes,
+    _evens,
+    _flip_walk,
     build_system,
+    is_vertex,
 )
 from cubical.treespace import (
     Orthant,
@@ -929,9 +933,42 @@ def corner_treespace_complex(n: int, cap: int = 100_000) -> CubeComplex:
     return build_complex([names[s] for s in vertex_sets], cubes)
 
 
-def leaf_sets(topology: frozenset) -> frozenset:
-    """A topology of ``treespace.enumerate_topologies``, whose clusters are
-    int leaf masks, as the frozenset of its clusters' leaf sets."""
+def cluster_system(n: int) -> tuple[HalfspaceSystem, Orientation]:
+    """The cluster pocset of ``treespace.treespace_complex`` and its origin,
+    where every cluster is absent, built as the complex builds them."""
+    clusters = all_clusters(n)
+    cname = {c: _cluster_name(c) for c in clusters}
+    ids = [cname[c] + side for c in clusters for side in "+-"]
+    leq = [(cname[c] + "+", cname[d] + "-")
+           for c, d in itertools.combinations(clusters, 2) if not compatible(c, d)]
+    s = build_system(ids, zip(ids[::2], ids[1::2]), leq)
+    return s, Orientation(choices=tuple(absent for _, absent in s.star_pairs))
+
+
+def named_treespace_complex(n: int, cap: int = DEFAULT_CAP) -> CubeComplex:
+    """Oracle for ``treespace.treespace_complex``: the same walk from the
+    origin, with every corner of every cube named by its compatible
+    cluster set and the named listing validated by ``build_complex``."""
+    s, origin = cluster_system(n)
+    assert is_vertex(s, origin).ok
+    walk = _flip_walk(s, _chosen(s, origin), cap)
+    if walk is None:
+        raise CapExceededError(f"compatible-set enumeration exceeds cap {cap}", cap=cap)
+    order, ids, minimal_at = walk
+    names_of = [present[:-1] for present, _ in s.star_pairs]
+    even = _evens(len(s.above))
+    names = ["|".join([names_of[p >> 1] for p in bits(m & even)]) or "*"
+             for m in order]
+    cubes: dict[int, list] = {}
+    for cube in _dual_cubes(s, order, minimal_at, ids):
+        cubes.setdefault(len(cube).bit_length() - 1, []).append(
+            tuple(names[i] for i in cube))
+    return build_complex(names, cubes)
+
+
+def leaf_sets(topology: tuple) -> frozenset:
+    """A topology of ``treespace.enumerate_topologies``, a tuple of int leaf
+    masks, as the frozenset of its clusters' leaf sets."""
     return frozenset(frozenset(bits(c)) for c in topology)
 
 

@@ -51,7 +51,6 @@ from cubical import (
     words_equal,
 )
 from cubical.coxeter import (
-    Wall,
     _hid,
     _system_of_crossings,
     act_on_halfspace,
@@ -445,8 +444,8 @@ def test_parity_path_independent_sampled():
 @pytest.mark.parametrize("name", ["I2(5)", "A2~", "PGL(2,Z)", "(2,3,7)", "(3,3,4)"])
 def test_parity_outside_the_ball_matches_walked_parity(name):
     # x and y of up to 12 letters lie mostly outside the radius-3 ball; the
-    # walk of x^-1 y from x crosses a wall an odd number of times iff the
-    # two sign tests differ
+    # walk of x^-1 y from x crosses a wall an odd number of times iff x and
+    # y lie on opposite sides of it by the length test
     sys_ = parse_system(LANDMARKS[name])
     ws = walls(cayley_ball(sys_, 3))
     rng = random.Random(name)
@@ -455,8 +454,16 @@ def test_parity_outside_the_ball_matches_walked_parity(name):
                 for _ in range(2))
         wall = rng.choice(ws)
         assert crossing_parity(sys_, x, y, wall) == walked_parity(sys_, x, y, wall)
-    with pytest.raises(InputFormatError, match="no edge"):
-        crossing_parity(sys_, (), (0,), Wall(reflection=(0,), edges=()))
+    # the wall of the edge (01, 010) of D_inf misses the radius-1 ball, so it
+    # keeps no edge; its sides are decided on elements in and out of the ball
+    d_inf = parse_system(LANDMARKS["D_inf"])
+    wall = halfspace(cayley_ball(d_inf, 1), (0, 1), (0, 1, 0)).wall
+    assert wall.edges == ()
+    elements = [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1), (0, 1, 0, 1),
+                (1, 0, 1, 0, 1)]
+    for x, y in itertools.product(elements, repeat=2):
+        assert crossing_parity(d_inf, x, y, wall) == walked_parity(d_inf, x, y, wall)
+    assert crossing_parity(d_inf, (0, 1), (0, 1, 0), wall) == 1
 
 
 def test_root_h_of_identity_and_s():

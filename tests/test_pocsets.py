@@ -44,6 +44,7 @@ from cubical import (
     minimal_halfspaces,
     seed_vertex,
     transversal,
+    treespace_complex,
 )
 from cubical.complexes import canonical_cube, cube_dim
 from cubical.errors import (
@@ -748,6 +749,12 @@ def test_dual_cubes_pass_the_builder_checks(monkeypatch, error, mangle):
         repeat = next(b for a, b in zip(walked, walked[1:])
                       if canonical_cube(a) == canonical_cube(b))
         assert info.value.details == {"cube": repeat, "dim": cube_dim(repeat)}
+    # tree space's cubes take the same checks, on ranks in name order; a
+    # repeat is named by its vertex names
+    with pytest.raises(error) as info:
+        treespace_complex(4)
+    if error is DuplicateCubeError:
+        assert all(isinstance(v, str) for v in info.value.details["cube"])
 
 
 def test_seed_vertex_matches_twosat_on_truncations():

@@ -13,10 +13,12 @@ import pytest
 from helpers import (
     SetSimplicialComplex,
     assert_link_is_petersen,
+    cluster_system,
     corner_treespace_complex,
     frozenset_topologies,
     leaf_sets,
     named,
+    named_treespace_complex,
     neighbour_lists,
     pairwise_from_orthant,
     pairwise_make_orthant,
@@ -50,6 +52,7 @@ from cubical.errors import (
     UnlabeledLeafError,
 )
 from cubical.graphs import bits, girth, is_regular
+from cubical.pocsets import _chosen, _evens, is_vertex
 from cubical.treespace import (
     Orthant,
     _ckey,
@@ -250,8 +253,11 @@ def test_schroeder_counts():
 @pytest.mark.parametrize("n", range(2, 8))
 def test_enumeration_matches_formula(n):
     # on masks compatible(a, b) would hold vacuously, as ints always
-    # compare with <=; the leaf sets are what it tests
-    tops = list(map(leaf_sets, enumerate_topologies(n)))
+    # compare with <=; the leaf sets are what it tests. Each topology is
+    # the tuple of its masks in increasing order.
+    masks = enumerate_topologies(n)
+    assert all(type(t) is tuple and list(t) == sorted(set(t)) for t in masks)
+    tops = list(map(leaf_sets, masks))
     assert len(tops) == count_binary(n)
     assert len(set(tops)) == len(tops)
     for t in tops:
@@ -403,6 +409,33 @@ def test_treespace_complex_matches_corner_oracle(n):
     assert dump_complex(x) == dump_complex(y)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_treespace_complex_matches_named_listing_oracle(monkeypatch, n):
+    # the walk's masks ranked by their names against the same walk's cubes
+    # named corner by corner and validated as a listing by build_complex,
+    # which tree space itself never calls
+    import cubical.complexes
+
+    def refuse(*args):
+        raise AssertionError("build_complex called")
+
+    monkeypatch.setattr(cubical.complexes, "build_complex", refuse)
+    x = treespace_complex(n)
+    monkeypatch.undo()
+    y = named_treespace_complex(n)
+    assert x == y
+    assert x.by_dim == y.by_dim
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_treespace_origin_is_a_vertex(n):
+    # the walk starts at the odd positions, every cluster absent, with no
+    # vertex check of its own
+    s, origin = cluster_system(n)
+    assert _chosen(s, origin) == _evens(len(s.above)) << 1
+    assert is_vertex(s, origin).ok
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_treespace_vertex_names_are_sorted_joins(n):
     clusters = {".".join(map(str, sorted(c))): c for c in all_clusters(n)}
@@ -413,18 +446,19 @@ def test_treespace_vertex_names_are_sorted_joins(n):
                    for a, b in itertools.combinations(parts, 2))
 
 
-@pytest.mark.parametrize("n, vertices", [(4, 26), (5, 236)])
+@pytest.mark.parametrize("n, vertices", [(3, 4), (4, 26), (5, 236), (6, 2752)])
 def test_treespace_cap_matches_corner_oracle(n, vertices):
-    # the walk counts vertices and the oracle counts compatible sets, each
-    # with the origin, and both raise once the count passes the cap
+    # the walk counts vertices and the oracles count compatible sets or
+    # walked vertices, each with the origin, and all raise once the count
+    # passes the cap
     for cap in (-1, 0, 1, vertices - 2, vertices - 1, vertices, vertices + 1):
         outcomes = []
-        for build in (treespace_complex, corner_treespace_complex):
+        for build in (treespace_complex, corner_treespace_complex, named_treespace_complex):
             try:
                 outcomes.append(dump_complex(build(n, cap)))
             except CapExceededError as e:
                 outcomes.append(e.certificate())
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
         assert ("error" in outcomes[0]) == (cap < vertices)
 
 
