@@ -2,9 +2,10 @@
 
 Vertices are interned once, by ``build_complex``: the vertex ids, sorted
 by ``skey``, get the ranks 0..n-1, and everything after the build works
-on ranks. The dual of a halfspace system numbers its vertices 0..n-1 as
-it finds them and canonicalizes the cubes it assembles, so it skips the
-ranking and hands its rank tuples straight to the validating core that
+on ranks. The dual of a halfspace system ranks its vertices as its
+caller chooses, ``dual_complex`` in walk order and tree space by vertex
+name, and canonicalizes the cubes it assembles, so it skips the ranking
+and hands its rank tuples straight to the validating core that
 ``build_complex`` ends in. ``CubeComplex.labels`` maps a rank back
 to its id. Ids appear only at the edges: in the loaders and
 ``dump_complex``, in the vertices that public functions take

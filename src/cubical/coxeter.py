@@ -544,7 +544,13 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     transitive and reversed by complements, so no closure is needed.
     Hyperplane i is wall i, whatever order its ids sort in.
 
-    Validation errors propagate and signal that the margin is too small.
+    Parent edges separate every selected wall's sides, so no truncation is
+    refused: a geodesic from the identity to the far end of a defining edge
+    crosses the wall, at some parent edge (g[:-1], g) in the ball, whose
+    rows differ in the wall's bit alone. So the wall's "-" side is
+    nonempty, and no other wall has the same sides, as the edge's ends lie
+    on one side of every other wall.
+
     The trust report, ``untrusted_pairs``, is worked out on first use.
     """
     if margin < 0:

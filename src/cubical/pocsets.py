@@ -7,16 +7,22 @@ complex are consistent orientations (one halfspace per hyperplane, never
 choice(h) <= choice(k)*); n pairwise-transversal minimal halfspaces at a
 vertex span an n-cube, and the edges are the 1-cubes: single flips.
 
-``build_system`` takes the order as the transitive closure of the
-generators and their star images; being star-closed, it is order-reversed
-by the involution. Every cover of the closed order is a generator, so the
-closure sweep hands over the cover relation (``covers``) as well.
+``build_system`` builds the systems of input files: it takes the order
+as the transitive closure of the generators and their star images; being
+star-closed, it is order-reversed by the involution. Every cover of the
+closed order is a generator, so the closure sweep hands over the cover
+relation (``covers``) as well. It alone runs ``_validated``, the check
+for cycles, nesting and comparable complements. Every system the package
+derives is built valid instead, as the sides of walls or clusters form a
+pocset by construction (Sageev 1995; Roller 1998).
 ``_system_of_crossings`` is the one builder of systems of sets ordered by
 inclusion: it orders the sides of walls from per-point rows of crossed
 walls, for the Coxeter truncations, the Roller test of ``complexes`` and
-``halfspace_system_of``. Inclusion is transitive as it stands, so it needs
-no closure; it has no generators, and its covers are found from ``above``
-on first use. ``_validated`` checks every order, however it was made.
+``halfspace_system_of``, and refuses the only defects rows can have: a
+wall with an empty side, or two walls with identical sides. Inclusion is
+transitive as it stands, so it needs no closure; it has no generators,
+and its covers are found from ``above`` on first use. Tree space writes
+its cluster pocset's ``above`` directly.
 ``_flip_walk`` is the one search over minimal flips: ``_dual_cells``
 assembles every dual complex on it, ``dual_complex``'s and tree space's,
 on the vertex ranks each caller chooses, the Roller test compares it with
@@ -26,13 +32,14 @@ CAT(0) test of ``complexes``.
 Halfspaces live at positions: hyperplane i holds positions 2i and 2i + 1,
 so the complement of position p is p ^ 1. ``build_system`` sorts the ids
 once and ranks them, so its hyperplane i is the i-th star pair in id order;
-a system of sets takes its caller's wall or class order. Sets of
-positions are int bitsets: the order is one ``above`` mask per position,
-and an orientation is the mask of its chosen positions. Transversality
-is one mask per hyperplane, ``transversal_masks``: ``transversal`` reads
-it, ``_dual_cubes`` walks its cliques at each vertex of the dual and
-``_dual_cell_count`` counts them there, and ``maximal_cubes`` checks its
-maximal cliques, listed by ``graphs.cliques``, against the maximal cubes.
+a system of sets takes its caller's wall or class order, and tree space
+its cluster name order. Sets of positions are int bitsets: the order is
+one ``above`` mask per position, and an orientation is the mask of its
+chosen positions. Transversality is one mask per hyperplane,
+``transversal_masks``: ``transversal`` reads it, ``_dual_cubes`` walks
+its cliques at each vertex of the dual and ``_dual_cell_count`` counts
+them there, and ``maximal_cubes`` checks its maximal cliques, listed by
+``graphs.cliques``, against the maximal cubes.
 Ids are kept for I/O and witnesses only.
 
 Everything is immutable; dual_complex is a pure function with deterministic
@@ -72,12 +79,13 @@ def _evens(size: int) -> int:
 
 @dataclass(frozen=True)
 class HalfspaceSystem:
-    """Validated halfspace system on interned positions.
+    """Valid halfspace system on interned positions.
 
     ``star_pairs`` lists the hyperplanes, each pair in id order: in id
     order from ``build_system``, in wall or class order from
-    ``_system_of_crossings``. Hyperplane i holds the halfspaces at
-    positions 2i and 2i + 1 (``labels`` maps a position back to its id).
+    ``_system_of_crossings``, in cluster name order in tree space.
+    Hyperplane i holds the halfspaces at positions 2i and 2i + 1
+    (``labels`` maps a position back to its id).
     ``above[p]`` is the int bitset of the positions strictly above p in
     the closed order. Derived: ``halfspaces``, the ids in ``skey`` order,
     for I/O (``build_system`` seeds it); ``below[p]`` is ``above[p ^ 1]``
@@ -279,17 +287,32 @@ def _system_of_crossings(crossed, star_pairs) -> HalfspaceSystem:
     - i+ < j+ iff j- < i-, so the "+" rows are the columns of AND
     - i+ < j- never holds, as point 0 lies in i+ and not in j-
     Inclusion of sets is transitive and complements reverse it, so the
-    rows need no closure; ``_validated`` still checks them for cycles,
-    nesting and comparable complements. A W-bit row goes to the even
-    positions 2j ("+") or the odd ones 2j + 1 ("-") of the system by
-    ``_spread``.
+    rows need no closure. A W-bit row goes to the even positions 2j ("+")
+    or the odd ones 2j + 1 ("-") of the system by ``_spread``.
 
-    Walls i and j have identical sides iff AND[i] == AND[j]: AND[i] holds
-    bit i, so equal rows make each side lie in the other. That raises
-    NestingViolationError, naming the first such j and its least i by
-    their "+" ids. Two points per wall i that differ in bit i alone, such
-    as the ends of an edge of wall i in a Cayley ball or a 1-skeleton,
-    rule it out."""
+    The system is built valid, with no check of the order after the
+    build, once every side is nonempty and no two sides are equal. Point
+    0 makes every "+" side nonempty, and so every "-" side is a proper
+    subset. The pass over AND and OR refuses the two defects left:
+    - walls i and j have identical sides iff AND[i] == AND[j] (AND[i]
+      holds bit i, so equal rows make each side lie in the other). That
+      raises NestingViolationError, naming the first such j and its least
+      i by their "+" ids;
+    - wall i's "-" side is empty iff OR[i] == 0, which raises
+      ComparableComplementsError naming its "-" id, as the empty side
+      lies below its complement.
+    Two points per wall i that differ in bit i alone, such as the ends of
+    an edge of wall i in a Cayley ball or a 1-skeleton, rule both out.
+    The sides are then 2W distinct nonempty proper sets (a "+" side holds
+    point 0 and no "-" side does), so strict inclusion among them is a
+    strict order: no cycle. A side below its complement would be empty,
+    as would one above it. And no two of the four relations i+ < j+,
+    i+ < j-, i- < j+, i- < j- hold for walls i != j: the first two would
+    make i+ empty, the last two i-; the first and third j-, the second and
+    fourth j+; the first and fourth make i- = j- (i+ < j+ gives j- < i-),
+    and the second and third i- = j+, also false as j+ holds point 0.
+
+    Point 0's row must be 0: the caller's contract, not checked."""
     count = len(star_pairs)
     full = (1 << count) - 1
     meet = [full] * count
@@ -311,14 +334,17 @@ def _system_of_crossings(crossed, star_pairs) -> HalfspaceSystem:
             raise NestingViolationError(
                 f"walls {a} and {b} have identical truncated sides; "
                 "increase the radius or margin", pair=(a, b))
+        if not join[j]:
+            h = star_pairs[j][1]
+            raise ComparableComplementsError(
+                f"halfspace {h!r} is empty, so it lies below its complement", halfspace=h)
 
     plus = _columns(meet, count, "0")  # column i of AND, spread
     above = []
     for i in range(count):
         above.append(plus[i] & ~(1 << 2 * i))
         above.append(_spread(meet[i] & ~(1 << i)) << 1 | _spread(full & ~join[i]))
-    s = HalfspaceSystem(star_pairs=tuple(star_pairs), above=tuple(above))
-    return _validated(s, s.labels)
+    return HalfspaceSystem(star_pairs=tuple(star_pairs), above=tuple(above))
 
 
 def _closure(succ: list) -> tuple[list, list]:

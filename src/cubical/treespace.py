@@ -33,7 +33,7 @@ from .errors import (
     UnlabeledLeafError,
 )
 from .graphs import bits, cliques, girth, is_regular
-from .pocsets import _dual_cells, _evens, _flip_walk, build_system
+from .pocsets import HalfspaceSystem, _dual_cells, _evens, _flip_walk, _spread
 from .util import DEFAULT_CAP, check_ids, parse_float, parse_int, parse_list, string_forms
 
 MAX_COMPLEX_N = 6  # cell counts of treespace_complex explode past it
@@ -392,14 +392,23 @@ def link_of_origin(n: int) -> SimplicialComplex:
     if n > MAX_LINK_N:
         raise CapExceededError(
             f"n = {n} exceeds the configured bound {MAX_LINK_N}", cap=MAX_LINK_N)
-    clusters = sorted(all_clusters(n), key=_cluster_name)  # skey order of the names
-    adj = [sum(1 << j for j, d in enumerate(clusters) if j != i and compatible(c, d))
-           for i, c in enumerate(clusters)]
+    names, adj = _compatibility(n)
     # every clique is a simplex: pairwise compatibility makes the set an
     # orthant face. The cliques are closed under subsets, as a family must be.
-    link = SimplicialComplex(tuple(map(_cluster_name, clusters)), frozenset(cliques(adj)))
+    link = SimplicialComplex(tuple(names), frozenset(cliques(adj)))
     link.__dict__["neighbours"] = tuple(adj)  # the cached property, already built
     return link
+
+
+def _compatibility(n: int) -> tuple[list[str], list[int]]:
+    """The names of the clusters on n leaves in string order, which is
+    ``skey`` order, and per cluster i the bitset of the other clusters
+    compatible with it, bit j for the j-th name: the one table that
+    ``link_of_origin`` and ``_cluster_pocset`` read."""
+    clusters = sorted(all_clusters(n), key=_cluster_name)
+    adj = [sum(1 << j for j, d in enumerate(clusters) if j != i and compatible(c, d))
+           for i, c in enumerate(clusters)]
+    return list(map(_cluster_name, clusters)), adj
 
 
 def petersen_checks(nbrs) -> dict:
@@ -425,29 +434,49 @@ def _cluster_name(c: frozenset) -> str:
     return ".".join(str(x) for x in sorted(c))
 
 
+def _cluster_pocset(n: int) -> HalfspaceSystem:
+    """The cluster pocset on n leaves, built valid from one compatibility
+    table: hyperplane i is the i-th cluster by name, with the ids
+    ``name+`` (present) at position 2i and ``name-`` (absent) at 2i + 1,
+    and ``c+ < d-`` exactly when c and d are incompatible. So
+    ``above[2i]`` holds the odd positions of the clusters incompatible
+    with cluster i, and ``above[2i + 1]`` is 0. No check runs, as none
+    could fail:
+    - "-" sides lie below nothing, so the relations are closed as they
+      stand, and star-closed, as c+ < d- iff d+ < c-;
+    - every relation goes from a "+" side to a "-" side: no cycle;
+    - two clusters' hyperplanes have one relation if incompatible and
+      none if not, so nesting holds;
+    - no cluster is incompatible with itself, so no side is comparable
+      with its complement.
+    It is the system ``build_system`` makes of the same ids and relations,
+    ``covers`` too, as no relation has another between its ends."""
+    names, compatible_with = _compatibility(n)
+    full = (1 << len(names)) - 1
+    above = []
+    for i, m in enumerate(compatible_with):
+        above += [_spread(full & ~m & ~(1 << i)) << 1, 0]
+    return HalfspaceSystem(star_pairs=tuple((c + "+", c + "-") for c in names),
+                           above=tuple(above))
+
+
 def treespace_complex(n: int, cap: int = DEFAULT_CAP) -> CubeComplex:
-    """Unit truncation of tree space: the dual of the cluster pocset, where
-    ``c+ <= d-`` (c present, d absent) whenever c and d are incompatible,
-    walked from the origin, every cluster absent: the odd positions. A
-    vertex is a compatible cluster set held at length 1; a k-cube frees k
-    of them. The ids sort ``+`` and ``-`` below ``.`` and every digit, so
-    hyperplane i is the i-th cluster by name, and a vertex's present
-    clusters joined in position order make its sorted name (``*`` for the
-    origin). Each mask is ranked by its name in string order, which is
-    ``skey`` order, for ``pocsets._dual_cells``, the assembler of every
-    dual. More than ``cap`` vertices, the origin included, raise
-    ``CapExceededError``."""
+    """Unit truncation of tree space: the dual of the cluster pocset of
+    ``_cluster_pocset``, where ``c+ <= d-`` (c present, d absent) whenever
+    c and d are incompatible, walked from the origin, every cluster
+    absent: the odd positions. A vertex is a compatible cluster set held
+    at length 1; a k-cube frees k of them. Hyperplane i is the i-th
+    cluster by name, so a vertex's present clusters joined in position
+    order make its sorted name (``*`` for the origin). Each mask is
+    ranked by its name in string order, which is ``skey`` order, for
+    ``pocsets._dual_cells``, the assembler of every dual. More than
+    ``cap`` vertices, the origin included, raise ``CapExceededError``."""
     if n < 3:
         raise InputFormatError("need n >= 3")
     if n > MAX_COMPLEX_N:
         raise CapExceededError(
             f"n = {n} exceeds the configured bound {MAX_COMPLEX_N}", cap=MAX_COMPLEX_N)
-    clusters = all_clusters(n)
-    cname = {c: _cluster_name(c) for c in clusters}
-    ids = [cname[c] + side for c in clusters for side in "+-"]
-    leq = [(cname[c] + "+", cname[d] + "-")
-           for c, d in itertools.combinations(clusters, 2) if not compatible(c, d)]
-    s = build_system(ids, zip(ids[::2], ids[1::2]), leq)
+    s = _cluster_pocset(n)
     even = _evens(len(s.above))
     walk = _flip_walk(s, even << 1, cap)
     if walk is None:

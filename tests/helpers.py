@@ -934,8 +934,9 @@ def corner_treespace_complex(n: int, cap: int = 100_000) -> CubeComplex:
 
 
 def cluster_system(n: int) -> tuple[HalfspaceSystem, Orientation]:
-    """The cluster pocset of ``treespace.treespace_complex`` and its origin,
-    where every cluster is absent, built as the complex builds them."""
+    """Oracle for ``treespace._cluster_pocset``: the cluster pocset closed
+    by ``build_system`` from its ids and ``leq`` pairs, c+ <= d- for each
+    incompatible pair, and its origin, where every cluster is absent."""
     clusters = all_clusters(n)
     cname = {c: _cluster_name(c) for c in clusters}
     ids = [cname[c] + side for c in clusters for side in "+-"]

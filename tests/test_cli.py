@@ -547,6 +547,53 @@ def test_positive_verdicts_scan_no_link_and_no_four_cycle(capsys, monkeypatch, s
     assert code == 0 and verdict["certificate"]["cat0"] == {"ok": True}
 
 
+DERIVED_SYSTEM_RUNS = [
+    (["complex", "check", "grid3x3.json"], 0,
+     "cb0b39cf0005330f949f0d451fd8264605991b9a2c82d537eb7ca10db886f8ab"),
+    (["complex", "check", "torus3x3.json"], 1,  # the median negative
+     "7c0b1ade5cb41f39afc8fb96a25806777bd5c278bb1782df44468b8f2f836fed"),
+    (["coxeter", "halfspaces", "--matrix", "pgl2z.json", "--radius", "5", "--margin", "0"], 0,
+     "0ce3e5dcebc18d852064ec116c88b5a0d7b263e7f75c14634cae8ba5418a61dd"),
+    (["coxeter", "cubulate", "--matrix", "pgl2z.json", "--radius", "6", "--margin", "0"], 0,
+     "fa1a27904da7e32d75461375be4a4c52d7e220a251768c48039890f0f47d9536"),
+    (["tree", "complex", "-n", "5"], 0,
+     "f27a6bdabaf2e0664bb62fbe62034629bc98792da3f8d73d3a6327de0f414e2f"),
+    (["tree", "link", "-n", "5"], 0,
+     "5728e262cab62e155c51b132731f7988b093a20c4fc8f3e2abb6e44db249a66f"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", DERIVED_SYSTEM_RUNS,
+                         ids=[" ".join(argv) for argv, _, _ in DERIVED_SYSTEM_RUNS])
+def test_derived_systems_skip_the_input_file_checks(capsys, monkeypatch, argv, code, digest):
+    # only input files go through build_system and _validated: the Roller,
+    # Coxeter and tree-space systems are built valid, with the same bytes
+    import cubical.pocsets
+
+    def unreachable(*args):
+        raise AssertionError("a derived system went through the input-file checks")
+
+    monkeypatch.setattr(cubical.pocsets, "_validated", unreachable)
+    monkeypatch.setattr(cubical.pocsets, "build_system", unreachable)
+    fixtures = Path(__file__).parent / "fixtures"
+    assert main([str(fixtures / a) if a.endswith(".json") else a for a in argv]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_only_the_loader_builds_and_validates_a_system():
+    # no module but pocsets holds either name, so the patch above sees
+    # every call; in pocsets, build_system calls _validated and then
+    # load_system calls build_system, and nothing else calls either
+    import inspect
+
+    for name, module in vars(cubical).items():
+        if inspect.ismodule(module) and name != "pocsets":
+            assert not {"_validated", "build_system"} & set(vars(module)), name
+    calls = re.findall(r"(?<!def )\b(_validated|build_system)\(",
+                       inspect.getsource(cubical.pocsets))
+    assert calls == ["_validated", "build_system"]
+
+
 def test_complex_check_stops_before_the_median_scan_above_its_cap(capsys, monkeypatch,
                                                                    tmp_path):
     import cubical.complexes

@@ -1112,6 +1112,41 @@ def test_is_cat0_matches_ordered_stages_on_named_complexes():
     assert not any(map(_assert_matches_ordered_stages, negative))
 
 
+def _roller_system_is_valid(x: CubeComplex) -> bool:
+    """Whether x passes the label steps (a) and (b) of the Roller test,
+    asserting that the system ``pocsets._system_of_crossings`` then builds
+    from its rows passes the input-file checks it is built without."""
+    real, built = pocsets._system_of_crossings, []
+
+    def record(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with mock.patch.object(pocsets, "_system_of_crossings", record):
+        x._roller
+    for s in built:
+        assert pocsets._validated(s, s.labels) is s
+    return bool(built)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(median_test_complexes(), products_less_a_cube(),
+                 products_less_an_edge(), built_glued_complexes()))
+def test_roller_systems_are_built_valid(x):
+    # whatever the walk (c) then finds
+    if x is not None:
+        _roller_system_is_valid(x)
+
+
+def test_roller_systems_are_built_valid_on_named_complexes():
+    # the last three pass (a) and (b) and fail the walk (c)
+    passing = [x for _, x in cat0_corpus()] + [treespace_complex(n) for n in range(3, 7)] + [
+        _cut_cube(), _cube_less_an_edge(), _low_weight_cube(12)]
+    assert all(map(_roller_system_is_valid, passing))
+    failing = [folded_cube(5), cube_double_cover(), torus_3x3()]
+    assert not any(map(_roller_system_is_valid, failing))
+
+
 def _two_skeleton_of_cube(k: int) -> CubeComplex:
     """The vertices, edges and squares of the k-cube, corners numbered by
     their bits."""

@@ -55,6 +55,7 @@ from cubical.coxeter import (
     _system_of_crossings,
     act_on_halfspace,
 )
+from cubical.pocsets import _validated
 from cubical.errors import (
     BadDiagonalError,
     CubicalError,
@@ -634,6 +635,38 @@ def test_trust_report_and_order_match_frozensets_on_landmarks(name):
             th = halfspace_system(ball, margin)
             assert th.untrusted_pairs == frozenset_trust_report(th)
             assert leq(th.system) == frozenset_leq(th)
+
+
+def _assert_truncations_valid(ball):
+    # each truncation returns, and its system passes the input-file checks
+    # that it is built without
+    for margin in range(4):
+        s = halfspace_system(ball, margin).system
+        assert _validated(s, s.labels) is s
+
+
+@pytest.mark.parametrize("name", LANDMARKS)
+def test_truncations_are_built_valid_on_landmarks(name):
+    # parent edges separate every selected wall's sides, so no radius and
+    # no margin makes a truncation that the checks would refuse
+    for radius in range(7):
+        _assert_truncations_valid(cayley_ball(parse_system(LANDMARKS[name]), radius))
+
+
+@st.composite
+def coxeter_matrices(draw):
+    """A Coxeter matrix of rank 2 to 4 with entries 2 to 6 and infinity (0)."""
+    rank = draw(st.integers(2, 4))
+    m = [[1] * rank for _ in range(rank)]
+    for i, j in itertools.combinations(range(rank), 2):
+        m[i][j] = m[j][i] = draw(st.sampled_from([2, 3, 4, 5, 6, 0]))
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices(), st.integers(0, 6))
+def test_truncations_are_built_valid(matrix, radius):
+    _assert_truncations_valid(cayley_ball(parse_system(matrix), radius))
 
 
 def _sides_of_rows(rows, count) -> list:

@@ -25,6 +25,7 @@ from helpers import (
     preorder_cliques,
     scan_maximal_cubes,
     skey_star_layout,
+    system_of_sides,
     tree_product,
 )
 from hypothesis import example, given, settings
@@ -67,6 +68,7 @@ from cubical.pocsets import (
     _dual_cubes,
     _star_layout,
     _system_of_crossings,
+    _validated,
 )
 from cubical.util import skey
 
@@ -430,6 +432,59 @@ def test_dump_system_ignores_position_order():
     assert dumped["star"][:4] == [["w0+", "w0-"], ["w1+", "w1-"], ["w10+", "w10-"],
                                   ["w11+", "w11-"]]
     assert len(dumped["leq"]) == 2 * 15 * 2  # 2 factors, 15 nested wall pairs each, 2 relations a pair
+
+
+# ---------------------------------------------------------------------------
+# systems of sets, built valid
+
+
+@st.composite
+def crossing_rows(draw, max_walls=7, max_points=10):
+    """Rows of crossed walls under the contract of ``_system_of_crossings``:
+    point 0's row is 0, and some other point crosses every wall."""
+    walls = draw(st.integers(0, max_walls))
+    rows = [0] + draw(st.lists(st.integers(0, (1 << walls) - 1),
+                               min_size=1, max_size=max_points))
+    for i in range(walls):
+        rows[draw(st.integers(1, len(rows) - 1))] |= 1 << i
+    return walls, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossing_rows())
+@example((2, [0, 0b11]))  # two walls with one "-" side
+@example((3, [0, 0b001, 0b011, 0b111]))  # a chain
+def test_system_of_crossings_is_built_valid(case):
+    # the only defect such rows can have is two walls with identical
+    # sides; every other system passes the input-file checks it is built
+    # without, and orders the sides by inclusion
+    walls, rows = case
+    ids = [f"w{i}{sign}" for i in range(walls) for sign in "+-"]
+    pairs = list(zip(ids[::2], ids[1::2]))
+    full = (1 << len(rows)) - 1
+    minus = [sum(1 << k for k, c in enumerate(rows) if c >> i & 1) for i in range(walls)]
+    twins = [(minus.index(m), j) for j, m in enumerate(minus) if minus.index(m) < j]
+    try:
+        s = _system_of_crossings(rows, pairs)
+    except NestingViolationError as err:
+        i, j = twins[0]
+        assert err.details == {"pair": (pairs[i][0], pairs[j][0])}
+        assert "identical truncated sides" in err.message
+        return
+    assert not twins
+    assert _validated(s, s.labels) is s
+    sides = [side for m in minus for side in (full ^ m, m)]
+    assert s == system_of_sides(ids, sides)
+
+
+def test_system_of_crossings_refuses_an_empty_side():
+    # a wall that no point crosses has an empty "-" side, which lies below
+    # its complement; no caller passes one, as an edge of the wall crosses it
+    pairs = [("w0+", "w0-"), ("w1+", "w1-"), ("w2+", "w2-")]
+    with pytest.raises(ComparableComplementsError) as err:
+        _system_of_crossings([0, 0b001, 0b101], pairs)
+    assert err.value.details == {"halfspace": "w1-"}
+    assert err.value.message == "halfspace 'w1-' is empty, so it lies below its complement"
 
 
 # ---------------------------------------------------------------------------

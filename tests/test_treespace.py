@@ -52,10 +52,11 @@ from cubical.errors import (
     UnlabeledLeafError,
 )
 from cubical.graphs import bits, girth, is_regular
-from cubical.pocsets import _chosen, _evens, is_vertex
+from cubical.pocsets import _chosen, _evens, _validated, is_vertex
 from cubical.treespace import (
     Orthant,
     _ckey,
+    _cluster_pocset,
     all_clusters,
     compatible,
     dump_orthant,
@@ -434,6 +435,37 @@ def test_treespace_origin_is_a_vertex(n):
     s, origin = cluster_system(n)
     assert _chosen(s, origin) == _evens(len(s.above)) << 1
     assert is_vertex(s, origin).ok
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cluster_pocset_matches_build_system(n):
+    # written directly from the compatibility table, against the closure
+    # that build_system makes of the leq pairs: the same hyperplanes, order
+    # and covers, and every check of an input file passes
+    s, expected = _cluster_pocset(n), cluster_system(n)[0]
+    assert s.star_pairs == expected.star_pairs
+    assert s.above == expected.above
+    assert s.covers == expected.covers == s.above
+    assert _validated(s, s.labels) is s
+
+
+# Schroeder's fourth problem (OEIS A000311): the compatible cluster sets,
+# the empty one included
+COMPATIBLE_SETS = {3: 4, 4: 26, 5: 236, 6: 2752, 7: 39208, 8: 660032}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_link_of_origin_is_the_transversality_of_the_cluster_pocset(n):
+    # two clusters are compatible iff their hyperplanes are transversal in
+    # the cluster pocset that build_system makes, so that pocset gives the
+    # link's vertices in order and its edges; its simplices are the
+    # nonempty compatible sets
+    s = cluster_system(n)[0]
+    link = link_of_origin(n)
+    assert link.labels == tuple(present[:-1] for present, _ in s.star_pairs)
+    assert link.neighbours == tuple(sum(1 << (p >> 1) for p in bits(m))
+                                    for m in s.transversal_masks)
+    assert len(link.masks) == COMPATIBLE_SETS[n] - 1
 
 
 @pytest.mark.parametrize("n", [4, 5])
