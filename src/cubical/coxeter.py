@@ -453,7 +453,9 @@ class TruncatedHalfspaces:
     the member set of every halfspace id, and a trust report. Hyperplane i
     of the system is wall i, its "+" and "-" sides ``_hid(i, "+")`` and
     ``_hid(i, "-")`` at positions 2i and 2i + 1; the ids serve I/O and
-    witnesses only."""
+    witnesses only. ``edge_bit`` is the edge table that fills the rows,
+    and the side of an element that need not lie in the ball is one sign
+    test per wall, at a parent edge (u, us) of the wall."""
 
     ball: CayleyBall
     margin: int
@@ -461,6 +463,7 @@ class TruncatedHalfspaces:
     walls: tuple
     defining_edges: tuple  # per wall, the (u, v) edge with u on the "+" side
     crossed: tuple  # per ball element: bitset of the selected walls it lies across
+    edge_bit: dict  # ball edge (u, v) of a selected wall -> 1 << its wall index
 
     @cached_property
     def untrusted_pairs(self) -> tuple:
@@ -503,9 +506,8 @@ class TruncatedHalfspaces:
         return out
 
     @cached_property
-    def _first_edges(self) -> tuple:  # per wall, (u, s) of its first edge (u, us)
-        sys_ = self.ball.system
-        return tuple((u, reduce_word(sys_, _inv(u) + v)[0]) for u, v in self.defining_edges)
+    def _first_edges(self) -> tuple:  # per wall, (u, s) of its first parent edge (u, us)
+        return tuple(next((u, v[-1]) for u, v in w.edges if v[:-1] == u) for w in self.walls)
 
     def _side(self, wall_index: int, p: tuple):
         """Halfspace id of the side of wall_index holding the g with p = g.rho."""
@@ -549,7 +551,10 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
     crosses the wall, at some parent edge (g[:-1], g) in the ball, whose
     rows differ in the wall's bit alone. So the wall's "-" side is
     nonempty, and no other wall has the same sides, as the edge's ends lie
-    on one side of every other wall.
+    on one side of every other wall. Each wall's sign test reads its
+    generator off such an edge, as g's last letter, and ``cubulate``
+    checks the rows against ``edge_bit``, the table of the selected walls'
+    edges that filled them.
 
     The trust report, ``untrusted_pairs``, is worked out on first use.
     """
@@ -557,16 +562,16 @@ def halfspace_system(ball: CayleyBall, margin: int) -> TruncatedHalfspaces:
         raise InputFormatError("margin must be >= 0")
     inner = ball.radius - margin
     selected = [w for w in walls(ball) if any(len(v) <= inner for _, v in w.edges)]
-    bit_of = {e: 1 << i for i, w in enumerate(selected) for e in w.edges}
+    edge_bit = {e: 1 << i for i, w in enumerate(selected) for e in w.edges}
     crossed = {(): 0}  # ball.elements starts with the identity, then by length
     for g in ball.elements[1:]:
-        crossed[g] = crossed[g[:-1]] | bit_of.get((g[:-1], g), 0)
+        crossed[g] = crossed[g[:-1]] | edge_bit.get((g[:-1], g), 0)
     rows = tuple(crossed.values())
     pairs = [(_hid(i, "+"), _hid(i, "-")) for i in range(len(selected))]
     return TruncatedHalfspaces(
         ball=ball, margin=margin, system=_system_of_crossings(rows, pairs),
         walls=tuple(selected), defining_edges=tuple(w.edges[0] for w in selected),
-        crossed=rows)
+        crossed=rows, edge_bit=edge_bit)
 
 
 @dataclass(frozen=True)
@@ -594,11 +599,13 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_CAP,
     (default: the identity), which ``dual_complex`` rejects if it is not a
     vertex, as for some elements outside the ball. The table nu maps every
     ball element to the dual vertex of its principal orientation: all "+"
-    but on its ``crossed`` walls. Injectivity is asserted on the trusted
-    sub-ball of radius R - margin (the full ball may legitimately fold onto
-    fewer orientation cells when outer walls are truncated away); adjacency
-    is asserted exactly: neighbors differ on the wall of their shared edge
-    and nothing else.
+    but on the walls of its ``crossed`` row. That map is one-to-one on
+    rows, so the checks read the rows and the truncation's ``edge_bit``
+    and no dual mask. Injectivity is asserted on the trusted sub-ball of
+    radius R - margin (the full ball may legitimately fold onto fewer
+    orientation cells when outer walls are truncated away); adjacency is
+    asserted exactly: the rows of neighbours differ in the bit of their
+    shared edge's wall and nothing else.
     """
     th = halfspace_system(ball, margin)
     dual = dual_complex(th.system, th.orientation_of(seed_element), cap=cap)
@@ -617,25 +624,21 @@ def cubulate(ball: CayleyBall, margin: int, cap: int = DEFAULT_CAP,
                                element=g)
         nu[g] = vid
 
-    # two orientations differ on a hyperplane iff their masks differ in
-    # both of its bits: the edge across wall i flips exactly flips[i]
-    wall_of = {e: i for i, w in enumerate(th.walls) for e in w.edges}
-    masks = dual.masks
+    row = dict(zip(ball.elements, th.crossed))
     for u, v, _ in ball.edges:
-        i = wall_of.get((u, v))
-        if masks[nu[u]] ^ masks[nu[v]] != (flips[i] if i is not None else 0):
+        bit = th.edge_bit.get((u, v), 0)
+        if row[u] ^ row[v] != bit:
             raise CubicalError(
-                "ball edge on an unselected wall maps to distinct vertices" if i is None
-                else "adjacent ball elements do not differ exactly on their wall",
-                edge=(u, v), differing=dual.differing(nu[u], nu[v]))
+                "adjacent ball elements do not differ exactly on their wall" if bit
+                else "ball edge on an unselected wall maps to distinct vertices",
+                edge=(u, v), differing=list(bits(row[u] ^ row[v])))
 
     trusted_radius = ball.radius - margin
-    trusted = [g for g in ball.elements if len(g) <= trusted_radius]
-    images = {nu[g] for g in trusted}
-    if len(images) != len(trusted):
+    trusted = [c for g, c in zip(ball.elements, th.crossed) if len(g) <= trusted_radius]
+    if len(set(trusted)) != len(trusted):
         raise CubicalError("nu is not injective on the trusted sub-ball",
                            radius=trusted_radius)
-    injective = len({nu[g] for g in ball.elements}) == len(ball.elements)
+    injective = len(set(th.crossed)) == len(th.crossed)
     return Cubulation(truncated=th, dual=dual, nu=nu,
                       injective_on_ball=injective,
                       trusted_radius=trusted_radius)

@@ -747,9 +747,7 @@ def maximal_cubes(dual: DualComplex) -> list[tuple]:
     families, read off the masks of the opposite corners c[0] and c[-1];
     verifies the cube <-> maximal-transversal-family bijection."""
     s = dual.system
-    masks = dual.masks
-    even = _evens(2 * len(s.star_pairs))
-    result = [(c, tuple(p >> 1 for p in bits((masks[c[0]] ^ masks[c[-1]]) & even)))
+    result = [(c, tuple(dual.differing(c[0], c[-1])))
               for c in sorted(dual.complex.maximal, key=lambda t: (len(t), t))]
 
     fams = [fam for _, fam in result]

@@ -46,6 +46,9 @@ from cubical.coxeter import (
     TruncatedHalfspaces,
     Wall,
     _hid,
+    _inv,
+    _point,
+    _sign,
     distance,
     reduce_word,
     walls,
@@ -53,6 +56,7 @@ from cubical.coxeter import (
 from cubical.errors import (
     CapExceededError,
     ComparableComplementsError,
+    CubicalError,
     CyclicOrderError,
     DisconnectedError,
     DoubleGluingError,
@@ -82,6 +86,7 @@ from cubical.pocsets import (
     _dual_cubes,
     _evens,
     _flip_walk,
+    _orientation,
     build_system,
     is_vertex,
 )
@@ -1861,6 +1866,61 @@ def distance_orientation(th: TruncatedHalfspaces, g) -> tuple:
     """Oracle for ``TruncatedHalfspaces.orientation_of``: the choices, per
     wall, from ``distance_side``."""
     return tuple(distance_side(th, i, g) for i in range(len(th.walls)))
+
+
+def reduce_word_first_edges(th: TruncatedHalfspaces) -> tuple:
+    """Oracle for ``TruncatedHalfspaces._first_edges``: per wall, its first
+    edge (u, v) as (u, s), s recovered as the normal form of u^-1 v."""
+    sys_ = th.ball.system
+    return tuple((u, reduce_word(sys_, _inv(u) + v)[0]) for u, v in th.defining_edges)
+
+
+def first_edge_orientation(th: TruncatedHalfspaces, g) -> tuple:
+    """Oracle for ``TruncatedHalfspaces.orientation_of``: per wall, the
+    sign test at the generator of ``reduce_word_first_edges``."""
+    sys_, p = th.ball.system, _point(th.ball.system, g)
+    return tuple(pair[_sign(sys_, u, s, p) < 0]
+                 for pair, (u, s) in zip(th.system.star_pairs, reduce_word_first_edges(th)))
+
+
+def mask_embedding(th: TruncatedHalfspaces, dual: DualComplex) -> tuple:
+    """Oracle for the embedding checks of ``coxeter.cubulate``: nu,
+    ``injective_on_ball`` and ``trusted_radius`` with every check made on
+    the dual's masks. Two orientations differ on a hyperplane iff their
+    masks differ in both of its bits, so the edge across wall i must flip
+    exactly ``3 << 2 * i``, with the wall of each edge from ``th.walls``;
+    nu is injective where the vertex ids are distinct. Raises the errors
+    ``cubulate`` raises, with the same details."""
+    ball = th.ball
+    identity = _evens(2 * len(th.walls))
+    flips = [3 << 2 * i for i in range(len(th.walls))]
+    nu = {}
+    for g, crossed in zip(ball.elements, th.crossed):
+        mask = identity ^ sum(flips[i] for i in bits(crossed))
+        vid = dual.vertex_of.get(mask)
+        if vid is None:
+            res = is_vertex(th.system, _orientation(th.system, mask))
+            if not res.ok:
+                raise CubicalError(f"principal orientation of {g!r} is not a vertex",
+                                   element=g, witness=res.witness)
+            raise CubicalError(f"orientation of {g!r} falls outside the component",
+                               element=g)
+        nu[g] = vid
+    wall_of = {e: i for i, w in enumerate(th.walls) for e in w.edges}
+    masks = dual.masks
+    for u, v, _ in ball.edges:
+        i = wall_of.get((u, v))
+        if masks[nu[u]] ^ masks[nu[v]] != (flips[i] if i is not None else 0):
+            raise CubicalError(
+                "ball edge on an unselected wall maps to distinct vertices" if i is None
+                else "adjacent ball elements do not differ exactly on their wall",
+                edge=(u, v), differing=dual.differing(nu[u], nu[v]))
+    trusted_radius = ball.radius - th.margin
+    trusted = [g for g in ball.elements if len(g) <= trusted_radius]
+    if len({nu[g] for g in trusted}) != len(trusted):
+        raise CubicalError("nu is not injective on the trusted sub-ball",
+                           radius=trusted_radius)
+    return nu, len(set(nu.values())) == len(nu), trusted_radius
 
 
 def walked_crossings(th: TruncatedHalfspaces) -> tuple:

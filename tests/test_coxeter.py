@@ -3,9 +3,11 @@ parity, roots, halfspace systems, cubulation, ends."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
+import re
 
 import pytest
 from helpers import (
@@ -17,9 +19,11 @@ from helpers import (
     distance_members,
     distance_orientation,
     distance_side,
+    first_edge_orientation,
     frozenset_leq,
     frozenset_trust_report,
     leq,
+    mask_embedding,
     oracle_shortlex_forms,
     reflection_of_edge,
     reflection_word_walls,
@@ -55,7 +59,7 @@ from cubical.coxeter import (
     _system_of_crossings,
     act_on_halfspace,
 )
-from cubical.pocsets import _validated
+from cubical.pocsets import Orientation, _validated, dual_complex
 from cubical.errors import (
     BadDiagonalError,
     CubicalError,
@@ -854,6 +858,116 @@ def test_cubulate_checks_every_edge_against_the_wall_table(monkeypatch, radius,
     monkeypatch.setattr(cox, "halfspace_system", swapped)
     with pytest.raises(CubicalError, match=message):
         cubulate(ball, margin)
+
+
+def _embedding_outcome(embed):
+    try:
+        return embed()
+    except CubicalError as exc:
+        return type(exc), str(exc), exc.details
+
+
+def _cubulate_outcome(ball, margin, seed=()):
+    def embed():
+        cub = cubulate(ball, margin, seed_element=seed)
+        return cub.nu, cub.injective_on_ball, cub.trusted_radius
+    return _embedding_outcome(embed)
+
+
+def _mask_outcome(th, seed=()):
+    def embed():
+        seed_orientation = Orientation(first_edge_orientation(th, seed))
+        return mask_embedding(th, dual_complex(th.system, seed_orientation))
+    return _embedding_outcome(embed)
+
+
+@pytest.mark.parametrize("name", LANDMARKS)
+def test_cubulate_reads_rows_as_the_mask_oracle(name):
+    # nu, injectivity and the trusted radius from the crossing rows equal
+    # those from the dual's masks, seeded inside and outside the ball
+    sys_ = parse_system(LANDMARKS[name])
+    rng = random.Random(name)
+    for radius in range(9):
+        ball = cayley_ball(sys_, radius)
+        for margin in range(4):
+            th = halfspace_system(ball, margin)
+            outside = tuple(rng.randrange(sys_.rank) for _ in range(radius + 1 + rng.randrange(6)))
+            for seed in ((), rng.choice(ball.elements), outside):
+                assert _cubulate_outcome(ball, margin, seed) == _mask_outcome(th, seed)
+
+
+def _swap_two_rows(t):
+    rows = list(t.crossed)
+    i = len(rows) - 1
+    j = next(j for j in range(i - 1, -1, -1) if rows[j] != rows[i])
+    rows[i], rows[j] = rows[j], rows[i]
+    return dataclasses.replace(t, crossed=tuple(rows))
+
+
+def _move_an_edge(t, onto_another_wall):
+    # the last edge of the wall with the most edges, moved in both the walls
+    # and the edge table onto the next wall, or onto no selected wall
+    i = max(range(len(t.walls)), key=lambda i: len(t.walls[i].edges))
+    edge = t.walls[i].edges[-1]
+    walls_ = list(t.walls)
+    walls_[i] = dataclasses.replace(walls_[i], edges=walls_[i].edges[:-1])
+    edge_bit = dict(t.edge_bit)
+    del edge_bit[edge]
+    if onto_another_wall:
+        j = (i + 1) % len(walls_)
+        walls_[j] = dataclasses.replace(walls_[j], edges=tuple(sorted(walls_[j].edges + (edge,))))
+        edge_bit[edge] = 1 << j
+    return dataclasses.replace(t, walls=tuple(walls_), edge_bit=edge_bit)
+
+
+@pytest.mark.parametrize("name", ["A2~", "PGL(2,Z)", "(2,3,7)", "(3,3,4)"])
+@pytest.mark.parametrize("mutate, message", [
+    (_swap_two_rows, "do not differ exactly on their wall|on an unselected wall"),
+    (lambda t: _move_an_edge(t, True), "do not differ exactly on their wall"),
+    (lambda t: _move_an_edge(t, False), "on an unselected wall maps to distinct vertices")],
+    ids=["rows swapped", "another wall's bit", "no wall bit"])
+def test_cubulate_and_the_mask_oracle_refuse_a_mutated_truncation(monkeypatch, name,
+                                                                  mutate, message):
+    # the same error, with the same edge and differing hyperplanes
+    import cubical.coxeter as cox
+
+    ball = cayley_ball(parse_system(LANDMARKS[name]), 5)
+    truncate = cox.halfspace_system
+    for margin in range(3):
+        th = mutate(truncate(ball, margin))
+        monkeypatch.setattr(cox, "halfspace_system", lambda *args, **kwargs: th)
+        got = _cubulate_outcome(ball, margin)
+        assert got == _mask_outcome(th)
+        assert got[0] is CubicalError and re.search(message, got[1])
+        assert set(got[2]) == {"edge", "differing"}
+
+
+@pytest.mark.parametrize("name", LANDMARKS)
+def test_sides_need_no_reduce_word(monkeypatch, name):
+    # each wall's generator is the last letter of a parent edge, so the
+    # sign tests give the sides the reduce_word generators give
+    import cubical.coxeter as cox
+
+    sys_ = parse_system(LANDMARKS[name])
+    rng = random.Random(name)
+    ball = cayley_ball(sys_, 6)
+    for margin in range(3):
+        th = halfspace_system(ball, margin)
+        words = [tuple(rng.randrange(sys_.rank) for _ in range(rng.randrange(15)))
+                 for _ in range(30)]
+        expected = [first_edge_orientation(th, g) for g in words]
+        with monkeypatch.context() as m:
+            m.setattr(cox, "reduce_word", _refuse)
+            for g, choices in zip(words, expected):
+                assert th.orientation_of(g).choices == choices
+                i = rng.randrange(len(th.walls))
+                assert th.side_containing(i, g) == choices[i]
+        for (u, s), w in zip(th._first_edges, th.walls):
+            assert (u, u + (s,)) in w.edges  # a parent edge of its wall
+
+
+def _refuse(*args):
+    raise AssertionError("reduce_word called")
 
 
 def test_cubulate_affine_equivariance_on_selected_walls():
