@@ -21,8 +21,10 @@ each cube once, in the frozenset of its dimension that the build made.
 
 A valid complex lists every face of every cube, and any two cubes meet in
 at most one common face. Given the faces, the second condition holds iff
-no two cubes share a diagonal (a pair of opposite corners). Set passes
-over whole dimensions decide every check of the build: the canonical
+no two cubes share a diagonal (a pair of opposite corners). Each
+dimension's listing is checked by one loop in listing order, which names
+the first defect it meets. Set passes over whole dimensions decide the
+two checks whose witness, the least defect, needs a sort: the canonical
 faces of each dimension must lie in the one below, and the set of all
 diagonals must be as large as their count. Only a failed pass scans the
 cubes in a fixed order, to name the first defect, so a witness does not
@@ -91,7 +93,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .graphs import bfs, bits, cliques, components
-from .util import check_ids, parse_int, parse_list, ssorted, string_forms
+from .util import check_ids, check_spellings, parse_int, parse_list, ssorted, string_forms
 
 DEFAULT_MEDIAN_CAP = 600
 
@@ -380,10 +382,8 @@ def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
     MissingFaceError, DoubleGluingError, or UnknownVertexError with the
     offending cells attached, by their ids.
 
-    Each dimension's listing is decided in whole-list passes: corner
-    counts, ranking, canonical forms, repeated corners, and duplicates by
-    set size. Only a dimension with a defect is scanned cube by cube, in
-    listing order, to name the first one.
+    Each dimension's listing is checked by ``_scan_listing``, one loop in
+    listing order that stops at the first defect and names it.
     """
     vertex_list = list(vertices)
     if len(set(vertex_list)) != len(vertex_list):
@@ -397,59 +397,40 @@ def build_complex(vertices, cubes_by_dim: dict) -> CubeComplex:
             raise InputFormatError(f"cube dimension must be >= 1, got {k}")
         if k > 62:  # 2^k corners could not be listed
             raise InputFormatError(f"cube dimension {k} is too large")
-        seen = listed.get(k, frozenset())
-        raw = list(map(tuple, raw_cubes))
-        new = _canonical_set(raw, rank, 1 << k)
-        if new is None or not seen.isdisjoint(new):
-            _scan_listing(raw, k, rank, set(seen))
-            raise _disagreement("listing")
-        listed[k] = seen | new if seen else new
+        listed[k] = _scan_listing(raw_cubes, k, rank, listed.get(k, ()))
     return _complex_of_ranks(labels, listed)
 
 
-def _canonical_set(raw: list, rank: dict, size: int) -> frozenset | None:
-    """The set of canonical rank tuples of the cubes in ``raw``, or None
-    unless each has ``size`` corners, all of them distinct listed vertices,
-    and no two are one cube. ``canonical_cube`` permutes a tuple's
-    entries, whatever they are, so repeated corners show in its output."""
-    if not set(map(len, raw)) <= {size}:
-        return None
+def _scan_listing(raw, k: int, rank: dict, seen=()) -> frozenset:
+    """The canonical rank tuples of the k-cubes ``raw`` and of ``seen``,
+    the canonical k-cubes listed before them. Cube by cube in listing
+    order, a cube must have 2^k corners, all of them distinct listed
+    vertices, and must not repeat a cube before it up to symmetry; the
+    first that fails raises, named by its ids."""
+    size = 1 << k
     get = rank.__getitem__
-    try:
-        ranked = [tuple(map(get, c)) for c in raw]
-    except KeyError:
-        return None
-    canon = list(map(canonical_cube, ranked))
-    distinct = frozenset(canon)
-    if len(distinct) != len(canon) or not set(map(len, map(set, canon))) <= {size}:
-        return None
-    return distinct
-
-
-def _scan_listing(raw: list, k: int, rank: dict, seen: set) -> None:
-    """Raise the first defect of the k-cubes ``raw``, cube by cube in
-    listing order, with ``seen`` the canonical k-cubes listed before
-    them."""
-    for corners in raw:
-        if len(corners) != 1 << k:
+    out = set(seen)
+    for corners in map(tuple, raw):
+        if len(corners) != size:
             raise InputFormatError(
-                f"{k}-cube needs {1 << k} corners, got {len(corners)}",
+                f"{k}-cube needs {size} corners, got {len(corners)}",
                 cube=corners)
         try:
-            ranked = tuple(map(rank.__getitem__, corners))
+            ranked = tuple(map(get, corners))
         except KeyError:
             v = next(v for v in corners if v not in rank)
             raise UnknownVertexError(
                 f"cube corner {v!r} is not a listed vertex",
                 vertex=v, cube=corners) from None
-        if len(set(ranked)) != len(ranked):
+        if len(set(ranked)) != size:
             raise SelfGluingError(
                 "cube has a repeated corner id", cube=corners, dim=k)
         canon = canonical_cube(ranked)
-        if canon in seen:
+        if canon in out:
             raise DuplicateCubeError(
                 "cube listed twice (up to symmetry)", cube=corners, dim=k)
-        seen.add(canon)
+        out.add(canon)
+    return frozenset(out)
 
 
 def _disagreement(check: str) -> CubicalError:
@@ -568,24 +549,15 @@ def _check_double_gluing(walk: list[tuple], labels: tuple) -> None:
                     shared=[labels[r] for r in sorted(set(a) & set(c))])
 
 
-class _Corners:
-    """The corners of every cube of a listing, walked afresh by each
-    ``iter``: ``check_ids`` can walk them twice without a list of them all."""
-
-    def __init__(self, cubes: dict):
-        self.cubes = cubes
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(itertools.chain.from_iterable(self.cubes.values()))
-
-
 def load_complex(data: dict) -> CubeComplex:
     """Ingest the JSON form {"vertices": [...], "cubes": {"1": [[..]..], ...}}.
 
     Witnesses and certificates name a vertex by ``str(v)``, so two
     distinct ids with one string form (1 and "1") are an input error, and
     so are two keys naming one dimension ("1" and "01"), as the later
-    listing would replace the earlier."""
+    listing would replace the earlier. One id spelt two ways (1 and 1.0)
+    among the vertices and corners is an input error too, as the builder
+    would merge the two."""
     if not isinstance(data, dict) or "vertices" not in data:
         raise InputFormatError("complex JSON needs 'vertices' and 'cubes'")
     vertices = parse_list(data["vertices"], "'vertices'")
@@ -601,8 +573,10 @@ def load_complex(data: dict) -> CubeComplex:
                 f"cube keys {key_of[d]!r} and {k!r} both name dimension {d}",
                 keys=[key_of[d], k])
         cubes[d] = [tuple(parse_list(c, "a cube")) for c in parse_list(cs, f"cubes[{k!r}]")]
-    check_ids(vertices, "vertex ids")
-    check_ids(_Corners(cubes), "cube corners")
+    flat = itertools.chain.from_iterable
+    # both walks run, so a bad corner is named even after a float vertex
+    if check_ids(vertices, "vertex ids") | check_ids(flat(flat(cubes.values())), "cube corners"):
+        check_spellings(itertools.chain(vertices, flat(flat(cubes.values()))), "vertex id")
     string_forms(vertices, "vertex ids")
     return build_complex(vertices, cubes)
 

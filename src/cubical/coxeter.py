@@ -82,7 +82,7 @@ class CoxeterSystem:
 
 def parse_system(matrix) -> CoxeterSystem:
     """Validate a raw square matrix; math.inf, None and 0 all denote no
-    relation."""
+    relation, and so does an entry that ``parse_int`` reads as 0 ("0")."""
     rows = [list(r) for r in matrix]
     n = len(rows)
     norm = []
@@ -91,10 +91,8 @@ def parse_system(matrix) -> CoxeterSystem:
             raise InputFormatError(f"row {i} has length {len(row)}, expected {n}")
         out = []
         for j, x in enumerate(row):
-            if x is None or x == 0 or x == math.inf:
-                out.append(math.inf)
-            else:
-                out.append(parse_int(x, f"m[{i}][{j}]"))
+            m = 0 if x is None or x == 0 or x == math.inf else parse_int(x, f"m[{i}][{j}]")
+            out.append(m or math.inf)
         norm.append(tuple(out))
     for i in range(n):
         if norm[i][i] != 1:

@@ -69,7 +69,7 @@ from .errors import (
     SelfPairedError,
 )
 from .graphs import bits, cliques
-from .util import DEFAULT_CAP, check_ids, parse_list, ssorted
+from .util import DEFAULT_CAP, check_ids, check_spellings, parse_list, ssorted
 
 
 def _evens(size: int) -> int:
@@ -413,14 +413,8 @@ def load_system(data: dict) -> HalfspaceSystem:
                   for p in parse_list(data.get(key, []), f"'{key}'")]
                  for key in ("star", "leq"))
     named = ids + [h for p in star + leq for h in p]
-    check_ids(named, "halfspace ids")
-    spelling: dict = {}  # one id spelt two ways, 1 and 1.0, would merge in the builder
-    for v in named:
-        u = spelling.setdefault(v, v)
-        # equal ids of one type print alike, but for 0.0 and -0.0
-        if u is not v and (type(u) is not type(v) or type(v) is float and repr(u) != repr(v)):
-            raise InputFormatError(
-                f"halfspace id {u!r} is also spelt {v!r}", ids=[u, v])
+    if check_ids(named, "halfspace ids"):
+        check_spellings(named, "halfspace id")
     return build_system(ids, star, leq)
 
 
@@ -608,10 +602,11 @@ def _dual_cells(s: HalfspaceSystem, order: list, minimal_at: list, ids: dict,
                 labels: tuple) -> CubeComplex:
     """The complex of the dual walked in ``order``, the vertex ``mask``
     named ``labels[ids[mask]]``, with the cubes of ``_dual_cubes``. Each
-    dimension is canonicalized at once; only a set of fewer cubes than were
-    walked, one assembled twice, runs ``_scan_listing``, the ordered scan
-    of ``build_complex``, to name the first repeat in walk order by its
-    labels.
+    dimension is canonicalized at once, on ranks: a repeat is an internal
+    error, not worth naming every corner for. Only a set of fewer cubes
+    than were walked, one assembled twice, runs ``_scan_listing``, the
+    loop that checks a listing of ``build_complex``, to name the first
+    repeat in walk order by its labels.
     ``_complex_of_ranks`` checks faces and gluing and keeps the frozensets
     as the complex's cells."""
     walked: dict[int, list] = {}  # corner count -> the cubes in walk order
@@ -623,7 +618,7 @@ def _dual_cells(s: HalfspaceSystem, order: list, minimal_at: list, ids: dict,
         listed[k] = frozenset(map(canonical_cube, cubes))
         if len(listed[k]) != len(cubes):
             named = [tuple(map(labels.__getitem__, c)) for c in cubes]
-            _scan_listing(named, k, {v: r for r, v in enumerate(labels)}, set())
+            _scan_listing(named, k, {v: r for r, v in enumerate(labels)})
             raise _disagreement("listing")
     return _complex_of_ranks(labels, listed)
 

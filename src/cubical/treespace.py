@@ -34,7 +34,8 @@ from .errors import (
 )
 from .graphs import bits, cliques, girth, is_regular
 from .pocsets import HalfspaceSystem, _dual_cells, _evens, _flip_walk, _spread
-from .util import DEFAULT_CAP, check_ids, parse_float, parse_int, parse_list, string_forms
+from .util import (DEFAULT_CAP, check_ids, check_spellings, parse_float, parse_int, parse_list,
+                   string_forms)
 
 MAX_COMPLEX_N = 6  # cell counts of treespace_complex explode past it
 MAX_LINK_N = 8  # link_of_origin(9) would list 12,818,911 simplices
@@ -150,7 +151,9 @@ def validate_tree(data: dict) -> PhyloTree:
 
     JSON object keys are strings, so a ``leaf_labels`` key names the node
     whose ``str`` it is, and two nodes with one string form (1 and "1")
-    are an input error."""
+    are an input error. So is one node spelt two ways (1 and 1.0) among
+    the nodes, the root and the edge endpoints, which would merge into
+    one node under its first spelling while an edge kept the other."""
     if not isinstance(data, dict) or "n" not in data or "root" not in data:
         raise InputFormatError("tree JSON needs n, root, nodes, edges, leaf_labels")
     n = parse_int(data["n"], "n")
@@ -158,7 +161,13 @@ def validate_tree(data: dict) -> PhyloTree:
         raise InputFormatError("need at least 2 leaves")
     nodes = parse_list(data.get("nodes", []), "'nodes'")
     root = data["root"]
-    check_ids(nodes + [root], "node ids")
+    ids = nodes + [root]
+    floats = check_ids(ids, "node ids")
+    edges = [parse_list(e, "an edge [parent, child, length]", 3)
+             for e in parse_list(data.get("edges", []), "'edges'")]
+    ends = [v for e in edges for v in e[:2]]
+    if check_ids(ends, "edge endpoints") or floats:
+        check_spellings(ids + ends, "node id")
     node_set = set(nodes)
     if len(node_set) != len(nodes):
         raise InputFormatError("duplicate node id")
@@ -174,9 +183,7 @@ def validate_tree(data: dict) -> PhyloTree:
     parent: dict = {}
     children: dict = {v: [] for v in nodes}
     length: dict = {}
-    for e in parse_list(data.get("edges", []), "'edges'"):
-        p, c, l = parse_list(e, "an edge [parent, child, length]", 3)
-        check_ids((p, c), "edge endpoints")
+    for p, c, l in edges:
         l = parse_float(l, "an edge length")
         if p not in node_set or c not in node_set:
             raise InputFormatError(f"edge ({p!r},{c!r}) uses unknown nodes")

@@ -35,24 +35,40 @@ def ssorted(xs):
 # ---------------------------------------------------------------------------
 # JSON loader checks: malformed input raises InputFormatError (exit 2)
 
-_PLAIN_IDS = frozenset({int, str})  # exact types: a bool takes the per-id loop
+_PLAIN_IDS = frozenset({int, str})  # exact types, so a bool goes on to be refused
 
 
-def check_ids(ids, what: str) -> None:
+def check_ids(ids, what: str) -> bool:
     """Ids read from JSON must be finite numbers or strings. Python's json
     reads NaN and Infinity as floats, which no JSON output can print back,
     and true and false as bools, which equal 1 and 0.
 
-    One pass over the ids' types decides the common case, ints and strings
-    alone. Any other type walks ``ids`` again to name the first bad id, so
-    ``ids`` must iterate afresh each time: a collection, not a generator."""
-    if set(map(type, ids)) <= _PLAIN_IDS:
-        return
+    One loop walks ``ids`` once, in order, so any iterable will do: an int
+    or a str passes at once, and the first bad id is named. Returns
+    whether a float was among them, as only then can one id be spelt two
+    ways (see ``check_spellings``)."""
+    floats = False
     for v in ids:
-        if isinstance(v, bool) or not (isinstance(v, (int, str)) or (
-                isinstance(v, float) and math.isfinite(v))):
+        if type(v) in _PLAIN_IDS:
+            continue
+        if isinstance(v, float) and math.isfinite(v):
+            floats = True
+        elif isinstance(v, bool) or not isinstance(v, (int, str)):
             raise InputFormatError(
                 f"{what} must be finite numbers or strings, got {v!r}")
+    return floats
+
+
+def check_spellings(ids, what: str) -> None:
+    """One id spelt two ways, 1 and 1.0, would merge into one in a builder,
+    and a certificate could print either spelling, so it is an input error
+    naming both, the first spelling first. Equal ids of one type print
+    alike, but for 0.0 and -0.0."""
+    spelling: dict = {}
+    for v in ids:
+        u = spelling.setdefault(v, v)
+        if u is not v and (type(u) is not type(v) or type(v) is float and repr(u) != repr(v)):
+            raise InputFormatError(f"{what} {u!r} is also spelt {v!r}", ids=[u, v])
 
 
 def string_forms(ids, what: str) -> dict:

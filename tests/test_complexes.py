@@ -474,9 +474,18 @@ def test_set_passes_name_the_ordered_scan_witness(case):
                                   ("a", "d")], 2: [("a", "b", "c", "d")]}),
 ])
 def test_a_set_pass_defect_the_scan_misses_is_an_internal_error(monkeypatch, scan, by_dim):
-    monkeypatch.setattr(complexes, scan, lambda *args: None)
+    # build_complex checks a listing with its ordered scan alone, so the
+    # cubes go in as a dual's walk, on ranks: the dual decides its listing,
+    # and every complex its faces and diagonals, by set passes
+    import cubical.pocsets as pocsets
+
+    labels = tuple("abcd")
+    walk = [tuple(map(labels.index, c)) for cs in by_dim.values() for c in cs]
+    monkeypatch.setattr(pocsets, "_dual_cubes", lambda *args: iter(walk))
+    monkeypatch.setattr(pocsets if scan == "_scan_listing" else complexes, scan,
+                        lambda *args: None)
     with pytest.raises(CubicalError) as info:
-        build_complex("abcd", by_dim)
+        pocsets._dual_cells(None, [], [], {}, labels)
     assert type(info.value) is CubicalError
     assert "ordered scan does not name" in str(info.value)
 
@@ -490,6 +499,8 @@ def test_build_errors_match_label_oracle():
         ("abcd", {1: square[:3], 2: [("b", "d", "a", "c")]}),
         ("abcd", {1: square + [("d", "a")], 2: [("a", "b", "c", "d")]}),
         ([2, "b", 1], {1: [(1, 2), ("b", 3)]}),
+        # two keys naming one dimension share one listing
+        ("abc", {1: [("a", "b"), ("b", "c")], "1": [("c", "b")]}),
     ]
     kinds = []
     for vertices, by_dim in cases:
@@ -503,6 +514,7 @@ def test_build_errors_match_label_oracle():
         ("DoubleGluingError", {"cube_a": ("a", "d"), "cube_b": ("a", "b", "c", "d"),
                                "shared": ["a", "d"]}),
         ("UnknownVertexError", {"vertex": 3, "cube": ("b", 3)}),
+        ("DuplicateCubeError", {"cube": ("c", "b"), "dim": 1}),
     ]
 
 

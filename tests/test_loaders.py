@@ -110,6 +110,8 @@ NAN_POCSET = '{"halfspaces":[NaN,1],"star":[[NaN,1]],"leq":[]}'
     # true and false were vertices 1 and 0, and [1, true] a duplicate
     (COMPLEX, [{"vertices": [True, False], "cubes": {"1": [[True, False]]}}]),
     (COMPLEX, [{"vertices": [1, True], "cubes": {}}]),
+    # a float vertex does not cut the corners' walk short
+    (COMPLEX, ['{"vertices":[1.5,2],"cubes":{"1":[[1.5,NaN]]}}']),
     (["pocset", "validate", "{}"],
      [{"halfspaces": [False, 1], "star": [[False, 1]], "leq": []}]),
 ])
@@ -129,9 +131,20 @@ def test_check_ids_names_the_first_bad_id(bad):
     check_ids([1, "a", 2.5, -0.0], "ids")
 
 
+def test_check_ids_walks_a_generator_once():
+    # a one-shot iterable is walked once, in order, to the first bad id
+    ids = (v for v in [1, "a", 2.5, math.nan, None])
+    with pytest.raises(InputFormatError) as info:
+        check_ids(ids, "ids")
+    assert info.value.message == "ids must be finite numbers or strings, got nan"
+    assert list(ids) == [None]
+    # the result says whether a float passed, so only then are spellings compared
+    assert check_ids((v for v in [1, "a"]), "ids") is False
+    assert check_ids((v for v in [1, 2.5, "a"]), "ids") is True
+
+
 def test_bad_corner_is_named_in_listing_order():
-    # the corners are walked twice, dimension by dimension: once for their
-    # types, then to name the first bad one
+    # the corners are walked once, dimension by dimension, to the first bad one
     data = {"vertices": [0, 1, 2, 3],
             "cubes": {"1": [[0, 1], [1, 3], [2, math.inf]], "2": [[0, 1, 2, None]]}}
     with pytest.raises(InputFormatError) as info:
@@ -202,6 +215,45 @@ def test_one_halfspace_spelt_two_ways_exits_2_naming_both(argv, leq):
     cert = json.loads(out)["certificate"]
     assert code == 2 and cert["error"] == "input_format" and cert["ids"] == [1, 1.0]
     assert json.dumps(cert["ids"]) == "[1, 1.0]"
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+NUMERIC_TREE = json.loads((FIXTURES / "tree_numeric_ids.json").read_text())
+
+
+@pytest.mark.parametrize("argv,payload,ids", [
+    # a corner spelt 1.0 made edge (1, 2), and the complex passed
+    (COMPLEX, {"vertices": [1, 2], "cubes": {"1": [[1.0, 2]]}}, [1, 1.0]),
+    # the repeat was named by a spelling the vertex list does not use
+    (COMPLEX, {"vertices": [1, 2], "cubes": {"1": [[1, 2], [2.0, 1]]}}, [2, 2.0]),
+    (COMPLEX, {"vertices": [1, 1.0], "cubes": {}}, [1, 1.0]),
+    (COMPLEX, {"vertices": [0.0, 1], "cubes": {"1": [[-0.0, 1]]}}, [0.0, -0.0]),
+    (COMPLEX, (FIXTURES / "complex_spelt_twice.json").read_text(), [2, 2.0]),
+    # --out wrote the edge to "1.0", and the file it wrote did not validate
+    (TREE, (FIXTURES / "tree_spelt_twice.json").read_text(), [1, 1.0]),
+    (TREE, {**NUMERIC_TREE, "root": 0.0}, [0, 0.0]),
+    (TREE, {**NUMERIC_TREE, "nodes": [*NUMERIC_TREE["nodes"], 4.0]}, [4, 4.0]),
+], ids=["corner", "repeat", "vertices", "signed_zero", "complex_fixture", "tree_fixture",
+        "root", "nodes"])
+def test_one_id_spelt_two_ways_exits_2_naming_both(argv, payload, ids):
+    # the rule of load_system in every loader: the builders would merge 1
+    # and 1.0, and an output could print the spelling its input did not list
+    code, out = run_json(argv, payload)
+    cert = json.loads(out)["certificate"]
+    assert code == 2 and cert["error"] == "input_format" and cert["ids"] == ids
+    assert json.dumps(cert["ids"]) == json.dumps(ids)
+
+
+def test_float_ids_spelt_alike_load():
+    code, out = run_json(COMPLEX, {"vertices": [1.5, 2.5], "cubes": {"1": [[2.5, 1.5]]}})
+    assert code == 0 and json.loads(out)["stats"]["vertices"] == 2
+
+
+def test_string_zero_in_a_matrix_denotes_infinity():
+    # "0" parsed as 0 but missed the map to infinity: entry_below_two
+    ball = ["coxeter", "ball", "--matrix", "{}", "--radius", "4"]
+    code, out = run_json(ball, {"m": [[1, "0"], ["0", 1]]})
+    assert code == 0 and (code, out) == run_json(ball, {"m": [[1, 0], [0, 1]]})
 
 
 def test_huge_leaf_count_is_rejected_without_allocating():
